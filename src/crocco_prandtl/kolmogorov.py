@@ -22,12 +22,12 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from .config import THETA_MAX
 from .errors import ConfigError, NumericalError
 from .grids import FieldHistory, trapezoid_weights
 from .solver import thomas_solve
 
 SQRT3 = math.sqrt(3.0)
-THETA_MAX = 2.0**-6
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,10 @@ class Cutoffs:
 
     def drift_derivative(self, x, y, t):
         """(d/dt + y d/dx) phi, nonnegative on the sampling region."""
-        return self.phi1(y) * (self.phi0_dt(x, t) + np.asarray(y, float) * self.phi0_dx(x, t))
+        band = self._phi0_band(x, t)
+        dt = band * (-6.0 * self.spec.r**4)
+        dx = band * 2.0 * self.spec.theta**2 * np.asarray(x, float)
+        return self.phi1(y) * (dt + np.asarray(y, float) * dx)
 
     def eta_derivative(self, x, y, t):
         """d/dy phi; supported on the far band |y| in (theta^(-5/6) r, r/theta)."""

@@ -7,6 +7,10 @@ Every artifact is plain text, starts with the provenance comment line
 and renders every float with the %.17g round-trip format so reruns can be
 compared byte for byte.  A failed verdict leaves a FAILED marker in the
 text report.
+
+fields.csv is streamed one time level at a time, with no copy of the whole
+history; its bytes equal numpy.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+over the (t, x, y, value) rows in t-major, then x, then y order.
 """
 
 from pathlib import Path
@@ -54,13 +58,20 @@ def write_table_csv(path: Path, result: RunResult, table: Table) -> Path:
 
 
 def write_fields_csv(path: Path, result: RunResult) -> Path:
+    """One `t,x,y,value` row per node, streamed one time level at a time.
+
+    The `,x,y` part of every row is formatted once; each level joins it into
+    a template with one %.17g slot per node and fills that with one `%`.
+    """
     hist = result.history
-    tt, xx, yy = np.meshgrid(hist.t, hist.x, hist.y, indexing="ij")
-    flat = np.column_stack([tt.ravel(), xx.ravel(), yy.ravel(), hist.values.ravel()])
+    nodes = [",%.17g,%.17g" % (x, y) for x in hist.x.tolist() for y in hist.y.tolist()]
     with open(path, "w") as fh:
         fh.write(artifact_header(result) + "\n")
         fh.write("t,x,y,value\n")
-        np.savetxt(fh, flat, fmt="%.17g", delimiter=",")
+        for t, level in zip(hist.t.tolist(), hist.values):
+            stamp = "%.17g" % t
+            template = stamp + (",%.17g\n" + stamp).join(nodes) + ",%.17g\n"
+            fh.write(template % tuple(level.ravel().tolist()))
     return path
 
 
