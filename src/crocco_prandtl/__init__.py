@@ -37,7 +37,7 @@ from .kolmogorov import (Box, CutoffSpec, Cutoffs, cutoffs, density_ratio,
 from .mms import refinement_study
 from .reporting import write_artifacts
 from .scenarios import run_scenario, validate_scenario
-from .solver import grid_refinement_proxy, solve, thomas_solve, viscosity_sweep
+from .solver import grid_refinement_proxy, solve, viscosity_sweep
 
 __all__ = [
     "__version__",
@@ -59,5 +59,5 @@ __all__ = [
     "refinement_study",
     "write_artifacts",
     "run_scenario", "validate_scenario",
-    "grid_refinement_proxy", "solve", "thomas_solve", "viscosity_sweep",
+    "grid_refinement_proxy", "solve", "viscosity_sweep",
 ]

@@ -3,14 +3,14 @@
 The solver works on a tensor grid of the strip (x, y, t) in
 [0, L] x [0, 1] x [0, T].  The regularity laboratory reuses the same
 containers on boxes centred at the origin, so coordinate arrays are stored
-explicitly instead of being derived from a GridSpec.
+explicitly instead of being derived from a GridSpec.  FieldHistory axes
+are uniform, so sampling finds a cell by one division, not a search.
 """
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import ConfigError
 
@@ -98,12 +98,21 @@ class FieldSnapshot:
             )
 
 
+def _cell(nodes: np.ndarray, q) -> tuple:
+    """Cell and in-cell weight of q; points outside extrapolate from the edge cell."""
+    h = (nodes[-1] - nodes[0]) / (nodes.size - 1)
+    cell = np.fmax(np.fmin(np.floor((q - nodes[0]) / h), nodes.size - 2), 0.0).astype(np.intp)
+    lo = nodes[cell]
+    return cell, (q - lo) / (nodes[cell + 1] - lo)
+
+
 @dataclass
 class FieldHistory:
-    """Full space-time field with explicit coordinate arrays.
+    """Full space-time field on uniform node coordinates.
 
-    values has shape (t.size, x.size, y.size).  Arrays are marked read-only
-    after construction; derived interpolators are cached lazily.
+    values has shape (t.size, x.size, y.size); each axis has at least two
+    ascending equally spaced nodes.  Arrays are marked read-only after
+    construction.  Sampling extrapolates linearly outside the grid.
     """
 
     t: np.ndarray
@@ -122,37 +131,36 @@ class FieldHistory:
         expected = (self.t.size, self.x.size, self.y.size)
         if self.values.shape != expected:
             raise ConfigError(f"history shape {self.values.shape}, expected {expected}")
+        for name in ("t", "x", "y"):
+            c = getattr(self, name)
+            if c.size < 2 or not c[-1] > c[0] or not np.all(
+                    np.abs(c - np.linspace(c[0], c[-1], c.size)) <= 1e-12 * np.max(np.abs(c))):
+                raise ConfigError(f"history axis {name} must be uniform and ascending")
         for arr in (self.t, self.x, self.y, self.values):
             arr.flags.writeable = False
-        self._interp = None
-        self._interp_dy = None
 
     def snapshot(self, n: int) -> FieldSnapshot:
         return FieldSnapshot(self.x, self.y, float(self.t[n]), self.values[n], self.eps)
 
-    def _interpolator(self):
-        if self._interp is None:
-            self._interp = RegularGridInterpolator(
-                (self.t, self.x, self.y), self.values, bounds_error=False, fill_value=None
-            )
-        return self._interp
+    def _trilinear(self, values, t, x, y) -> np.ndarray:
+        it, wt = _cell(self.t, np.asarray(t, float))
+        ix, wx = _cell(self.x, np.asarray(x, float))
+        iy, wy = _cell(self.y, np.asarray(y, float))
+        nx, ny = self.x.size, self.y.size
+        base = (it * nx + ix) * ny + iy
+        vals = [values.ravel()[base + (a * nx + b) * ny + c]
+                for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        for w in (wy, wx, wt):
+            vals = [lo + w * (hi - lo) for lo, hi in zip(vals[::2], vals[1::2])]
+        return vals[0]
 
     def sample(self, t, x, y) -> np.ndarray:
-        """Linear interpolation at broadcastable query coordinates."""
-        tq, xq, yq = np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float), np.asarray(y, float))
-        pts = np.stack([tq.ravel(), xq.ravel(), yq.ravel()], axis=-1)
-        return self._interpolator()(pts).reshape(tq.shape)
+        """Trilinear interpolation at broadcastable query coordinates."""
+        return self._trilinear(self.values, t, x, y)
 
     def sample_dy(self, t, x, y, step: float = 0.0) -> np.ndarray:
         """Wall-normal derivative, computed on the grid and then interpolated."""
-        if self._interp_dy is None:
-            dval = np.gradient(self.values, self.y, axis=2)
-            self._interp_dy = RegularGridInterpolator(
-                (self.t, self.x, self.y), dval, bounds_error=False, fill_value=None
-            )
-        tq, xq, yq = np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float), np.asarray(y, float))
-        pts = np.stack([tq.ravel(), xq.ravel(), yq.ravel()], axis=-1)
-        return self._interp_dy(pts).reshape(tq.shape)
+        return self._trilinear(np.gradient(self.values, self.y, axis=2), t, x, y)
 
 
 class AnalyticField:

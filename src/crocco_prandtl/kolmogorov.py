@@ -21,11 +21,11 @@ from functools import lru_cache
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .config import THETA_MAX
 from .errors import ConfigError, NumericalError
 from .grids import FieldHistory, trapezoid_weights
-from .solver import thomas_solve
 
 SQRT3 = math.sqrt(3.0)
 
@@ -274,20 +274,19 @@ class Cutoffs:
     def phi0(self, x, t):
         return self.chi(np.maximum(self._argument(x, t), 0.0) ** (1.0 / 6.0))
 
-    def _phi0_band(self, x, t):
+    def _phi0_band(self, A):
         """chi'(q) * dq/dA on the ramp band, 0 elsewhere (A = the argument)."""
         sp = self.spec
-        A = self._argument(x, t)
         band = (A > sp.theta * sp.r**6) & (A < sp.r**6)
         A_safe = np.where(band, A, 1.0)
         q = A_safe ** (1.0 / 6.0)
         return np.where(band, self.chi_prime(q) / (6.0 * A_safe ** (5.0 / 6.0)), 0.0)
 
     def phi0_dx(self, x, t):
-        return self._phi0_band(x, t) * 2.0 * self.spec.theta**2 * np.asarray(x, float)
+        return self._phi0_band(self._argument(x, t)) * 2.0 * self.spec.theta**2 * np.asarray(x, float)
 
     def phi0_dt(self, x, t):
-        return self._phi0_band(x, t) * (-6.0 * self.spec.r**4)
+        return self._phi0_band(self._argument(x, t)) * (-6.0 * self.spec.r**4)
 
     # wall-normal factor ----------------------------------------------------
     def phi1(self, y):
@@ -301,16 +300,25 @@ class Cutoffs:
     def phi(self, x, y, t):
         return self.phi0(x, t) * self.phi1(y)
 
+    def _transport(self, ramp, x, y):
+        """(d/dt + y d/dx) phi0 from the factor that _phi0_band returns."""
+        dt = ramp * (-6.0 * self.spec.r**4)
+        dx = ramp * 2.0 * self.spec.theta**2 * np.asarray(x, float)
+        return dt + np.asarray(y, float) * dx
+
     def drift_derivative(self, x, y, t):
         """(d/dt + y d/dx) phi, nonnegative on the sampling region."""
-        band = self._phi0_band(x, t)
-        dt = band * (-6.0 * self.spec.r**4)
-        dx = band * 2.0 * self.spec.theta**2 * np.asarray(x, float)
-        return self.phi1(y) * (dt + np.asarray(y, float) * dx)
+        return self.phi1(y) * self._transport(self._phi0_band(self._argument(x, t)), x, y)
 
     def eta_derivative(self, x, y, t):
         """d/dy phi; supported on the far band |y| in (theta^(-5/6) r, r/theta)."""
         return self.phi0(x, t) * self.phi1_dy(y)
+
+    def drift_and_eta_derivatives(self, x, y, t):
+        """drift_derivative and eta_derivative from one cutoff argument."""
+        A = self._argument(x, t)
+        return (self.phi1(y) * self._transport(self._phi0_band(A), x, y),
+                self.chi(np.maximum(A, 0.0) ** (1.0 / 6.0)) * self.phi1_dy(y))
 
 
 @dataclass
@@ -363,7 +371,7 @@ def verify_lemma(spec: CutoffSpec, alpha: float = 0.05, beta: float = 0.9,
     ys = np.linspace(-r / theta, r / theta, n)
     ts = np.linspace(-r**2, 0.0, n)
     X, Y, T = np.meshgrid(xs, ys, ts, indexing="ij")
-    expr = -(Y * cut.phi0_dx(X, T) + cut.phi0_dt(X, T))
+    expr = -cut._transport(cut._phi0_band(cut._argument(X, T)), X, Y)
     checks.append(LemmaCheck("transport_sign", bool(np.max(expr) <= tol), float(np.max(expr))))
 
     # plateau on the small past box
@@ -515,13 +523,13 @@ def mean_value_at(w_field, cut: Cutoffs, z, n_tau: int = 160,
     drift_scale = np.sqrt(sq**3 / 3.0)
     X = drift_scale * vn[None, None, :]
     xi = x - 0.5 * sq * (y + eta) - X
-    tau_b = np.broadcast_to(tau[:, None, None], xi.shape)
-    w = w_field.sample(tau_b, xi, eta)
+    tau3 = tau[:, None, None]
+    w = w_field.sample(tau3, xi, eta)
     if not np.all(np.isfinite(w)):
         raise NumericalError("field sampling returned non-finite values")
-    drift = cut.drift_derivative(xi, eta, tau_b)
+    drift, eta_d = cut.drift_and_eta_derivatives(xi, eta, tau3)
     kernel_ratio = (y - eta) / (2.0 * sq) + 3.0 * X / sq**2
-    band = cut.eta_derivative(xi, eta, tau_b) * kernel_ratio
+    band = eta_d * kernel_ratio
     quad = np.einsum("j,i,kji->k", uw, vw, drift * w) / math.pi
     quad_band = np.einsum("j,i,kji->k", uw, vw, band * w) / math.pi
     drift_term = float(np.sum(quad) * dtau)
@@ -831,6 +839,17 @@ def model_scenarios(kind: str, lam: float = 2.0, seed: int = 0,
     raise ConfigError(f"unknown model scenario '{kind}'")
 
 
+def _factor_columns(sub, dia, sup) -> Callable:
+    """Factor once the tridiagonal systems held row by row (sub[:, 0] and
+    sup[:, -1] ignored) as one uncoupled LAPACK system; returns its solver."""
+    lower, upper = np.array(sub, float), np.array(sup, float)
+    lower[:, 0] = upper[:, -1] = 0.0
+    dl, d, du, du2, ipiv, info = dgttrf(lower.ravel()[1:], dia.ravel(), upper.ravel()[:-1])
+    if info != 0:
+        raise NumericalError(f"tridiagonal factorization failed (info={info})")
+    return lambda rhs: dgttrs(dl, d, du, du2, ipiv, rhs.ravel())[0].reshape(rhs.shape)
+
+
 def solve_model(coef: RoughCoefficient, nx: int = 48, ny: int = 192,
                 nt: int = 300, t0: float = -0.75,
                 u0: Optional[Callable] = None,
@@ -873,14 +892,15 @@ def solve_model(coef: RoughCoefficient, nx: int = 48, ny: int = 192,
     if np.any(a_half < 1.0 / coef.lam - 1e-12) or np.any(a_half > coef.lam + 1e-12):
         raise ConfigError("coefficient sample violates its ellipticity bounds")
 
-    # interior tridiagonal bands (y index along axis 0, columns along axis 1)
+    # time-constant tridiagonal bands, one row per x column of the grid
     ry = dt / dy**2
-    sub = np.zeros((ny + 1, nx))
-    dia = np.ones((ny + 1, nx))
-    sup = np.zeros((ny + 1, nx))
-    sub[1:-1] = -ry * a_half[:, :-1].T
-    sup[1:-1] = -ry * a_half[:, 1:].T
-    dia[1:-1] = 1.0 + ry * (a_half[:, :-1] + a_half[:, 1:]).T
+    sub = np.zeros((nx, ny + 1))
+    dia = np.ones((nx, ny + 1))
+    sup = np.zeros((nx, ny + 1))
+    sub[:, 1:-1] = -ry * a_half[:, :-1]
+    sup[:, 1:-1] = -ry * a_half[:, 1:]
+    dia[:, 1:-1] = 1.0 + ry * (a_half[:, :-1] + a_half[:, 1:])
+    solve_columns = _factor_columns(sub, dia, sup)
 
     hist = np.empty((nt + 1, nx, ny + 1))
     hist[0] = u
@@ -893,7 +913,7 @@ def solve_model(coef: RoughCoefficient, nx: int = 48, ny: int = 192,
         rhs = u - dt * y[None, :] * dudx
         rhs[:, 0] = np.broadcast_to(bottom(x, tn1), (nx,))
         rhs[:, -1] = np.broadcast_to(top(x, tn1), (nx,))
-        u = thomas_solve(sub, dia, sup, rhs.T).T
+        u = solve_columns(rhs)
         if not np.all(np.isfinite(u)):
             raise NumericalError(f"model run lost finiteness at step {n + 1}")
         hist[n + 1] = u

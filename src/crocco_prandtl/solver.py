@@ -62,24 +62,6 @@ def check_cfl(problem: CroccoProblem, grid: GridSpec, eps: float) -> dict:
     return margins
 
 
-def thomas_solve(sub, diag, sup, rhs):
-    """Solve tridiagonal systems stacked along trailing axes; unknowns
-    along axis 0.  sub[0] and sup[-1] are ignored."""
-    n = diag.shape[0]
-    cp = np.empty_like(diag)
-    dp = np.empty_like(rhs)
-    inv = 1.0 / diag[0]
-    cp[0] = sup[0] * inv
-    dp[0] = rhs[0] * inv
-    for j in range(1, n):
-        inv = 1.0 / (diag[j] - sub[j] * cp[j - 1])
-        cp[j] = sup[j] * inv
-        dp[j] = (rhs[j] - sub[j] * dp[j - 1]) * inv
-    for j in range(n - 2, -1, -1):
-        dp[j] -= cp[j] * dp[j + 1]
-    return dp
-
-
 def _thomas_two_rhs(sub, diag, sup, rhs, e0):
     """Solve tridiagonal systems stacked along the last axis for two
     right-hand sides; unknowns along axis 0."""

@@ -1,0 +1,60 @@
+"""FieldHistory sampling against scipy's RegularGridInterpolator, which is the
+reference here only: linear, with linear extrapolation outside the grid."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
+
+from crocco_prandtl.errors import ConfigError
+from crocco_prandtl.grids import FieldHistory
+
+
+def _oracle(nodes, values, queries):
+    grid = np.broadcast_arrays(*queries)
+    pts = np.stack([q.ravel() for q in grid], axis=-1)
+    interp = RegularGridInterpolator(nodes, values, bounds_error=False, fill_value=None)
+    return interp(pts).reshape(grid[0].shape)
+
+
+@st.composite
+def axis_with_queries(draw):
+    """Uniform nodes and queries on them: inside, exactly on a node (the
+    last one included) and up to two cells outside either end."""
+    n = draw(st.integers(2, 9))
+    start = draw(st.floats(-10.0, 10.0))
+    h = draw(st.floats(1e-3, 10.0))
+    nodes = np.linspace(start, start + h * (n - 1), n)
+    on_node = st.sampled_from(nodes.tolist())
+    anywhere = st.floats(nodes[0] - 2.0 * h, nodes[-1] + 2.0 * h)
+    queries = draw(st.lists(st.one_of(on_node, anywhere), min_size=1, max_size=6))
+    return nodes, np.array(queries + [nodes[0], nodes[-1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(axis_with_queries(), axis_with_queries(), axis_with_queries(), st.integers(0, 2**32 - 1))
+def test_sample_and_sample_dy_match_oracle(t_axis, x_axis, y_axis, seed):
+    (t, tq), (x, xq), (y, yq) = t_axis, x_axis, y_axis
+    values = np.random.default_rng(seed).uniform(-100.0, 100.0, (t.size, x.size, y.size))
+    hist = FieldHistory(t=t, x=x, y=y, values=values)
+    # each coordinate on its own axis, broadcast to the full product
+    queries = (tq[:, None, None], xq[None, :, None], yq[None, None, :])
+    for got, field in ((hist.sample(*queries), values),
+                       (hist.sample_dy(*queries), np.gradient(values, y, axis=2))):
+        ref = _oracle((t, x, y), field, queries)
+        assert got.shape == ref.shape
+        scale = max(np.max(np.abs(field)), 1e-300)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("x", [
+    [0.0, 0.1, 0.3, 1.0],         # non-uniform
+    [1.0, 0.5, 0.0],              # descending
+    [0.0],                        # a single node
+    [0.0, np.nan, 1.0],           # non-finite
+])
+def test_non_uniform_history_is_refused(x):
+    t, y = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4)
+    with pytest.raises(ConfigError):
+        FieldHistory(t=t, x=np.array(x), y=y, values=np.zeros((3, len(x), 4)))

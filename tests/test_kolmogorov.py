@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from crocco_prandtl import kolmogorov as ko
 from crocco_prandtl.errors import ConfigError
@@ -177,6 +178,20 @@ def test_phi_plateau_and_support_spot_values():
     assert cut.phi(120.0, 0.0, -0.5) == 0.0
     assert cut.phi(0.0, 120.0, -0.5) == 0.0
     assert cut.phi(0.0, 0.0, -1.1) == 0.0
+
+
+def test_drift_and_eta_derivatives_equal_the_separate_methods():
+    rng = np.random.default_rng(5)
+    for r in (1.0, 0.5):
+        cut = ko.Cutoffs(ko.CutoffSpec(r=r, theta=0.01))
+        # spans the plateau, the ramp band and the far wall-normal band
+        x = rng.uniform(-r**3 / 0.01, r**3 / 0.01, (40, 6, 5))
+        y = rng.uniform(-r / 0.01, r / 0.01, (40, 6, 1))
+        t = rng.uniform(-r**2, 0.0, (40, 1, 1))
+        drift, eta = cut.drift_and_eta_derivatives(x, y, t)
+        assert np.array_equal(drift, cut.drift_derivative(x, y, t))
+        assert np.array_equal(eta, cut.eta_derivative(x, y, t))
+        assert np.count_nonzero(drift) > 0 and np.count_nonzero(eta) > 0
 
 
 def test_verify_lemma_all_pass():
@@ -443,6 +458,23 @@ def test_solve_model_range_and_wrap():
     assert hist.values.max() <= 1.5 + 1e-9
     assert np.array_equal(hist.values[:, 0, :], hist.values[:, -1, :])
     assert hist.x[-1] == 1.0
+
+
+def test_model_factored_solve_matches_banded_oracle():
+    rng = np.random.default_rng(3)
+    m, n = 5, 17
+    diag = 2.0 + rng.uniform(0.5, 1.0, (m, n))
+    sub = rng.uniform(-0.4, 0.4, (m, n))
+    sup = rng.uniform(-0.4, 0.4, (m, n))
+    rhs = rng.normal(size=(m, n))
+    got = ko._factor_columns(sub, diag, sup)(rhs)
+    for k in range(m):
+        ab = np.zeros((3, n))
+        ab[0, 1:] = sup[k, :-1]
+        ab[1] = diag[k]
+        ab[2, :-1] = sub[k, 1:]
+        expected = solve_banded((1, 1), ab, rhs[k])
+        assert np.max(np.abs(got[k] - expected)) < 1e-12
 
 
 def test_solve_model_validation():

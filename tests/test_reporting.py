@@ -1,13 +1,13 @@
 import io
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from crocco_prandtl.grids import FieldHistory
 from crocco_prandtl.reporting import artifact_header, write_fields_csv
 from crocco_prandtl.scenarios import RunResult
 
@@ -15,7 +15,9 @@ SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.2e17]
 
 
 def _result(t, x, y, values):
-    hist = FieldHistory(t=t, x=x, y=y, values=values)
+    # the writer reads only these four arrays; a plain namespace carries the
+    # non-uniform and non-finite coordinates that a FieldHistory refuses
+    hist = SimpleNamespace(t=t, x=x, y=y, values=values)
     return RunResult(scenario="exact_profile", grid_label="6x2x4", eps_label="1e-3",
                      report=None, history=hist)
 

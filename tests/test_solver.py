@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
 
 from crocco_prandtl.crocco import CroccoData, make_problem
 from crocco_prandtl.errors import ConfigError, NumericalError
@@ -14,7 +13,6 @@ from crocco_prandtl.solver import (
     grid_refinement_proxy,
     solve,
     step,
-    thomas_solve,
     viscosity_sweep,
 )
 
@@ -26,27 +24,6 @@ def linear_problem(grid, scale=1.0):
         v0=lambda x, t: -1.0 + 0.0 * x * t,
     )
     return make_problem(uniform_flow(grid.L, grid.T), grid, data)
-
-
-# ---------------------------------------------------------------------------
-# tridiagonal kernel against a dense oracle
-
-
-def test_thomas_solve_matches_banded_oracle():
-    rng = np.random.default_rng(3)
-    n, m = 17, 5
-    diag = 2.0 + rng.uniform(0.5, 1.0, (n, m))
-    sub = rng.uniform(-0.4, 0.4, (n, m))
-    sup = rng.uniform(-0.4, 0.4, (n, m))
-    rhs = rng.normal(size=(n, m))
-    got = thomas_solve(sub, diag, sup, rhs)
-    for k in range(m):
-        ab = np.zeros((3, n))
-        ab[0, 1:] = sup[:-1, k]
-        ab[1] = diag[:, k]
-        ab[2, :-1] = sub[1:, k]
-        expected = solve_banded((1, 1), ab, rhs[:, k])
-        assert np.max(np.abs(got[:, k] - expected)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
