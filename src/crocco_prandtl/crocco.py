@@ -16,8 +16,8 @@ condition couples the shear to the suction velocity v0 <= 0 through
     w dy w = v0 w + dxP / U          at y = 0,
 
 and w vanishes at y = 1.  An alternative form of the zeroth-order
-coefficient circulating in derivations, c_alt = y dxU + dtU / U, differs
-from c by 2 (1 - y) dxU; both are sampled so reports can expose the gap.
+coefficient circulating in derivations, y dxU + dtU / U, differs from c
+by 2 (1 - y) dxU; only c is sampled.
 """
 
 from dataclasses import dataclass, replace
@@ -96,7 +96,6 @@ class CroccoProblem:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    c_alt: np.ndarray
     px_over_u: np.ndarray
     w0: np.ndarray
     w1: np.ndarray
@@ -124,7 +123,6 @@ class Coefficients:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    c_alt: np.ndarray
     px_over_u: np.ndarray
 
 
@@ -152,14 +150,12 @@ def coefficients(flow: ExternalFlow, grid: GridSpec) -> Coefficients:
     a = y * U
     b = (1.0 - y**2) * dxU + (1.0 - y) * dtU / U
     c = (1.0 - y) * dxU - dxP / U
-    c_alt = y * dxU + dtU / U
     full = (grid.nt + 1, grid.nx + 1, grid.ny + 1)
     flat = (grid.nt + 1, grid.nx + 1)
     return Coefficients(
         a=_lock(np.broadcast_to(a, full).copy()),
         b=_lock(np.broadcast_to(b, full).copy()),
         c=_lock(np.broadcast_to(c, full).copy()),
-        c_alt=_lock(np.broadcast_to(c_alt, full).copy()),
         px_over_u=_lock(np.broadcast_to((dxP / U)[..., 0], flat).copy()),
     )
 
@@ -190,7 +186,6 @@ def make_problem(flow: ExternalFlow, grid: GridSpec, data: CroccoData, label: st
         a=coef.a,
         b=coef.b,
         c=coef.c,
-        c_alt=coef.c_alt,
         px_over_u=coef.px_over_u,
         w0=_lock(w0),
         w1=_lock(w1),

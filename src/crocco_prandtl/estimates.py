@@ -15,7 +15,7 @@ directly.
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -219,6 +219,78 @@ def _stagger_x(v):
     return 0.25 * (d[:-1, :, :-1] + d[1:, :, :-1] + d[:-1, :, 1:] + d[1:, :, 1:])
 
 
+def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
+                     alpha: float, margin: int) -> Callable[[TestFunction], dict]:
+    """Midcell quadrature of the weighted weak identity for one history.
+
+    The field-dependent midcell arrays are built once, restricted to the
+    margin once; the returned function evaluates a test function on the
+    broadcast midcell axes and gives the seven terms and their sum.
+    """
+    g = problem.grid
+    if margin and 2 * margin >= min(g.nx, g.ny):
+        raise ConfigError("interior margin leaves no cells")
+    u = history.values
+    t, x, y = history.t, history.x, history.y
+    dt, dx, dy = np.diff(t).mean(), np.diff(x).mean(), np.diff(y).mean()
+    xs = slice(margin, g.nx - margin) if margin else slice(None)
+    ys = slice(margin, g.ny - margin) if margin else slice(None)
+    tc = 0.5 * (t[1:] + t[:-1])
+    xc = 0.5 * (x[1:] + x[:-1])[xs]
+    yc = 0.5 * (y[1:] + y[:-1])[ys]
+
+    u_c = _center8(u)
+    if np.min(u_c) <= 0.0:
+        raise NumericalError("field is not positive at quadrature midpoints")
+    vol_sl = (slice(None), xs, ys)
+    inv_u = 1.0 / u_c[vol_sl]
+    uy_c = (_stagger_y(u) / dy)[vol_sl]
+    a_c = _center8(problem.a)[vol_sl]
+    b_c = _center8(problem.b)[vol_sl]
+    c_c = _center8(problem.c)[vol_sl]
+    ax_c = (_stagger_x(problem.a) / dx)[vol_sl]
+    by_c = (_stagger_y(problem.b) / dy)[vol_sl]
+
+    T3, X3, Y3 = tc[:, None, None], xc[None, :, None], yc[None, None, :]
+    W = (1.0 - Y3) ** alpha
+    Wp = -alpha * (1.0 - Y3) ** (alpha - 1.0) if alpha != 0 else np.zeros_like(Y3)
+    # each volume term pairs phi or one of its derivatives with a kernel
+    W_u = W * inv_u
+    k_diff_y, k_diff = W * uy_c, Wp * uy_c
+    k_stream, k_stream_x = ax_c * W_u, a_c * W_u
+    k_drift_y, k_drift = b_c * W_u, (W * by_c + Wp * b_c) * inv_u
+    k_react = c_c * W_u
+    buf = np.empty_like(inv_u)
+    cell = dt * dx * dy
+    # final-time surface: nodes in t, midpoints in (x, y)
+    XF, YF = xc[:, None], yc[None, :]
+    uT = _center4(u[-1])[xs, ys]
+    WT = (1.0 - YF) ** alpha
+    # wall trace: nodes in y = 0 row, midpoints in (t, x)
+    TT, XT = tc[:, None], xc[None, :]
+    v0_c = _center4(problem.v0)[:, xs]
+
+    def vol(*pairs):
+        return sum(float(np.sum(np.multiply(f, k, out=buf))) for f, k in pairs) * cell
+
+    def terms(phi) -> dict:
+        ph = phi(X3, Y3, T3)
+        ph_y = phi.dy(X3, Y3, T3)
+        out = {
+            "final_time": -float(np.sum(WT * phi(XF, YF, t[-1]) / uT)) * dx * dy,
+            "time_volume": vol((phi.dt(X3, Y3, T3), W_u)),
+            "diffusion": vol((ph_y, k_diff_y), (ph, k_diff)),
+            "streamwise": vol((ph, k_stream), (phi.dx(X3, Y3, T3), k_stream_x)),
+            "drift": vol((ph_y, k_drift_y), (ph, k_drift)),
+            "reaction": vol((ph, k_react)),
+            "wall_trace": float(np.sum(v0_c * phi(XT, np.zeros_like(XT), TT))) * dt * dx,
+        }
+        out["residual"] = sum(out.values())
+        return out
+
+    return terms
+
+
 def weak_residual_terms(history: FieldHistory, problem: CroccoProblem, phi: TestFunction,
                         alpha: float = 2.0, margin: int = 0) -> dict:
     """The seven integrals of the weighted weak identity, by midpoint cells.
@@ -227,84 +299,20 @@ def weak_residual_terms(history: FieldHistory, problem: CroccoProblem, phi: Test
     weight (1-y)^alpha, the time boundary term at t = T, and the wall trace
     paid by the suction data.  Returns the individual terms and their sum.
     """
-    g = problem.grid
-    if margin and 2 * margin >= min(g.nx, g.ny):
-        raise ConfigError("interior margin leaves no cells")
-    u = history.values
-    t, x, y = history.t, history.x, history.y
-    dt, dx, dy = np.diff(t).mean(), np.diff(x).mean(), np.diff(y).mean()
-    tc = 0.5 * (t[1:] + t[:-1])
-    xc = 0.5 * (x[1:] + x[:-1])
-    yc = 0.5 * (y[1:] + y[:-1])
-
-    u_c = _center8(u)
-    if np.min(u_c) <= 0.0:
-        raise NumericalError("field is not positive at quadrature midpoints")
-    uy_c = _stagger_y(u) / dy
-    a_c = _center8(problem.a)
-    b_c = _center8(problem.b)
-    c_c = _center8(problem.c)
-    ax_c = _stagger_x(problem.a) / dx
-    by_c = _stagger_y(problem.b) / dy
-
-    T3, X3, Y3 = np.meshgrid(tc, xc, yc, indexing="ij")
-    W = (1.0 - Y3) ** alpha
-    Wp = -alpha * (1.0 - Y3) ** (alpha - 1.0) if alpha != 0 else np.zeros_like(Y3)
-    ph = phi(X3, Y3, T3)
-    ph_t = phi.dt(X3, Y3, T3)
-    ph_x = phi.dx(X3, Y3, T3)
-    ph_y = phi.dy(X3, Y3, T3)
-
-    sl = (slice(None), slice(margin, g.nx - margin), slice(margin, g.ny - margin)) if margin else (
-        slice(None), slice(None), slice(None))
-    cell = dt * dx * dy
-
-    def vol(integrand):
-        return float(np.sum(integrand[sl])) * cell
-
-    inv_u = 1.0 / u_c
-    term_time_vol = vol(W * ph_t * inv_u)
-    term_diffusion = vol((W * ph_y + Wp * ph) * uy_c)
-    term_streamwise = vol((ax_c * ph + a_c * ph_x) * W * inv_u)
-    term_drift = vol((W * b_c * ph_y + (W * by_c + Wp * b_c) * ph) * inv_u)
-    term_reaction = vol(W * ph * c_c * inv_u)
-
-    # final-time surface: nodes in t, midpoints in (x, y)
-    XF, YF = np.meshgrid(xc, yc, indexing="ij")
-    uT = _center4(u[-1])
-    phT = phi(XF, YF, t[-1])
-    WT = (1.0 - YF) ** alpha
-    sl2 = (slice(margin, g.nx - margin), slice(margin, g.ny - margin)) if margin else (
-        slice(None), slice(None))
-    term_final = -float(np.sum((WT * phT / uT)[sl2])) * dx * dy
-
-    # wall trace: nodes in y = 0 row, midpoints in (t, x)
-    TT, XT = np.meshgrid(tc, xc, indexing="ij")
-    v0_c = _center4(problem.v0)
-    ph_wall = phi(XT, np.zeros_like(XT), TT)
-    slw = (slice(None), slice(margin, g.nx - margin)) if margin else (slice(None), slice(None))
-    term_wall = float(np.sum((v0_c * ph_wall)[slw])) * dt * dx
-
-    terms = {
-        "final_time": term_final,
-        "time_volume": term_time_vol,
-        "diffusion": term_diffusion,
-        "streamwise": term_streamwise,
-        "drift": term_drift,
-        "reaction": term_reaction,
-        "wall_trace": term_wall,
-    }
-    terms["residual"] = sum(terms.values())
-    return terms
+    return _weak_quadrature(history, problem, alpha, margin)(phi)
 
 
 def weak_residual(history: FieldHistory, problem: CroccoProblem,
                   family: Optional[List[TestFunction]] = None,
                   alpha: float = 2.0, margin: int = 0) -> float:
-    """Largest absolute weak-identity residual over the test family."""
+    """Largest absolute weak-identity residual over the test family.
+
+    The midcell fields are built once per history and shared by every
+    test function of the family.
+    """
     family = family or test_function_family(problem.grid.L, problem.grid.T)
-    return max(abs(weak_residual_terms(history, problem, p, alpha, margin)["residual"])
-               for p in family)
+    terms = _weak_quadrature(history, problem, alpha, margin)
+    return max(abs(terms(p)["residual"]) for p in family)
 
 
 # ---------------------------------------------------------------------------

@@ -80,24 +80,6 @@ class Forcing:
         return np.broadcast_to(vals, xx.shape)
 
 
-@dataclass
-class FieldSnapshot:
-    """Single time level of the solution on the (x, y) nodes."""
-
-    x: np.ndarray
-    y: np.ndarray
-    time: float
-    values: np.ndarray  # shape (nx+1, ny+1)
-    eps: Optional[float] = None
-
-    def __post_init__(self):
-        if self.values.shape != (self.x.size, self.y.size):
-            raise ConfigError(
-                f"snapshot shape {self.values.shape} does not match nodes "
-                f"({self.x.size}, {self.y.size})"
-            )
-
-
 def _cell(nodes: np.ndarray, q) -> tuple:
     """Cell and in-cell weight of q; points outside extrapolate from the edge cell."""
     h = (nodes[-1] - nodes[0]) / (nodes.size - 1)
@@ -138,9 +120,6 @@ class FieldHistory:
                 raise ConfigError(f"history axis {name} must be uniform and ascending")
         for arr in (self.t, self.x, self.y, self.values):
             arr.flags.writeable = False
-
-    def snapshot(self, n: int) -> FieldSnapshot:
-        return FieldSnapshot(self.x, self.y, float(self.t[n]), self.values[n], self.eps)
 
     def _trilinear(self, values, t, x, y) -> np.ndarray:
         it, wt = _cell(self.t, np.asarray(t, float))

@@ -282,12 +282,6 @@ class Cutoffs:
         q = A_safe ** (1.0 / 6.0)
         return np.where(band, self.chi_prime(q) / (6.0 * A_safe ** (5.0 / 6.0)), 0.0)
 
-    def phi0_dx(self, x, t):
-        return self._phi0_band(self._argument(x, t)) * 2.0 * self.spec.theta**2 * np.asarray(x, float)
-
-    def phi0_dt(self, x, t):
-        return self._phi0_band(self._argument(x, t)) * (-6.0 * self.spec.r**4)
-
     # wall-normal factor ----------------------------------------------------
     def phi1(self, y):
         return self.chi(self.spec.theta * np.abs(np.asarray(y, float)))

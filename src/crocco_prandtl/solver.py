@@ -11,7 +11,7 @@ y = 1, u = w0 at t = 0, and the nonlinear wall flux
 
 Scheme, per time step:
   * wall-normal diffusion implicit with the coefficient (u + eps)^2 frozen
-    at the previous level (one tridiagonal solve per x-column),
+    at the previous level (one tridiagonal system per x-column),
   * streamwise transport explicit first-order backward upwind (a + eps > 0),
     inflow column prescribed, free outflow at x = L,
   * b dy u explicit with sign-dependent upwind; at the wall row the Robin
@@ -22,18 +22,21 @@ Scheme, per time step:
 The wall flux is imposed through a ghost node eliminated with the
 second-order centered gradient (u_1 - u_ghost) / (2 dy).  That makes the
 wall row nonlinear in the wall value alone, so each column reduces to a
-scalar Newton iteration on top of two tridiagonal solves (right-hand side
-and influence of the wall row).
+scalar Newton iteration on top of one LAPACK ?gtsv call: the interior
+columns are stacked into one block-tridiagonal system with the couplings
+between columns zeroed, solved for two right-hand sides (the step's
+right-hand side and the influence of the wall row).
 """
 
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 from .crocco import CroccoProblem
 from .errors import ConfigError, NumericalError
-from .grids import FieldHistory, FieldSnapshot, Forcing, GridSpec, l1_spacetime_norm
+from .grids import FieldHistory, Forcing, GridSpec, l1_spacetime_norm
 
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-13
@@ -62,28 +65,17 @@ def check_cfl(problem: CroccoProblem, grid: GridSpec, eps: float) -> dict:
     return margins
 
 
-def _thomas_two_rhs(sub, diag, sup, rhs, e0):
-    """Solve tridiagonal systems stacked along the last axis for two
-    right-hand sides; unknowns along axis 0."""
-    n = diag.shape[0]
-    cp = np.empty_like(diag)
-    dp = np.empty_like(rhs)
-    ep = np.empty_like(e0)
-    inv = 1.0 / diag[0]
-    cp[0] = sup[0] * inv
-    dp[0] = rhs[0] * inv
-    ep[0] = e0[0] * inv
-    for j in range(1, n):
-        inv = 1.0 / (diag[j] - sub[j] * cp[j - 1])
-        cp[j] = sup[j] * inv
-        dp[j] = (rhs[j] - sub[j] * dp[j - 1]) * inv
-        ep[j] = (e0[j] - sub[j] * ep[j - 1]) * inv
-    p = dp
-    q = ep
-    for j in range(n - 2, -1, -1):
-        p[j] -= cp[j] * p[j + 1]
-        q[j] -= cp[j] * q[j + 1]
-    return p, q
+def _solve_columns(sub, dia, sup, rhs) -> np.ndarray:
+    """Solve the tridiagonal systems held row by row (sub[:, 0] and
+    sup[:, -1] ignored) as one uncoupled LAPACK ?gtsv system; rhs has shape
+    (nrhs, rows, n) and the solutions come back in that shape."""
+    lower, upper = np.array(sub, float), np.array(sup, float)
+    lower[:, 0] = upper[:, -1] = 0.0
+    b = np.reshape(rhs, (rhs.shape[0], -1)).T
+    *_, x, info = dgtsv(lower.ravel()[1:], dia.ravel(), upper.ravel()[:-1], b)
+    if info != 0:
+        raise NumericalError(f"wall-normal tridiagonal solve failed (info={info})")
+    return x.T.reshape(rhs.shape)
 
 
 def _advance(u, n, problem, grid, eps, forcing) -> tuple:
@@ -125,21 +117,15 @@ def _advance(u, n, problem, grid, eps, forcing) -> tuple:
     diag = 1.0 + 2.0 * r + dt * c_n1[cols, :ny]
     if np.any(diag <= 0.1):
         raise NumericalError("implicit reaction made the wall-normal system lose dominance")
-    sub = np.zeros_like(r)
-    sup = np.zeros_like(r)
-    sub[:, 1:] = -r[:, 1:]
-    sup[:, :-1] = -r[:, :-1]
+    sup = -r
     sup[:, 0] = -2.0 * r[:, 0]
 
-    b_rhs = rhs[cols, :ny].copy()
-    b_rhs[:, 0] -= 2.0 * dy * r[:, 0] * v0_n1[cols]
-    e0 = np.zeros_like(b_rhs)
-    e0[:, 0] = 1.0
-
-    # unknowns along y: transpose so the Thomas sweep runs down the column
-    p, q = _thomas_two_rhs(sub.T, diag.T, sup.T, b_rhs.T, e0.T)
-    p = p.T
-    q = q.T
+    # right-hand side and influence of the wall row, solved together
+    b_rhs = np.zeros((2,) + r.shape)
+    b_rhs[0] = rhs[cols, :ny]
+    b_rhs[0, :, 0] -= 2.0 * dy * r[:, 0] * v0_n1[cols]
+    b_rhs[1, :, 0] = 1.0
+    p, q = _solve_columns(-r, diag, sup, b_rhs)
 
     g = g_n1[cols]
     coef = 2.0 * dy * r[:, 0]
@@ -183,18 +169,6 @@ def _advance(u, n, problem, grid, eps, forcing) -> tuple:
             f"y={grid.y[j]:.6g}: u={umin:.3e}"
         )
     return u_new, iters
-
-
-def step(state: FieldSnapshot, problem: CroccoProblem, grid: GridSpec, eps: float,
-         forcing: Optional[Forcing] = None) -> FieldSnapshot:
-    """Advance a single snapshot by one grid time step."""
-    n = int(round(state.time / grid.dt))
-    if abs(state.time - grid.t[n]) > 1e-10 * max(1.0, grid.T):
-        raise ConfigError(f"snapshot time {state.time} is not a grid time level")
-    if n >= grid.nt:
-        raise ConfigError("snapshot already at the final time level")
-    u_new, _ = _advance(np.asarray(state.values, float), n, problem, grid, eps, forcing)
-    return FieldSnapshot(grid.x, grid.y, float(grid.t[n + 1]), u_new, eps)
 
 
 def solve(problem: CroccoProblem, grid: GridSpec, eps: float,

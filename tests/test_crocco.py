@@ -43,9 +43,12 @@ def test_coefficients_accelerating_flow_closed_form():
 
 def test_coefficient_variants_differ_by_twice_weighted_dxU():
     grid = GridSpec(8, 8, 8, L=1.0, T=0.5)
-    coef = coefficients(decelerating_flow(1.0, 0.5), grid)
+    flow = decelerating_flow(1.0, 0.5)
+    coef = coefficients(flow, grid)
+    x, t = grid.x[None, :, None], grid.t[:, None, None]
     y = grid.y[None, None, :]
-    gap = coef.c - coef.c_alt
+    # the alternative zeroth-order coefficient y dxU + dtU / U
+    gap = coef.c - (y * flow.dxU(x, t) + flow.dtU(x, t) / flow.U(x, t))
     assert np.allclose(gap, 2.0 * (1.0 - y) * (-0.25), atol=1e-14)
 
 

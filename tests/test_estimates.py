@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crocco_prandtl.crocco import CroccoData, make_problem
-from crocco_prandtl.errors import ConfigError
+from crocco_prandtl.errors import ConfigError, NumericalError
 from crocco_prandtl import estimates
 from crocco_prandtl.estimates import (
     EstimateReport,
@@ -17,7 +17,7 @@ from crocco_prandtl.estimates import (
     weighted_dyy_measure,
     weighted_grad_norms,
 )
-from crocco_prandtl.flows import uniform_flow
+from crocco_prandtl.flows import decelerating_flow, uniform_flow
 from crocco_prandtl.grids import FieldHistory, GridSpec
 
 
@@ -29,13 +29,13 @@ def grid_history(f, nt=16, nx=16, ny=32, L=1.0, T=1.0, eps=None):
     return FieldHistory(t=t, x=x, y=y, values=f(tt, xx, yy), eps=eps)
 
 
-def linear_problem(grid):
+def linear_problem(grid, flow=None):
     data = CroccoData(
         w0=lambda x, y: np.broadcast_to(1.0 - y, np.broadcast(x, y).shape),
         w1=lambda y, t: np.broadcast_to(1.0 - y, np.broadcast(y, t).shape),
         v0=lambda x, t: np.full(np.broadcast(x, t).shape, -1.0),
     )
-    return make_problem(uniform_flow(grid.L, grid.T), grid, data)
+    return make_problem(flow or uniform_flow(grid.L, grid.T), grid, data)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +197,78 @@ def test_weak_residual_linear_in_test_function():
     r2 = weak_residual_terms(h, prob, phi2)["residual"]
     rc = weak_residual_terms(h, prob, _ComboFunction(a, phi1, b, phi2))["residual"]
     assert rc == pytest.approx(a * r1 + b * r2, abs=1e-12)
+
+
+@pytest.mark.parametrize("margin", [0, 2])
+def test_weak_residual_is_the_family_max_of_the_terms(margin):
+    grid = GridSpec(nx=16, ny=16, nt=16)
+    prob = linear_problem(grid)
+    h = grid_history(lambda t, x, y: (1.0 - y) * (1.0 + 0.3 * np.sin(np.pi * x) * t),
+                     nt=16, nx=16, ny=16)
+    expected = max(abs(weak_residual_terms(h, prob, phi, margin=margin)["residual"])
+                   for phi in estimates.test_function_family(grid.L, grid.T))
+    assert expected > 1e-3
+    assert weak_residual(h, prob, margin=margin) == pytest.approx(expected, rel=1e-12)
+
+
+def _meshgrid_terms(history, problem, phi, alpha, margin):
+    # the seven integrals transcribed term by term on full (t, x, y) midcell
+    # meshgrids, with the margin cut from each integrand
+    u, t, x, y = history.values, history.t, history.x, history.y
+    dt, dx, dy = np.diff(t).mean(), np.diff(x).mean(), np.diff(y).mean()
+    tc, xc, yc = (0.5 * (c[1:] + c[:-1]) for c in (t, x, y))
+    inv_u = 1.0 / estimates._center8(u)
+    uy_c = estimates._stagger_y(u) / dy
+    a_c, b_c, c_c = (estimates._center8(v) for v in (problem.a, problem.b, problem.c))
+    ax_c = estimates._stagger_x(problem.a) / dx
+    by_c = estimates._stagger_y(problem.b) / dy
+    T3, X3, Y3 = np.meshgrid(tc, xc, yc, indexing="ij")
+    W = (1.0 - Y3) ** alpha
+    Wp = -alpha * (1.0 - Y3) ** (alpha - 1.0)
+    ph, ph_t = phi(X3, Y3, T3), phi.dt(X3, Y3, T3)
+    ph_x, ph_y = phi.dx(X3, Y3, T3), phi.dy(X3, Y3, T3)
+    m = slice(margin, -margin) if margin else slice(None)
+    cell = dt * dx * dy
+    XF, YF = np.meshgrid(xc, yc, indexing="ij")
+    TT, XT = np.meshgrid(tc, xc, indexing="ij")
+    terms = {
+        "final_time": -np.sum((((1.0 - YF) ** alpha) * phi(XF, YF, t[-1])
+                               / estimates._center4(u[-1]))[m, m]) * dx * dy,
+        "time_volume": np.sum((W * ph_t * inv_u)[:, m, m]) * cell,
+        "diffusion": np.sum(((W * ph_y + Wp * ph) * uy_c)[:, m, m]) * cell,
+        "streamwise": np.sum(((ax_c * ph + a_c * ph_x) * W * inv_u)[:, m, m]) * cell,
+        "drift": np.sum(((W * b_c * ph_y + (W * by_c + Wp * b_c) * ph) * inv_u)[:, m, m]) * cell,
+        "reaction": np.sum((W * ph * c_c * inv_u)[:, m, m]) * cell,
+        "wall_trace": np.sum((estimates._center4(problem.v0) * phi(XT, 0.0 * XT, TT))[:, m])
+        * dt * dx,
+    }
+    terms["residual"] = sum(terms.values())
+    return terms
+
+
+@pytest.mark.parametrize("alpha, margin", [(2.0, 0), (2.0, 2), (1.0, 1), (0.0, 0)])
+def test_weak_residual_terms_match_meshgrid_reference(alpha, margin):
+    # the decelerating flow makes every coefficient kernel (a, dx a, b, dy b, c) nonzero
+    grid = GridSpec(nx=12, ny=12, nt=10, L=1.0, T=0.5)
+    prob = linear_problem(grid, decelerating_flow(grid.L, grid.T))
+    h = grid_history(lambda t, x, y: (1.0 - y) * (1.0 + 0.3 * np.sin(np.pi * x) * t) + 0.01,
+                     nt=10, nx=12, ny=12, T=0.5)
+    for phi in estimates.test_function_family(grid.L, grid.T):
+        got = weak_residual_terms(h, prob, phi, alpha, margin)
+        ref = _meshgrid_terms(h, prob, phi, alpha, margin)
+        assert list(got) == list(ref)
+        scale = max(abs(v) for v in ref.values())
+        for key in ref:
+            assert got[key] == pytest.approx(ref[key], rel=0, abs=1e-12 * scale), key
+
+
+def test_weak_residual_guards():
+    grid = GridSpec(nx=8, ny=8, nt=4)
+    prob = linear_problem(grid)
+    with pytest.raises(NumericalError, match="positive"):
+        weak_residual(grid_history(lambda t, x, y: 0.5 - y, nt=4, nx=8, ny=8), prob)
+    with pytest.raises(ConfigError, match="margin"):
+        weak_residual(grid_history(lambda t, x, y: 1.0 - y, nt=4, nx=8, ny=8), prob, margin=4)
 
 
 def test_interior_margin_monotone_for_nonnegative_norms():

@@ -161,10 +161,11 @@ def test_phi_factor_derivatives_match_finite_differences():
     h = 1e-5
     # points inside the ramp band of the space-time factor
     for x0, t0 in ((5.0, -0.05), (-8.0, -0.1), (0.0, -0.12)):
-        fdx = (cut.phi0(x0 + h, t0) - cut.phi0(x0 - h, t0)) / (2 * h)
-        fdt = (cut.phi0(x0, t0 + h) - cut.phi0(x0, t0 - h)) / (2 * h)
-        assert cut.phi0_dx(x0, t0) == pytest.approx(fdx, rel=1e-5, abs=1e-10)
-        assert cut.phi0_dt(x0, t0) == pytest.approx(fdt, rel=1e-5, abs=1e-10)
+        # y0 = 0 isolates the time derivative; y0 != 0 brings in y dx
+        for y0 in (0.0, 3.0, -40.0):
+            fd = cut.phi1(y0) * (cut.phi0(x0 + y0 * h, t0 + h)
+                                 - cut.phi0(x0 - y0 * h, t0 - h)) / (2 * h)
+            assert cut.drift_derivative(x0, y0, t0) == pytest.approx(fd, rel=1e-5, abs=1e-10)
     for y0 in (60.0, -75.0, 90.0):
         fdy = (cut.phi1(y0 + h) - cut.phi1(y0 - h)) / (2 * h)
         assert cut.phi1_dy(y0) == pytest.approx(fdy, rel=1e-5, abs=1e-10)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from crocco_prandtl.crocco import CroccoData, make_problem
 from crocco_prandtl.errors import ConfigError, NumericalError
@@ -8,11 +11,11 @@ from crocco_prandtl.grids import Forcing, GridSpec
 from crocco_prandtl.solver import (
     ConvergenceTable,
     SweepRow,
+    _solve_columns,
     cfl_margins,
     check_cfl,
     grid_refinement_proxy,
     solve,
-    step,
     viscosity_sweep,
 )
 
@@ -45,6 +48,41 @@ def test_solve_rejects_nonpositive_eps():
     grid = GridSpec(8, 8, 16)
     with pytest.raises(ConfigError, match="eps"):
         solve(linear_problem(grid), grid, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# stacked-column tridiagonal solve
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.integers(2, 40), st.integers(0, 2**32 - 1))
+def test_stacked_column_solve_matches_banded_oracle(ncol, ny, seed):
+    rng = np.random.default_rng(seed)
+    # sub[:, 0] and sup[:, -1] hold nonzero junk the solve must ignore
+    sub = rng.uniform(-1.0, 1.0, (ncol, ny))
+    sup = rng.uniform(-1.0, 1.0, (ncol, ny))
+    sign = rng.choice([-1.0, 1.0], (ncol, ny))
+    diag = sign * (np.abs(sub) + np.abs(sup) + rng.uniform(0.1, 2.0, (ncol, ny)))
+    rhs = rng.normal(size=(2, ncol, ny))
+    got = _solve_columns(sub, diag, sup, rhs)
+    assert got.shape == rhs.shape
+    for k in range(ncol):
+        ab = np.zeros((3, ny))
+        ab[0, 1:] = sup[k, :-1]
+        ab[1] = diag[k]
+        ab[2, :-1] = sub[k, 1:]
+        expected = solve_banded((1, 1), ab, rhs[:, k].T).T
+        assert np.max(np.abs(got[:, k] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_stacked_column_solve_rejects_a_zero_pivot():
+    diag = np.ones((3, 2))
+    sub = np.zeros((3, 2))
+    sup = np.zeros((3, 2))
+    # the middle column's block [[1, 1], [1, 1]] eliminates to a zero pivot
+    sup[1, 0] = sub[1, 1] = 1.0
+    with pytest.raises(NumericalError, match="tridiagonal"):
+        _solve_columns(sub, diag, sup, np.ones((2, 3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -84,18 +122,6 @@ def test_solver_is_deterministic():
     a = solve(problem, grid, 1e-2)
     b = solve(problem, grid, 1e-2)
     assert np.array_equal(a.values, b.values)
-
-
-def test_step_advances_single_level():
-    grid = GridSpec(12, 12, 24, L=1.0, T=0.75)
-    problem = linear_problem(grid)
-    hist = solve(problem, grid, 1e-2)
-    snap = hist.snapshot(0)
-    nxt = step(snap, problem, grid, 1e-2)
-    assert nxt.time == pytest.approx(grid.t[1])
-    assert np.max(np.abs(nxt.values - hist.values[1])) < 1e-14
-    with pytest.raises(ConfigError, match="final"):
-        step(hist.snapshot(grid.nt), problem, grid, 1e-2)
 
 
 def test_forcing_enters_first_order():
