@@ -7,11 +7,13 @@ Verbs:
     version     print the package version
 
 Exit codes: 0 success, 1 a verdict or criterion failed, 2 configuration
-error, 3 numerical failure during a run.
+error, 3 numerical failure during a run, 4 internal error (any other
+exception, reported with its traceback on stderr).
 """
 
 import argparse
 import sys
+import traceback
 
 from ._version import __version__
 from .errors import ConfigError, NumericalError
@@ -96,6 +98,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 4
     raise AssertionError("unreachable")
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The command line layer maps these onto exit codes: configuration and
-parameter problems exit with 2, numerical failures with 3.
+parameter problems exit with 2, numerical failures with 3; any other
+exception is an internal error and exits with 4.
 """
 
 

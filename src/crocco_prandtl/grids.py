@@ -5,6 +5,12 @@ The solver works on a tensor grid of the strip (x, y, t) in
 containers on boxes centred at the origin, so coordinate arrays are stored
 explicitly instead of being derived from a GridSpec.  FieldHistory axes
 are uniform, so sampling finds a cell by one division, not a search.
+
+Both field types offer the field at fixed times, at_times(tau, x_span,
+y_span) -> at_y(y) -> function of x: FieldHistory interpolates once in time
+onto a windowed slab and samples it bilinearly, AnalyticField binds tau and
+y in its callable.  The mean-value functional calls it once per time level
+and never branches on the field type.
 """
 
 from dataclasses import dataclass, field
@@ -84,8 +90,19 @@ def _cell(nodes: np.ndarray, q) -> tuple:
     """Cell and in-cell weight of q; points outside extrapolate from the edge cell."""
     h = (nodes[-1] - nodes[0]) / (nodes.size - 1)
     cell = np.fmax(np.fmin(np.floor((q - nodes[0]) / h), nodes.size - 2), 0.0).astype(np.intp)
-    lo = nodes[cell]
-    return cell, (q - lo) / (nodes[cell + 1] - lo)
+    return cell, (q - nodes[cell]) / np.diff(nodes)[cell]
+
+
+def _lerp_corners(flat: np.ndarray, base, strides, weights) -> np.ndarray:
+    """Gather the 2^d cell corners above the flat index base (one stride per
+    axis) and interpolate them, the last axis first."""
+    offsets = [0]
+    for stride in strides:
+        offsets = [o + d for o in offsets for d in (0, stride)]
+    vals = [flat[base + o] for o in offsets]
+    for w in reversed(weights):
+        vals = [lo + w * (hi - lo) for lo, hi in zip(vals[::2], vals[1::2])]
+    return vals[0]
 
 
 @dataclass
@@ -126,12 +143,8 @@ class FieldHistory:
         ix, wx = _cell(self.x, np.asarray(x, float))
         iy, wy = _cell(self.y, np.asarray(y, float))
         nx, ny = self.x.size, self.y.size
-        base = (it * nx + ix) * ny + iy
-        vals = [values.ravel()[base + (a * nx + b) * ny + c]
-                for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-        for w in (wy, wx, wt):
-            vals = [lo + w * (hi - lo) for lo, hi in zip(vals[::2], vals[1::2])]
-        return vals[0]
+        return _lerp_corners(values.ravel(), (it * nx + ix) * ny + iy,
+                             (nx * ny, ny, 1), (wt, wx, wy))
 
     def sample(self, t, x, y) -> np.ndarray:
         """Trilinear interpolation at broadcastable query coordinates."""
@@ -140,6 +153,40 @@ class FieldHistory:
     def sample_dy(self, t, x, y, step: float = 0.0) -> np.ndarray:
         """Wall-normal derivative, computed on the grid and then interpolated."""
         return self._trilinear(np.gradient(self.values, self.y, axis=2), t, x, y)
+
+    def at_times(self, tau, x_span, y_span) -> Callable:
+        """The field at the fixed times tau, as at_y(y) -> function of x.
+
+        The history is interpolated in time once, onto the window of (x, y)
+        cells that x_span = (lo, hi) and y_span touch.  at_y interpolates
+        that slab in y for every window column at queries inside y_span,
+        broadcastable against tau; the function of x it returns finishes
+        the bilinear sample at queries inside x_span.  Time comes first
+        instead of last, so values agree with sample() to rounding.
+        """
+        tau = np.asarray(tau, float)
+        it, wt = _cell(self.t, tau.ravel())
+        (x0, x1), _ = _cell(self.x, np.asarray(x_span, float))
+        (y0, y1), _ = _cell(self.y, np.asarray(y_span, float))
+        window = self.values[:, x0:x1 + 2, y0:y1 + 2]
+        lo = window[it]
+        slab = (lo + wt[:, None, None] * (window[it + 1] - lo)).ravel()
+        nxw, nyw = window.shape[1:]
+        level = np.arange(tau.size).reshape(tau.shape) * (nxw * nyw)
+
+        def at_y(y) -> Callable:
+            iy, wy = _cell(self.y, np.asarray(y, float))
+            row = level + (iy - y0)
+            # one y-interpolated row per window column, the column axis first
+            rows = _lerp_corners(slab, np.add.outer(np.arange(nxw) * nyw, row), (1,),
+                                 (wy,)).ravel()
+            at = np.arange(row.size).reshape(row.shape) - x0 * row.size
+
+            def at_x(x) -> np.ndarray:
+                ix, wx = _cell(self.x, np.asarray(x, float))
+                return _lerp_corners(rows, ix * row.size + at, (row.size,), (wx,))
+            return at_x
+        return at_y
 
 
 class AnalyticField:
@@ -165,6 +212,11 @@ class AnalyticField:
         hi = self.sample(t, x, np.asarray(y, float) + step)
         lo = self.sample(t, x, np.asarray(y, float) - step)
         return (hi - lo) / (2.0 * step)
+
+    def at_times(self, tau, x_span, y_span) -> Callable:
+        """The field at the fixed times tau, as at_y(y) -> function of x,
+        with the protocol of FieldHistory.at_times; the spans are unused."""
+        return lambda y: lambda x: self.sample(tau, x, y)
 
 
 def trapezoid_weights(coords: np.ndarray) -> np.ndarray:

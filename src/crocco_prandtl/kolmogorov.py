@@ -280,7 +280,8 @@ class Cutoffs:
         band = (A > sp.theta * sp.r**6) & (A < sp.r**6)
         A_safe = np.where(band, A, 1.0)
         q = A_safe ** (1.0 / 6.0)
-        return np.where(band, self.chi_prime(q) / (6.0 * A_safe ** (5.0 / 6.0)), 0.0)
+        # one sixth root per node: A^(5/6) = A / q
+        return np.where(band, self.chi_prime(q) / (6.0 * A_safe / q), 0.0)
 
     # wall-normal factor ----------------------------------------------------
     def phi1(self, y):
@@ -299,20 +300,6 @@ class Cutoffs:
         dt = ramp * (-6.0 * self.spec.r**4)
         dx = ramp * 2.0 * self.spec.theta**2 * np.asarray(x, float)
         return dt + np.asarray(y, float) * dx
-
-    def drift_derivative(self, x, y, t):
-        """(d/dt + y d/dx) phi, nonnegative on the sampling region."""
-        return self.phi1(y) * self._transport(self._phi0_band(self._argument(x, t)), x, y)
-
-    def eta_derivative(self, x, y, t):
-        """d/dy phi; supported on the far band |y| in (theta^(-5/6) r, r/theta)."""
-        return self.phi0(x, t) * self.phi1_dy(y)
-
-    def drift_and_eta_derivatives(self, x, y, t):
-        """drift_derivative and eta_derivative from one cutoff argument."""
-        A = self._argument(x, t)
-        return (self.phi1(y) * self._transport(self._phi0_band(A), x, y),
-                self.chi(np.maximum(A, 0.0) ** (1.0 / 6.0)) * self.phi1_dy(y))
 
 
 @dataclass
@@ -484,22 +471,15 @@ class MeanValueReport:
     band_term_max: float
 
 
-def mean_value_at(w_field, cut: Cutoffs, z, n_tau: int = 160,
-                  n_eta: int = 16, n_xi: int = 8) -> tuple:
-    """The two integrals of the mean-value identity at one point.
-
-    Quadrature follows the kernel: midpoint slices in tau, then Gauss-
-    Hermite in eta (scale sqrt(4s)) and in the drift-centered xi (scale
-    sqrt(s^3/3)); the kernel prefactor and the two Gaussian widths cancel
-    to 1/pi per slice.  Returns (drift term, wall-normal band term).
-    """
-    x, y, t = (float(v) for v in _coords(z))
+def _mean_value_level(w_field, cut: Cutoffs, t: float, xs: np.ndarray, ys: np.ndarray,
+                      n_tau: int, n_eta: int, n_xi: int) -> tuple:
+    """Drift and band terms of the mean-value identity at the points (x, y, t)
+    for every x in xs and y in ys, as two (xs.size, ys.size) arrays."""
     r, theta = cut.spec.r, cut.spec.theta
-    span = t + r**2
-    if span <= 0:
+    if t + r**2 <= 0:
         raise ConfigError("evaluation point lies before the sampling window")
-    un, uw = _gh_nodes(n_eta)
-    vn, vw = _gh_nodes(n_xi)
+    drift = np.zeros((xs.size, ys.size))
+    band = np.zeros((xs.size, ys.size))
     # the transported cutoff derivative lives on a tau band of width about
     # r^2/6; concentrate the midpoint nodes there (padded for the small
     # streamwise shift of the band) instead of spreading them over the
@@ -508,53 +488,93 @@ def mean_value_at(w_field, cut: Cutoffs, z, n_tau: int = 160,
     lo = max(-(r**2), -(r**2) / 6.0 - pad)
     hi = min(t, -(theta * r**2) / 6.0 + pad)
     if hi <= lo:
-        return 0.0, 0.0
+        return drift, band
+    un, uw = _gh_nodes(n_eta)
+    vn, vw = _gh_nodes(n_xi)
+    weights = uw[:, None] * vw
     dtau = (hi - lo) / n_tau
-    tau = lo + (np.arange(n_tau) + 0.5) * dtau
+    # axes (tau, eta node, xi node); the y axis leads the per-y arrays
+    tau = (lo + (np.arange(n_tau) + 0.5) * dtau)[:, None, None]
     s = t - tau
-    sq = s[:, None, None]
-    eta = y + np.sqrt(4.0 * sq) * un[None, :, None]
-    drift_scale = np.sqrt(sq**3 / 3.0)
-    X = drift_scale * vn[None, None, :]
-    xi = x - 0.5 * sq * (y + eta) - X
-    tau3 = tau[:, None, None]
-    w = w_field.sample(tau3, xi, eta)
-    if not np.all(np.isfinite(w)):
-        raise NumericalError("field sampling returned non-finite values")
-    drift, eta_d = cut.drift_and_eta_derivatives(xi, eta, tau3)
-    kernel_ratio = (y - eta) / (2.0 * sq) + 3.0 * X / sq**2
-    band = eta_d * kernel_ratio
-    quad = np.einsum("j,i,kji->k", uw, vw, drift * w) / math.pi
-    quad_band = np.einsum("j,i,kji->k", uw, vw, band * w) / math.pi
-    drift_term = float(np.sum(quad) * dtau)
-    band_term = float(np.sum(quad_band) * dtau)
-    if not (np.isfinite(drift_term) and np.isfinite(band_term)):
+    X = np.sqrt(s**3 / 3.0) * vn
+    etas = ys[:, None, None, None] + np.sqrt(4.0 * s) * un[:, None]
+    shifts = 0.5 * s * (ys[:, None, None, None] + etas)
+    # xi = (x - shift) - X; rounding is monotone, so these bounds hold
+    x_span = (xs.min() - shifts.max() - X.max(), xs.max() - shifts.min() - X.min())
+    at_y = w_field.at_times(tau, x_span, (etas.min(), etas.max()))
+    for j, (eta, shift) in enumerate(zip(etas, shifts)):
+        w_at = at_y(eta)
+        drift_weights = (weights * cut.phi1(eta)).ravel()
+        eta_dy = cut.phi1_dy(eta)
+        band_weights = None
+        if np.any(eta_dy):
+            kernel_ratio = (ys[j] - eta) / (2.0 * s) + 3.0 * X / s**2
+            band_weights = (weights * eta_dy * kernel_ratio).ravel()
+        for i, x in enumerate(xs):
+            xi = x - shift - X
+            w = w_at(xi)
+            if not np.all(np.isfinite(w)):
+                raise NumericalError("field sampling returned non-finite values")
+            ramp = cut._phi0_band(cut._argument(xi, tau))
+            drift[i, j] = (cut._transport(ramp, xi, eta) * w).ravel() @ drift_weights
+            if band_weights is not None:
+                band[i, j] = (cut.phi0(xi, tau) * w).ravel() @ band_weights
+    drift *= dtau / math.pi
+    band *= dtau / math.pi
+    if not (np.all(np.isfinite(drift)) and np.all(np.isfinite(band))):
         raise NumericalError("mean-value quadrature produced non-finite values")
-    return drift_term, band_term
+    return drift, band
+
+
+def mean_value_at(w_field, cut: Cutoffs, z, n_tau: int = 160,
+                  n_eta: int = 16, n_xi: int = 8) -> tuple:
+    """The two integrals of the mean-value identity at one point.
+
+    Quadrature follows the kernel: midpoint slices in tau, then Gauss-
+    Hermite in eta (scale sqrt(4s)) and in the drift-centered xi (scale
+    sqrt(s^3/3)); the kernel prefactor and the two Gaussian widths cancel
+    to 1/pi per slice.  Returns (drift term, wall-normal band term).  It
+    is the one-point case of mean_value's per-time-level kernel: the field
+    is interpolated in time onto the tau nodes over the window of cells
+    they touch, then bilinearly, and the band term is formed only when
+    d/dy phi1 is nonzero at some eta node.
+    """
+    x, y, t = (float(v) for v in _coords(z))
+    drift, band = _mean_value_level(w_field, cut, t, np.array([x]), np.array([y]),
+                                    n_tau, n_eta, n_xi)
+    return float(drift[0, 0]), float(band[0, 0])
 
 
 def mean_value(w_field, cut: Cutoffs, nz: int = 9, n_tau: int = 160,
                n_eta: int = 16, n_xi: int = 8) -> MeanValueReport:
-    """Sup of the mean-value functional over a lattice of the small box."""
+    """Sup of the mean-value functional over a lattice of the small box.
+
+    The nz^3 lattice is walked one time level at a time.  Per level the
+    tau nodes, s, the Gauss-Hermite offsets and the time-cell lookup are
+    formed once, and the field is interpolated in time once onto those
+    nodes over the (x, y) window of cells they touch (at_times), so each
+    point costs a bilinear sample.  Per (level, y) the eta nodes, their
+    y-cell lookup, phi1, d/dy phi1 and the kernel ratio are shared by the
+    nz values of x.  The wall-normal band term is formed only when d/dy
+    phi1 is nonzero at some eta node.  It is supported on |eta| >
+    theta^(-5/6) r > 32 r (theta < THETA_MAX = 2^-6), while the default 16
+    eta nodes stay within |y| + 4.1 r with |y| <= theta r, so on the
+    lattice of any admissible cutoff the band term is exactly 0.
+    """
     r, theta = cut.spec.r, cut.spec.theta
     small = theta * r
     zs = np.linspace(-small**3, small**3, nz)
     ys = np.linspace(-small, small, nz)
     ts = np.linspace(-small**2, 0.0, nz)
-    vals = np.empty(nz**3)
-    lattice = np.empty((nz**3, 3))
+    vals = np.empty((nz, nz, nz))
     band_max = 0.0
-    k = 0
-    for tq in ts:
-        for xq in zs:
-            for yq in ys:
-                drift_term, band_term = mean_value_at(
-                    w_field, cut, (xq, yq, tq), n_tau=n_tau, n_eta=n_eta, n_xi=n_xi)
-                vals[k] = drift_term + band_term
-                lattice[k] = (xq, yq, tq)
-                band_max = max(band_max, abs(band_term))
-                k += 1
-    return MeanValueReport(i0=float(np.max(vals)), values=vals,
+    for k, tq in enumerate(ts):
+        drift, band = _mean_value_level(w_field, cut, float(tq), zs, ys, n_tau, n_eta, n_xi)
+        vals[k] = drift + band
+        band_max = max(band_max, float(np.max(np.abs(band))))
+    T, Xq, Yq = np.meshgrid(ts, zs, ys, indexing="ij")
+    lattice = np.stack([Xq.ravel(), Yq.ravel(), T.ravel()], axis=1)
+    return MeanValueReport(i0=float(np.max(vals)), values=vals.ravel(),
                            z_lattice=lattice, band_term_max=band_max)
 
 

@@ -168,6 +168,29 @@ def test_cli_numerical_error_exits_3(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cli_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    real_run = scenarios.run_scenario
+
+    def failed_verdict(cfg):
+        result = real_run(cfg)
+        result.report.verdict("forced_failure", False)
+        return result
+
+    cfg = write_cfg(tmp_path, TINY_EXACT)
+    monkeypatch.setattr(scenarios, "run_scenario", failed_verdict)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "f")]) == 1
+    capsys.readouterr()
+
+    def crash(cfg):
+        raise RuntimeError("synthetic defect")
+
+    monkeypatch.setattr(scenarios, "run_scenario", crash)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "Traceback" in err and "RuntimeError: synthetic defect" in err
+
+
 def test_cli_acceptance_subset(tmp_path, capsys):
     out = tmp_path / "acc"
     assert main(["acceptance", "--suite", "7,8", "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
-"""FieldHistory sampling against scipy's RegularGridInterpolator, which is the
-reference here only: linear, with linear extrapolation outside the grid."""
+"""FieldHistory sampling (sample, sample_dy and the field at fixed times,
+at_times) against scipy's RegularGridInterpolator, which is the reference
+here only: linear, with linear extrapolation outside the grid."""
 
 import numpy as np
 import pytest
@@ -40,8 +41,11 @@ def test_sample_and_sample_dy_match_oracle(t_axis, x_axis, y_axis, seed):
     hist = FieldHistory(t=t, x=x, y=y, values=values)
     # each coordinate on its own axis, broadcast to the full product
     queries = (tq[:, None, None], xq[None, :, None], yq[None, None, :])
+    # the field at the query times, interpolated on the window the queries span
+    at_tq = hist.at_times(queries[0], (xq.min(), xq.max()), (yq.min(), yq.max()))
     for got, field in ((hist.sample(*queries), values),
-                       (hist.sample_dy(*queries), np.gradient(values, y, axis=2))):
+                       (hist.sample_dy(*queries), np.gradient(values, y, axis=2)),
+                       (at_tq(queries[2])(queries[1]), values)):
         ref = _oracle((t, x, y), field, queries)
         assert got.shape == ref.shape
         scale = max(np.max(np.abs(field)), 1e-300)

@@ -159,13 +159,27 @@ def test_chi_derivatives_match_finite_differences():
 def test_phi_factor_derivatives_match_finite_differences():
     cut = ko.Cutoffs(ko.CutoffSpec(r=1.0, theta=0.01))
     h = 1e-5
+
+    def drift_derivative(x, y, t):
+        # (d/dt + y d/dx) phi as the mean-value kernel forms it
+        return cut.phi1(y) * cut._transport(cut._phi0_band(cut._argument(x, t)), x, y)
+
+    def eta_derivative(x, y, t):
+        # d/dy phi as the band term of the mean-value kernel forms it
+        return cut.phi0(x, t) * cut.phi1_dy(y)
+
     # points inside the ramp band of the space-time factor
     for x0, t0 in ((5.0, -0.05), (-8.0, -0.1), (0.0, -0.12)):
         # y0 = 0 isolates the time derivative; y0 != 0 brings in y dx
         for y0 in (0.0, 3.0, -40.0):
             fd = cut.phi1(y0) * (cut.phi0(x0 + y0 * h, t0 + h)
                                  - cut.phi0(x0 - y0 * h, t0 - h)) / (2 * h)
-            assert cut.drift_derivative(x0, y0, t0) == pytest.approx(fd, rel=1e-5, abs=1e-10)
+            assert drift_derivative(x0, y0, t0) == pytest.approx(fd, rel=1e-5, abs=1e-10)
+        # the far wall-normal band, where both factors vary
+        for y0 in (60.0, -75.0, 90.0):
+            fdy = (cut.phi(x0, y0 + h, t0) - cut.phi(x0, y0 - h, t0)) / (2 * h)
+            assert eta_derivative(x0, y0, t0) == pytest.approx(fdy, rel=1e-5, abs=1e-10)
+            assert abs(fdy) > 1e-4
     for y0 in (60.0, -75.0, 90.0):
         fdy = (cut.phi1(y0 + h) - cut.phi1(y0 - h)) / (2 * h)
         assert cut.phi1_dy(y0) == pytest.approx(fdy, rel=1e-5, abs=1e-10)
@@ -179,20 +193,6 @@ def test_phi_plateau_and_support_spot_values():
     assert cut.phi(120.0, 0.0, -0.5) == 0.0
     assert cut.phi(0.0, 120.0, -0.5) == 0.0
     assert cut.phi(0.0, 0.0, -1.1) == 0.0
-
-
-def test_drift_and_eta_derivatives_equal_the_separate_methods():
-    rng = np.random.default_rng(5)
-    for r in (1.0, 0.5):
-        cut = ko.Cutoffs(ko.CutoffSpec(r=r, theta=0.01))
-        # spans the plateau, the ramp band and the far wall-normal band
-        x = rng.uniform(-r**3 / 0.01, r**3 / 0.01, (40, 6, 5))
-        y = rng.uniform(-r / 0.01, r / 0.01, (40, 6, 1))
-        t = rng.uniform(-r**2, 0.0, (40, 1, 1))
-        drift, eta = cut.drift_and_eta_derivatives(x, y, t)
-        assert np.array_equal(drift, cut.drift_derivative(x, y, t))
-        assert np.array_equal(eta, cut.eta_derivative(x, y, t))
-        assert np.count_nonzero(drift) > 0 and np.count_nonzero(eta) > 0
 
 
 def test_verify_lemma_all_pass():
@@ -287,6 +287,85 @@ def test_mean_value_reproduces_a_solution():
     lin = AnalyticField(lambda t, x, y: 1.0 + 0.5 * np.asarray(y, float))
     d, b = ko.mean_value_at(lin, cut, (0.0, 0.0, 0.0))
     assert d + b == pytest.approx(1.0, rel=5e-3)
+
+
+def reference_mean_value_at(w_field, cut, z, n_tau=160, n_eta=16, n_xi=8):
+    """The per-point quadrature of the mean-value identity, sampled
+    trilinearly through w_field.sample, term by term as it stood before the
+    per-time-level kernel: the reference that kernel must reproduce."""
+    x, y, t = z
+    r, theta = cut.spec.r, cut.spec.theta
+    un, uw = np.polynomial.hermite.hermgauss(n_eta)
+    vn, vw = np.polynomial.hermite.hermgauss(n_xi)
+    pad = 0.02 * r**2
+    lo = max(-(r**2), -(r**2) / 6.0 - pad)
+    hi = min(t, -(theta * r**2) / 6.0 + pad)
+    if hi <= lo:
+        return 0.0, 0.0
+    dtau = (hi - lo) / n_tau
+    tau = lo + (np.arange(n_tau) + 0.5) * dtau
+    sq = (t - tau)[:, None, None]
+    eta = y + np.sqrt(4.0 * sq) * un[None, :, None]
+    X = np.sqrt(sq**3 / 3.0) * vn[None, None, :]
+    xi = x - 0.5 * sq * (y + eta) - X
+    tau3 = tau[:, None, None]
+    w = w_field.sample(tau3, xi, eta)
+    A = theta**2 * xi**2 - 6.0 * tau3 * r**4
+    ramp_band = (A > theta * r**6) & (A < r**6)
+    A_safe = np.where(ramp_band, A, 1.0)
+    ramp = np.where(ramp_band, cut.chi_prime(A_safe ** (1.0 / 6.0))
+                    / (6.0 * A_safe ** (5.0 / 6.0)), 0.0)
+    drift = cut.phi1(eta) * (ramp * (-6.0 * r**4) + eta * ramp * 2.0 * theta**2 * xi)
+    eta_d = cut.chi(np.maximum(A, 0.0) ** (1.0 / 6.0)) * cut.phi1_dy(eta)
+    kernel_ratio = (y - eta) / (2.0 * sq) + 3.0 * X / sq**2
+    quad = np.einsum("j,i,kji->k", uw, vw, drift * w) / math.pi
+    quad_band = np.einsum("j,i,kji->k", uw, vw, eta_d * kernel_ratio * w) / math.pi
+    return float(np.sum(quad) * dtau), float(np.sum(quad_band) * dtau)
+
+
+def coarse_random_history():
+    # nine time nodes 0.0375 apart: the tau nodes of r = 1 span about five
+    # time cells; random nodal values expose any corner or weight mix-up
+    rng = np.random.default_rng(11)
+    t = np.linspace(-0.3, 0.0, 9)
+    x = np.linspace(-16.0, 16.0, 33)
+    y = np.linspace(-70.0, 70.0, 57)
+    return FieldHistory(t=t, x=x, y=y, values=rng.uniform(0.5, 1.5, (t.size, x.size, y.size)))
+
+
+@pytest.mark.parametrize("field", [
+    coarse_random_history(),
+    AnalyticField(lambda t, x, y: 1.0 + 0.3 * np.sin(3.0 * x) * np.cos(2.0 * y) + 2.0 * t),
+], ids=["history", "analytic"])
+def test_mean_value_kernel_matches_per_point_reference(field):
+    cut = ko.Cutoffs(ko.CutoffSpec(r=1.0, theta=0.01))
+    rep = ko.mean_value(field, cut, nz=3)
+    ref = np.array([reference_mean_value_at(field, cut, tuple(z)) for z in rep.z_lattice])
+    scale = np.max(np.abs(ref.sum(axis=1)))
+    assert scale > 0.5
+    assert np.max(np.abs(rep.values - ref.sum(axis=1))) <= 1e-13 * scale
+    assert rep.i0 == np.max(rep.values)
+    assert rep.band_term_max == 0.0 and np.all(ref[:, 1] == 0.0)
+    # off the lattice, including a point whose eta nodes reach the far band
+    # |eta| > theta^(-5/6) r, where the band term is nonzero
+    for z in ((0.3, -0.004, -0.002), (0.5, 60.0, -0.05), (0.0, -80.0, 0.0)):
+        got = np.array(ko.mean_value_at(field, cut, z))
+        want = np.array(reference_mean_value_at(field, cut, z))
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(scale, np.max(np.abs(want)))
+        if abs(z[1]) > 32.0:
+            assert abs(want[1]) > 1e-6
+
+
+@pytest.mark.parametrize("theta", [0.01, 0.015])
+@pytest.mark.parametrize("r", [0.8 * 0.01, 0.5, 1.0])
+def test_mean_value_band_term_vanishes_on_admissible_lattices(r, theta):
+    # eta nodes stay within |y| + 4.1 r of the lattice, below the far band's
+    # theta^(-5/6) r > 32 r; r = 0.8 theta with theta = 0.01 is oscillation_lab
+    cut = ko.Cutoffs(ko.CutoffSpec(r=r, theta=theta))
+    field = AnalyticField(lambda t, x, y: 1.0 + np.asarray(y, float) + np.asarray(t, float))
+    rep = ko.mean_value(field, cut, nz=9 if r < 0.1 else 3)
+    assert rep.band_term_max == 0.0
+    assert rep.i0 > 0.5
 
 
 def test_mean_value_window_guards():
