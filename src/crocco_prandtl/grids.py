@@ -161,8 +161,9 @@ class FieldHistory:
         cells that x_span = (lo, hi) and y_span touch.  at_y interpolates
         that slab in y for every window column at queries inside y_span,
         broadcastable against tau; the function of x it returns finishes
-        the bilinear sample at queries inside x_span.  Time comes first
-        instead of last, so values agree with sample() to rounding.
+        the bilinear sample at queries inside x_span; a query in a cell
+        outside its span raises ConfigError.  Time comes first instead of
+        last, so values agree with sample() to rounding.
         """
         tau = np.asarray(tau, float)
         it, wt = _cell(self.t, tau.ravel())
@@ -176,6 +177,8 @@ class FieldHistory:
 
         def at_y(y) -> Callable:
             iy, wy = _cell(self.y, np.asarray(y, float))
+            if not y0 <= iy.min() <= iy.max() <= y1:
+                raise ConfigError("at_times: y query outside the y_span of the slab")
             row = level + (iy - y0)
             # one y-interpolated row per window column, the column axis first
             rows = _lerp_corners(slab, np.add.outer(np.arange(nxw) * nyw, row), (1,),
@@ -184,6 +187,8 @@ class FieldHistory:
 
             def at_x(x) -> np.ndarray:
                 ix, wx = _cell(self.x, np.asarray(x, float))
+                if not x0 <= ix.min() <= ix.max() <= x1:
+                    raise ConfigError("at_times: x query outside the x_span of the slab")
                 return _lerp_corners(rows, ix * row.size + at, (row.size,), (wx,))
             return at_x
         return at_y

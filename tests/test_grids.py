@@ -62,3 +62,15 @@ def test_non_uniform_history_is_refused(x):
     t, y = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4)
     with pytest.raises(ConfigError):
         FieldHistory(t=t, x=np.array(x), y=y, values=np.zeros((3, len(x), 4)))
+
+
+def test_at_times_refuses_queries_outside_its_spans():
+    t, x, y = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 11), np.linspace(0.0, 2.0, 21)
+    hist = FieldHistory(t=t, x=x, y=y, values=np.zeros((5, 11, 21)))
+    at_y = hist.at_times(np.array([0.3, 0.6])[:, None], (0.2, 0.4), (0.5, 0.9))
+    at_x = at_y(np.array([0.55, 0.85]))
+    assert np.array_equal(at_x(np.array([0.25, 0.35])), np.zeros((2, 2)))
+    with pytest.raises(ConfigError):
+        at_x(np.array([0.25, 0.55]))
+    with pytest.raises(ConfigError):
+        at_y(np.array([0.35, 0.55]))
