@@ -26,18 +26,17 @@ from .estimates import (EstimateReport, bv_seminorm, comparison_constant,
                         l1_stability, physical_stability, trace_residual,
                         uniformity_spread, weak_residual,
                         weighted_dyy_measure, weighted_grad_norms)
-from .flows import (accelerating_flow, decelerating_flow, flow_from_table,
-                    make_flow, pressure_gradient, uniform_flow)
+from .flows import (accelerating_flow, decelerating_flow, make_flow,
+                    pressure_gradient, uniform_flow)
 from .grids import AnalyticField, FieldHistory, GridSpec
-from .kolmogorov import (Box, CutoffSpec, Cutoffs, cutoffs, density_ratio,
+from .kolmogorov import (Box, CutoffSpec, Cutoffs, density_ratio,
                          dilation_defect, gamma0, kernel_reproduction,
                          l0_residual, log_field, log_subsolution, mean_value,
                          model_scenarios, normalization, oscillation_table,
                          solve_model, verify_lemma, weak_poincare_ratio)
-from .mms import refinement_study
 from .reporting import write_artifacts
 from .scenarios import run_scenario, validate_scenario
-from .solver import grid_refinement_proxy, solve, viscosity_sweep
+from .solver import SolveStore, grid_refinement_proxy, solve, viscosity_sweep
 
 __all__ = [
     "__version__",
@@ -48,16 +47,15 @@ __all__ = [
     "EstimateReport", "bv_seminorm", "comparison_constant", "l1_stability",
     "physical_stability", "trace_residual", "uniformity_spread",
     "weak_residual", "weighted_dyy_measure", "weighted_grad_norms",
-    "accelerating_flow", "decelerating_flow", "flow_from_table", "make_flow",
+    "accelerating_flow", "decelerating_flow", "make_flow",
     "pressure_gradient", "uniform_flow",
     "AnalyticField", "FieldHistory", "GridSpec",
-    "Box", "CutoffSpec", "Cutoffs", "cutoffs", "density_ratio",
+    "Box", "CutoffSpec", "Cutoffs", "density_ratio",
     "dilation_defect", "gamma0", "kernel_reproduction", "l0_residual",
     "log_field", "log_subsolution", "mean_value", "model_scenarios",
     "normalization", "oscillation_table", "solve_model", "verify_lemma",
     "weak_poincare_ratio",
-    "refinement_study",
     "write_artifacts",
     "run_scenario", "validate_scenario",
-    "grid_refinement_proxy", "solve", "viscosity_sweep",
+    "SolveStore", "grid_refinement_proxy", "solve", "viscosity_sweep",
 ]

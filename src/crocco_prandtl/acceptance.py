@@ -1,33 +1,38 @@
 """Acceptance checklist.
 
 Twelve numbered criteria, each measuring a pinned quantitative surrogate
-at desk scale.  Solves and model runs are memoized in a shared cache so
-criteria can reuse each other's fields; the determinism criterion
-deliberately bypasses the cache and reruns the full artifact bundle from
-scratch.
+at desk scale.  Each engine owns one SolveStore: problems, strip solves
+and the shared model runs are built once per engine, so criteria reuse
+each other's fields.  The measurements themselves are the functions the
+scenario runners call (estimate battery, sweep plus refinement proxy,
+per-family stability, kernel identities, density floor, Poincare ratio,
+oscillation table); a criterion is a threshold on their result.  Two
+checks bypass the store on purpose: criterion 6 marches identical data
+twice, and criterion 12 reruns the full artifact bundle, each scenario
+with its own fresh store.
 """
 
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from . import kolmogorov as ko
-from . import mms
 from ._version import __version__
 from .config import RunConfig
 from .errors import ConfigError, CroccoError
-from .estimates import (bv_seminorm, comparison_constant, l1_stability,
-                        trace_residual, uniformity_spread, weak_residual,
-                        weighted_dyy_measure, weighted_grad_norms)
-from .grids import AnalyticField, GridSpec, l1_spacetime_norm
-from .scenarios import (ACCEL_T, EXACT_T, exact_profile_problem,
-                        favorable_accel_problem, perturbed_problems,
-                        pinched_initial)
-from .solver import solve, viscosity_sweep
+from .estimates import (l1_stability, trace_residual, uniformity_spread,
+                        weak_residual)
+from .grids import GridSpec
+from .scenarios import (ACCEL_T, EXACT_T, cauchy_sweep, density_floor,
+                        estimate_battery, exact_profile_problem,
+                        family_stability, favorable_accel_problem,
+                        kernel_identities, linear_control, model_oscillation,
+                        pinched_poincare, unit_density)
+from .solver import SolveStore, solve
 
 EPS_FAMILY = (1e-1, 1e-2, 1e-3, 1e-4)
 SWEEP_LIST = (0.1, 0.03, 0.01, 0.003, 0.001)
@@ -77,70 +82,31 @@ def artifact_bundle():
     )
 
 
+def _cube(n: int, T: float) -> GridSpec:
+    return GridSpec(n, n, n, L=1.0, T=T)
+
+
+def _model_history(kind: str, lam: float, seed: int):
+    nx, ny, nt = MODEL_GRID
+    return ko.solve_model(ko.model_scenarios(kind, lam=lam, seed=seed), nx=nx, ny=ny, nt=nt)
+
+
 class AcceptanceEngine:
-    """Runs the numbered criteria against a shared cache of solves."""
+    """Runs the numbered criteria against one solve store, which also keeps
+    the model runs that criteria 9 and 11 share."""
 
     def __init__(self):
-        self._cache = {}
+        self.store = SolveStore()
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    # cached constructions ---------------------------------------------------
-    def exact_problem(self, n: int):
-        def build():
-            grid = GridSpec(n, n, n, L=1.0, T=EXACT_T)
-            return exact_profile_problem(grid)
-        return self._get(("exact_problem", n), build)
-
-    def exact_run(self, n: int, eps: float):
-        problem = self.exact_problem(n)
-        return self._get(("exact_run", n, eps),
-                         lambda: solve(problem, problem.grid, eps))
-
-    def favorable_problem(self, n: int):
-        def build():
-            grid = GridSpec(n, n, n, L=1.0, T=ACCEL_T)
-            return favorable_accel_problem(grid)
-        return self._get(("favorable_problem", n), build)
-
-    def favorable_run(self, n: int, eps: float):
-        problem = self.favorable_problem(n)
-        return self._get(("favorable_run", n, eps),
-                         lambda: solve(problem, problem.grid, eps))
-
-    def perturbed(self, n: int):
-        problem = self.favorable_problem(n)
-        return self._get(("perturbed", n),
-                         lambda: perturbed_problems(problem.grid, 1e-3))
-
-    def perturbed_run(self, n: int, eps: float, family: str):
-        prob = self.perturbed(n)[family]
-        return self._get(("perturbed_run", n, eps, family),
-                         lambda: solve(prob, prob.grid, eps))
-
-    def model_run(self, kind: str, lam: float, seed: int, grid=MODEL_GRID,
-                  pinched: bool = False):
-        def build():
-            coef = ko.model_scenarios(kind, lam=lam, seed=seed)
-            u0 = pinched_initial if pinched else None
-            nx, ny, nt = grid
-            return ko.solve_model(coef, nx=nx, ny=ny, nt=nt, u0=u0)
-        return self._get(("model_run", kind, lam, seed, grid, pinched), build)
-
-    # criteria ---------------------------------------------------------------
     def criterion_1(self) -> CriterionResult:
-        grid = self.exact_problem(64).grid
-        exact = 1.0 - grid.y[None, None, :]
+        problem = self.store.build(exact_profile_problem, _cube(64, EXACT_T))
+        exact = 1.0 - problem.grid.y[None, None, :]
         worst_err = 0.0
         worst_time = 0.0
         for eps in EPS_FAMILY:
             t0 = time.perf_counter()
-            hist = solve(self.exact_problem(64), grid, eps)
+            hist = self.store.solve(problem, eps)
             worst_time = max(worst_time, time.perf_counter() - t0)
-            self._cache[("exact_run", 64, eps)] = hist
             worst_err = max(worst_err, float(np.max(np.abs(hist.values - exact))))
         passed = worst_err <= 1e-8 and worst_time < 10.0
         return CriterionResult(
@@ -148,6 +114,8 @@ class AcceptanceEngine:
             f"max error {worst_err:.3e} (tol 1e-08), slowest solve {worst_time:.2f} s (limit 10 s)")
 
     def criterion_2(self) -> CriterionResult:
+        from . import mms  # sympy loads only when this criterion runs
+
         orders = {d: mms.refinement_study(d).order for d in ("x", "y", "t")}
         passed = orders["x"] >= 0.9 and orders["t"] >= 0.9 and orders["y"] >= 1.9
         return CriterionResult(
@@ -156,20 +124,11 @@ class AcceptanceEngine:
             f"t {orders['t']:.2f} (>=0.9)")
 
     def criterion_3(self) -> CriterionResult:
+        problem = self.store.build(favorable_accel_problem, _cube(64, ACCEL_T))
         series = {}
         for eps in EPS_FAMILY:
-            hist = self.favorable_run(64, eps)
-            vals = {
-                "comparison": comparison_constant(hist),
-                "bv": bv_seminorm(hist),
-                "dyy_a1": weighted_dyy_measure(hist, 1.0),
-            }
-            for alpha in (0, 1, 2):
-                l1, l2 = weighted_grad_norms(hist, alpha)
-                vals[f"grad_l1_a{alpha}"] = l1
-                vals[f"grad_l2_a{alpha}"] = l2
-            for k, v in vals.items():
-                series.setdefault(k, []).append(v)
+            for key, value in estimate_battery(self.store.solve(problem, eps)).items():
+                series.setdefault(key, []).append(value)
         spreads = {k: uniformity_spread(v) for k, v in series.items()}
         worst = max(spreads, key=spreads.get)
         passed = all(s < 0.10 for s in spreads.values())
@@ -178,13 +137,7 @@ class AcceptanceEngine:
             f"worst spread {spreads[worst]:.3f} ({worst}) across eps {EPS_FAMILY} (tol 0.10)")
 
     def criterion_4(self) -> CriterionResult:
-        problem = self.favorable_problem(64)
-        table = viscosity_sweep(problem, problem.grid, SWEEP_LIST)
-        coarse = self.favorable_run(64, SWEEP_LIST[-1])
-        fine = self.favorable_run(128, SWEEP_LIST[-1])
-        restricted = fine.values[::2, ::2, ::2]
-        grid = problem.grid
-        proxy = l1_spacetime_norm(coarse.values - restricted, grid.t, grid.x, grid.y)
+        table, proxy = cauchy_sweep(self.store, _cube(64, ACCEL_T), SWEEP_LIST)
         final = table.rows[-1].l1_diff
         passed = table.strictly_decreasing and final < 10.0 * proxy
         return CriterionResult(
@@ -193,11 +146,12 @@ class AcceptanceEngine:
             f"{table.strictly_decreasing}; final {final:.2e} < 10 x proxy {proxy:.2e}")
 
     def criterion_5(self) -> CriterionResult:
-        h64 = self.exact_run(64, 1e-3)
-        h128 = self.exact_run(128, 1e-3)
-        res64 = weak_residual(h64, self.exact_problem(64))
-        res128 = weak_residual(h128, self.exact_problem(128))
-        wall = trace_residual(h64, self.exact_problem(64)).wall_sup
+        p64 = self.store.build(exact_profile_problem, _cube(64, EXACT_T))
+        p128 = self.store.build(exact_profile_problem, _cube(128, EXACT_T))
+        h64 = self.store.solve(p64, 1e-3)
+        res64 = weak_residual(h64, p64)
+        res128 = weak_residual(self.store.solve(p128, 1e-3), p128)
+        wall = trace_residual(h64, p64).wall_sup
         ratio = res64 / res128 if res128 > 0 else float("inf")
         passed = res64 <= 1e-2 and ratio >= 1.8 and wall <= 1e-6
         return CriterionResult(
@@ -206,20 +160,16 @@ class AcceptanceEngine:
             f"wall trace {wall:.3e} (tol 1e-06)")
 
     def criterion_6(self) -> CriterionResult:
-        combos = [(n, eps) for n in (64, 128) for eps in (1e-2, 1e-3)]
         c6 = {}
-        for family in ("initial", "inflow", "suction"):
-            vals = []
-            for n, eps in combos:
-                base = self.favorable_run(n, eps)
-                pert = self.perturbed_run(n, eps, family)
-                stab = l1_stability(base, pert, self.favorable_problem(n),
-                                    self.perturbed(n)[family])
-                vals.append(stab.c6_hat)
-            c6[family] = vals
+        for n in (64, 128):
+            for eps in (1e-2, 1e-3):
+                stabs = family_stability(self.store, _cube(n, ACCEL_T), eps, 1e-3)
+                for family, stab in stabs.items():
+                    c6.setdefault(family, []).append(stab.c6_hat)
         spreads = {f: uniformity_spread(v) for f, v in c6.items()}
 
-        problem = self.favorable_problem(64)
+        # two deliberate fresh marches of the same data, never served from the store
+        problem = self.store.build(favorable_accel_problem, _cube(64, ACCEL_T))
         rerun_a = solve(problem, problem.grid, 1e-3)
         rerun_b = solve(problem, problem.grid, 1e-3)
         ident = l1_stability(rerun_a, rerun_b, problem, problem)
@@ -235,16 +185,8 @@ class AcceptanceEngine:
             f"{spreads[worst]:.3f} ({worst}, tol 0.20), identical-data lhs {ident_max:.2e} (tol 1e-12)")
 
     def criterion_7(self) -> CriterionResult:
-        mass = max(abs(ko.normalization(s) - 1.0) for s in (0.1, 1.0))
-        rng = np.random.default_rng(7)
-        dil = max(
-            ko.dilation_defect(
-                (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.2, 1.5)),
-                rng.uniform(0.5, 2.0))
-            for _ in range(100))
-        r1 = abs(ko.l0_residual((0.1, 0.2, 1.0), h=1e-3))
-        r2 = abs(ko.l0_residual((0.1, 0.2, 1.0), h=5e-4))
-        order = float(np.log2(r1 / r2))
+        kid = kernel_identities(7)
+        mass, dil, order = max(kid["mass"].values()), kid["dilation"], kid["order"]
         passed = mass <= 1e-8 and dil <= 1e-12 and order >= 1.9
         return CriterionResult(
             7, "fundamental-solution identities", passed,
@@ -259,15 +201,11 @@ class AcceptanceEngine:
             f"33^3 lattice at theta {THETA_DEFAULT:g}: {margins}")
 
     def criterion_9(self) -> CriterionResult:
-        unit = ko.density_ratio(AnalyticField(
-            lambda t, x, y: np.ones_like(np.asarray(t, float))), r=0.5, h=0.01)
+        unit = unit_density(0.01)
         details = [f"unit field {unit.ratio:.3f}"]
         ok = unit.ratio == 1.0
         for kind, lam, seed in ROUGH_COEFS:
-            hist = self.model_run(kind, lam, seed)
-            den = ko.density_ratio(hist, r=0.5, h=0.01, normalize=True)
-            run_ok = (den.verdict is True and
-                      all(v >= ko.DENSITY_FLOOR for v in den.h_certificate.values()))
+            den, run_ok = density_floor(self.store.build(_model_history, kind, lam, seed), 0.01)
             ok = ok and run_ok
             details.append(f"{kind}-{lam:g}-{seed} min ratio "
                            f"{min(den.h_certificate.values()):.3f}")
@@ -279,15 +217,11 @@ class AcceptanceEngine:
         spec = ko.CutoffSpec(r=0.8 * THETA_DEFAULT, theta=THETA_DEFAULT)
 
         def family_constant(grid):
-            ratios = []
-            violations = 0
-            for kind, lam, seed in ROUGH_COEFS:
-                hist = self.model_run(kind, lam, seed, grid=grid, pinched=True)
-                V = ko.log_field(hist, h=0.01, variant="reciprocal")
-                rep = ko.weak_poincare_ratio(V, spec)
-                ratios.append(rep.ratio)
-                violations += int(rep.hard_violation)
-            return max(ratios), violations
+            reports = [pinched_poincare(ko.model_scenarios(kind, lam=lam, seed=seed),
+                                        grid, 0.01, spec)
+                       for kind, lam, seed in ROUGH_COEFS]
+            return (max(rep.ratio for rep in reports),
+                    sum(int(rep.hard_violation) for rep in reports))
 
         c_base, viol_base = family_constant(MODEL_GRID)
         c_fine, viol_fine = family_constant(MODEL_GRID_FINE)
@@ -305,13 +239,10 @@ class AcceptanceEngine:
         alphas = []
         for kind in ("checkerboard", "seeded-random"):
             for lam in (2.0, 4.0):
-                hist = self.model_run(kind, lam, 0)
-                osc = ko.oscillation_table(hist, domain=(1.0, 1.0, float(hist.t[0])))
+                osc = model_oscillation(self.store.build(_model_history, kind, lam, 0))
                 beta = max(beta, osc.beta_bar)
                 alphas.append(osc.alpha_holder)
-        control = ko.oscillation_table(AnalyticField(
-            lambda t, x, y: 1.0 - np.asarray(y, float)))
-        ctl_err = max(abs(row.ratio - 0.3) for row in control.rows)
+        ctl_err = max(abs(row.ratio - 0.3) for row in linear_control().rows)
         passed = beta < 1.0 and all(a > 0 for a in alphas) and ctl_err <= 1e-9
         return CriterionResult(
             11, "oscillation decay", passed,

@@ -1,4 +1,5 @@
-"""Change of variables between the physical strip and the Crocco domain.
+"""The Crocco-domain problem: transformed coefficients, sampled data and
+the structural hypotheses of the well-posedness theory.
 
 Physical unknowns: tangential velocity u(x, y, t) increasing from 0 at the
 wall to the outer flow U(x, t).  Crocco unknowns: the normalized shear
@@ -24,24 +25,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .errors import ConfigError, DataError
-from .flows import ExternalFlow, PressureGradient, pressure_gradient, _read_table
+from .errors import DataError
+from .flows import ExternalFlow, pressure_gradient
 from .grids import GridSpec
-
-
-@dataclass(frozen=True)
-class PhysicalData:
-    """Physical-variable data: initial profile, inflow profile, wall suction.
-
-    u0(x, y) and u1(y, t) are monotone in y with u = 0 at the wall; v0 <= 0.
-    """
-
-    u0: Callable
-    u1: Callable
-    v0: Callable
-    y_max: float = 8.0
 
 
 @dataclass(frozen=True)
@@ -130,8 +117,7 @@ def coefficients(flow: ExternalFlow, grid: GridSpec) -> Coefficients:
     """Sample the transformed-equation coefficients on the grid nodes.
 
     At the wall the first-order coefficient satisfies
-    b(x, 0, t) = -dxP/U exactly for closed-form flows and to O(h^2) for
-    tabulated ones.
+    b(x, 0, t) = -dxP/U exactly.
     """
     t = grid.t[:, None, None]
     x = grid.x[None, :, None]
@@ -262,138 +248,3 @@ def validate(data: CroccoData, flow: ExternalFlow, grid: Optional[GridSpec] = No
         issues.append(ValidationIssue("favorable pressure (dxP <= 0)",
                                       grad.worst_location, grad.worst_value))
     return ValidationReport(issues=tuple(issues), c0=c0, favorable=grad.favorable)
-
-
-def to_crocco(y: np.ndarray, u: np.ndarray, U: float, eta: np.ndarray,
-              append_outer_limit: bool = True) -> np.ndarray:
-    """Transform one monotone physical profile u(y) to the shear w(eta).
-
-    eta = u / U, w = (dy u) / U; derivatives are second-order differences
-    and the pullback to the requested eta nodes is monotone piecewise-linear
-    interpolation (O(h^2)).  When the profile approaches the outer flow the
-    asymptote (eta, w) = (1, 0) is appended so that eta grids reaching 1 can
-    be filled.
-    """
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if y.ndim != 1 or y.shape != u.shape:
-        raise DataError("profile arrays y, u must be matching 1-D arrays")
-    du = np.diff(u)
-    if np.any(du <= 0):
-        k = int(np.argmin(du))
-        raise DataError(
-            f"profile not strictly increasing on [{y[k]:.6g}, {y[k + 1]:.6g}] "
-            f"(u steps from {u[k]:.6g} to {u[k + 1]:.6g})"
-        )
-    if U <= 0:
-        raise DataError("outer flow value must be positive")
-    if np.any(u > U * (1 + 1e-9)):
-        raise DataError("profile exceeds the outer flow; eta would leave (0, 1)")
-    dudy = np.gradient(u, y)
-    eta_s = u / U
-    w_s = dudy / U
-    if append_outer_limit and eta_s[-1] < 1.0:
-        eta_s = np.append(eta_s, 1.0)
-        w_s = np.append(w_s, 0.0)
-    eta = np.asarray(eta, dtype=float)
-    if np.any(eta < eta_s[0] - 1e-12) or np.any(eta > eta_s[-1] + 1e-12):
-        raise DataError("requested eta nodes leave the transformed profile range")
-    return np.interp(eta, eta_s, w_s)
-
-
-@dataclass(frozen=True)
-class PhysicalField:
-    """Physical-variable reconstruction of a Crocco-side shear field.
-
-    y_of_eta maps each (t, x, eta) node below eta = 1 to its wall distance;
-    u_phys holds the matching tangential velocity eta * U(x, t).
-    """
-
-    t: np.ndarray
-    x: np.ndarray
-    eta: np.ndarray
-    y_of_eta: np.ndarray
-    u_phys: np.ndarray
-
-
-def from_crocco(w_values: np.ndarray, t: np.ndarray, x: np.ndarray, eta: np.ndarray,
-                flow: ExternalFlow) -> PhysicalField:
-    """Invert the transformation: wall distance y(eta) = integral of 1/w.
-
-    w must be positive below eta = 1; a vanishing top row (the generic
-    solver output) simply truncates the map to eta in [0, 1).  A
-    non-positive sample anywhere else is an inversion error.
-    """
-    w = np.asarray(w_values, dtype=float)
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if w.shape != (t.size, x.size, eta.size):
-        raise DataError(f"shear field shape {w.shape} does not match coordinates")
-    top_zero = np.all(np.abs(w[..., -1]) <= 1e-14)
-    core = w[..., :-1] if top_zero else w
-    eta_used = eta[:-1] if top_zero else eta
-    if np.any(core <= 0):
-        idx = np.unravel_index(int(np.argmin(core)), core.shape)
-        raise DataError(
-            f"shear must be positive below eta=1; w={core[idx]:.6g} at "
-            f"(t={t[idx[0]]:.6g}, x={x[idx[1]]:.6g}, eta={eta_used[idx[2]]:.6g})"
-        )
-    y_map = cumulative_trapezoid(1.0 / core, eta_used, axis=-1, initial=0.0)
-    Uv = np.asarray(flow.U(x[None, :], t[:, None]), dtype=float)
-    Uv = np.broadcast_to(Uv, (t.size, x.size))
-    u_phys = eta_used[None, None, :] * Uv[:, :, None]
-    return PhysicalField(t=t, x=x, eta=eta_used, y_of_eta=y_map, u_phys=u_phys)
-
-
-def physical_to_crocco(data: PhysicalData, flow: ExternalFlow, grid: GridSpec,
-                       n_samples: int = 512) -> CroccoData:
-    """Build Crocco-domain data tables from physical profiles by columnwise
-    transformation, returned as interpolating callables."""
-    ys = np.linspace(0.0, data.y_max, n_samples)
-    eta = grid.y
-    w0_tab = np.empty((grid.nx + 1, grid.ny + 1))
-    for i, xi in enumerate(grid.x):
-        w0_tab[i] = to_crocco(ys, np.asarray(data.u0(xi, ys), float), float(flow.U(xi, 0.0)), eta)
-    w1_tab = np.empty((grid.nt + 1, grid.ny + 1))
-    for n, tn in enumerate(grid.t):
-        w1_tab[n] = to_crocco(ys, np.asarray(data.u1(ys, tn), float), float(flow.U(0.0, tn)), eta)
-
-    def w0(x, y):
-        xq, yq = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        ii = np.clip(np.searchsorted(grid.x, xq.ravel()), 0, grid.nx)
-        out = np.array([np.interp(yv, eta, w0_tab[i]) for i, yv in zip(ii, yq.ravel())])
-        return out.reshape(xq.shape)
-
-    def w1(y, t):
-        yq, tq = np.broadcast_arrays(np.asarray(y, float), np.asarray(t, float))
-        nn = np.clip(np.searchsorted(grid.t, tq.ravel()), 0, grid.nt)
-        out = np.array([np.interp(yv, eta, w1_tab[n]) for n, yv in zip(nn, yq.ravel())])
-        return out.reshape(yq.shape)
-
-    return CroccoData(w0=w0, w1=w1, v0=data.v0)
-
-
-def load_data_tables(u0_path=None, u1_path=None, v0_path=None) -> CroccoData:
-    """Read Crocco-domain data tables: `x,y,u0`, `y,t,u1`, `x,t,v0`."""
-
-    def interp2(path, cols):
-        avals, bvals, grid = _read_table(path, cols)
-        from scipy.interpolate import RegularGridInterpolator
-
-        f = RegularGridInterpolator((avals, bvals), grid, bounds_error=False, fill_value=None)
-
-        def call(a, b):
-            aq, bq = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
-            pts = np.stack([aq.ravel(), bq.ravel()], axis=-1)
-            return f(pts).reshape(aq.shape)
-
-        return call
-
-    if u0_path is None or u1_path is None or v0_path is None:
-        raise ConfigError("custom data requires u0_table, u1_table and v0_table paths")
-    return CroccoData(
-        w0=interp2(u0_path, ("x", "y", "u0")),
-        w1=interp2(u1_path, ("y", "t", "u1")),
-        v0=interp2(v0_path, ("x", "t", "v0")),
-    )

@@ -6,16 +6,13 @@ derivatives; the pressure gradient is eliminated with the Bernoulli relation
     dxP = -(dtU + U dxU).
 
 A flow is "favorable" when dxP <= 0 everywhere on the sampled domain.
-Flows are either named built-ins with closed-form derivatives or bilinear
-interpolants of a sampled table with second-order difference derivatives.
+Flows are named built-ins with closed-form derivatives.
 """
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import ConfigError, DataError
 
@@ -99,45 +96,6 @@ def decelerating_flow(L: float = 1.0, T: float = 1.0) -> ExternalFlow:
     )
 
 
-def load_flow_table(path) -> ExternalFlow:
-    """Read a `x,t,U` table (last column of the key pair varying fastest)."""
-    xs, ts, U = _read_table(path, ("x", "t", "U"))
-    return flow_from_table(xs, ts, U)
-
-
-def flow_from_table(x: np.ndarray, t: np.ndarray, U: np.ndarray) -> ExternalFlow:
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    U = np.asarray(U, dtype=float)
-    if U.shape != (x.size, t.size):
-        raise DataError(f"flow table shape {U.shape} does not match ({x.size}, {t.size})")
-    if x.size < 3 or t.size < 3:
-        raise DataError("flow table needs at least 3 samples per coordinate")
-    dxU = np.gradient(U, x, axis=0)
-    dtU = np.gradient(U, t, axis=1)
-
-    def interp(table):
-        f = RegularGridInterpolator((x, t), table, bounds_error=False, fill_value=None)
-
-        def call(xq, tq):
-            xq = np.asarray(xq, dtype=float)
-            tq = np.asarray(tq, dtype=float)
-            xb, tb = np.broadcast_arrays(xq, tq)
-            pts = np.stack([xb.ravel(), tb.ravel()], axis=-1)
-            return f(pts).reshape(xb.shape)
-
-        return call
-
-    return ExternalFlow(
-        U=interp(U),
-        dxU=interp(dxU),
-        dtU=interp(dtU),
-        L=float(x[-1]),
-        T=float(t[-1]),
-        name="custom-table",
-    )
-
-
 BUILTIN_FLOWS = {
     "uniform": uniform_flow,
     "accelerating": accelerating_flow,
@@ -145,16 +103,12 @@ BUILTIN_FLOWS = {
 }
 
 
-def make_flow(name: str, L: float = 1.0, T: float = 1.0, table_path=None) -> ExternalFlow:
-    if name == "custom-table":
-        if table_path is None:
-            raise ConfigError("flow 'custom-table' requires a flow_table path")
-        return load_flow_table(table_path)
+def make_flow(name: str, L: float = 1.0, T: float = 1.0) -> ExternalFlow:
     try:
         builder = BUILTIN_FLOWS[name]
     except KeyError:
         raise ConfigError(f"unknown flow {name!r}; choose from "
-                          f"{sorted(BUILTIN_FLOWS) + ['custom-table']}") from None
+                          f"{sorted(BUILTIN_FLOWS)}") from None
     return builder(L=L, T=T)
 
 
@@ -184,36 +138,3 @@ def pressure_gradient(flow: ExternalFlow, nx: int = 65, nt: int = 65) -> Pressur
         worst_value=worst,
         worst_location=(float(xx[i, j]), float(tt[i, j])),
     )
-
-
-def _read_table(path, columns):
-    """Parse a comma-separated table with the given header columns.
-
-    Rows are expected row-major with the last key column varying fastest;
-    the grid is nevertheless reconstructed from the unique sorted key
-    values, so any complete ordering is accepted.
-    """
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
-        raise DataError(f"{path}: empty table")
-    header = [c.strip() for c in rows[0]]
-    if header != list(columns):
-        raise DataError(f"{path}: expected header {','.join(columns)}, got {','.join(header)}")
-    try:
-        data = np.array([[float(v) for v in r] for r in rows[1:]], dtype=float)
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric entry ({exc})") from None
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise DataError(f"{path}: expected 3 columns per row")
-    avals = np.unique(data[:, 0])
-    bvals = np.unique(data[:, 1])
-    if avals.size * bvals.size != data.shape[0]:
-        raise DataError(f"{path}: table is not a complete {avals.size}x{bvals.size} grid")
-    grid = np.full((avals.size, bvals.size), np.nan)
-    ia = np.searchsorted(avals, data[:, 0])
-    ib = np.searchsorted(bvals, data[:, 1])
-    grid[ia, ib] = data[:, 2]
-    if np.any(np.isnan(grid)):
-        raise DataError(f"{path}: duplicate or missing grid entries")
-    return avals, bvals, grid

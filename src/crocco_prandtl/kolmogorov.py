@@ -203,15 +203,9 @@ def _smoothstep(s):
 
 
 def _smoothstep_d1(s):
-    inside = (s > 0.0) & (s < 1.0)
+    # +0.0 outside (0, 1): the clipped polynomial vanishes at both ends
     sc = np.clip(s, 0.0, 1.0)
-    return np.where(inside, 30.0 * sc**2 * (1.0 - sc) ** 2, 0.0)
-
-
-def _smoothstep_d2(s):
-    inside = (s > 0.0) & (s < 1.0)
-    sc = np.clip(s, 0.0, 1.0)
-    return np.where(inside, 60.0 * sc * (1.0 - sc) * (1.0 - 2.0 * sc), 0.0)
+    return 30.0 * sc**2 * (1.0 - sc) ** 2
 
 
 @dataclass(frozen=True)
@@ -261,10 +255,6 @@ class Cutoffs:
     def chi_prime(self, s):
         sp = self.spec
         return -_smoothstep_d1((np.asarray(s, float) - sp.ramp_start) / sp.ramp_width) / sp.ramp_width
-
-    def chi_second(self, s):
-        sp = self.spec
-        return -_smoothstep_d2((np.asarray(s, float) - sp.ramp_start) / sp.ramp_width) / sp.ramp_width**2
 
     # space-time factor ----------------------------------------------------
     def _argument(self, x, t):
@@ -390,20 +380,6 @@ def verify_lemma(spec: CutoffSpec, alpha: float = 0.05, beta: float = 0.9,
                              min(lo, 1.0 - hi)))
 
     return LemmaReport(theta=theta, r=r, alpha1=alpha1, beta=beta, checks=checks)
-
-
-def cutoffs(spec: CutoffSpec, check: bool = True, alpha: float = 0.05,
-            beta: float = 0.9, n: int = 33) -> Cutoffs:
-    """Construct the cutoff evaluators, certifying the sampled properties
-    unless told otherwise; a failed item raises naming the property."""
-    cut = Cutoffs(spec)
-    if check:
-        report = verify_lemma(spec, alpha=alpha, beta=beta, n=n)
-        if not report.ok:
-            raise ConfigError(
-                "cutoff construction failed sampled checks: " + ", ".join(report.failing()))
-        cut.lemma = report
-    return cut
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,37 @@ def solve(problem: CroccoProblem, grid: GridSpec, eps: float,
     )
 
 
+class SolveStore:
+    """Memoized problem construction and solves for one run or one engine.
+
+    build(builder, *args) calls builder(*args) once per argument tuple; the
+    problem builders take the grid as their argument, so a problem is keyed
+    by (builder, grid).  solve(problem, eps, forcing) marches once per
+    (problem, eps, forcing), keyed by the identity of problem and forcing,
+    which the entry holds so the identities stay unique.  Solves go through
+    the module-level `solve`; a rerun that must not be served from memory
+    calls `solve` itself.
+    """
+
+    def __init__(self):
+        self._built = {}
+        self._solved = {}
+
+    def build(self, builder, *args):
+        key = (builder,) + args
+        if key not in self._built:
+            self._built[key] = builder(*args)
+        return self._built[key]
+
+    def solve(self, problem: CroccoProblem, eps: float,
+              forcing: Optional[Forcing] = None) -> FieldHistory:
+        key = (id(problem), eps, id(forcing))
+        if key not in self._solved:
+            self._solved[key] = (problem, forcing,
+                                 solve(problem, problem.grid, eps, forcing))
+        return self._solved[key][2]
+
+
 @dataclass
 class SweepRow:
     eps_hi: float
@@ -231,21 +262,25 @@ class ConvergenceTable:
 
 
 def viscosity_sweep(problem: CroccoProblem, grid: GridSpec, eps_list,
-                    forcing: Optional[Forcing] = None) -> ConvergenceTable:
+                    forcing: Optional[Forcing] = None,
+                    store: Optional[SolveStore] = None) -> ConvergenceTable:
     """Solve a decreasing sequence of regularizations and tabulate successive
     L1 differences over the space-time cylinder.
 
-    A failed solve marks its rows and the sweep continues.
+    Solves go through store (a fresh one when none is given), so a sweep
+    reuses the runs its caller already made.  A failed solve marks its rows
+    and the sweep continues.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2:
         raise ConfigError("viscosity sweep needs at least two eps values")
     if np.any(np.diff(eps_list) >= 0):
         raise ConfigError("eps_list must be strictly decreasing")
+    store = store or SolveStore()
     histories = []
     for e in eps_list:
         try:
-            histories.append(solve(problem, grid, e))
+            histories.append(store.solve(problem, e, forcing))
         except NumericalError:
             histories.append(None)
     rows = []
@@ -258,14 +293,16 @@ def viscosity_sweep(problem: CroccoProblem, grid: GridSpec, eps_list,
     return ConvergenceTable(rows=rows)
 
 
-def grid_refinement_proxy(problem_builder, grid: GridSpec, eps: float, factor: int = 2) -> float:
+def grid_refinement_proxy(problem_builder, grid: GridSpec, eps: float, factor: int = 2,
+                          store: Optional[SolveStore] = None) -> float:
     """Discretization-error proxy: L1 gap between a run and its refined-grid
     restriction, both at the same eps.
 
-    problem_builder(grid) must return the problem sampled on the given grid.
+    problem_builder(grid) must return the problem sampled on the given grid;
+    problems and solves go through store (a fresh one when none is given).
     """
-    coarse = solve(problem_builder(grid), grid, eps)
-    fine_grid = grid.refined(factor)
-    fine = solve(problem_builder(fine_grid), fine_grid, eps)
+    store = store or SolveStore()
+    coarse = store.solve(store.build(problem_builder, grid), eps)
+    fine = store.solve(store.build(problem_builder, grid.refined(factor)), eps)
     restricted = fine.values[::factor, ::factor, ::factor]
     return l1_spacetime_norm(coarse.values - restricted, grid.t, grid.x, grid.y)

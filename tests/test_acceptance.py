@@ -2,8 +2,9 @@
 
 Tolerances are pinned inside crocco_prandtl.acceptance; these tests only
 run each criterion and assert its verdict, so a failure here reproduces
-the exact line the `acceptance` CLI verb would print.  The engine is
-session-scoped so solves are shared across criteria.
+the exact line the `acceptance` CLI verb would print.  The engine, and
+with it its solve store, is module-scoped, so problems, solves and model
+runs are shared across criteria as in one `acceptance` invocation.
 """
 
 import pytest

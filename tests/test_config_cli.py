@@ -1,10 +1,20 @@
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import crocco_prandtl
 from crocco_prandtl import scenarios
 from crocco_prandtl._version import __version__
 from crocco_prandtl.cli import main
-from crocco_prandtl.config import SCENARIOS, RunConfig, load_config, parse_config
+from crocco_prandtl.config import (SCENARIOS, THETA_MAX, RunConfig, load_config,
+                                   parse_config)
 from crocco_prandtl.errors import ConfigError, NumericalError
 from crocco_prandtl.reporting import fmt
 
@@ -70,6 +80,99 @@ def test_parse_config_rejects(text, fragment):
 def test_parse_config_value_ranges(line):
     with pytest.raises(ConfigError):
         parse_config(f"scenario = exact_profile\n{line}\n")
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def at_or_below(bound):
+    """Finite floats <= bound, with the bound itself drawn often."""
+    return st.one_of(st.just(bound), st.floats(max_value=bound, allow_infinity=False))
+
+
+def at_or_above(bound):
+    return st.one_of(st.just(bound), st.floats(min_value=bound, allow_infinity=False))
+
+
+VALID_CONFIGS = st.builds(
+    RunConfig,
+    scenario=st.sampled_from(SCENARIOS),
+    nx=st.integers(4, 10**6),
+    ny=st.integers(4, 10**6),
+    nt=st.integers(4, 10**6),
+    eps=POSITIVE,
+    L=POSITIVE,
+    eps_list=st.lists(POSITIVE, min_size=2, max_size=6, unique=True).map(
+        lambda v: tuple(sorted(v, reverse=True))),
+    perturb=POSITIVE,
+    lam=st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+    seed=st.integers(0, 2**63),
+    h_level=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    theta=st.floats(0.0, THETA_MAX, exclude_min=True, exclude_max=True),
+    r=POSITIVE,
+)
+
+
+def _valid_eps_list(values) -> bool:
+    return (len(values) >= 2 and all(v > 0 for v in values)
+            and all(b < a for a, b in zip(values, values[1:])))
+
+
+# one key set outside its admissible range
+OUT_OF_RANGE = st.one_of(
+    st.tuples(st.sampled_from(["nx", "ny", "nt"]), st.integers(max_value=3)),
+    st.tuples(st.sampled_from(["eps", "L", "perturb", "r"]), at_or_below(0.0)),
+    st.tuples(st.just("lam"), at_or_below(1.0)),
+    st.tuples(st.just("seed"), st.integers(max_value=-1)),
+    st.tuples(st.just("h_level"), st.one_of(at_or_below(0.0), at_or_above(0.5))),
+    st.tuples(st.just("theta"), st.one_of(at_or_below(0.0), at_or_above(THETA_MAX))),
+    st.tuples(st.just("eps_list"), st.lists(FINITE, min_size=1, max_size=4).filter(
+        lambda v: not _valid_eps_list(v)).map(tuple)),
+)
+
+
+def config_text(cfg: RunConfig, **override) -> str:
+    """cfg written as `key = value` lines, floats through repr."""
+    lines = []
+    for f in fields(RunConfig):
+        value = override.get(f.name, getattr(cfg, f.name))
+        if isinstance(value, tuple):
+            text = ", ".join(repr(v) for v in value)
+        elif isinstance(value, float):
+            text = repr(value)
+        else:
+            text = str(value)
+        lines.append(f"{f.name} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALID_CONFIGS)
+def test_config_text_round_trips(cfg):
+    assert parse_config(config_text(cfg)) == cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALID_CONFIGS, OUT_OF_RANGE)
+def test_config_out_of_range_value_is_refused(cfg, bad):
+    key, value = bad
+    with pytest.raises(ConfigError):
+        parse_config(config_text(cfg, **{key: value}))
+
+
+def test_import_leaves_sympy_and_scipy_integrate_unloaded():
+    # sympy is loaded by criterion 2 alone; nothing imported at start-up
+    # needs scipy.integrate or scipy.interpolate
+    code = ("import sys, crocco_prandtl, crocco_prandtl.cli; "
+            "print(sorted(m for m in ('sympy', 'scipy.integrate', 'scipy.interpolate')"
+            " if m in sys.modules))")
+    src = str(Path(crocco_prandtl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_load_config_missing_file(tmp_path):

@@ -3,16 +3,11 @@ import pytest
 
 from crocco_prandtl.crocco import (
     CroccoData,
-    PhysicalData,
     coefficients,
-    from_crocco,
-    load_data_tables,
     make_problem,
-    physical_to_crocco,
-    to_crocco,
     validate,
 )
-from crocco_prandtl.errors import ConfigError, DataError
+from crocco_prandtl.errors import DataError
 from crocco_prandtl.flows import accelerating_flow, decelerating_flow, uniform_flow
 from crocco_prandtl.grids import GridSpec
 
@@ -163,74 +158,3 @@ def test_validate_flags_nonpositive_shear():
     )
     report = validate(data, uniform_flow(), GridSpec(8, 8, 8))
     assert any("monotone" in i.condition for i in report.issues)
-
-
-# ---------------------------------------------------------------------------
-# change of variables: tanh profile has the closed form w(eta) = 1 - eta^2
-
-
-def test_to_crocco_tanh_profile():
-    y = np.linspace(0.0, 8.0, 1025)
-    eta = np.linspace(0.0, 0.95, 40)
-    w = to_crocco(y, np.tanh(y), 1.0, eta)
-    assert np.max(np.abs(w - (1.0 - eta**2))) < 2e-4
-
-
-def test_to_crocco_guards():
-    y = np.linspace(0.0, 1.0, 33)
-    with pytest.raises(DataError, match="increasing"):
-        to_crocco(y, np.cos(y), 1.0, np.array([0.1]))
-    with pytest.raises(DataError, match="positive"):
-        to_crocco(y, y, 0.0, np.array([0.1]))
-    with pytest.raises(DataError, match="exceeds"):
-        to_crocco(y, 2.0 * y, 1.0, np.array([0.1]))
-
-
-def test_from_crocco_inverts_tanh_profile():
-    t = np.array([0.0, 0.5])
-    x = np.array([0.0, 1.0])
-    eta = np.linspace(0.0, 0.9, 181)
-    w = np.broadcast_to(1.0 - eta**2, (2, 2, eta.size)).copy()
-    phys = from_crocco(w, t, x, eta, uniform_flow())
-    assert np.max(np.abs(phys.y_of_eta[0, 0] - np.arctanh(eta))) < 2e-4
-    assert np.allclose(phys.u_phys[0, 0], eta)
-
-
-def test_from_crocco_truncates_zero_top_row():
-    t = np.array([0.0, 1.0])
-    x = np.array([0.0, 1.0])
-    eta = np.linspace(0.0, 1.0, 11)
-    w = np.broadcast_to(1.0 - eta, (2, 2, 11)).copy()
-    phys = from_crocco(w, t, x, eta, uniform_flow())
-    assert phys.eta.size == 10
-    # y(eta) = -log(1 - eta) for the linear shear profile; trapezoid error
-    # grows near the integrable singularity, so compare away from eta = 1
-    low = phys.eta <= 0.75
-    assert np.allclose(phys.y_of_eta[1, 1][low], -np.log(1.0 - phys.eta[low]), atol=1e-2)
-
-
-def test_from_crocco_rejects_interior_nonpositivity():
-    t = np.array([0.0, 1.0])
-    x = np.array([0.0, 1.0])
-    eta = np.linspace(0.0, 1.0, 11)
-    w = np.broadcast_to(0.5 - eta, (2, 2, 11)).copy()
-    with pytest.raises(DataError, match="positive"):
-        from_crocco(w, t, x, eta, uniform_flow())
-
-
-def test_physical_to_crocco_matches_closed_form():
-    grid = GridSpec(4, 64, 8)
-    data = PhysicalData(
-        u0=lambda x, y: np.tanh(y) + 0.0 * x,
-        u1=lambda y, t: np.tanh(y) + 0.0 * t,
-        v0=lambda x, t: -1.0 + 0.0 * x * t,
-    )
-    cdata = physical_to_crocco(data, uniform_flow(), grid, n_samples=1024)
-    eta = np.linspace(0.0, 0.9, 19)
-    w0 = cdata.w0(0.5, eta)
-    assert np.max(np.abs(w0 - (1.0 - eta**2))) < 1e-3
-
-
-def test_load_data_tables_requires_all_paths():
-    with pytest.raises(ConfigError, match="requires"):
-        load_data_tables(u0_path="only_one.csv")

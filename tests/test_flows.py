@@ -6,8 +6,6 @@ from crocco_prandtl.flows import (
     BUILTIN_FLOWS,
     accelerating_flow,
     decelerating_flow,
-    flow_from_table,
-    load_flow_table,
     make_flow,
     pressure_gradient,
     uniform_flow,
@@ -85,71 +83,6 @@ def test_make_flow_dispatch():
     assert make_flow("accelerating", T=2.0).T == 2.0
     with pytest.raises(ConfigError, match="unknown flow"):
         make_flow("vortex")
-    with pytest.raises(ConfigError, match="flow_table"):
+    # tabulated flows are gone; the name is rejected like any other
+    with pytest.raises(ConfigError, match="unknown flow"):
         make_flow("custom-table")
-
-
-# ---------------------------------------------------------------------------
-# tabulated flows
-
-
-def table_samples(n=17):
-    x = np.linspace(0.0, 1.0, n)
-    t = np.linspace(0.0, 0.5, n)
-    U = 1.0 + t[None, :] + 0.0 * x[:, None]
-    return x, t, U
-
-
-def test_flow_from_table_reproduces_linear_flow():
-    x, t, U = table_samples()
-    flow = flow_from_table(x, t, U)
-    xq = np.array([0.1, 0.37, 0.9])
-    tq = np.array([0.05, 0.2, 0.45])
-    assert np.allclose(flow.U(xq, tq), 1.0 + tq, atol=1e-12)
-    assert np.allclose(flow.dxU(xq, tq), 0.0, atol=1e-12)
-    assert np.allclose(flow.dtU(xq, tq), 1.0, atol=1e-12)
-    assert flow.L == 1.0 and flow.T == 0.5
-
-
-def test_flow_from_table_shape_guards():
-    x, t, U = table_samples()
-    with pytest.raises(DataError, match="shape"):
-        flow_from_table(x, t, U[:-1])
-    with pytest.raises(DataError, match="at least 3"):
-        flow_from_table(x[:2], t[:2], U[:2, :2])
-
-
-def test_load_flow_table_roundtrip(tmp_path):
-    x, t, U = table_samples(n=5)
-    lines = ["x,t,U"]
-    for i, xv in enumerate(x):
-        for j, tv in enumerate(t):
-            lines.append(f"{xv},{tv},{U[i, j]}")
-    path = tmp_path / "flow.csv"
-    path.write_text("\n".join(lines) + "\n")
-    flow = load_flow_table(path)
-    assert np.allclose(flow.U(0.5, 0.25), 1.25, atol=1e-12)
-    grad = pressure_gradient(flow, nx=9, nt=9)
-    assert grad.favorable
-
-
-def test_load_flow_table_rejects_bad_header(tmp_path):
-    path = tmp_path / "flow.csv"
-    path.write_text("x,time,U\n0,0,1\n")
-    with pytest.raises(DataError, match="header"):
-        load_flow_table(path)
-
-
-def test_load_flow_table_rejects_incomplete_grid(tmp_path):
-    path = tmp_path / "flow.csv"
-    rows = ["x,t,U"] + [f"{i},{j},1.0" for i in range(3) for j in range(3)]
-    path.write_text("\n".join(rows[:-1]) + "\n")
-    with pytest.raises(DataError, match="complete"):
-        load_flow_table(path)
-
-
-def test_load_flow_table_rejects_non_numeric(tmp_path):
-    path = tmp_path / "flow.csv"
-    path.write_text("x,t,U\n0,0,fast\n")
-    with pytest.raises(DataError, match="non-numeric"):
-        load_flow_table(path)

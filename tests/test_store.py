@@ -1,0 +1,105 @@
+"""The solve store: memoized problems and solves within one run or one
+engine, and the deliberate reruns that must bypass it.
+
+Solves are counted by replacing `solve` wherever the package binds it:
+the store reaches it through the solver module, and the deliberate reruns
+call it directly from the scenario and acceptance modules.
+"""
+
+import pytest
+
+from crocco_prandtl import acceptance, scenarios, solver
+from crocco_prandtl.acceptance import AcceptanceEngine
+from crocco_prandtl.config import RunConfig
+from crocco_prandtl.grids import GridSpec
+from crocco_prandtl.scenarios import favorable_accel_problem, run_scenario
+from crocco_prandtl.solver import SolveStore
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """List of (label, nx, eps) per solve, in call order."""
+    calls = []
+    original = solver.solve
+
+    def counting(problem, grid, eps, forcing=None, label=""):
+        calls.append((problem.label, grid.nx, eps))
+        return original(problem, grid, eps, forcing, label)
+
+    for module in (solver, scenarios, acceptance):
+        monkeypatch.setattr(module, "solve", counting)
+    return calls
+
+
+@pytest.fixture
+def identical_pairs(monkeypatch):
+    """(hist_a, hist_b) of every l1_stability call on one problem twice."""
+    pairs = []
+
+    def recording(module):
+        original = module.l1_stability
+
+        def wrapped(hist_a, hist_b, prob_a, prob_b):
+            if prob_a is prob_b:
+                pairs.append((hist_a, hist_b))
+            return original(hist_a, hist_b, prob_a, prob_b)
+        monkeypatch.setattr(module, "l1_stability", wrapped)
+
+    recording(scenarios)
+    recording(acceptance)
+    return pairs
+
+
+def test_store_builds_and_solves_once(solves):
+    store = SolveStore()
+    grid = GridSpec(8, 8, 16, L=1.0, T=0.5)
+    problem = store.build(favorable_accel_problem, grid)
+    assert store.build(favorable_accel_problem, GridSpec(8, 8, 16, L=1.0, T=0.5)) is problem
+    first = store.solve(problem, 1e-2)
+    assert store.solve(problem, 1e-2) is first
+    assert store.solve(problem, 1e-3) is not first
+    assert len(solves) == 2
+    # a second store shares nothing with the first
+    other = SolveStore()
+    assert other.build(favorable_accel_problem, grid) is not problem
+
+
+def test_viscosity_sweep_run_solves_each_eps_once(solves):
+    eps_list = (0.1, 0.03, 0.01)
+    cfg = RunConfig(scenario="viscosity_sweep", nx=16, ny=16, nt=24, eps_list=eps_list)
+    assert run_scenario(cfg).ok
+    # one solve per eps, plus the refined grid of the proxy; the proxy's
+    # coarse run and the primary history are the sweep's last run
+    assert len(solves) == len(eps_list) + 1
+    assert sorted(solves) == sorted(
+        [("favorable_accel", 16, e) for e in eps_list] + [("favorable_accel", 32, 0.01)])
+
+
+def test_stability_perturb_run_solves_five_times(solves, identical_pairs):
+    cfg = RunConfig(scenario="stability_perturb", nx=16, ny=16, nt=24, eps=1e-2)
+    assert run_scenario(cfg).ok
+    # base, its deliberate rerun, and one run per perturbation family
+    assert len(solves) == 5
+    assert solves.count(("favorable_accel", 16, 1e-2)) == 2
+    # negative control: the rerun is a fresh march, not the stored base
+    assert len(identical_pairs) == 1
+    hist_a, hist_b = identical_pairs[0]
+    assert hist_a is not hist_b
+
+
+def test_engine_reuses_runs_across_criteria(solves, identical_pairs):
+    engine = AcceptanceEngine()
+    assert engine.run([3]).all_pass
+    del solves[:]
+    assert engine.run([4]).all_pass
+    # criterion 3 already solved eps 0.1, 0.01 and 0.001 at 64^3
+    assert sorted(solves) == [("favorable_accel", 64, 0.003),
+                              ("favorable_accel", 64, 0.03),
+                              ("favorable_accel", 128, 0.001)]
+    del solves[:]
+    assert engine.run([6]).all_pass
+    # negative control: the identical-data pair is two fresh marches
+    assert solves.count(("favorable_accel", 64, 1e-3)) == 2
+    assert len(identical_pairs) == 1
+    hist_a, hist_b = identical_pairs[0]
+    assert hist_a is not hist_b
