@@ -19,8 +19,7 @@ acceptance checklist sit on top (`scenarios`, `reporting`, `config`,
 from ._version import __version__
 from .acceptance import AcceptanceEngine, parse_suite, run_acceptance
 from .config import RunConfig, load_config, parse_config
-from .crocco import (CroccoData, CroccoProblem, coefficients, make_problem,
-                     validate)
+from .crocco import CroccoData, CroccoProblem, make_problem, validate
 from .errors import ConfigError, CroccoError, DataError, NumericalError
 from .estimates import (EstimateReport, bv_seminorm, comparison_constant,
                         l1_stability, physical_stability, trace_residual,
@@ -42,7 +41,7 @@ __all__ = [
     "__version__",
     "AcceptanceEngine", "parse_suite", "run_acceptance",
     "RunConfig", "load_config", "parse_config",
-    "CroccoData", "CroccoProblem", "coefficients", "make_problem", "validate",
+    "CroccoData", "CroccoProblem", "make_problem", "validate",
     "ConfigError", "CroccoError", "DataError", "NumericalError",
     "EstimateReport", "bv_seminorm", "comparison_constant", "l1_stability",
     "physical_stability", "trace_residual", "uniformity_spread",

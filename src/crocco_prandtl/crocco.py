@@ -1,5 +1,6 @@
-"""The Crocco-domain problem: transformed coefficients, sampled data and
-the structural hypotheses of the well-posedness theory.
+"""The Crocco-domain problem: outer-flow factors of the transformed
+coefficients, sampled data and the structural hypotheses of the
+well-posedness theory.
 
 Physical unknowns: tangential velocity u(x, y, t) increasing from 0 at the
 wall to the outer flow U(x, t).  Crocco unknowns: the normalized shear
@@ -18,10 +19,15 @@ condition couples the shear to the suction velocity v0 <= 0 through
 
 and w vanishes at y = 1.  An alternative form of the zeroth-order
 coefficient circulating in derivations, y dxU + dtU / U, differs from c
-by 2 (1 - y) dxU; only c is sampled.
+by 2 (1 - y) dxU; only c is formed.
+
+a, b, c are (t, x) factors of the outer flow times polynomials in y, so a
+problem stores only U, dxU, dtU and dxP/U on (t, x); a, b, c are formed
+from them, per time level or as volumes, by `CroccoProblem.coefficients`.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -72,31 +78,52 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class CroccoProblem:
-    """Coefficient fields and data sampled on a GridSpec.
+    """Outer-flow factors and data sampled on a GridSpec.
 
-    Arrays are indexed (t, x, y) for volume fields; data arrays are
-    w0 (x, y), w1 (t, y), v0 and px_over_u (t, x).
+    The (t, x) arrays are U, dxU, dtU, px_over_u (= dxP/U) and v0; w0 is
+    (x, y) and w1 is (t, y).  The coefficients a, b, c are never stored:
+    `coefficients` forms them from the (t, x) factors and the y profiles.
     """
 
     grid: GridSpec
     flow: ExternalFlow
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    U: np.ndarray
+    dxU: np.ndarray
+    dtU: np.ndarray
     px_over_u: np.ndarray
     w0: np.ndarray
     w1: np.ndarray
     v0: np.ndarray
     label: str = ""
 
-    def replace_data(self, w0=None, w1=None, v0=None, label=None) -> "CroccoProblem":
-        return replace(
-            self,
-            w0=self.w0 if w0 is None else _lock(np.asarray(w0, float)),
-            w1=self.w1 if w1 is None else _lock(np.asarray(w1, float)),
-            v0=self.v0 if v0 is None else _lock(np.asarray(v0, float)),
-            label=self.label if label is None else label,
-        )
+    def coefficients(self, n=slice(None)) -> tuple:
+        """(a, b, c) at time index n: (nx+1, ny+1) arrays for an integer n,
+        (nt+1, nx+1, ny+1) volumes for slice(None).
+
+        a = y U, b = (1 - y^2) dxU + (1 - y) dtU / U and c = (1 - y) dxU
+        - dxP/U, each in this operation order, so a level and the matching
+        slice of the volume agree bit for bit.  At the wall the first-order
+        coefficient satisfies b(x, 0, t) = -dxP/U exactly.
+        """
+        y, one_minus_y2, one_minus_y = _y_profiles(self.grid)
+        U, dxU, dtU, g = (f[n][..., None] for f in (self.U, self.dxU, self.dtU, self.px_over_u))
+        a = y * U
+        b = one_minus_y2 * dxU + one_minus_y * dtU / U
+        c = one_minus_y * dxU - g
+        return a, b, c
+
+    @cached_property
+    def b_abs_max(self) -> float:
+        """max |b| over the grid nodes, formed one time level at a time."""
+        return max(float(np.max(np.abs(self.coefficients(n)[1])))
+                   for n in range(self.grid.nt + 1))
+
+
+@lru_cache(maxsize=8)
+def _y_profiles(grid: GridSpec) -> tuple:
+    """The y nodes and the profiles 1 - y^2 and 1 - y, built once per grid."""
+    y = grid.y
+    return tuple(_lock(v) for v in (y, 1.0 - y**2, 1.0 - y))
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:
@@ -105,59 +132,31 @@ def _lock(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Coefficients:
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    px_over_u: np.ndarray
-
-
-def coefficients(flow: ExternalFlow, grid: GridSpec) -> Coefficients:
-    """Sample the transformed-equation coefficients on the grid nodes.
-
-    At the wall the first-order coefficient satisfies
-    b(x, 0, t) = -dxP/U exactly.
-    """
-    t = grid.t[:, None, None]
-    x = grid.x[None, :, None]
-    y = grid.y[None, None, :]
-    U = np.asarray(flow.U(x, t), dtype=float)
-    if np.any(U <= 0.0):
-        k = int(np.argmin(U))
-        idx = np.unravel_index(k, U.shape)
-        raise DataError(
-            f"flow U must be positive on the grid; U={U[idx]:.6g} at "
-            f"(x={grid.x[idx[1]]:.6g}, t={grid.t[idx[0]]:.6g})"
-        )
-    dxU = np.asarray(flow.dxU(x, t), dtype=float)
-    dtU = np.asarray(flow.dtU(x, t), dtype=float)
-    dxP = -(dtU + U * dxU)
-    a = y * U
-    b = (1.0 - y**2) * dxU + (1.0 - y) * dtU / U
-    c = (1.0 - y) * dxU - dxP / U
-    full = (grid.nt + 1, grid.nx + 1, grid.ny + 1)
-    flat = (grid.nt + 1, grid.nx + 1)
-    return Coefficients(
-        a=_lock(np.broadcast_to(a, full).copy()),
-        b=_lock(np.broadcast_to(b, full).copy()),
-        c=_lock(np.broadcast_to(c, full).copy()),
-        px_over_u=_lock(np.broadcast_to((dxP / U)[..., 0], flat).copy()),
-    )
-
-
 def make_problem(flow: ExternalFlow, grid: GridSpec, data: CroccoData, label: str = "") -> CroccoProblem:
-    """Assemble coefficients and sampled data into a solvable problem."""
-    coef = coefficients(flow, grid)
+    """Sample the outer-flow factors and the data into a solvable problem."""
     x = grid.x
     y = grid.y
     t = grid.t
+
+    def on_tx(f):
+        vals = np.asarray(f(x[None, :], t[:, None]), dtype=float)
+        return np.broadcast_to(vals, (grid.nt + 1, grid.nx + 1)).copy()
+
+    U = on_tx(flow.U)
+    if np.any(U <= 0.0):
+        i, j = np.unravel_index(int(np.argmin(U)), U.shape)
+        raise DataError(
+            f"flow U must be positive on the grid; U={U[i, j]:.6g} at "
+            f"(x={x[j]:.6g}, t={t[i]:.6g})"
+        )
+    dxU = on_tx(flow.dxU)
+    dtU = on_tx(flow.dtU)
+    dxP = -(dtU + U * dxU)
     w0 = np.asarray(data.w0(x[:, None], y[None, :]), dtype=float)
     w0 = np.broadcast_to(w0, (grid.nx + 1, grid.ny + 1)).copy()
     w1 = np.asarray(data.w1(y[None, :], t[:, None]), dtype=float)
     w1 = np.broadcast_to(w1, (grid.nt + 1, grid.ny + 1)).copy()
-    v0 = np.asarray(data.v0(x[None, :], t[:, None]), dtype=float)
-    v0 = np.broadcast_to(v0, (grid.nt + 1, grid.nx + 1)).copy()
+    v0 = on_tx(data.v0)
 
     if np.max(np.abs(w0[:, -1])) > 1e-9 or np.max(np.abs(w1[:, -1])) > 1e-9:
         raise DataError("shear data must vanish on the y = 1 row")
@@ -169,10 +168,10 @@ def make_problem(flow: ExternalFlow, grid: GridSpec, data: CroccoData, label: st
     return CroccoProblem(
         grid=grid,
         flow=flow,
-        a=coef.a,
-        b=coef.b,
-        c=coef.c,
-        px_over_u=coef.px_over_u,
+        U=_lock(U),
+        dxU=_lock(dxU),
+        dtU=_lock(dtU),
+        px_over_u=_lock(dxP / U),
         w0=_lock(w0),
         w1=_lock(w1),
         v0=_lock(v0),

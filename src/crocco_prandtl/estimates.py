@@ -13,7 +13,6 @@ are the midpoint derivative samples; boundary integrals use the trace rows
 directly.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .crocco import CroccoProblem
 from .errors import ConfigError, NumericalError
-from .grids import FieldHistory, l1_space_norm, trapezoid_weights
+from .grids import FieldHistory, trapezoid_weights
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +223,9 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
     """Midcell quadrature of the weighted weak identity for one history.
 
     The field-dependent midcell arrays are built once, restricted to the
-    margin once; the returned function evaluates a test function on the
-    broadcast midcell axes and gives the seven terms and their sum.
+    margin once; a, b, c are formed only for their midcell kernels.  The
+    returned function evaluates a test function on the broadcast midcell
+    axes and gives the seven terms and their sum.
     """
     g = problem.grid
     if margin and 2 * margin >= min(g.nx, g.ny):
@@ -245,11 +245,10 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
     vol_sl = (slice(None), xs, ys)
     inv_u = 1.0 / u_c[vol_sl]
     uy_c = (_stagger_y(u) / dy)[vol_sl]
-    a_c = _center8(problem.a)[vol_sl]
-    b_c = _center8(problem.b)[vol_sl]
-    c_c = _center8(problem.c)[vol_sl]
-    ax_c = (_stagger_x(problem.a) / dx)[vol_sl]
-    by_c = (_stagger_y(problem.b) / dy)[vol_sl]
+    a, b, c = problem.coefficients()        # node volumes, dropped once centred
+    a_c, b_c, c_c = (_center8(v)[vol_sl] for v in (a, b, c))
+    ax_c, by_c = (_stagger_x(a) / dx)[vol_sl], (_stagger_y(b) / dy)[vol_sl]
+    del a, b, c
 
     T3, X3, Y3 = tc[:, None, None], xc[None, :, None], yc[None, None, :]
     W = (1.0 - Y3) ** alpha

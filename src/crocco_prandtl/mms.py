@@ -22,7 +22,7 @@ import sympy as sp
 from .crocco import CroccoData, CroccoProblem, make_problem
 from .errors import ConfigError
 from .flows import ExternalFlow, make_flow
-from .grids import FieldHistory, Forcing, GridSpec
+from .grids import Forcing, GridSpec
 from .solver import solve
 
 _X, _Y, _T = sp.symbols("x y t", real=True)

@@ -19,6 +19,9 @@ Scheme, per time step:
   * reaction c u implicit (positivity preserved by division),
   * forcing explicit.
 
+Coefficients are formed per time level from the problem's (t, x) factors
+(`CroccoProblem.coefficients`): a step uses a, b at t_n and c at t_{n+1}.
+
 The wall flux is imposed through a ghost node eliminated with the
 second-order centered gradient (u_1 - u_ghost) / (2 dy).  That makes the
 wall row nonlinear in the wall value alone, so each column reduces to a
@@ -45,8 +48,8 @@ CFL_SAFETY = 0.9
 
 def cfl_margins(problem: CroccoProblem, grid: GridSpec, eps: float) -> dict:
     """Stability margins of the explicit transport terms (must stay <= 0.9)."""
-    amax = float(np.max(problem.a)) + eps
-    bmax = float(np.max(np.abs(problem.b)))
+    amax = float(np.max(problem.U)) + eps  # max a = max U exactly, as 0 <= y <= 1
+    bmax = problem.b_abs_max
     return {
         "cfl_x": grid.dt * amax / grid.dx,
         "cfl_y": grid.dt * bmax / grid.dy if bmax > 0 else 0.0,
@@ -78,13 +81,10 @@ def _solve_columns(sub, dia, sup, rhs) -> np.ndarray:
     return x.T.reshape(rhs.shape)
 
 
-def _advance(u, n, problem, grid, eps, forcing) -> tuple:
+def _advance(u, n, problem, grid, eps, forcing, a_n, b_n, c_n1) -> tuple:
     """One step t_n -> t_{n+1}; returns (new field, newton iteration count)."""
     dt, dx, dy = grid.dt, grid.dx, grid.dy
     ny = grid.ny
-    a_n = problem.a[n]
-    b_n = problem.b[n]
-    c_n1 = problem.c[n + 1]
     v0_n = problem.v0[n]
     g_n = problem.px_over_u[n]
     v0_n1 = problem.v0[n + 1]
@@ -93,14 +93,12 @@ def _advance(u, n, problem, grid, eps, forcing) -> tuple:
     rhs = u.copy()
     rhs[1:, :] -= dt * (a_n[1:, :] + eps) * (u[1:, :] - u[:-1, :]) / dx
 
-    dyu = np.zeros_like(u)
+    d = (u[:, 1:] - u[:, :-1]) / dy
     bwd = np.zeros_like(u)
     fwd = np.zeros_like(u)
-    bwd[:, 1:] = (u[:, 1:] - u[:, :-1]) / dy
-    fwd[:, :-1] = (u[:, 1:] - u[:, :-1]) / dy
-    pos = b_n > 0
-    dyu[pos] = bwd[pos]
-    dyu[~pos] = fwd[~pos]
+    bwd[:, 1:] = d
+    fwd[:, :-1] = d
+    dyu = np.where(b_n > 0, bwd, fwd)
     # wall row: one-sided stencils have no upwind cell below y=0, so use the
     # Robin gradient the boundary condition itself asserts there
     dyu[:, 0] = v0_n + g_n / (u[:, 0] + eps)
@@ -185,8 +183,11 @@ def solve(problem: CroccoProblem, grid: GridSpec, eps: float,
     u[:, -1] = 0.0
     values[0] = u
     newton_iters = np.zeros(nt, dtype=int)
+    a_n, b_n, _ = problem.coefficients(0)
     for n in range(nt):
-        u, it = _advance(u, n, problem, grid, eps, forcing)
+        a_n1, b_n1, c_n1 = problem.coefficients(n + 1)
+        u, it = _advance(u, n, problem, grid, eps, forcing, a_n, b_n, c_n1)
+        a_n, b_n = a_n1, b_n1
         newton_iters[n] = it
         values[n + 1] = u
     return FieldHistory(

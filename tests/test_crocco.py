@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from crocco_prandtl.crocco import (
-    CroccoData,
-    coefficients,
-    make_problem,
-    validate,
-)
+from crocco_prandtl.crocco import CroccoData, make_problem, validate
 from crocco_prandtl.errors import DataError
-from crocco_prandtl.flows import accelerating_flow, decelerating_flow, uniform_flow
+from crocco_prandtl.flows import (ExternalFlow, accelerating_flow, decelerating_flow,
+                                  uniform_flow)
 from crocco_prandtl.grids import GridSpec
+from crocco_prandtl.solver import cfl_margins
 
 
 def linear_data(scale=1.0):
@@ -21,29 +18,30 @@ def linear_data(scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# coefficient sampling
+# coefficient formation
 
 
 def test_coefficients_accelerating_flow_closed_form():
     grid = GridSpec(8, 8, 8, L=1.0, T=0.5)
-    coef = coefficients(accelerating_flow(1.0, 0.5), grid)
+    problem = make_problem(accelerating_flow(1.0, 0.5), grid, linear_data())
+    a, b, c = problem.coefficients()
     t = grid.t[:, None, None]
     y = grid.y[None, None, :]
-    assert np.allclose(coef.a, y * (1.0 + t), atol=1e-14)
-    assert np.allclose(coef.b, (1.0 - y) / (1.0 + t), atol=1e-14)
+    assert np.allclose(a, y * (1.0 + t), atol=1e-14)
+    assert np.allclose(b, (1.0 - y) / (1.0 + t), atol=1e-14)
     # dxU = 0, dxP = -1: zeroth-order coefficient reduces to 1/U
-    assert np.allclose(coef.c, 1.0 / (1.0 + t) + 0.0 * y, atol=1e-14)
-    assert np.allclose(coef.px_over_u, -1.0 / (1.0 + grid.t[:, None]), atol=1e-14)
+    assert np.allclose(c, 1.0 / (1.0 + t) + 0.0 * y, atol=1e-14)
+    assert np.allclose(problem.px_over_u, -1.0 / (1.0 + grid.t[:, None]), atol=1e-14)
 
 
 def test_coefficient_variants_differ_by_twice_weighted_dxU():
     grid = GridSpec(8, 8, 8, L=1.0, T=0.5)
     flow = decelerating_flow(1.0, 0.5)
-    coef = coefficients(flow, grid)
+    c = make_problem(flow, grid, linear_data()).coefficients()[2]
     x, t = grid.x[None, :, None], grid.t[:, None, None]
     y = grid.y[None, None, :]
     # the alternative zeroth-order coefficient y dxU + dtU / U
-    gap = coef.c - (y * flow.dxU(x, t) + flow.dtU(x, t) / flow.U(x, t))
+    gap = c - (y * flow.dxU(x, t) + flow.dtU(x, t) / flow.U(x, t))
     assert np.allclose(gap, 2.0 * (1.0 - y) * (-0.25), atol=1e-14)
 
 
@@ -51,14 +49,79 @@ def test_wall_identity_b_equals_minus_px_over_u():
     grid = GridSpec(8, 8, 8, L=1.0, T=0.5)
     for flow in (uniform_flow(1.0, 0.5), accelerating_flow(1.0, 0.5),
                  decelerating_flow(1.0, 0.5)):
-        coef = coefficients(flow, grid)
-        assert np.allclose(coef.b[:, :, 0], -coef.px_over_u, atol=1e-14), flow.name
+        problem = make_problem(flow, grid, linear_data())
+        b = problem.coefficients()[1]
+        assert np.allclose(b[:, :, 0], -problem.px_over_u, atol=1e-14), flow.name
 
 
 def test_coefficients_reject_nonpositive_flow():
     grid = GridSpec(8, 8, 8, L=5.0, T=0.5)
     with pytest.raises(DataError, match="positive"):
-        coefficients(decelerating_flow(5.0, 0.5), grid)
+        make_problem(decelerating_flow(5.0, 0.5), grid, linear_data())
+
+
+def swelling_flow(L, T):
+    # U = 1 + t^2 + x t / 4: every factor varies and max |b| sits on the last level
+    return ExternalFlow(U=lambda x, t: 1.0 + t * t + 0.25 * x * t,
+                        dxU=lambda x, t: 0.25 * t + 0.0 * x,
+                        dtU=lambda x, t: 2.0 * t + 0.25 * x, L=L, T=T, name="swelling")
+
+
+@pytest.mark.parametrize("flow", [uniform_flow, accelerating_flow, decelerating_flow,
+                                  swelling_flow])
+def test_coefficients_bit_identical_to_broadcast_reference(flow):
+    grid = GridSpec(10, 7, 6, L=1.0, T=0.5)
+    flow = flow(grid.L, grid.T)
+    problem = make_problem(flow, grid, linear_data())
+    # reference: the coefficients as full (t, x, y) broadcast volumes
+    t = grid.t[:, None, None]
+    x = grid.x[None, :, None]
+    y = grid.y[None, None, :]
+    U = np.asarray(flow.U(x, t), dtype=float)
+    dxU = np.asarray(flow.dxU(x, t), dtype=float)
+    dtU = np.asarray(flow.dtU(x, t), dtype=float)
+    dxP = -(dtU + U * dxU)
+    full = (grid.nt + 1, grid.nx + 1, grid.ny + 1)
+    ref = [np.broadcast_to(v, full) for v in (
+        y * U,
+        (1.0 - y**2) * dxU + (1.0 - y) * dtU / U,
+        (1.0 - y) * dxU - dxP / U,
+    )]
+    assert np.array_equal(problem.px_over_u, (dxP / U)[..., 0])
+    for got, want in zip(problem.coefficients(), ref):
+        assert got.shape == full
+        assert np.array_equal(got, want)
+    for n in range(grid.nt + 1):
+        for got, want in zip(problem.coefficients(n), ref):
+            assert got.shape == full[1:]
+            assert np.array_equal(got, want[n])
+    for eps in (1e-3, 0.1):
+        bmax = float(np.max(np.abs(ref[1])))
+        assert cfl_margins(problem, grid, eps) == {
+            "cfl_x": grid.dt * (float(np.max(ref[0])) + eps) / grid.dx,
+            "cfl_y": grid.dt * bmax / grid.dy if bmax > 0 else 0.0,
+        }
+
+
+def _held_bytes(problem) -> dict:
+    """Bytes of the buffer behind each array a problem holds."""
+    held = {}
+    for name, value in vars(problem).items():
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            held[name] = value.nbytes
+    return held
+
+
+def test_stored_coefficients_do_not_scale_with_ny():
+    # only the shear data w0 (x, y) and w1 (t, y) may grow with ny; every
+    # other array is a (t, x) factor
+    coef_bytes = []
+    for ny in (16, 512):
+        held = _held_bytes(make_problem(uniform_flow(), GridSpec(16, ny, 16), linear_data()))
+        coef_bytes.append(sum(held.values()) - held["w0"] - held["w1"])
+    assert coef_bytes[0] == coef_bytes[1]
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +131,15 @@ def test_coefficients_reject_nonpositive_flow():
 def test_make_problem_shapes_and_locking():
     grid = GridSpec(6, 5, 4, L=1.0, T=0.5)
     problem = make_problem(uniform_flow(1.0, 0.5), grid, linear_data())
-    assert problem.a.shape == (5, 7, 6)
+    assert problem.coefficients()[0].shape == (5, 7, 6)
+    assert problem.coefficients(2)[0].shape == (7, 6)
     assert problem.w0.shape == (7, 6)
     assert problem.w1.shape == (5, 6)
     assert problem.v0.shape == (5, 7)
-    for arr in (problem.a, problem.w0, problem.w1, problem.v0):
+    for arr in (problem.U, problem.dxU, problem.dtU, problem.px_over_u):
+        assert arr.shape == (5, 7)
+    for arr in (problem.U, problem.dxU, problem.dtU, problem.px_over_u,
+                problem.w0, problem.w1, problem.v0):
         assert not arr.flags.writeable
     assert np.all(problem.w0[:, -1] == 0.0)
 
@@ -97,16 +164,6 @@ def test_make_problem_rejects_corner_mismatch():
     )
     with pytest.raises(DataError, match="corner"):
         make_problem(uniform_flow(), grid, data)
-
-
-def test_replace_data_leaves_original_untouched():
-    grid = GridSpec(6, 6, 6)
-    problem = make_problem(uniform_flow(), grid, linear_data())
-    bumped = problem.replace_data(w0=problem.w0 * 1.1, label="bumped")
-    assert bumped.label == "bumped"
-    assert np.max(np.abs(bumped.w0 - 1.1 * problem.w0)) == 0.0
-    assert np.all(problem.w0[:, 0] == 1.0)
-    assert not bumped.w0.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -219,9 +221,17 @@ def _meshgrid_terms(history, problem, phi, alpha, margin):
     tc, xc, yc = (0.5 * (c[1:] + c[:-1]) for c in (t, x, y))
     inv_u = 1.0 / estimates._center8(u)
     uy_c = estimates._stagger_y(u) / dy
-    a_c, b_c, c_c = (estimates._center8(v) for v in (problem.a, problem.b, problem.c))
-    ax_c = estimates._stagger_x(problem.a) / dx
-    by_c = estimates._stagger_y(problem.b) / dy
+    # node coefficients a = yU, b = (1-y^2) dxU + (1-y) dtU/U, c = (1-y) dxU - dxP/U
+    Tn, Xn, Yn = np.meshgrid(t, x, y, indexing="ij")
+    flow = problem.flow
+    U, dxU, dtU = flow.U(Xn, Tn), flow.dxU(Xn, Tn), flow.dtU(Xn, Tn)
+    dxP = -(dtU + U * dxU)
+    a = Yn * U
+    b = (1.0 - Yn**2) * dxU + (1.0 - Yn) * dtU / U
+    c = (1.0 - Yn) * dxU - dxP / U
+    a_c, b_c, c_c = (estimates._center8(v) for v in (a, b, c))
+    ax_c = estimates._stagger_x(a) / dx
+    by_c = estimates._stagger_y(b) / dy
     T3, X3, Y3 = np.meshgrid(tc, xc, yc, indexing="ij")
     W = (1.0 - Y3) ** alpha
     Wp = -alpha * (1.0 - Y3) ** (alpha - 1.0)
@@ -355,7 +365,7 @@ def test_l1_stability_symmetry():
     d = 2e-3
     grid = GridSpec(nx=8, ny=16, nt=8)
     prob_a = linear_problem(grid)
-    prob_b = prob_a.replace_data(w0=prob_a.w0 * (1.0 + d), w1=prob_a.w1 * (1.0 + d))
+    prob_b = replace(prob_a, w0=prob_a.w0 * (1.0 + d), w1=prob_a.w1 * (1.0 + d))
     h_a = grid_history(lambda t, x, y: 1.0 - y, nt=8, nx=8, ny=16)
     h_b = grid_history(lambda t, x, y: (1.0 + d) * (1.0 - y), nt=8, nx=8, ny=16)
     fwd = l1_stability(h_a, h_b, prob_a, prob_b)
@@ -377,7 +387,7 @@ def test_physical_stability_matches_crocco_distance():
     # truncated top cell, so the two routes agree to O(dy)
     grid = GridSpec(nx=8, ny=64, nt=8)
     prob_a = linear_problem(grid)
-    prob_b = prob_a.replace_data(w0=prob_a.w0 * 0.0 + 2.0)
+    prob_b = replace(prob_a, w0=prob_a.w0 * 0.0 + 2.0)
     h_a = grid_history(lambda t, x, y: np.full_like(y, 2.0), nt=8, nx=8, ny=64)
     h_b = grid_history(lambda t, x, y: np.ones_like(y), nt=8, nx=8, ny=64)
     rep = physical_stability(h_a, h_b, prob_a, prob_b)
@@ -388,7 +398,7 @@ def test_physical_stability_matches_crocco_distance():
 def test_physical_stability_linear_pair():
     grid = GridSpec(nx=8, ny=128, nt=4)
     prob_a = linear_problem(grid)
-    prob_b = prob_a.replace_data(w0=prob_a.w0 * 0.8)
+    prob_b = replace(prob_a, w0=prob_a.w0 * 0.8)
     h_a = grid_history(lambda t, x, y: 1.0 - y, nt=4, nx=8, ny=128)
     h_b = grid_history(lambda t, x, y: 0.8 * (1.0 - y), nt=4, nx=8, ny=128)
     rep = physical_stability(h_a, h_b, prob_a, prob_b)
