@@ -28,7 +28,7 @@ from .estimates import (EstimateReport, bv_seminorm, comparison_constant,
 from .flows import (accelerating_flow, decelerating_flow, make_flow,
                     pressure_gradient, uniform_flow)
 from .grids import AnalyticField, FieldHistory, GridSpec
-from .kolmogorov import (Box, CutoffSpec, Cutoffs, density_ratio,
+from .kolmogorov import (Box, CutoffSpec, density_ratio,
                          dilation_defect, gamma0, kernel_reproduction,
                          l0_residual, log_field, log_subsolution, mean_value,
                          model_scenarios, normalization, oscillation_table,
@@ -49,7 +49,7 @@ __all__ = [
     "accelerating_flow", "decelerating_flow", "make_flow",
     "pressure_gradient", "uniform_flow",
     "AnalyticField", "FieldHistory", "GridSpec",
-    "Box", "CutoffSpec", "Cutoffs", "density_ratio",
+    "Box", "CutoffSpec", "density_ratio",
     "dilation_defect", "gamma0", "kernel_reproduction", "l0_residual",
     "log_field", "log_subsolution", "mean_value", "model_scenarios",
     "normalization", "oscillation_table", "solve_model", "verify_lemma",

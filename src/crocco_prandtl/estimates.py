@@ -67,16 +67,13 @@ class EstimateReport:
 # pointwise comparison envelope
 
 
-def comparison_constant(history: FieldHistory, margin: int = 0) -> float:
+def comparison_constant(history: FieldHistory) -> float:
     """Smallest C with (1-y)/C <= u <= C (1-y); the y = 1 row is excluded.
 
     Returns inf when the field fails positivity on the included rows.
     """
     y = history.y[:-1]
     u = history.values[:, :, :-1]
-    if margin:
-        u = u[:, margin:-margin, margin:]
-        y = y[margin:]
     if np.min(u) <= 0:
         return float("inf")
     ratio = u / (1.0 - y[None, None, :])

@@ -6,11 +6,14 @@ containers on boxes centred at the origin, so coordinate arrays are stored
 explicitly instead of being derived from a GridSpec.  FieldHistory axes
 are uniform, so sampling finds a cell by one division, not a search.
 
-Both field types offer the field at fixed times, at_times(tau, x_span,
-y_span) -> at_y(y) -> function of x: FieldHistory interpolates once in time
-onto a windowed slab and samples it bilinearly, AnalyticField binds tau and
-y in its callable.  The mean-value functional calls it once per time level
-and never branches on the field type.
+Two field types share the sampling protocol of the measurement layer:
+sample(t, x, y) at broadcastable queries, and the field at fixed times,
+at_times(tau, x_span, y_span) -> at_y(y) -> function of x.  FieldHistory
+interpolates once in time onto a windowed slab and samples it bilinearly;
+AnalyticField binds tau and y in its callable.  The mean-value functional
+calls at_times once per time level and never branches on the field type.
+Only FieldHistory has the wall-normal derivative sample_dy, which the weak
+Poincare functional integrates.
 """
 
 from dataclasses import dataclass, field
@@ -67,8 +70,9 @@ class GridSpec:
     def label(self) -> str:
         return f"{self.nx}x{self.ny}x{self.nt}"
 
-    def refined(self, factor: int = 2) -> "GridSpec":
-        return GridSpec(self.nx * factor, self.ny * factor, self.nt * factor, self.L, self.T)
+    def refined(self) -> "GridSpec":
+        """The grid with every step halved."""
+        return GridSpec(2 * self.nx, 2 * self.ny, 2 * self.nt, self.L, self.T)
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,7 @@ class FieldHistory:
         """Trilinear interpolation at broadcastable query coordinates."""
         return self._trilinear(self.values, t, x, y)
 
-    def sample_dy(self, t, x, y, step: float = 0.0) -> np.ndarray:
+    def sample_dy(self, t, x, y) -> np.ndarray:
         """Wall-normal derivative, computed on the grid and then interpolated."""
         return self._trilinear(np.gradient(self.values, self.y, axis=2), t, x, y)
 
@@ -195,28 +199,15 @@ class FieldHistory:
 
 
 class AnalyticField:
-    """Callable-backed field with the same sampling protocol as FieldHistory.
+    """Callable-backed field with the sampling protocol of FieldHistory,
+    for exact control cases; f(t, x, y) gets broadcast query arrays."""
 
-    Useful for exact control cases.  The wall-normal derivative uses the
-    supplied closed form when given, otherwise a central difference with a
-    caller-controlled step.
-    """
-
-    def __init__(self, f: Callable, dfdy: Optional[Callable] = None):
+    def __init__(self, f: Callable):
         self.f = f
-        self.dfdy = dfdy
 
     def sample(self, t, x, y) -> np.ndarray:
         tq, xq, yq = np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float), np.asarray(y, float))
         return np.broadcast_to(np.asarray(self.f(tq, xq, yq), float), tq.shape).copy()
-
-    def sample_dy(self, t, x, y, step: float = 1e-4) -> np.ndarray:
-        if self.dfdy is not None:
-            tq, xq, yq = np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float), np.asarray(y, float))
-            return np.broadcast_to(np.asarray(self.dfdy(tq, xq, yq), float), tq.shape).copy()
-        hi = self.sample(t, x, np.asarray(y, float) + step)
-        lo = self.sample(t, x, np.asarray(y, float) - step)
-        return (hi - lo) / (2.0 * step)
 
     def at_times(self, tau, x_span, y_span) -> Callable:
         """The field at the fixed times tau, as at_y(y) -> function of x,
@@ -234,13 +225,6 @@ def trapezoid_weights(coords: np.ndarray) -> np.ndarray:
     w[:-1] += 0.5 * d
     w[1:] += 0.5 * d
     return w
-
-
-def l1_space_norm(diff: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """L1 norm over the (x, y) cross-section by trapezoid weights."""
-    wx = trapezoid_weights(x)
-    wy = trapezoid_weights(y)
-    return float(np.einsum("i,j,ij->", wx, wy, np.abs(diff)))
 
 
 def l1_spacetime_norm(diff: np.ndarray, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:

@@ -14,7 +14,7 @@ only), and an x-independent field linear in y with curved time dependence
 """
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 import sympy as sp
@@ -60,8 +60,7 @@ class ManufacturedCase:
 
 
 def build_case(name: str, u_expr: sp.Expr, eps: float,
-               flow_name: str = "uniform", L: float = 1.0, T: float = 1.0,
-               U_expr: Optional[sp.Expr] = None) -> ManufacturedCase:
+               flow_name: str = "uniform", L: float = 1.0, T: float = 1.0) -> ManufacturedCase:
     """Derive forcing and traces for a candidate field.
 
     The field must vanish identically on y = 1 and stay positive below it;
@@ -73,7 +72,7 @@ def build_case(name: str, u_expr: sp.Expr, eps: float,
     if eps <= 0:
         raise ConfigError("regularization level must be positive")
     flow = make_flow(flow_name, L=L, T=T)
-    U = U_expr if U_expr is not None else _flow_expr(flow_name)
+    U = _flow_expr(flow_name)
     Ux = sp.diff(U, _X)
     Ut = sp.diff(U, _T)
     Px = -(Ut + U * Ux)

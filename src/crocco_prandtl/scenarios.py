@@ -343,9 +343,8 @@ def run_kolmogorov_checks(cfg, store: SolveStore) -> RunResult:
         rep.add(f"cutoff_{chk.name}_margin", chk.margin, g, e)
         rep.verdict(f"cutoff_{chk.name}", chk.passed)
 
-    cut = ko.Cutoffs(spec)
     const = AnalyticField(lambda t, x, y: np.full_like(np.asarray(t, float), 2.5))
-    mv = ko.mean_value(const, cut, nz=3)
+    mv = ko.mean_value(const, spec, nz=3)
     rep.add("mean_value_const_rel_error", abs(mv.i0 - 2.5) / 2.5, g, e)
     rep.add("mean_value_band_leak", mv.band_term_max, g, e)
 
@@ -473,10 +472,10 @@ def validate_scenario(cfg) -> ValidationReport:
                 ko.model_scenarios(kind, lam=cfg.lam, seed=cfg.seed)
             except ConfigError as exc:
                 issues.append(ValidationIssue(str(exc), (cfg.lam,), float("nan")))
-        dt, dx = 0.75 / cfg.nt, 2.0 / cfg.nx
-        if dt > 0.9 * dx:
-            issues.append(ValidationIssue(
-                "model transport stability (dt <= 0.9 dx)", (dt, dx), dt / dx))
+        try:
+            ko.model_axes(cfg.nx, cfg.nt, ko.MODEL_T0)
+        except ConfigError as exc:
+            issues.append(ValidationIssue(str(exc), (cfg.nx, cfg.nt), float("nan")))
         try:
             ko.CutoffSpec(r=0.8 * cfg.theta, theta=cfg.theta)
         except ConfigError as exc:

@@ -75,7 +75,9 @@ def _solve_columns(sub, dia, sup, rhs) -> np.ndarray:
     lower, upper = np.array(sub, float), np.array(sup, float)
     lower[:, 0] = upper[:, -1] = 0.0
     b = np.reshape(rhs, (rhs.shape[0], -1)).T
-    *_, x, info = dgtsv(lower.ravel()[1:], dia.ravel(), upper.ravel()[:-1], b)
+    # lower and upper are private copies, so LAPACK may overwrite them
+    *_, x, info = dgtsv(lower.ravel()[1:], dia.ravel(), upper.ravel()[:-1], b,
+                        overwrite_dl=True, overwrite_du=True)
     if info != 0:
         raise NumericalError(f"wall-normal tridiagonal solve failed (info={info})")
     return x.T.reshape(rhs.shape)
@@ -263,7 +265,6 @@ class ConvergenceTable:
 
 
 def viscosity_sweep(problem: CroccoProblem, grid: GridSpec, eps_list,
-                    forcing: Optional[Forcing] = None,
                     store: Optional[SolveStore] = None) -> ConvergenceTable:
     """Solve a decreasing sequence of regularizations and tabulate successive
     L1 differences over the space-time cylinder.
@@ -281,7 +282,7 @@ def viscosity_sweep(problem: CroccoProblem, grid: GridSpec, eps_list,
     histories = []
     for e in eps_list:
         try:
-            histories.append(store.solve(problem, e, forcing))
+            histories.append(store.solve(problem, e))
         except NumericalError:
             histories.append(None)
     rows = []
@@ -294,16 +295,16 @@ def viscosity_sweep(problem: CroccoProblem, grid: GridSpec, eps_list,
     return ConvergenceTable(rows=rows)
 
 
-def grid_refinement_proxy(problem_builder, grid: GridSpec, eps: float, factor: int = 2,
+def grid_refinement_proxy(problem_builder, grid: GridSpec, eps: float,
                           store: Optional[SolveStore] = None) -> float:
-    """Discretization-error proxy: L1 gap between a run and its refined-grid
-    restriction, both at the same eps.
+    """Discretization-error proxy: L1 gap between a run and the restriction
+    of the run on the grid refined by 2, both at the same eps.
 
     problem_builder(grid) must return the problem sampled on the given grid;
     problems and solves go through store (a fresh one when none is given).
     """
     store = store or SolveStore()
     coarse = store.solve(store.build(problem_builder, grid), eps)
-    fine = store.solve(store.build(problem_builder, grid.refined(factor)), eps)
-    restricted = fine.values[::factor, ::factor, ::factor]
+    fine = store.solve(store.build(problem_builder, grid.refined()), eps)
+    restricted = fine.values[::2, ::2, ::2]
     return l1_spacetime_norm(coarse.values - restricted, grid.t, grid.x, grid.y)

@@ -8,7 +8,9 @@ regressions surface quickly.
 import numpy as np
 import pytest
 
+from crocco_prandtl import kolmogorov as ko
 from crocco_prandtl.config import RunConfig
+from crocco_prandtl.errors import ConfigError
 from crocco_prandtl.reporting import write_artifacts
 from crocco_prandtl.scenarios import (
     RUNNERS,
@@ -97,6 +99,24 @@ def test_validate_scenario_verdicts():
     assert validate_scenario(RunConfig(scenario="kolmogorov_checks")).ok
     bad = validate_scenario(RunConfig(scenario="oscillation_lab", nx=64, nt=16))
     assert not bad.ok
+
+
+def test_model_grid_stability_decided_once():
+    # validation flags the model grid exactly when the model solver refuses
+    # it; these pairs sit on both sides of dt <= 0.9 dx, some at equality
+    outcomes = []
+    for nx, nt in ((12, 5), (48, 20), (60, 25), (144, 60), (192, 80)):
+        report = validate_scenario(RunConfig(scenario="oscillation_lab", nx=nx, ny=8, nt=nt))
+        flagged = any("transport stability" in issue.condition for issue in report.issues)
+        try:
+            ko.solve_model(ko.model_scenarios("constant"), nx=nx, ny=8, nt=nt)
+            refused = False
+        except ConfigError:
+            refused = True
+        assert flagged == refused, (nx, nt)
+        assert report.ok == (not refused), (nx, nt)
+        outcomes.append(refused)
+    assert True in outcomes and False in outcomes
 
 
 def test_artifact_writer_emits_tables(tmp_path):
