@@ -17,7 +17,7 @@ store = SolveStore()
 grid = GridSpec(64, 64, 64, L=1.0, T=ACCEL_T)
 problem = store.build(favorable_accel_problem, grid)
 
-table = viscosity_sweep(problem, grid, (0.1, 0.03, 0.01, 0.003, 0.001), store=store)
+table = viscosity_sweep(problem, (0.1, 0.03, 0.01, 0.003, 0.001), store)
 print("eps sweep, L1 gaps between consecutive runs:")
 for row in table.rows:
     print("  %g -> %g : %.4e" % (row.eps_hi, row.eps_lo, row.l1_diff))

@@ -2,7 +2,8 @@
 
 Verbs:
     run         execute a configured scenario and write its artifacts
-    validate    check a configuration and its data hypotheses, no solves
+    validate    check a configuration, its data hypotheses and its grid
+                stability bounds, no solves
     acceptance  run the acceptance checklist (all criteria or a subset)
     version     print the package version
 

@@ -28,13 +28,16 @@ from them, per time level or as volumes, by `CroccoProblem.coefficients`.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import DataError
 from .flows import ExternalFlow, pressure_gradient
 from .grids import GridSpec
+
+# largest admissible constant of the linear envelope (1 - y)/C0 <= w <= C0 (1 - y)
+C0_MAX = 50.0
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,6 @@ class ValidationIssue:
 class ValidationReport:
     issues: tuple
     c0: float
-    favorable: bool
 
     @property
     def ok(self) -> bool:
@@ -179,43 +181,28 @@ def make_problem(flow: ExternalFlow, grid: GridSpec, data: CroccoData, label: st
     )
 
 
-def validate(data: CroccoData, flow: ExternalFlow, grid: Optional[GridSpec] = None,
-             c0_max: float = 50.0) -> ValidationReport:
-    """Check the structural hypotheses of the well-posedness theory.
+def validate(problem: CroccoProblem) -> ValidationReport:
+    """Check the structural hypotheses of the well-posedness theory on the
+    problem a run would march.
 
-    Sampled checks: positive outer flow, non-positive suction, positive
-    shear data below y = 1 (the monotone-profile class), the linear
-    envelope bound w comparable to (1 - y) with constant below c0_max, and
-    the favorable-pressure flag.  An empty issue list means every
-    hypothesis holds on the sample lattice.
+    Reads the sampled data: non-positive suction v0, positive shear w0 and
+    w1 below y = 1 (the monotone-profile class) and the linear envelope
+    bound w comparable to (1 - y) with constant below C0_MAX.  The pressure
+    gradient is classified on the lattice of the grid's nodes.  Positivity
+    of U needs no check here: make_problem refuses a problem without it.
+    An empty issue list means every hypothesis holds on the grid.
     """
-    grid = grid or GridSpec(64, 64, 64, flow.L, flow.T)
+    g = problem.grid
+    x, t, yint = g.x, g.t, g.y[:-1]
     issues = []
-    x = grid.x
-    y = grid.y
-    t = grid.t
+    if np.any(problem.v0 > 1e-12):
+        i, j = np.unravel_index(int(np.argmax(problem.v0)), problem.v0.shape)
+        issues.append(ValidationIssue("suction sign (v0 <= 0)", (x[j], t[i]),
+                                      float(problem.v0[i, j])))
 
-    xx, tt = np.meshgrid(x, t, indexing="ij")
-    Uv = np.asarray(flow.U(xx, tt), dtype=float)
-    if np.any(Uv <= 0):
-        i, j = np.unravel_index(int(np.argmin(Uv)), Uv.shape)
-        issues.append(ValidationIssue("outer flow positivity (U > 0)",
-                                      (xx[i, j], tt[i, j]), float(Uv[i, j])))
-
-    v0v = np.broadcast_to(np.asarray(data.v0(xx, tt), dtype=float), xx.shape)
-    if np.any(v0v > 1e-12):
-        i, j = np.unravel_index(int(np.argmax(v0v)), v0v.shape)
-        issues.append(ValidationIssue("suction sign (v0 <= 0)",
-                                      (xx[i, j], tt[i, j]), float(v0v[i, j])))
-
-    yint = y[:-1]
     ratios = []
-    for name, vals, coords in (
-        ("initial shear", np.broadcast_to(np.asarray(data.w0(x[:, None], yint[None, :]), float),
-                                          (x.size, yint.size)), x),
-        ("inflow shear", np.broadcast_to(np.asarray(data.w1(yint[None, :], t[:, None]), float),
-                                         (t.size, yint.size)), t),
-    ):
+    for name, vals, coords in (("initial shear", problem.w0[:, :-1], x),
+                               ("inflow shear", problem.w1[:, :-1], t)):
         if np.any(vals <= 0):
             i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
             issues.append(ValidationIssue(f"monotone profile class ({name} > 0)",
@@ -225,15 +212,15 @@ def validate(data: CroccoData, flow: ExternalFlow, grid: Optional[GridSpec] = No
         ratios.append(ratio)
         lo = float(np.min(ratio))
         hi = float(np.max(ratio))
-        if lo < 1.0 / c0_max:
+        if lo < 1.0 / C0_MAX:
             i, j = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
             issues.append(ValidationIssue(
-                f"linear envelope lower bound ({name} vs (1-y)/C0, C0={c0_max:g})",
+                f"linear envelope lower bound ({name} vs (1-y)/C0, C0={C0_MAX:g})",
                 (coords[i], yint[j]), lo))
-        if hi > c0_max:
+        if hi > C0_MAX:
             i, j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
             issues.append(ValidationIssue(
-                f"linear envelope upper bound ({name} vs C0 (1-y), C0={c0_max:g})",
+                f"linear envelope upper bound ({name} vs C0 (1-y), C0={C0_MAX:g})",
                 (coords[i], yint[j]), hi))
 
     if ratios:
@@ -242,8 +229,8 @@ def validate(data: CroccoData, flow: ExternalFlow, grid: Optional[GridSpec] = No
     else:
         c0 = float("inf")
 
-    grad = pressure_gradient(flow, nx=x.size, nt=t.size)
+    grad = pressure_gradient(problem.flow, nx=g.nx + 1, nt=g.nt + 1)
     if not grad.favorable:
         issues.append(ValidationIssue("favorable pressure (dxP <= 0)",
                                       grad.worst_location, grad.worst_value))
-    return ValidationReport(issues=tuple(issues), c0=c0, favorable=grad.favorable)
+    return ValidationReport(issues=tuple(issues), c0=c0)

@@ -14,7 +14,7 @@ directly.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class EstimateReport:
     entries: List[ReportEntry] = field(default_factory=list)
     verdicts: dict = field(default_factory=dict)
 
-    def add(self, key, value, grid="", eps="", domain="full"):
+    def add(self, key, value, grid, eps, domain="full"):
         self.entries.append(ReportEntry(key, float(value), str(grid), str(eps), domain))
 
     def verdict(self, name: str, ok: bool):
@@ -156,6 +156,9 @@ def weighted_dyy_measure(history: FieldHistory, alpha: float, margin: int = 0) -
 # ---------------------------------------------------------------------------
 # weak-form residual
 
+# exponent of the weight (1-y)^alpha in the weak identity
+WEAK_ALPHA = 2.0
+
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -183,10 +186,6 @@ class TestFunction:
             return np.zeros(np.broadcast(x, y, t).shape)
         return (-self.m * np.sin(np.pi * self.k * x / self.L) * (1.0 - y) ** (self.m - 1)
                 * t * np.exp(-t / self.T))
-
-    @property
-    def label(self) -> str:
-        return f"k{self.k}m{self.m}"
 
 
 def test_function_family(L: float, T: float) -> List[TestFunction]:
@@ -216,13 +215,17 @@ def _stagger_x(v):
 
 
 def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
-                     alpha: float, margin: int) -> Callable[[TestFunction], dict]:
-    """Midcell quadrature of the weighted weak identity for one history.
+                     margin: int) -> Callable[[TestFunction], dict]:
+    """Midcell quadrature of the weak identity with weight (1-y)^WEAK_ALPHA
+    for one history.
 
-    The field-dependent midcell arrays are built once, restricted to the
-    margin once; a, b, c are formed only for their midcell kernels.  The
-    returned function evaluates a test function on the broadcast midcell
-    axes and gives the seven terms and their sum.
+    The seven integrals pair 1/u with the weight in the interior, add the
+    time boundary term at t = T and the wall trace paid by the suction
+    data; their sum vanishes for exact solutions.  The field-dependent
+    midcell arrays are built once, restricted to the margin once; a, b, c
+    are formed only for their midcell kernels.  The returned function
+    evaluates a test function on the broadcast midcell axes and gives the
+    seven terms and their sum.
     """
     g = problem.grid
     if margin and 2 * margin >= min(g.nx, g.ny):
@@ -248,8 +251,8 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
     del a, b, c
 
     T3, X3, Y3 = tc[:, None, None], xc[None, :, None], yc[None, None, :]
-    W = (1.0 - Y3) ** alpha
-    Wp = -alpha * (1.0 - Y3) ** (alpha - 1.0) if alpha != 0 else np.zeros_like(Y3)
+    W = (1.0 - Y3) ** WEAK_ALPHA
+    Wp = -WEAK_ALPHA * (1.0 - Y3) ** (WEAK_ALPHA - 1.0)
     # each volume term pairs phi or one of its derivatives with a kernel
     W_u = W * inv_u
     k_diff_y, k_diff = W * uy_c, Wp * uy_c
@@ -261,7 +264,7 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
     # final-time surface: nodes in t, midpoints in (x, y)
     XF, YF = xc[:, None], yc[None, :]
     uT = _center4(u[-1])[xs, ys]
-    WT = (1.0 - YF) ** alpha
+    WT = (1.0 - YF) ** WEAK_ALPHA
     # wall trace: nodes in y = 0 row, midpoints in (t, x)
     TT, XT = tc[:, None], xc[None, :]
     v0_c = _center4(problem.v0)[:, xs]
@@ -287,28 +290,15 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
     return terms
 
 
-def weak_residual_terms(history: FieldHistory, problem: CroccoProblem, phi: TestFunction,
-                        alpha: float = 2.0, margin: int = 0) -> dict:
-    """The seven integrals of the weighted weak identity, by midpoint cells.
-
-    Their sum vanishes for exact solutions: interior pairing of 1/u with the
-    weight (1-y)^alpha, the time boundary term at t = T, and the wall trace
-    paid by the suction data.  Returns the individual terms and their sum.
-    """
-    return _weak_quadrature(history, problem, alpha, margin)(phi)
-
-
-def weak_residual(history: FieldHistory, problem: CroccoProblem,
-                  family: Optional[List[TestFunction]] = None,
-                  alpha: float = 2.0, margin: int = 0) -> float:
-    """Largest absolute weak-identity residual over the test family.
+def weak_residual(history: FieldHistory, problem: CroccoProblem, margin: int = 0) -> float:
+    """Largest absolute weak-identity residual over test_function_family.
 
     The midcell fields are built once per history and shared by every
     test function of the family.
     """
-    family = family or test_function_family(problem.grid.L, problem.grid.T)
-    terms = _weak_quadrature(history, problem, alpha, margin)
-    return max(abs(terms(p)["residual"]) for p in family)
+    terms = _weak_quadrature(history, problem, margin)
+    return max(abs(terms(p)["residual"])
+               for p in test_function_family(problem.grid.L, problem.grid.T))
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +312,6 @@ class TraceReport:
     inflow_sup: float
     wall_sup: float
     wall_l1: float
-
-    @property
-    def worst(self) -> float:
-        return max(self.initial_sup, self.outflow_top_sup, self.inflow_sup, self.wall_sup)
 
 
 def trace_residual(history: FieldHistory, problem: CroccoProblem) -> TraceReport:
@@ -360,7 +346,6 @@ def trace_residual(history: FieldHistory, problem: CroccoProblem) -> TraceReport
 
 @dataclass
 class StabilityReport:
-    times: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
     c6_hat: float
@@ -396,13 +381,11 @@ def l1_stability(hist_a: FieldHistory, hist_b: FieldHistory,
         c6 = float(np.max(lhs[mask] / rhs[mask]))
         if np.any(lhs[~mask] > 1e-12):
             c6 = float("inf")
-    return StabilityReport(times=t.copy(), lhs=lhs, rhs=rhs, c6_hat=c6, exact_match=bool(exact))
+    return StabilityReport(lhs=lhs, rhs=rhs, c6_hat=c6, exact_match=bool(exact))
 
 
 @dataclass
 class PhysicalStabilityReport:
-    times: np.ndarray
-    physical_lhs: np.ndarray
     crocco_lhs: np.ndarray
     identity_gap: float
     c6_hat: float
@@ -447,8 +430,7 @@ def physical_stability(hist_a: FieldHistory, hist_b: FieldHistory,
     mask = base.rhs > 1e-300
     c6 = float(np.max(phys[mask] / base.rhs[mask])) if np.any(mask) else 0.0
     gap = float(np.max(np.abs(phys - croc)))
-    return PhysicalStabilityReport(times=t.copy(), physical_lhs=phys, crocco_lhs=croc,
-                                   identity_gap=gap, c6_hat=c6)
+    return PhysicalStabilityReport(crocco_lhs=croc, identity_gap=gap, c6_hat=c6)
 
 
 # ---------------------------------------------------------------------------

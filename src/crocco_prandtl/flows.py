@@ -28,23 +28,16 @@ class ExternalFlow:
     T: float = 1.0
     name: str = "custom"
 
-    def sample_lattice(self, nx: int = 33, nt: int = 33):
-        x = np.linspace(0.0, self.L, nx)
-        t = np.linspace(0.0, self.T, nt)
-        xx, tt = np.meshgrid(x, t, indexing="ij")
-        return xx, tt
-
 
 @dataclass(frozen=True)
 class PressureGradient:
-    """Bernoulli pressure gradient with a favorability flag.
+    """Favorability of the Bernoulli pressure gradient and its largest value.
 
     favorable is decided on a sample lattice; it is a property of the flow,
     not of the lattice density (verified by the test-suite on nested
     lattices).
     """
 
-    dxP: Callable
     favorable: bool
     worst_value: float
     worst_location: tuple
@@ -117,7 +110,8 @@ def pressure_gradient(flow: ExternalFlow, nx: int = 65, nt: int = 65) -> Pressur
 
     A non-positive U sample is a data error; the offending (x, t) is named.
     """
-    xx, tt = flow.sample_lattice(nx, nt)
+    xx, tt = np.meshgrid(np.linspace(0.0, flow.L, nx), np.linspace(0.0, flow.T, nt),
+                         indexing="ij")
     Uv = flow.U(xx, tt)
     if np.any(Uv <= 0.0):
         i, j = np.unravel_index(int(np.argmin(Uv)), Uv.shape)
@@ -125,15 +119,11 @@ def pressure_gradient(flow: ExternalFlow, nx: int = 65, nt: int = 65) -> Pressur
             f"flow U must be positive; U={Uv[i, j]:.6g} at (x={xx[i, j]:.6g}, t={tt[i, j]:.6g})"
         )
 
-    def dxP(x, t):
-        return -(flow.dtU(x, t) + flow.U(x, t) * flow.dxU(x, t))
-
-    vals = dxP(xx, tt)
+    vals = -(flow.dtU(xx, tt) + Uv * flow.dxU(xx, tt))
     k = int(np.argmax(vals))
     i, j = np.unravel_index(k, vals.shape)
     worst = float(vals[i, j])
     return PressureGradient(
-        dxP=dxP,
         favorable=bool(worst <= 1e-12),
         worst_value=worst,
         worst_location=(float(xx[i, j]), float(tt[i, j])),

@@ -75,21 +75,6 @@ class GridSpec:
         return GridSpec(2 * self.nx, 2 * self.ny, 2 * self.nt, self.L, self.T)
 
 
-@dataclass(frozen=True)
-class Forcing:
-    """Optional volumetric source term; f None or identically zero recovers
-    the unforced evolution."""
-
-    f: Optional[Callable] = None
-
-    def sample(self, x: np.ndarray, y: np.ndarray, t: float) -> Optional[np.ndarray]:
-        if self.f is None:
-            return None
-        xx, yy = np.meshgrid(x, y, indexing="ij")
-        vals = np.asarray(self.f(xx, yy, t), dtype=float)
-        return np.broadcast_to(vals, xx.shape)
-
-
 def _cell(nodes: np.ndarray, q) -> tuple:
     """Cell and in-cell weight of q; points outside extrapolate from the edge cell."""
     h = (nodes[-1] - nodes[0]) / (nodes.size - 1)

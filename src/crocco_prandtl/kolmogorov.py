@@ -370,7 +370,6 @@ MEAN_XI_NODES = 8
 class MeanValueReport:
     i0: float
     values: np.ndarray
-    z_lattice: np.ndarray
     band_term_max: float
 
 
@@ -469,10 +468,8 @@ def mean_value(w_field, spec: CutoffSpec, nz: int = 9) -> MeanValueReport:
         drift, band = _mean_value_level(w_field, spec, float(tq), zs, ys)
         vals[k] = drift + band
         band_max = max(band_max, float(np.max(np.abs(band))))
-    T, Xq, Yq = np.meshgrid(ts, zs, ys, indexing="ij")
-    lattice = np.stack([Xq.ravel(), Yq.ravel(), T.ravel()], axis=1)
     return MeanValueReport(i0=float(np.max(vals)), values=vals.ravel(),
-                           z_lattice=lattice, band_term_max=band_max)
+                           band_term_max=band_max)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import sympy as sp
 from .crocco import CroccoData, CroccoProblem, make_problem
 from .errors import ConfigError
 from .flows import ExternalFlow, make_flow
-from .grids import Forcing, GridSpec
+from .grids import GridSpec
 from .solver import solve
 
 _X, _Y, _T = sp.symbols("x y t", real=True)
@@ -44,11 +44,10 @@ class ManufacturedCase:
     """Closed-form field plus the forcing and data that make it exact."""
 
     name: str
-    expr: sp.Expr
     flow: ExternalFlow
     eps: float
     u_exact: Callable  # (t, x, y) arrays -> field
-    forcing: Forcing
+    forcing: Callable  # (x, y, t) arrays -> source
     data: CroccoData
 
     def problem(self, grid: GridSpec) -> CroccoProblem:
@@ -91,11 +90,10 @@ def build_case(name: str, u_expr: sp.Expr, eps: float,
     v0_fn = _lam(sp.simplify(v0_expr), (_X, _T))
     return ManufacturedCase(
         name=name,
-        expr=u_expr,
         flow=flow,
         eps=eps,
         u_exact=u_fn,
-        forcing=Forcing(f=lambda xx, yy, tt: f_fn(xx, yy, tt)),
+        forcing=f_fn,
         data=CroccoData(w0=w0_fn, w1=w1_fn, v0=v0_fn),
     )
 
@@ -104,7 +102,6 @@ def _flow_expr(name: str) -> sp.Expr:
     table = {
         "uniform": sp.Integer(1),
         "accelerating": 1 + _T,
-        "decelerating": 1 - _X / 4,
     }
     if name not in table:
         raise ConfigError(f"no symbolic profile for flow '{name}'")
@@ -115,10 +112,10 @@ def _flow_expr(name: str) -> sp.Expr:
 # the three direction-isolated cases
 
 
-def streamwise_case(eps: float = 1e-2, L: float = 1.0) -> ManufacturedCase:
+def streamwise_case(eps: float = 1e-2) -> ManufacturedCase:
     """Steady, linear in y: only the first-order streamwise upwind errs."""
-    u = (1 - _Y) * (1 + sp.sin(sp.pi * _X / (2 * L)) / 4)
-    return build_case("mms-streamwise", u, eps, L=L, T=0.5)
+    u = (1 - _Y) * (1 + sp.sin(sp.pi * _X / 2) / 4)
+    return build_case("mms-streamwise", u, eps, T=0.5)
 
 
 def wall_normal_case(eps: float = 1e-2) -> ManufacturedCase:

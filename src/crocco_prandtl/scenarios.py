@@ -8,6 +8,10 @@ gives every call a fresh store, so problems and solves are shared within
 one run and released when it returns.  Runners are registered in RUNNERS
 under the scenario names accepted by the configuration schema.
 
+The strip scenarios build their problem from one table, STRIP_PROBLEMS
+(problem builder and end time per scenario), which validate_scenario reads
+too, so validation checks the problem a run marches.
+
 The measurement functions between the problem data and the runners
 (estimate battery, sweep plus refinement proxy, per-family stability,
 kernel identities, density floor, oscillation table, Poincare ratio on the
@@ -29,7 +33,8 @@ from .estimates import (EstimateReport, l1_stability, physical_stability,
                         weighted_grad_norms, bv_seminorm, comparison_constant)
 from .flows import accelerating_flow, pressure_gradient, uniform_flow
 from .grids import AnalyticField, FieldHistory, GridSpec
-from .solver import SolveStore, grid_refinement_proxy, solve, viscosity_sweep
+from .solver import (SolveStore, check_cfl, grid_refinement_proxy, solve,
+                     viscosity_sweep)
 
 EXACT_T = 0.75
 ACCEL_T = 0.5
@@ -125,6 +130,23 @@ def perturbed_problems(grid: GridSpec, delta: float):
     }
 
 
+# each strip scenario's problem builder and end time; the runners and
+# validate_scenario build the problem a run marches from this one table
+STRIP_PROBLEMS = {
+    "exact_profile": (exact_profile_problem, EXACT_T),
+    "favorable_accel": (favorable_accel_problem, ACCEL_T),
+    "viscosity_sweep": (favorable_accel_problem, ACCEL_T),
+    "stability_perturb": (favorable_accel_problem, ACCEL_T),
+}
+
+
+def strip_problem(cfg, store: SolveStore):
+    """The problem a strip scenario marches, built through store on the
+    configured grid with the scenario's end time."""
+    builder, T = STRIP_PROBLEMS[cfg.scenario]
+    return store.build(builder, GridSpec(cfg.nx, cfg.ny, cfg.nt, L=cfg.L, T=T))
+
+
 # ---------------------------------------------------------------------------
 # shared measurements: the runners below and the acceptance criteria call
 # these same functions and differ only in the thresholds they apply
@@ -173,7 +195,7 @@ def cauchy_sweep(store: SolveStore, grid: GridSpec, eps_list) -> tuple:
     """Viscosity sweep of the accelerating scenario and the grid-refinement
     proxy at its smallest eps: (ConvergenceTable, proxy)."""
     problem = store.build(favorable_accel_problem, grid)
-    table = viscosity_sweep(problem, grid, eps_list, store=store)
+    table = viscosity_sweep(problem, eps_list, store)
     proxy = grid_refinement_proxy(favorable_accel_problem, grid, eps_list[-1],
                                   store=store)
     return table, proxy
@@ -251,12 +273,11 @@ def pinched_poincare(coef, grid: tuple, h: float, spec):
 
 
 def run_exact_profile(cfg, store: SolveStore) -> RunResult:
-    grid = GridSpec(cfg.nx, cfg.ny, cfg.nt, L=cfg.L, T=EXACT_T)
-    problem = store.build(exact_profile_problem, grid)
+    problem = strip_problem(cfg, store)
     hist = store.solve(problem, cfg.eps)
     rep = EstimateReport()
     g, e = cfg.grid_label, f"{cfg.eps:g}"
-    sup_err = float(np.max(np.abs(hist.values - (1.0 - grid.y[None, None, :]))))
+    sup_err = float(np.max(np.abs(hist.values - (1.0 - problem.grid.y[None, None, :]))))
     rep.add("exact_sup_error", sup_err, g, e)
     out = standard_estimates(rep, hist, problem, g, e)
     rep.add("newton_iterations_max", hist.diagnostics.get("newton_iterations_max", 0), g, e)
@@ -267,8 +288,7 @@ def run_exact_profile(cfg, store: SolveStore) -> RunResult:
 
 
 def run_favorable_accel(cfg, store: SolveStore) -> RunResult:
-    grid = GridSpec(cfg.nx, cfg.ny, cfg.nt, L=cfg.L, T=ACCEL_T)
-    problem = store.build(favorable_accel_problem, grid)
+    problem = strip_problem(cfg, store)
     hist = store.solve(problem, cfg.eps)
     rep = EstimateReport()
     g, e = cfg.grid_label, f"{cfg.eps:g}"
@@ -282,8 +302,8 @@ def run_favorable_accel(cfg, store: SolveStore) -> RunResult:
 
 
 def run_viscosity_sweep(cfg, store: SolveStore) -> RunResult:
-    grid = GridSpec(cfg.nx, cfg.ny, cfg.nt, L=cfg.L, T=ACCEL_T)
-    table, proxy = cauchy_sweep(store, grid, cfg.eps_list)
+    problem = strip_problem(cfg, store)
+    table, proxy = cauchy_sweep(store, problem.grid, cfg.eps_list)
     rep = EstimateReport()
     g = cfg.grid_label
     rows = []
@@ -294,15 +314,15 @@ def run_viscosity_sweep(cfg, store: SolveStore) -> RunResult:
     rep.verdict("sweep_strictly_decreasing", table.strictly_decreasing)
     rep.verdict("final_gap_below_grid_error",
                 bool(table.rows[-1].l1_diff < 10.0 * proxy))
-    hist = store.solve(store.build(favorable_accel_problem, grid), cfg.eps_list[-1])
+    hist = store.solve(problem, cfg.eps_list[-1])
     sweep_table = Table("sweep", ["eps_hi", "eps_lo", "l1_diff", "ok"], rows)
     return RunResult("viscosity_sweep", g, f"{cfg.eps_list[-1]:g}", rep,
                      history=hist, tables=[sweep_table])
 
 
 def run_stability_perturb(cfg, store: SolveStore) -> RunResult:
-    grid = GridSpec(cfg.nx, cfg.ny, cfg.nt, L=cfg.L, T=ACCEL_T)
-    base_problem = store.build(favorable_accel_problem, grid)
+    base_problem = strip_problem(cfg, store)
+    grid = base_problem.grid
     base = store.solve(base_problem, cfg.eps)
     rep = EstimateReport()
     g, e = cfg.grid_label, f"{cfg.eps:g}"
@@ -444,16 +464,22 @@ def run_scenario(cfg) -> RunResult:
 def validate_scenario(cfg) -> ValidationReport:
     """Admissibility of a configuration's data and parameters, no solves.
 
-    Boundary-layer scenarios check the structural hypotheses of the
-    governing data; the model-operator scenarios check their geometric and
-    coefficient parameters, reported through the same issue container.
+    A strip scenario builds the problem its run would march and checks the
+    structural hypotheses on it, then the transport stability bound at the
+    largest eps the run marches.  The model-operator scenarios check their
+    geometric and coefficient parameters, reported through the same issue
+    container.
     """
-    if cfg.scenario == "exact_profile":
-        grid = GridSpec(cfg.nx, cfg.ny, cfg.nt, L=cfg.L, T=EXACT_T)
-        return validate(exact_profile_data(), uniform_flow(cfg.L, EXACT_T), grid)
-    if cfg.scenario in ("favorable_accel", "viscosity_sweep", "stability_perturb"):
-        grid = GridSpec(cfg.nx, cfg.ny, cfg.nt, L=cfg.L, T=ACCEL_T)
-        return validate(favorable_accel_data(cfg.L), accelerating_flow(cfg.L, ACCEL_T), grid)
+    if cfg.scenario in STRIP_PROBLEMS:
+        problem = strip_problem(cfg, SolveStore())
+        report = validate(problem)
+        eps = cfg.eps_list[0] if cfg.scenario == "viscosity_sweep" else cfg.eps
+        try:
+            check_cfl(problem, problem.grid, eps)
+        except ConfigError as exc:
+            issue = ValidationIssue(str(exc), (cfg.nx, cfg.ny, cfg.nt), float("nan"))
+            return ValidationReport(issues=report.issues + (issue,), c0=report.c0)
+        return report
 
     issues = []
     if cfg.scenario == "kolmogorov_checks":
@@ -465,7 +491,7 @@ def validate_scenario(cfg) -> ValidationReport:
                         f"cutoff property '{chk.name}'", (cfg.theta, cfg.r), chk.margin))
         except ConfigError as exc:
             issues.append(ValidationIssue(str(exc), (cfg.theta, cfg.r), float("nan")))
-        return ValidationReport(issues=tuple(issues), c0=float("inf"), favorable=True)
+        return ValidationReport(issues=tuple(issues), c0=float("inf"))
     if cfg.scenario == "oscillation_lab":
         for kind in ("constant", "checkerboard", "seeded-random"):
             try:
@@ -480,5 +506,5 @@ def validate_scenario(cfg) -> ValidationReport:
             ko.CutoffSpec(r=0.8 * cfg.theta, theta=cfg.theta)
         except ConfigError as exc:
             issues.append(ValidationIssue(str(exc), (cfg.theta,), float("nan")))
-        return ValidationReport(issues=tuple(issues), c0=float("inf"), favorable=True)
+        return ValidationReport(issues=tuple(issues), c0=float("inf"))
     raise ConfigError(f"unknown scenario '{cfg.scenario}'")

@@ -17,7 +17,8 @@ Scheme, per time step:
   * b dy u explicit with sign-dependent upwind; at the wall row the Robin
     gradient v0 + (dxP/U)/(u + eps) replaces the one-sided stencil,
   * reaction c u implicit (positivity preserved by division),
-  * forcing explicit.
+  * forcing explicit: a plain callable f(x, y, t) evaluated on the (x, y)
+    node meshgrid, which is formed once per march.
 
 Coefficients are formed per time level from the problem's (t, x) factors
 (`CroccoProblem.coefficients`): a step uses a, b at t_n and c at t_{n+1}.
@@ -32,14 +33,15 @@ right-hand side and the influence of the wall row).
 """
 
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import partial
+from typing import Callable, List, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .crocco import CroccoProblem
 from .errors import ConfigError, NumericalError
-from .grids import FieldHistory, Forcing, GridSpec, l1_spacetime_norm
+from .grids import FieldHistory, GridSpec, l1_spacetime_norm
 
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-13
@@ -83,8 +85,11 @@ def _solve_columns(sub, dia, sup, rhs) -> np.ndarray:
     return x.T.reshape(rhs.shape)
 
 
-def _advance(u, n, problem, grid, eps, forcing, a_n, b_n, c_n1) -> tuple:
-    """One step t_n -> t_{n+1}; returns (new field, newton iteration count)."""
+def _advance(u, n, problem, grid, eps, source, a_n, b_n, c_n1) -> tuple:
+    """One step t_n -> t_{n+1}; returns (new field, newton iteration count).
+
+    source is None or a function of t giving the forcing on the (x, y) nodes.
+    """
     dt, dx, dy = grid.dt, grid.dx, grid.dy
     ny = grid.ny
     v0_n = problem.v0[n]
@@ -106,9 +111,8 @@ def _advance(u, n, problem, grid, eps, forcing, a_n, b_n, c_n1) -> tuple:
     dyu[:, 0] = v0_n + g_n / (u[:, 0] + eps)
     rhs -= dt * b_n * dyu
 
-    fvals = forcing.sample(grid.x, grid.y, float(grid.t[n])) if forcing is not None else None
-    if fvals is not None:
-        rhs = rhs + dt * fvals
+    if source is not None:
+        rhs = rhs + dt * source(float(grid.t[n]))
 
     # implicit solve per interior column (the inflow column is prescribed)
     cols = slice(1, None)
@@ -172,9 +176,9 @@ def _advance(u, n, problem, grid, eps, forcing, a_n, b_n, c_n1) -> tuple:
 
 
 def solve(problem: CroccoProblem, grid: GridSpec, eps: float,
-          forcing: Optional[Forcing] = None, label: str = "") -> FieldHistory:
+          forcing: Optional[Callable] = None, label: str = "") -> FieldHistory:
     """March the full history from the initial data; CFL is enforced before
-    any stepping."""
+    any stepping.  forcing, when given, is a source f(x, y, t)."""
     if eps <= 0:
         raise ConfigError(f"regularization eps must be positive, got {eps}")
     margins = check_cfl(problem, grid, eps)
@@ -185,10 +189,12 @@ def solve(problem: CroccoProblem, grid: GridSpec, eps: float,
     u[:, -1] = 0.0
     values[0] = u
     newton_iters = np.zeros(nt, dtype=int)
+    source = None if forcing is None else partial(
+        forcing, *np.meshgrid(grid.x, grid.y, indexing="ij"))
     a_n, b_n, _ = problem.coefficients(0)
     for n in range(nt):
         a_n1, b_n1, c_n1 = problem.coefficients(n + 1)
-        u, it = _advance(u, n, problem, grid, eps, forcing, a_n, b_n, c_n1)
+        u, it = _advance(u, n, problem, grid, eps, source, a_n, b_n, c_n1)
         a_n, b_n = a_n1, b_n1
         newton_iters[n] = it
         values[n + 1] = u
@@ -231,7 +237,7 @@ class SolveStore:
         return self._built[key]
 
     def solve(self, problem: CroccoProblem, eps: float,
-              forcing: Optional[Forcing] = None) -> FieldHistory:
+              forcing: Optional[Callable] = None) -> FieldHistory:
         key = (id(problem), eps, id(forcing))
         if key not in self._solved:
             self._solved[key] = (problem, forcing,
@@ -252,33 +258,27 @@ class ConvergenceTable:
     rows: List[SweepRow]
 
     @property
-    def diffs(self) -> np.ndarray:
-        return np.array([r.l1_diff for r in self.rows])
-
-    @property
     def strictly_decreasing(self) -> bool:
-        d = self.diffs
+        d = np.array([r.l1_diff for r in self.rows])
         finite = np.isfinite(d)
         if not np.all(finite) or d.size < 2:
             return False
         return bool(np.all(np.diff(d) < 0))
 
 
-def viscosity_sweep(problem: CroccoProblem, grid: GridSpec, eps_list,
-                    store: Optional[SolveStore] = None) -> ConvergenceTable:
-    """Solve a decreasing sequence of regularizations and tabulate successive
-    L1 differences over the space-time cylinder.
+def viscosity_sweep(problem: CroccoProblem, eps_list, store: SolveStore) -> ConvergenceTable:
+    """Solve a decreasing sequence of regularizations on the problem's grid
+    and tabulate successive L1 differences over the space-time cylinder.
 
-    Solves go through store (a fresh one when none is given), so a sweep
-    reuses the runs its caller already made.  A failed solve marks its rows
-    and the sweep continues.
+    Solves go through store, so a sweep reuses the runs its caller already
+    made.  A failed solve marks its rows and the sweep continues.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2:
         raise ConfigError("viscosity sweep needs at least two eps values")
     if np.any(np.diff(eps_list) >= 0):
         raise ConfigError("eps_list must be strictly decreasing")
-    store = store or SolveStore()
+    grid = problem.grid
     histories = []
     for e in eps_list:
         try:
@@ -296,14 +296,13 @@ def viscosity_sweep(problem: CroccoProblem, grid: GridSpec, eps_list,
 
 
 def grid_refinement_proxy(problem_builder, grid: GridSpec, eps: float,
-                          store: Optional[SolveStore] = None) -> float:
+                          store: SolveStore) -> float:
     """Discretization-error proxy: L1 gap between a run and the restriction
     of the run on the grid refined by 2, both at the same eps.
 
     problem_builder(grid) must return the problem sampled on the given grid;
-    problems and solves go through store (a fresh one when none is given).
+    problems and solves go through store.
     """
-    store = store or SolveStore()
     coarse = store.solve(store.build(problem_builder, grid), eps)
     fine = store.solve(store.build(problem_builder, grid.refined()), eps)
     restricted = fine.values[::2, ::2, ::2]

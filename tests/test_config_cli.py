@@ -254,6 +254,16 @@ def test_cli_validate_fails_unstable_model_grid(tmp_path, capsys):
     assert "validation = FAILED" in capsys.readouterr().out
 
 
+def test_cli_validate_fails_unstable_strip_grid(tmp_path, capsys):
+    # dt = 0.75/4 is far above the transport bound 0.9 dx / (1 + eps); run exits 2
+    cfg = write_cfg(tmp_path, "scenario = exact_profile\nnx = 64\nny = 16\nnt = 4\n")
+    assert main(["validate", "--config", cfg]) == 1
+    out = capsys.readouterr().out
+    assert "transport stability" in out
+    assert "validation = FAILED" in out
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_cli_config_error_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "scenario = warp_drive\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -171,15 +171,14 @@ def test_make_problem_rejects_corner_mismatch():
 
 
 def test_validate_clean_data_reports_envelope_one():
-    report = validate(linear_data(), uniform_flow(), GridSpec(16, 16, 16))
+    report = validate(make_problem(uniform_flow(), GridSpec(16, 16, 16), linear_data()))
     assert report.ok
-    assert report.favorable
     assert report.c0 == pytest.approx(1.0)
     assert "hold" in report.summary()
 
 
 def test_validate_scaled_data_envelope():
-    report = validate(linear_data(scale=2.0), uniform_flow(), GridSpec(16, 16, 16))
+    report = validate(make_problem(uniform_flow(), GridSpec(16, 16, 16), linear_data(scale=2.0)))
     assert report.ok
     assert report.c0 == pytest.approx(2.0)
 
@@ -190,28 +189,29 @@ def test_validate_flags_positive_suction():
         w1=lambda y, t: (1.0 - y) + 0.0 * t,
         v0=lambda x, t: 0.5 + 0.0 * x * t,
     )
-    report = validate(data, uniform_flow(), GridSpec(8, 8, 8))
+    report = validate(make_problem(uniform_flow(), GridSpec(8, 8, 8), data))
     assert not report.ok
     assert any("suction" in i.condition for i in report.issues)
 
 
 def test_validate_flags_adverse_pressure():
-    report = validate(linear_data(), decelerating_flow(), GridSpec(8, 8, 8))
-    assert not report.favorable
+    report = validate(make_problem(decelerating_flow(), GridSpec(8, 8, 8), linear_data()))
+    assert not report.ok
     assert any("favorable" in i.condition for i in report.issues)
 
 
 def test_validate_flags_envelope_violation():
-    report = validate(linear_data(scale=3.0), uniform_flow(), GridSpec(8, 8, 8),
-                      c0_max=2.0)
+    # the envelope constant is capped at C0_MAX = 50
+    report = validate(make_problem(uniform_flow(), GridSpec(8, 8, 8), linear_data(scale=60.0)))
     assert any("upper bound" in i.condition for i in report.issues)
 
 
 def test_validate_flags_nonpositive_shear():
+    # vanishes on y = 1 as make_problem requires, negative on 1/2 < y < 1
     data = CroccoData(
-        w0=lambda x, y: 0.5 - y + 0.0 * x,
-        w1=lambda y, t: 0.5 - y + 0.0 * t,
+        w0=lambda x, y: (1.0 - y) * (0.5 - y) + 0.0 * x,
+        w1=lambda y, t: (1.0 - y) * (0.5 - y) + 0.0 * t,
         v0=lambda x, t: -1.0 + 0.0 * x * t,
     )
-    report = validate(data, uniform_flow(), GridSpec(8, 8, 8))
+    report = validate(make_problem(uniform_flow(), GridSpec(8, 8, 8), data))
     assert any("monotone" in i.condition for i in report.issues)

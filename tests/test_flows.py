@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crocco_prandtl.crocco import CroccoData, make_problem
 from crocco_prandtl.errors import ConfigError, DataError
 from crocco_prandtl.flows import (
     BUILTIN_FLOWS,
@@ -10,6 +11,13 @@ from crocco_prandtl.flows import (
     pressure_gradient,
     uniform_flow,
 )
+from crocco_prandtl.grids import GridSpec
+
+
+def linear_data():
+    return CroccoData(w0=lambda x, y: (1.0 - y) + 0.0 * x,
+                      w1=lambda y, t: (1.0 - y) + 0.0 * t,
+                      v0=lambda x, t: -1.0 + 0.0 * x * t)
 
 
 def lattice(L=1.0, T=1.0, n=9):
@@ -40,7 +48,6 @@ def test_accelerating_flow_pressure_is_minus_one():
     grad = pressure_gradient(flow)
     assert grad.favorable
     assert grad.worst_value == pytest.approx(-1.0)
-    assert np.all(grad.dxP(xx, tt) == -1.0)
 
 
 def test_decelerating_flow_is_adverse():
@@ -59,12 +66,16 @@ def test_favorability_is_lattice_independent(n):
 
 
 def test_bernoulli_relation_holds_for_each_builtin():
-    xx, tt = lattice()
+    # the sampled problem carries dxP/U; dxP itself is -(dtU + U dxU)
+    grid = GridSpec(8, 8, 8)
+    x, t = grid.x[None, :], grid.t[:, None]
     for name, builder in BUILTIN_FLOWS.items():
         flow = builder()
-        grad = pressure_gradient(flow)
-        expected = -(flow.dtU(xx, tt) + flow.U(xx, tt) * flow.dxU(xx, tt))
-        assert np.allclose(grad.dxP(xx, tt), expected), name
+        problem = make_problem(flow, grid, linear_data())
+        expected = -(flow.dtU(x, t) + flow.U(x, t) * flow.dxU(x, t))
+        assert np.allclose(problem.px_over_u * problem.U, expected), name
+        assert pressure_gradient(flow, nx=9, nt=9).worst_value == pytest.approx(
+            np.max(expected)), name
 
 
 def test_pressure_gradient_rejects_nonpositive_flow():

@@ -315,7 +315,11 @@ def coarse_random_history():
 def test_mean_value_kernel_matches_per_point_reference(field):
     cut = ko.CutoffSpec(r=1.0, theta=0.01)
     rep = ko.mean_value(field, cut, nz=3)
-    ref = np.array([reference_mean_value_at(field, cut, tuple(z)) for z in rep.z_lattice])
+    # mean_value walks the past-box lattice with t slowest, then x, then y
+    xs, ys, ts = ko.Box(cut.theta * cut.r, "past").lattice(3)
+    T, X, Y = np.meshgrid(ts, xs, ys, indexing="ij")
+    ref = np.array([reference_mean_value_at(field, cut, z)
+                    for z in zip(X.ravel(), Y.ravel(), T.ravel())])
     scale = np.max(np.abs(ref.sum(axis=1)))
     assert scale > 0.5
     assert np.max(np.abs(rep.values - ref.sum(axis=1))) <= 1e-13 * scale

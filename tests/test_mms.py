@@ -37,9 +37,7 @@ def pde_residual_fd(case, t0, x0, y0, h=1e-4):
     c = (1 - y0) * Ux - Px / U
     val = u(t0, x0, y0)
     lhs = ut - (val + eps) ** 2 * uyy + (a + eps) * ux + b * uy + c * val
-    xx, yy = np.atleast_1d(x0), np.atleast_1d(y0)
-    f = case.forcing.sample(xx, yy, t0)[0, 0]
-    return lhs - f
+    return lhs - case.forcing(x0, y0, t0)
 
 
 @pytest.mark.parametrize("maker", [streamwise_case, wall_normal_case, time_case, coupled_case])

@@ -13,12 +13,17 @@ from crocco_prandtl.config import RunConfig
 from crocco_prandtl.errors import ConfigError
 from crocco_prandtl.reporting import write_artifacts
 from crocco_prandtl.scenarios import (
+    ACCEL_T,
+    EXACT_T,
     RUNNERS,
+    exact_profile_problem,
+    favorable_accel_problem,
     perturbed_problems,
     run_scenario,
     validate_scenario,
 )
 from crocco_prandtl.grids import GridSpec
+from crocco_prandtl.solver import check_cfl
 
 
 def test_exact_profile_small_grid():
@@ -117,6 +122,36 @@ def test_model_grid_stability_decided_once():
         assert report.ok == (not refused), (nx, nt)
         outcomes.append(refused)
     assert True in outcomes and False in outcomes
+
+
+def test_strip_grid_stability_decided_once():
+    # validation flags a strip grid exactly when the solver's CFL guard
+    # refuses it at the largest eps the run marches; expected cfl_x in comments
+    cases = (
+        ("exact_profile", 53, True),     # 0.907 at eps 1e-3
+        ("exact_profile", 54, False),    # 0.890
+        ("favorable_accel", 56, False),  # 0.858 at eps 1e-3
+        ("viscosity_sweep", 56, True),   # 0.914 at eps 0.1
+    )
+    for scenario, nt, expect_refused in cases:
+        cfg = RunConfig(scenario=scenario, nx=64, ny=8, nt=nt)
+        report = validate_scenario(cfg)
+        flagged = any("transport stability" in issue.condition for issue in report.issues)
+        if scenario == "exact_profile":
+            grid = GridSpec(64, 8, nt, T=EXACT_T)
+            problem, eps = exact_profile_problem(grid), cfg.eps
+        else:
+            grid = GridSpec(64, 8, nt, T=ACCEL_T)
+            problem = favorable_accel_problem(grid)
+            eps = cfg.eps_list[0] if scenario == "viscosity_sweep" else cfg.eps
+        try:
+            check_cfl(problem, grid, eps)
+            refused = False
+        except ConfigError:
+            refused = True
+        assert refused == expect_refused, (scenario, nt)
+        assert flagged == refused, (scenario, nt)
+        assert report.ok == (not refused), (scenario, nt)
 
 
 def test_artifact_writer_emits_tables(tmp_path):

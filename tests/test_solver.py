@@ -7,9 +7,10 @@ from scipy.linalg import solve_banded
 from crocco_prandtl.crocco import CroccoData, make_problem
 from crocco_prandtl.errors import ConfigError, NumericalError
 from crocco_prandtl.flows import accelerating_flow, uniform_flow
-from crocco_prandtl.grids import Forcing, GridSpec
+from crocco_prandtl.grids import GridSpec
 from crocco_prandtl.solver import (
     ConvergenceTable,
+    SolveStore,
     SweepRow,
     _solve_columns,
     cfl_margins,
@@ -129,7 +130,7 @@ def test_forcing_enters_first_order():
     problem = linear_problem(grid)
     base = solve(problem, grid, 1e-2)
     forced = solve(problem, grid, 1e-2,
-                   forcing=Forcing(lambda x, y, t: 1e-3 * np.sin(np.pi * y)))
+                   forcing=lambda x, y, t: 1e-3 * np.sin(np.pi * y))
     gap = np.max(np.abs(forced.values - base.values))
     assert 1e-5 < gap < 1e-3
 
@@ -146,7 +147,7 @@ def test_viscosity_sweep_decreasing_on_modulated_data():
         v0=lambda x, t: -1.0 + 0.0 * x * t,
     )
     problem = make_problem(accelerating_flow(1.0, 0.5), grid, data)
-    table = viscosity_sweep(problem, grid, (0.1, 0.03, 0.01, 0.003))
+    table = viscosity_sweep(problem, (0.1, 0.03, 0.01, 0.003), SolveStore())
     assert len(table.rows) == 3
     assert all(r.ok for r in table.rows)
     assert table.strictly_decreasing
@@ -156,9 +157,9 @@ def test_viscosity_sweep_guards():
     grid = GridSpec(8, 8, 16)
     problem = linear_problem(grid)
     with pytest.raises(ConfigError, match="two eps"):
-        viscosity_sweep(problem, grid, (0.1,))
+        viscosity_sweep(problem, (0.1,), SolveStore())
     with pytest.raises(ConfigError, match="decreasing"):
-        viscosity_sweep(problem, grid, (0.01, 0.1))
+        viscosity_sweep(problem, (0.01, 0.1), SolveStore())
 
 
 def test_convergence_table_flags():
@@ -174,7 +175,7 @@ def test_convergence_table_flags():
 
 def test_grid_refinement_proxy_vanishes_on_exact_profile():
     grid = GridSpec(8, 8, 16, L=1.0, T=0.5)
-    proxy = grid_refinement_proxy(linear_problem, grid, 1e-2)
+    proxy = grid_refinement_proxy(linear_problem, grid, 1e-2, SolveStore())
     assert proxy < 1e-11
 
 
@@ -184,4 +185,4 @@ def test_positivity_violation_raises_numerical_error():
     # a large negative source drives the field through zero in one step
     with pytest.raises(NumericalError, match="positivity"):
         solve(problem, grid, 1e-2,
-              forcing=Forcing(lambda x, y, t: -1e3 * np.ones_like(x)))
+              forcing=lambda x, y, t: -1e3 * np.ones_like(x))
