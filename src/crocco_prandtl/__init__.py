@@ -4,8 +4,9 @@ model used for the regularity diagnostics.
 
 The package splits into three layers:
 
-* problem assembly: external flows, transformed coefficients, sampled
-  data (`flows`, `crocco`, `grids`);
+* problem assembly: closed-form outer flows, transformed coefficients,
+  sampled data and the pressure gradient on its nodes (`flows`, `crocco`,
+  `grids`);
 * the regularized marching solver and its estimate battery (`solver`,
   `estimates`, `mms`);
 * kernel identities, cutoff geometry, mean-value / Poincare / density /
@@ -19,14 +20,14 @@ acceptance checklist sit on top (`scenarios`, `reporting`, `config`,
 from ._version import __version__
 from .acceptance import AcceptanceEngine, parse_suite, run_acceptance
 from .config import RunConfig, load_config, parse_config
-from .crocco import CroccoData, CroccoProblem, make_problem, validate
+from .crocco import (CroccoData, CroccoProblem, make_problem, pressure_gradient,
+                     validate)
 from .errors import ConfigError, CroccoError, DataError, NumericalError
 from .estimates import (EstimateReport, bv_seminorm, comparison_constant,
                         l1_stability, physical_stability, trace_residual,
                         uniformity_spread, weak_residual,
                         weighted_dyy_measure, weighted_grad_norms)
-from .flows import (accelerating_flow, decelerating_flow, make_flow,
-                    pressure_gradient, uniform_flow)
+from .flows import accelerating_flow, decelerating_flow, uniform_flow
 from .grids import AnalyticField, FieldHistory, GridSpec
 from .kolmogorov import (Box, CutoffSpec, density_ratio,
                          dilation_defect, gamma0, kernel_reproduction,
@@ -41,13 +42,12 @@ __all__ = [
     "__version__",
     "AcceptanceEngine", "parse_suite", "run_acceptance",
     "RunConfig", "load_config", "parse_config",
-    "CroccoData", "CroccoProblem", "make_problem", "validate",
+    "CroccoData", "CroccoProblem", "make_problem", "pressure_gradient", "validate",
     "ConfigError", "CroccoError", "DataError", "NumericalError",
     "EstimateReport", "bv_seminorm", "comparison_constant", "l1_stability",
     "physical_stability", "trace_residual", "uniformity_spread",
     "weak_residual", "weighted_dyy_measure", "weighted_grad_norms",
-    "accelerating_flow", "decelerating_flow", "make_flow",
-    "pressure_gradient", "uniform_flow",
+    "accelerating_flow", "decelerating_flow", "uniform_flow",
     "AnalyticField", "FieldHistory", "GridSpec",
     "Box", "CutoffSpec", "density_ratio",
     "dilation_defect", "gamma0", "kernel_reproduction", "l0_residual",

@@ -24,16 +24,20 @@ by 2 (1 - y) dxU; only c is formed.
 a, b, c are (t, x) factors of the outer flow times polynomials in y, so a
 problem stores only U, dxU, dtU and dxP/U on (t, x); a, b, c are formed
 from them, per time level or as volumes, by `CroccoProblem.coefficients`.
+
+`make_problem` is the only place the outer flow is sampled;
+`pressure_gradient` decides favorability (dxP <= 0, the hypothesis of
+Oleinik's monotone class) on the problem's own (t, x) nodes.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DataError
-from .flows import ExternalFlow, pressure_gradient
+from .flows import ExternalFlow
 from .grids import GridSpec
 
 # largest admissible constant of the linear envelope (1 - y)/C0 <= w <= C0 (1 - y)
@@ -54,28 +58,45 @@ class CroccoData:
 
 @dataclass(frozen=True)
 class ValidationIssue:
+    """A hypothesis violated at a location, with the offending value; or a
+    refused parameter (no location, no value), whose message stands alone."""
+
     condition: str
     location: tuple
-    value: float
+    value: Optional[float]
 
     def __str__(self):
+        if not self.location:
+            return self.condition
         loc = ", ".join(f"{v:.6g}" for v in self.location)
         return f"{self.condition} violated at ({loc}): value {self.value:.6g}"
 
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Issues found and the envelope constant C0 (None if none was measured)."""
+
     issues: tuple
-    c0: float
+    c0: Optional[float]
 
     @property
     def ok(self) -> bool:
         return len(self.issues) == 0
 
     def summary(self) -> str:
-        if self.ok:
-            return f"all hypotheses hold; envelope constant C0 = {self.c0:.6g}"
-        return "\n".join(str(i) for i in self.issues)
+        if not self.ok:
+            return "\n".join(str(i) for i in self.issues)
+        envelope = "" if self.c0 is None else f"; envelope constant C0 = {self.c0:.6g}"
+        return "all hypotheses hold" + envelope
+
+
+@dataclass(frozen=True)
+class PressureGradient:
+    """Favorability of dxP on a problem's nodes; its largest value and (x, t)."""
+
+    favorable: bool
+    worst_value: float
+    worst_location: tuple
 
 
 @dataclass(frozen=True)
@@ -88,7 +109,6 @@ class CroccoProblem:
     """
 
     grid: GridSpec
-    flow: ExternalFlow
     U: np.ndarray
     dxU: np.ndarray
     dtU: np.ndarray
@@ -169,7 +189,6 @@ def make_problem(flow: ExternalFlow, grid: GridSpec, data: CroccoData, label: st
         raise DataError(f"initial and inflow data disagree at the corner x=0, t=0 by {corner:.3g}")
     return CroccoProblem(
         grid=grid,
-        flow=flow,
         U=_lock(U),
         dxU=_lock(dxU),
         dtU=_lock(dtU),
@@ -188,9 +207,10 @@ def validate(problem: CroccoProblem) -> ValidationReport:
     Reads the sampled data: non-positive suction v0, positive shear w0 and
     w1 below y = 1 (the monotone-profile class) and the linear envelope
     bound w comparable to (1 - y) with constant below C0_MAX.  The pressure
-    gradient is classified on the lattice of the grid's nodes.  Positivity
-    of U needs no check here: make_problem refuses a problem without it.
-    An empty issue list means every hypothesis holds on the grid.
+    gradient is classified by `pressure_gradient` on the problem's own
+    (t, x) nodes.  Positivity of U needs no check here: make_problem
+    refuses a problem without it.  An empty issue list means every
+    hypothesis holds on the grid.
     """
     g = problem.grid
     x, t, yint = g.x, g.t, g.y[:-1]
@@ -223,14 +243,27 @@ def validate(problem: CroccoProblem) -> ValidationReport:
                 f"linear envelope upper bound ({name} vs C0 (1-y), C0={C0_MAX:g})",
                 (coords[i], yint[j]), hi))
 
+    c0 = None
     if ratios:
         allr = np.concatenate([r.ravel() for r in ratios])
         c0 = float(max(np.max(allr), np.max(1.0 / allr)))
-    else:
-        c0 = float("inf")
 
-    grad = pressure_gradient(problem.flow, nx=g.nx + 1, nt=g.nt + 1)
+    grad = pressure_gradient(problem)
     if not grad.favorable:
         issues.append(ValidationIssue("favorable pressure (dxP <= 0)",
                                       grad.worst_location, grad.worst_value))
     return ValidationReport(issues=tuple(issues), c0=c0)
+
+
+def pressure_gradient(problem: CroccoProblem) -> PressureGradient:
+    """dxP = -(dtU + U dxU) from the problem's (t, x) samples, as make_problem
+    forms it; favorable when dxP <= 0 at every node.  The worst node is the
+    first maximum in x-major order."""
+    dxP = -(problem.dtU + problem.U * problem.dxU)
+    ix, it = np.unravel_index(int(np.argmax(dxP.T)), dxP.T.shape)
+    worst = float(dxP[it, ix])
+    return PressureGradient(
+        favorable=worst <= 1e-12,
+        worst_value=worst,
+        worst_location=(float(problem.grid.x[ix]), float(problem.grid.t[it])),
+    )

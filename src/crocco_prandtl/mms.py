@@ -21,11 +21,14 @@ import sympy as sp
 
 from .crocco import CroccoData, CroccoProblem, make_problem
 from .errors import ConfigError
-from .flows import ExternalFlow, make_flow
+from .flows import ExternalFlow
 from .grids import GridSpec
 from .solver import solve
 
 _X, _Y, _T = sp.symbols("x y t", real=True)
+
+# the symbolic outer flows U(x, t) a manufactured case can run under
+_FLOWS = {"uniform": sp.Integer(1), "accelerating": 1 + _T}
 
 
 def _lam(expr, args) -> Callable:
@@ -59,19 +62,22 @@ class ManufacturedCase:
 
 
 def build_case(name: str, u_expr: sp.Expr, eps: float,
-               flow_name: str = "uniform", L: float = 1.0, T: float = 1.0) -> ManufacturedCase:
+               flow_name: str = "uniform") -> ManufacturedCase:
     """Derive forcing and traces for a candidate field.
 
-    The field must vanish identically on y = 1 and stay positive below it;
-    the first is checked symbolically, the second is the caller's business.
+    The outer flow and its derivatives are lambdified from the same
+    symbolic profile the forcing is derived from.  The field must vanish
+    identically on y = 1 and stay positive below it; the first is checked
+    symbolically, the second is the caller's business.
     """
     top = sp.simplify(u_expr.subs(_Y, 1))
     if top != 0:
         raise ConfigError(f"manufactured field must vanish at y = 1, got {top}")
     if eps <= 0:
         raise ConfigError("regularization level must be positive")
-    flow = make_flow(flow_name, L=L, T=T)
-    U = _flow_expr(flow_name)
+    if flow_name not in _FLOWS:
+        raise ConfigError(f"no symbolic profile for flow '{flow_name}'")
+    U = _FLOWS[flow_name]
     Ux = sp.diff(U, _X)
     Ut = sp.diff(U, _T)
     Px = -(Ut + U * Ux)
@@ -90,22 +96,12 @@ def build_case(name: str, u_expr: sp.Expr, eps: float,
     v0_fn = _lam(sp.simplify(v0_expr), (_X, _T))
     return ManufacturedCase(
         name=name,
-        flow=flow,
+        flow=ExternalFlow(*(_lam(e, (_X, _T)) for e in (U, Ux, Ut))),
         eps=eps,
         u_exact=u_fn,
         forcing=f_fn,
         data=CroccoData(w0=w0_fn, w1=w1_fn, v0=v0_fn),
     )
-
-
-def _flow_expr(name: str) -> sp.Expr:
-    table = {
-        "uniform": sp.Integer(1),
-        "accelerating": 1 + _T,
-    }
-    if name not in table:
-        raise ConfigError(f"no symbolic profile for flow '{name}'")
-    return table[name]
 
 
 # ---------------------------------------------------------------------------
@@ -115,26 +111,26 @@ def _flow_expr(name: str) -> sp.Expr:
 def streamwise_case(eps: float = 1e-2) -> ManufacturedCase:
     """Steady, linear in y: only the first-order streamwise upwind errs."""
     u = (1 - _Y) * (1 + sp.sin(sp.pi * _X / 2) / 4)
-    return build_case("mms-streamwise", u, eps, T=0.5)
+    return build_case("mms-streamwise", u, eps)
 
 
 def wall_normal_case(eps: float = 1e-2) -> ManufacturedCase:
     """Steady and x-free with real curvature in y: second-order territory."""
     u = (1 - _Y) * sp.exp(_Y / 2)
-    return build_case("mms-wall-normal", u, eps, T=0.5)
+    return build_case("mms-wall-normal", u, eps)
 
 
 def time_case(eps: float = 1e-2) -> ManufacturedCase:
     """x-free and linear in y with curved time dependence: pure time error."""
     u = (1 - _Y) * (1 + _T**2 / 4)
-    return build_case("mms-time", u, eps, T=0.5)
+    return build_case("mms-time", u, eps)
 
 
 def coupled_case(eps: float = 1e-2) -> ManufacturedCase:
     """Every term active at once: the accelerating stream carries a nonzero
     pressure trace into the flux condition, so the wall update iterates."""
     u = (1 - _Y) * (1 + _T**2 / 4) * (1 + sp.sin(sp.pi * _X / 2) / 8)
-    return build_case("mms-coupled", u, eps, flow_name="accelerating", T=0.5)
+    return build_case("mms-coupled", u, eps, flow_name="accelerating")
 
 
 # ---------------------------------------------------------------------------

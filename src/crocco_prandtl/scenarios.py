@@ -26,12 +26,12 @@ import numpy as np
 
 from . import kolmogorov as ko
 from .crocco import (CroccoData, ValidationIssue, ValidationReport,
-                     make_problem, validate)
+                     make_problem, pressure_gradient, validate)
 from .errors import ConfigError
 from .estimates import (EstimateReport, l1_stability, physical_stability,
                         trace_residual, weak_residual, weighted_dyy_measure,
                         weighted_grad_norms, bv_seminorm, comparison_constant)
-from .flows import accelerating_flow, pressure_gradient, uniform_flow
+from .flows import accelerating_flow, uniform_flow
 from .grids import AnalyticField, FieldHistory, GridSpec
 from .solver import (SolveStore, check_cfl, grid_refinement_proxy, solve,
                      viscosity_sweep)
@@ -90,13 +90,12 @@ def favorable_accel_data(L: float) -> CroccoData:
 
 
 def exact_profile_problem(grid: GridSpec):
-    flow = uniform_flow(grid.L, grid.T)
-    return make_problem(flow, grid, exact_profile_data(), label="exact_profile")
+    return make_problem(uniform_flow(), grid, exact_profile_data(), label="exact_profile")
 
 
 def favorable_accel_problem(grid: GridSpec):
-    flow = accelerating_flow(grid.L, grid.T)
-    return make_problem(flow, grid, favorable_accel_data(grid.L), label="favorable_accel")
+    return make_problem(accelerating_flow(), grid, favorable_accel_data(grid.L),
+                        label="favorable_accel")
 
 
 def perturbed_problems(grid: GridSpec, delta: float):
@@ -122,7 +121,7 @@ def perturbed_problems(grid: GridSpec, delta: float):
     )
     suction = CroccoData(w0=base.w0, w1=base.w1,
                          v0=lambda x, t: base.v0(x, t) * (1.0 + delta))
-    flow = accelerating_flow(L, T)
+    flow = accelerating_flow()
     return {
         "initial": make_problem(flow, grid, initial, label="perturb-initial"),
         "inflow": make_problem(flow, grid, inflow, label="perturb-inflow"),
@@ -293,7 +292,7 @@ def run_favorable_accel(cfg, store: SolveStore) -> RunResult:
     rep = EstimateReport()
     g, e = cfg.grid_label, f"{cfg.eps:g}"
     out = standard_estimates(rep, hist, problem, g, e)
-    grad = pressure_gradient(problem.flow)
+    grad = pressure_gradient(problem)
     rep.add("pressure_gradient_worst", grad.worst_value, g, e)
     rep.verdict("pressure_favorable", grad.favorable)
     rep.verdict("comparison_finite", np.isfinite(out["comparison_constant"]))
@@ -461,6 +460,10 @@ def run_scenario(cfg) -> RunResult:
     return runner(cfg, SolveStore())
 
 
+def _refused(exc: ConfigError) -> ValidationIssue:
+    return ValidationIssue(str(exc), (), None)
+
+
 def validate_scenario(cfg) -> ValidationReport:
     """Admissibility of a configuration's data and parameters, no solves.
 
@@ -468,7 +471,7 @@ def validate_scenario(cfg) -> ValidationReport:
     structural hypotheses on it, then the transport stability bound at the
     largest eps the run marches.  The model-operator scenarios check their
     geometric and coefficient parameters, reported through the same issue
-    container.
+    container.  A refused parameter is reported by its error message alone.
     """
     if cfg.scenario in STRIP_PROBLEMS:
         problem = strip_problem(cfg, SolveStore())
@@ -477,8 +480,7 @@ def validate_scenario(cfg) -> ValidationReport:
         try:
             check_cfl(problem, problem.grid, eps)
         except ConfigError as exc:
-            issue = ValidationIssue(str(exc), (cfg.nx, cfg.ny, cfg.nt), float("nan"))
-            return ValidationReport(issues=report.issues + (issue,), c0=report.c0)
+            return ValidationReport(issues=report.issues + (_refused(exc),), c0=report.c0)
         return report
 
     issues = []
@@ -490,21 +492,21 @@ def validate_scenario(cfg) -> ValidationReport:
                     issues.append(ValidationIssue(
                         f"cutoff property '{chk.name}'", (cfg.theta, cfg.r), chk.margin))
         except ConfigError as exc:
-            issues.append(ValidationIssue(str(exc), (cfg.theta, cfg.r), float("nan")))
-        return ValidationReport(issues=tuple(issues), c0=float("inf"))
-    if cfg.scenario == "oscillation_lab":
+            issues.append(_refused(exc))
+    elif cfg.scenario == "oscillation_lab":
         for kind in ("constant", "checkerboard", "seeded-random"):
             try:
                 ko.model_scenarios(kind, lam=cfg.lam, seed=cfg.seed)
             except ConfigError as exc:
-                issues.append(ValidationIssue(str(exc), (cfg.lam,), float("nan")))
+                issues.append(_refused(exc))
         try:
             ko.model_axes(cfg.nx, cfg.nt, ko.MODEL_T0)
         except ConfigError as exc:
-            issues.append(ValidationIssue(str(exc), (cfg.nx, cfg.nt), float("nan")))
+            issues.append(_refused(exc))
         try:
             ko.CutoffSpec(r=0.8 * cfg.theta, theta=cfg.theta)
         except ConfigError as exc:
-            issues.append(ValidationIssue(str(exc), (cfg.theta,), float("nan")))
-        return ValidationReport(issues=tuple(issues), c0=float("inf"))
-    raise ConfigError(f"unknown scenario '{cfg.scenario}'")
+            issues.append(_refused(exc))
+    else:
+        raise ConfigError(f"unknown scenario '{cfg.scenario}'")
+    return ValidationReport(issues=tuple(issues), c0=None)

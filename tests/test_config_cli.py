@@ -251,7 +251,13 @@ def test_cli_validate_fails_unstable_model_grid(tmp_path, capsys):
     # model time step dt = 0.75/nt exceeds 0.9 dx = 1.8/nx for this pairing
     cfg = write_cfg(tmp_path, "scenario = oscillation_lab\nnx = 64\nny = 64\nnt = 16\n")
     assert main(["validate", "--config", cfg]) == 1
-    assert "validation = FAILED" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    # a refused parameter prints its message alone, with no location or value
+    assert out.splitlines() == [
+        "transport stability needs dt <= 0.9 dx: dt=0.046875, dx=0.03125",
+        "validation = FAILED",
+    ]
+    assert "nan" not in out
 
 
 def test_cli_validate_fails_unstable_strip_grid(tmp_path, capsys):
@@ -259,9 +265,22 @@ def test_cli_validate_fails_unstable_strip_grid(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "scenario = exact_profile\nnx = 64\nny = 16\nnt = 4\n")
     assert main(["validate", "--config", cfg]) == 1
     out = capsys.readouterr().out
-    assert "transport stability" in out
-    assert "validation = FAILED" in out
+    assert out.splitlines() == [
+        "time step violates the transport stability bound: cfl_x=12.012, cfl_y=0.000 "
+        "(limit 0.9)",
+        "validation = FAILED",
+    ]
+    assert "nan" not in out
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("name", ["kolmogorov_checks", "oscillation_lab"])
+def test_cli_validate_model_config_states_no_envelope(name, capsys):
+    # the model scenarios measure no linear envelope, so no C0 is printed
+    cfg = Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["all hypotheses hold",
+                                                    "validation = PASSED"]
 
 
 def test_cli_config_error_exits_2(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crocco_prandtl.crocco import CroccoData, make_problem, validate
+from crocco_prandtl.crocco import CroccoData, make_problem, pressure_gradient, validate
 from crocco_prandtl.errors import DataError
 from crocco_prandtl.flows import (ExternalFlow, accelerating_flow, decelerating_flow,
                                   uniform_flow)
@@ -23,7 +23,7 @@ def linear_data(scale=1.0):
 
 def test_coefficients_accelerating_flow_closed_form():
     grid = GridSpec(8, 8, 8, L=1.0, T=0.5)
-    problem = make_problem(accelerating_flow(1.0, 0.5), grid, linear_data())
+    problem = make_problem(accelerating_flow(), grid, linear_data())
     a, b, c = problem.coefficients()
     t = grid.t[:, None, None]
     y = grid.y[None, None, :]
@@ -36,7 +36,7 @@ def test_coefficients_accelerating_flow_closed_form():
 
 def test_coefficient_variants_differ_by_twice_weighted_dxU():
     grid = GridSpec(8, 8, 8, L=1.0, T=0.5)
-    flow = decelerating_flow(1.0, 0.5)
+    flow = decelerating_flow()
     c = make_problem(flow, grid, linear_data()).coefficients()[2]
     x, t = grid.x[None, :, None], grid.t[:, None, None]
     y = grid.y[None, None, :]
@@ -47,31 +47,30 @@ def test_coefficient_variants_differ_by_twice_weighted_dxU():
 
 def test_wall_identity_b_equals_minus_px_over_u():
     grid = GridSpec(8, 8, 8, L=1.0, T=0.5)
-    for flow in (uniform_flow(1.0, 0.5), accelerating_flow(1.0, 0.5),
-                 decelerating_flow(1.0, 0.5)):
-        problem = make_problem(flow, grid, linear_data())
+    for builder in (uniform_flow, accelerating_flow, decelerating_flow):
+        problem = make_problem(builder(), grid, linear_data())
         b = problem.coefficients()[1]
-        assert np.allclose(b[:, :, 0], -problem.px_over_u, atol=1e-14), flow.name
+        assert np.allclose(b[:, :, 0], -problem.px_over_u, atol=1e-14), builder.__name__
 
 
 def test_coefficients_reject_nonpositive_flow():
     grid = GridSpec(8, 8, 8, L=5.0, T=0.5)
     with pytest.raises(DataError, match="positive"):
-        make_problem(decelerating_flow(5.0, 0.5), grid, linear_data())
+        make_problem(decelerating_flow(), grid, linear_data())
 
 
-def swelling_flow(L, T):
+def swelling_flow():
     # U = 1 + t^2 + x t / 4: every factor varies and max |b| sits on the last level
     return ExternalFlow(U=lambda x, t: 1.0 + t * t + 0.25 * x * t,
                         dxU=lambda x, t: 0.25 * t + 0.0 * x,
-                        dtU=lambda x, t: 2.0 * t + 0.25 * x, L=L, T=T, name="swelling")
+                        dtU=lambda x, t: 2.0 * t + 0.25 * x)
 
 
 @pytest.mark.parametrize("flow", [uniform_flow, accelerating_flow, decelerating_flow,
                                   swelling_flow])
 def test_coefficients_bit_identical_to_broadcast_reference(flow):
     grid = GridSpec(10, 7, 6, L=1.0, T=0.5)
-    flow = flow(grid.L, grid.T)
+    flow = flow()
     problem = make_problem(flow, grid, linear_data())
     # reference: the coefficients as full (t, x, y) broadcast volumes
     t = grid.t[:, None, None]
@@ -103,6 +102,26 @@ def test_coefficients_bit_identical_to_broadcast_reference(flow):
         }
 
 
+def test_pressure_gradient_reads_the_problem_nodes():
+    # the worst dxP and its (x, t) node, from the flow sampled afresh on the
+    # grid's nodes; ties go to the first maximum in x-major order
+    retarding = ExternalFlow(U=lambda x, t: 2.0 - t + 0.25 * x,
+                             dxU=lambda x, t: 0.25 + 0.0 * x * t,
+                             dtU=lambda x, t: -1.0 + 0.0 * x * t)
+    grid = GridSpec(10, 7, 6, L=1.0, T=0.5)
+    xx, tt = np.meshgrid(grid.x, grid.t, indexing="ij")
+    for flow in (decelerating_flow(), swelling_flow(), retarding):
+        dxP = -(flow.dtU(xx, tt) + flow.U(xx, tt) * flow.dxU(xx, tt))
+        i, j = np.unravel_index(int(np.argmax(dxP)), dxP.shape)
+        grad = pressure_gradient(make_problem(flow, grid, linear_data()))
+        assert grad.worst_value == dxP[i, j]
+        assert grad.worst_location == (grid.x[i], grid.t[j])
+        assert grad.favorable == (dxP[i, j] <= 1e-12)
+    # the retarding flow's worst node is off the origin: x = 0 at the last level
+    assert grad.worst_location == (0.0, 0.5)
+    assert not grad.favorable
+
+
 def _held_bytes(problem) -> dict:
     """Bytes of the buffer behind each array a problem holds."""
     held = {}
@@ -130,7 +149,7 @@ def test_stored_coefficients_do_not_scale_with_ny():
 
 def test_make_problem_shapes_and_locking():
     grid = GridSpec(6, 5, 4, L=1.0, T=0.5)
-    problem = make_problem(uniform_flow(1.0, 0.5), grid, linear_data())
+    problem = make_problem(uniform_flow(), grid, linear_data())
     assert problem.coefficients()[0].shape == (5, 7, 6)
     assert problem.coefficients(2)[0].shape == (7, 6)
     assert problem.w0.shape == (7, 6)

@@ -36,7 +36,7 @@ def linear_problem(grid, flow=None):
         w1=lambda y, t: np.broadcast_to(1.0 - y, np.broadcast(y, t).shape),
         v0=lambda x, t: np.full(np.broadcast(x, t).shape, -1.0),
     )
-    return make_problem(flow or uniform_flow(grid.L, grid.T), grid, data)
+    return make_problem(flow or uniform_flow(), grid, data)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +214,10 @@ def test_weak_residual_is_the_family_max_of_the_terms(margin):
     assert weak_residual(h, prob, margin=margin) == pytest.approx(expected, rel=1e-12)
 
 
-def _meshgrid_terms(history, problem, phi, alpha, margin):
+def _meshgrid_terms(history, problem, flow, phi, alpha, margin):
     # the seven integrals transcribed term by term on full (t, x, y) midcell
-    # meshgrids, with the margin cut from each integrand
+    # meshgrids, with the margin cut from each integrand; the coefficients
+    # come from the flow the problem was built from, sampled afresh
     u, t, x, y = history.values, history.t, history.x, history.y
     dt, dx, dy = np.diff(t).mean(), np.diff(x).mean(), np.diff(y).mean()
     tc, xc, yc = (0.5 * (c[1:] + c[:-1]) for c in (t, x, y))
@@ -224,7 +225,6 @@ def _meshgrid_terms(history, problem, phi, alpha, margin):
     uy_c = estimates._stagger_y(u) / dy
     # node coefficients a = yU, b = (1-y^2) dxU + (1-y) dtU/U, c = (1-y) dxU - dxP/U
     Tn, Xn, Yn = np.meshgrid(t, x, y, indexing="ij")
-    flow = problem.flow
     U, dxU, dtU = flow.U(Xn, Tn), flow.dxU(Xn, Tn), flow.dtU(Xn, Tn)
     dxP = -(dtU + U * dxU)
     a = Yn * U
@@ -263,13 +263,14 @@ def test_weak_residual_terms_match_meshgrid_reference(alpha, margin):
     assert alpha == estimates.WEAK_ALPHA
     # the decelerating flow makes every coefficient kernel (a, dx a, b, dy b, c) nonzero
     grid = GridSpec(nx=12, ny=12, nt=10, L=1.0, T=0.5)
-    prob = linear_problem(grid, decelerating_flow(grid.L, grid.T))
+    flow = decelerating_flow()
+    prob = linear_problem(grid, flow)
     h = grid_history(lambda t, x, y: (1.0 - y) * (1.0 + 0.3 * np.sin(np.pi * x) * t) + 0.01,
                      nt=10, nx=12, ny=12, T=0.5)
     terms = estimates._weak_quadrature(h, prob, margin)
     for phi in estimates.test_function_family(grid.L, grid.T):
         got = terms(phi)
-        ref = _meshgrid_terms(h, prob, phi, alpha, margin)
+        ref = _meshgrid_terms(h, prob, flow, phi, alpha, margin)
         assert list(got) == list(ref)
         scale = max(abs(v) for v in ref.values())
         for key in ref:
@@ -356,7 +357,7 @@ def test_l1_stability_scaled_pair_ratio_one():
         w1=lambda y, t: np.broadcast_to((1.0 + d) * (1.0 - y), np.broadcast(y, t).shape),
         v0=lambda x, t: np.full(np.broadcast(x, t).shape, -1.0),
     )
-    prob_b = make_problem(uniform_flow(1.0, 1.0), grid, data_b)
+    prob_b = make_problem(uniform_flow(), grid, data_b)
     h_a = grid_history(lambda t, x, y: 1.0 - y, nt=8, nx=8, ny=16)
     h_b = grid_history(lambda t, x, y: (1.0 + d) * (1.0 - y), nt=8, nx=8, ny=16)
     rep = l1_stability(h_a, h_b, prob_a, prob_b)

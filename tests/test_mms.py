@@ -3,6 +3,7 @@ import pytest
 import sympy as sp
 
 from crocco_prandtl.errors import ConfigError
+from crocco_prandtl.flows import accelerating_flow, uniform_flow
 from crocco_prandtl.grids import GridSpec
 from crocco_prandtl.mms import (
     build_case,
@@ -58,6 +59,21 @@ def test_wall_flux_relation():
         g = -(case.flow.dtU(x0, t0) + U * case.flow.dxU(x0, t0)) / U
         v0 = case.data.v0(np.atleast_1d(x0), np.atleast_1d(t0))[0]
         assert grad == pytest.approx(v0 + g / (wall + case.eps), abs=1e-5)
+
+
+@pytest.mark.parametrize("name, builder", [("uniform", uniform_flow),
+                                           ("accelerating", accelerating_flow)])
+def test_case_flow_matches_the_builtin(name, builder):
+    # build_case lambdifies the flow from the profile the forcing comes from;
+    # on the refinement-study grids it samples exactly as the numeric built-in
+    flow = build_case("c", 1 - _Y, eps=1e-2, flow_name=name).flow
+    ref = builder()
+    for n in (16, 32, 64):
+        for grid in (GridSpec(n, 16, 2 * n, T=0.5), GridSpec(8, n, 16, T=0.5),
+                     GridSpec(8, 8, n, T=0.5)):
+            x, t = grid.x[None, :], grid.t[:, None]
+            for key in ("U", "dxU", "dtU"):
+                assert np.array_equal(getattr(flow, key)(x, t), getattr(ref, key)(x, t)), key
 
 
 def test_build_case_rejects_nonvanishing_top():

@@ -27,7 +27,7 @@ def linear_problem(grid, scale=1.0):
         w1=lambda y, t: scale * (1.0 - y) + 0.0 * t,
         v0=lambda x, t: -1.0 + 0.0 * x * t,
     )
-    return make_problem(uniform_flow(grid.L, grid.T), grid, data)
+    return make_problem(uniform_flow(), grid, data)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_linear_profile_is_a_fixed_point():
 def test_scaled_linear_profile_stays_positive_and_bounded():
     grid = GridSpec(16, 16, 24, L=1.0, T=0.5)
     problem = make_problem(
-        accelerating_flow(1.0, 0.5), grid,
+        accelerating_flow(), grid,
         CroccoData(
             w0=lambda x, y: 1.5 * (1.0 - y) + 0.0 * x,
             w1=lambda y, t: 1.5 * (1.0 - y) + 0.0 * t,
@@ -146,7 +146,7 @@ def test_viscosity_sweep_decreasing_on_modulated_data():
         w1=lambda y, t: (1.0 - y) + 0.0 * t,
         v0=lambda x, t: -1.0 + 0.0 * x * t,
     )
-    problem = make_problem(accelerating_flow(1.0, 0.5), grid, data)
+    problem = make_problem(accelerating_flow(), grid, data)
     table = viscosity_sweep(problem, (0.1, 0.03, 0.01, 0.003), SolveStore())
     assert len(table.rows) == 3
     assert all(r.ok for r in table.rows)
