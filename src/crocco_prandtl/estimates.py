@@ -386,7 +386,6 @@ def l1_stability(hist_a: FieldHistory, hist_b: FieldHistory,
 
 @dataclass
 class PhysicalStabilityReport:
-    crocco_lhs: np.ndarray
     identity_gap: float
     c6_hat: float
 
@@ -401,18 +400,16 @@ def physical_stability(hist_a: FieldHistory, hist_b: FieldHistory,
 
         integral |dy u_a - dy u_b(match)| (dy u_a / U^2) dy dx.
 
-    The change of variables makes this equal the Crocco-side L1 distance;
-    both values and their gap are reported.
+    The change of variables makes this equal the Crocco-side L1 distance
+    (`l1_stability(...).lhs`); their largest gap over time levels is
+    reported.
     """
     t, x, y = hist_a.t, hist_a.x, hist_a.y
     wx = trapezoid_weights(x)
     phys = np.zeros(t.size)
-    croc = np.zeros(t.size)
-    wy = trapezoid_weights(y)
     for n in range(t.size):
         wa = hist_a.values[n]
         wb = hist_b.values[n]
-        croc[n] = float(np.einsum("i,j,ij->", wx, wy, np.abs(wa - wb)))
         core_a = wa[:, :-1]
         if np.min(core_a) <= 0:
             raise NumericalError("physical reconstruction needs positive shear below eta=1")
@@ -429,8 +426,8 @@ def physical_stability(hist_a: FieldHistory, hist_b: FieldHistory,
     base = l1_stability(hist_a, hist_b, prob_a, prob_b)
     mask = base.rhs > 1e-300
     c6 = float(np.max(phys[mask] / base.rhs[mask])) if np.any(mask) else 0.0
-    gap = float(np.max(np.abs(phys - croc)))
-    return PhysicalStabilityReport(crocco_lhs=croc, identity_gap=gap, c6_hat=c6)
+    gap = float(np.max(np.abs(phys - base.lhs)))
+    return PhysicalStabilityReport(identity_gap=gap, c6_hat=c6)
 
 
 # ---------------------------------------------------------------------------

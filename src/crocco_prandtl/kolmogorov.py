@@ -376,7 +376,13 @@ class MeanValueReport:
 def _mean_value_level(w_field, spec: CutoffSpec, t: float, xs: np.ndarray,
                       ys: np.ndarray) -> tuple:
     """Drift and band terms of the mean-value identity at the points (x, y, t)
-    for every x in xs and y in ys, as two (xs.size, ys.size) arrays."""
+    for every x in xs and y in ys, as two (xs.size, ys.size) arrays.
+
+    Quadrature follows the kernel: midpoint slices in tau, then Gauss-
+    Hermite in eta (scale sqrt(4s)) and in the drift-centered xi (scale
+    sqrt(s^3/3)); the kernel prefactor and the two Gaussian widths cancel
+    to 1/pi per slice.
+    """
     r, theta = spec.r, spec.theta
     if t + r**2 <= 0:
         raise ConfigError("evaluation point lies before the sampling window")
@@ -426,23 +432,6 @@ def _mean_value_level(w_field, spec: CutoffSpec, t: float, xs: np.ndarray,
     if not (np.all(np.isfinite(drift)) and np.all(np.isfinite(band))):
         raise NumericalError("mean-value quadrature produced non-finite values")
     return drift, band
-
-
-def mean_value_at(w_field, spec: CutoffSpec, z) -> tuple:
-    """The two integrals of the mean-value identity at one point.
-
-    Quadrature follows the kernel: midpoint slices in tau, then Gauss-
-    Hermite in eta (scale sqrt(4s)) and in the drift-centered xi (scale
-    sqrt(s^3/3)); the kernel prefactor and the two Gaussian widths cancel
-    to 1/pi per slice.  Returns (drift term, wall-normal band term).  It
-    is the one-point case of mean_value's per-time-level kernel: the field
-    is interpolated in time onto the tau nodes over the window of cells
-    they touch, then bilinearly, and the band term is formed only when
-    d/dy phi1 is nonzero at some eta node.
-    """
-    x, y, t = (float(v) for v in z)
-    drift, band = _mean_value_level(w_field, spec, t, np.array([x]), np.array([y]))
-    return float(drift[0, 0]), float(band[0, 0])
 
 
 def mean_value(w_field, spec: CutoffSpec, nz: int = 9) -> MeanValueReport:

@@ -6,11 +6,14 @@ become the data, so the discrete solution can be compared against a known
 answer.  The suction trace is recovered from the wall flux relation, which
 couples it to the regularization level.
 
-The three refinement studies isolate one grid direction each: a steady
-field that is linear in y and curved in x (streamwise upwind error only),
-a steady x-independent field with genuine y-curvature (wall-normal error
-only), and an x-independent field linear in y with curved time dependence
-(time-stepping error only).
+The refinement studies are the rows of `STUDIES`.  Three run under the
+uniform stream, where b = c = 0, and isolate one grid direction each: a
+steady field that is linear in y and curved in x (streamwise upwind error
+only), a steady x-independent field with genuine y-curvature (wall-normal
+error only), and an x-independent field linear in y with curved time
+dependence (time-stepping error only).  The fourth, "coupled", runs under
+the accelerating stream, so b and c are nonzero, a pressure trace enters
+the flux condition and the wall update iterates; it is refined in x.
 """
 
 from dataclasses import dataclass
@@ -27,8 +30,9 @@ from .solver import solve
 
 _X, _Y, _T = sp.symbols("x y t", real=True)
 
-# the symbolic outer flows U(x, t) a manufactured case can run under
-_FLOWS = {"uniform": sp.Integer(1), "accelerating": 1 + _T}
+EPS = 1e-2  # regularization level of every study
+LEVELS = 3  # refinement levels per study
+BASE = 16  # studied resolution of the coarsest level
 
 
 def _lam(expr, args) -> Callable:
@@ -61,12 +65,13 @@ class ManufacturedCase:
         return self.u_exact(tt, xx, yy)
 
 
-def build_case(name: str, u_expr: sp.Expr, eps: float,
-               flow_name: str = "uniform") -> ManufacturedCase:
-    """Derive forcing and traces for a candidate field.
+def build_case(name: str, u_expr: sp.Expr, U: sp.Expr, eps: float) -> ManufacturedCase:
+    """Derive forcing and traces for a candidate field under the outer flow
+    U(x, t), given symbolically.
 
     The outer flow and its derivatives are lambdified from the same
-    symbolic profile the forcing is derived from.  The field must vanish
+    expression the forcing is derived from; the forcing and the suction
+    trace are lambdified as derived, unsimplified.  The field must vanish
     identically on y = 1 and stay positive below it; the first is checked
     symbolically, the second is the caller's business.
     """
@@ -75,9 +80,6 @@ def build_case(name: str, u_expr: sp.Expr, eps: float,
         raise ConfigError(f"manufactured field must vanish at y = 1, got {top}")
     if eps <= 0:
         raise ConfigError("regularization level must be positive")
-    if flow_name not in _FLOWS:
-        raise ConfigError(f"no symbolic profile for flow '{flow_name}'")
-    U = _FLOWS[flow_name]
     Ux = sp.diff(U, _X)
     Ut = sp.diff(U, _T)
     Px = -(Ut + U * Ux)
@@ -88,53 +90,55 @@ def build_case(name: str, u_expr: sp.Expr, eps: float,
          + (a + eps) * sp.diff(u_expr, _X) + b * sp.diff(u_expr, _Y) + c * u_expr)
     wall = u_expr.subs(_Y, 0)
     v0_expr = sp.diff(u_expr, _Y).subs(_Y, 0) - (Px / U) / (wall + eps)
-
-    u_fn = _lam(u_expr, (_T, _X, _Y))
-    f_fn = _lam(sp.simplify(f), (_X, _Y, _T))
-    w0_fn = _lam(u_expr.subs(_T, 0), (_X, _Y))
-    w1_fn = _lam(u_expr.subs(_X, 0), (_Y, _T))
-    v0_fn = _lam(sp.simplify(v0_expr), (_X, _T))
     return ManufacturedCase(
         name=name,
         flow=ExternalFlow(*(_lam(e, (_X, _T)) for e in (U, Ux, Ut))),
         eps=eps,
-        u_exact=u_fn,
-        forcing=f_fn,
-        data=CroccoData(w0=w0_fn, w1=w1_fn, v0=v0_fn),
+        u_exact=_lam(u_expr, (_T, _X, _Y)),
+        forcing=_lam(f, (_X, _Y, _T)),
+        data=CroccoData(w0=_lam(u_expr.subs(_T, 0), (_X, _Y)),
+                        w1=_lam(u_expr.subs(_X, 0), (_Y, _T)),
+                        v0=_lam(v0_expr, (_X, _T))),
     )
 
 
 # ---------------------------------------------------------------------------
-# the three direction-isolated cases
-
-
-def streamwise_case(eps: float = 1e-2) -> ManufacturedCase:
-    """Steady, linear in y: only the first-order streamwise upwind errs."""
-    u = (1 - _Y) * (1 + sp.sin(sp.pi * _X / 2) / 4)
-    return build_case("mms-streamwise", u, eps)
-
-
-def wall_normal_case(eps: float = 1e-2) -> ManufacturedCase:
-    """Steady and x-free with real curvature in y: second-order territory."""
-    u = (1 - _Y) * sp.exp(_Y / 2)
-    return build_case("mms-wall-normal", u, eps)
-
-
-def time_case(eps: float = 1e-2) -> ManufacturedCase:
-    """x-free and linear in y with curved time dependence: pure time error."""
-    u = (1 - _Y) * (1 + _T**2 / 4)
-    return build_case("mms-time", u, eps)
-
-
-def coupled_case(eps: float = 1e-2) -> ManufacturedCase:
-    """Every term active at once: the accelerating stream carries a nonzero
-    pressure trace into the flux condition, so the wall update iterates."""
-    u = (1 - _Y) * (1 + _T**2 / 4) * (1 + sp.sin(sp.pi * _X / 2) / 8)
-    return build_case("mms-coupled", u, eps, flow_name="accelerating")
-
-
-# ---------------------------------------------------------------------------
 # refinement studies
+
+
+@dataclass(frozen=True)
+class Study:
+    """A closed-form field, the symbolic outer flow it runs under, the grid
+    family at studied resolution n, and the grid step that family refines."""
+
+    field: sp.Expr
+    flow: sp.Expr
+    grid: Callable[[int], GridSpec]
+    step: str  # "dx", "dy" or "dt"
+
+
+def _x_grid(n: int) -> GridSpec:
+    return GridSpec(nx=n, ny=16, nt=2 * n, L=1.0, T=0.5)
+
+
+STUDIES = {
+    "x": Study((1 - _Y) * (1 + sp.sin(sp.pi * _X / 2) / 4), sp.Integer(1),
+               _x_grid, "dx"),
+    "y": Study((1 - _Y) * sp.exp(_Y / 2), sp.Integer(1),
+               lambda n: GridSpec(nx=8, ny=n, nt=16, L=1.0, T=0.5), "dy"),
+    "t": Study((1 - _Y) * (1 + _T**2 / 4), sp.Integer(1),
+               lambda n: GridSpec(nx=8, ny=8, nt=n, L=1.0, T=0.5), "dt"),
+    "coupled": Study((1 - _Y) * (1 + _T**2 / 4) * (1 + sp.sin(sp.pi * _X / 2) / 8),
+                     1 + _T, _x_grid, "dx"),
+}
+
+
+def case(study: str, eps: float) -> ManufacturedCase:
+    """The manufactured case of one row of STUDIES."""
+    if study not in STUDIES:
+        raise ConfigError(f"no refinement study '{study}'; choose from {', '.join(STUDIES)}")
+    row = STUDIES[study]
+    return build_case(f"mms-{study}", row.field, row.flow, eps)
 
 
 @dataclass
@@ -146,21 +150,14 @@ class StudyLevel:
 
 @dataclass
 class StudyResult:
-    name: str
-    direction: str
     levels: List[StudyLevel]
     order: float
 
-    def summary(self) -> str:
-        lines = [f"{self.name}: direction {self.direction}, order {self.order:.3f}"]
-        lines += [f"  {lv.grid}  h={lv.h:.5g}  err={lv.error:.5g}" for lv in self.levels]
-        return "\n".join(lines)
 
-
-def _final_error(case: ManufacturedCase, grid: GridSpec) -> float:
-    prob = case.problem(grid)
-    hist = solve(prob, grid, case.eps, forcing=case.forcing, label=case.name)
-    exact = case.exact_on(grid)
+def _final_error(mms_case: ManufacturedCase, grid: GridSpec) -> float:
+    prob = mms_case.problem(grid)
+    hist = solve(prob, grid, mms_case.eps, forcing=mms_case.forcing, label=mms_case.name)
+    exact = mms_case.exact_on(grid)
     return float(np.max(np.abs(hist.values[-1] - exact[-1])))
 
 
@@ -173,33 +170,20 @@ def _fit_order(hs: Sequence[float], errs: Sequence[float]) -> float:
     return float(slope)
 
 
-def refinement_study(direction: str, levels: int = 3, base: int = 16,
-                     eps: float = 1e-2) -> StudyResult:
-    """Measured convergence order in one grid direction.
+def refinement_study(study: str) -> StudyResult:
+    """Measured convergence order of one row of STUDIES at EPS, over LEVELS
+    grids of its family with studied resolution BASE, 2 BASE, 4 BASE, ...
 
-    Grids refine only the studied direction; the others stay at CFL-safe
+    The family refines only the studied step; the others stay at CFL-safe
     values derived from the studied resolution.
     """
-    if direction not in ("x", "y", "t"):
-        raise ConfigError("direction must be one of x, y, t")
-    if levels < 2:
-        raise ConfigError("need at least two refinement levels")
-    case = {"x": streamwise_case, "y": wall_normal_case, "t": time_case}[direction](eps=eps)
-    rows = []
-    for k in range(levels):
-        n = base * 2**k
-        if direction == "x":
-            grid = GridSpec(nx=n, ny=16, nt=2 * n, L=1.0, T=0.5)
-            h = grid.dx
-        elif direction == "y":
-            grid = GridSpec(nx=8, ny=n, nt=16, L=1.0, T=0.5)
-            h = grid.dy
-        else:
-            grid = GridSpec(nx=8, ny=8, nt=n, L=1.0, T=0.5)
-            h = grid.dt
-        rows.append(StudyLevel(grid=grid.label, h=h, error=_final_error(case, grid)))
-    order = _fit_order([r.h for r in rows], [r.error for r in rows])
-    return StudyResult(name=f"mms-{direction}", direction=direction, levels=rows, order=order)
+    mms_case = case(study, EPS)
+    row = STUDIES[study]
+    grids = [row.grid(BASE * 2**k) for k in range(LEVELS)]
+    levels = [StudyLevel(grid=g.label, h=getattr(g, row.step), error=_final_error(mms_case, g))
+              for g in grids]
+    order = _fit_order([lv.h for lv in levels], [lv.error for lv in levels])
+    return StudyResult(levels=levels, order=order)
 
 
 def one_step_error(case: ManufacturedCase, dt: float, nx: int = 16, ny: int = 16) -> float:

@@ -7,9 +7,11 @@ with it its solve store, is module-scoped, so problems, solves and model
 runs are shared across criteria as in one `acceptance` invocation.
 """
 
+import numpy as np
 import pytest
 
 from crocco_prandtl.acceptance import AcceptanceEngine, parse_suite, run_acceptance
+from crocco_prandtl.crocco import CroccoProblem
 from crocco_prandtl.errors import ConfigError
 
 
@@ -38,6 +40,23 @@ def test_criterion_01_exact_stationary_reproduction(engine, results):
 
 def test_criterion_02_manufactured_solution_orders(engine, results):
     check(engine, results, 2)
+
+
+# coefficient defects: the zeroth-order term dropped, the first-order one reversed
+COEFFICIENT_MUTANTS = {
+    "c_zero": lambda a, b, c: (a, b, np.zeros_like(c)),
+    "b_flipped": lambda a, b, c: (a, -b, c),
+}
+
+
+@pytest.mark.parametrize("mutant", list(COEFFICIENT_MUTANTS))
+def test_criterion_02_rejects_coefficient_defects(monkeypatch, mutant):
+    # b = c = 0 under the uniform stream, so only the coupled study sees these
+    original = CroccoProblem.coefficients
+    monkeypatch.setattr(CroccoProblem, "coefficients",
+                        lambda self, n=slice(None): COEFFICIENT_MUTANTS[mutant](*original(self, n)))
+    res = AcceptanceEngine().criterion_2()
+    assert not res.passed, res.detail
 
 
 def test_criterion_03_eps_uniform_functionals(engine, results):

@@ -396,7 +396,7 @@ def test_physical_stability_matches_crocco_distance():
     h_a = grid_history(lambda t, x, y: np.full_like(y, 2.0), nt=8, nx=8, ny=64)
     h_b = grid_history(lambda t, x, y: np.ones_like(y), nt=8, nx=8, ny=64)
     rep = physical_stability(h_a, h_b, prob_a, prob_b)
-    assert np.all(rep.crocco_lhs == pytest.approx(1.0, rel=1e-12))
+    assert np.all(l1_stability(h_a, h_b, prob_a, prob_b).lhs == pytest.approx(1.0, rel=1e-12))
     assert rep.identity_gap <= 2.0 / 64
 
 
@@ -408,7 +408,7 @@ def test_physical_stability_linear_pair():
     h_b = grid_history(lambda t, x, y: 0.8 * (1.0 - y), nt=4, nx=8, ny=128)
     rep = physical_stability(h_a, h_b, prob_a, prob_b)
     # both routes approximate 0.2 * integral (1-y) dy = 0.1
-    assert np.all(np.abs(rep.crocco_lhs - 0.1) < 1e-12)
+    assert np.all(np.abs(l1_stability(h_a, h_b, prob_a, prob_b).lhs - 0.1) < 1e-12)
     assert rep.identity_gap < 5.0 / 128
 
 

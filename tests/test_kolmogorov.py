@@ -241,9 +241,16 @@ def test_log_field_wrapper():
 # mean value functional
 
 
+def point_value(w_field, cut, z):
+    """(drift, band) of the mean-value identity at the single point z = (x, y, t)."""
+    x, y, t = z
+    drift, band = ko._mean_value_level(w_field, cut, t, np.array([x]), np.array([y]))
+    return float(drift[0, 0]), float(band[0, 0])
+
+
 def test_mean_value_zero_field():
     cut = ko.CutoffSpec(r=1.0, theta=0.01)
-    d, b = ko.mean_value_at(const_field(0.0), cut, (0.0, 0.0, 0.0))
+    d, b = point_value(const_field(0.0), cut, (0.0, 0.0, 0.0))
     assert d == 0.0 and b == 0.0
 
 
@@ -260,7 +267,7 @@ def test_mean_value_reproduces_a_solution():
     # w = 1 + y/2 solves the model equation; the identity returns w(z)
     cut = ko.CutoffSpec(r=1.0, theta=0.01)
     lin = AnalyticField(lambda t, x, y: 1.0 + 0.5 * np.asarray(y, float))
-    d, b = ko.mean_value_at(lin, cut, (0.0, 0.0, 0.0))
+    d, b = point_value(lin, cut, (0.0, 0.0, 0.0))
     assert d + b == pytest.approx(1.0, rel=5e-3)
 
 
@@ -328,7 +335,7 @@ def test_mean_value_kernel_matches_per_point_reference(field):
     # off the lattice, including a point whose eta nodes reach the far band
     # |eta| > theta^(-5/6) r, where the band term is nonzero
     for z in ((0.3, -0.004, -0.002), (0.5, 60.0, -0.05), (0.0, -80.0, 0.0)):
-        got = np.array(ko.mean_value_at(field, cut, z))
+        got = np.array(point_value(field, cut, z))
         want = np.array(reference_mean_value_at(field, cut, z))
         assert np.max(np.abs(got - want)) <= 1e-13 * max(scale, np.max(np.abs(want)))
         if abs(z[1]) > 32.0:
@@ -350,9 +357,9 @@ def test_mean_value_band_term_vanishes_on_admissible_lattices(r, theta):
 def test_mean_value_window_guards():
     cut = ko.CutoffSpec(r=1.0, theta=0.01)
     with pytest.raises(ConfigError):
-        ko.mean_value_at(const_field(1.0), cut, (0.0, 0.0, -1.5))
+        point_value(const_field(1.0), cut, (0.0, 0.0, -1.5))
     # after the window start but before the ramp band: zero contribution
-    d, b = ko.mean_value_at(const_field(1.0), cut, (0.0, 0.0, -0.9))
+    d, b = point_value(const_field(1.0), cut, (0.0, 0.0, -0.9))
     assert d == 0.0 and b == 0.0
 
 

@@ -5,15 +5,7 @@ import sympy as sp
 from crocco_prandtl.errors import ConfigError
 from crocco_prandtl.flows import accelerating_flow, uniform_flow
 from crocco_prandtl.grids import GridSpec
-from crocco_prandtl.mms import (
-    build_case,
-    coupled_case,
-    one_step_error,
-    refinement_study,
-    streamwise_case,
-    time_case,
-    wall_normal_case,
-)
+from crocco_prandtl.mms import EPS, STUDIES, build_case, case, one_step_error, refinement_study
 from crocco_prandtl.solver import solve
 
 _Y = sp.symbols("y", real=True)
@@ -41,36 +33,38 @@ def pde_residual_fd(case, t0, x0, y0, h=1e-4):
     return lhs - case.forcing(x0, y0, t0)
 
 
-@pytest.mark.parametrize("maker", [streamwise_case, wall_normal_case, time_case, coupled_case])
-def test_forcing_matches_equation(maker):
-    case = maker(eps=3e-2)
+@pytest.mark.parametrize("study", list(STUDIES), ids=["streamwise_case", "wall_normal_case",
+                                                      "time_case", "coupled_case"])
+def test_forcing_matches_equation(study):
+    mms_case = case(study, 3e-2)
     for t0, x0, y0 in [(0.1, 0.3, 0.2), (0.3, 0.7, 0.6), (0.45, 0.5, 0.05)]:
-        assert abs(pde_residual_fd(case, t0, x0, y0)) < 1e-6
+        assert abs(pde_residual_fd(mms_case, t0, x0, y0)) < 1e-6
 
 
 def test_wall_flux_relation():
     # suction trace satisfies dy u|0 = v0 + g/(u|0 + eps) with g = dxP/U
-    case = coupled_case(eps=2e-2)
+    mms_case = case("coupled", 2e-2)
     h = 1e-6
     for t0, x0 in [(0.1, 0.25), (0.4, 0.8)]:
-        wall = case.u_exact(t0, x0, 0.0)
-        grad = (case.u_exact(t0, x0, h) - case.u_exact(t0, x0, 0.0)) / h
-        U = case.flow.U(x0, t0)
-        g = -(case.flow.dtU(x0, t0) + U * case.flow.dxU(x0, t0)) / U
-        v0 = case.data.v0(np.atleast_1d(x0), np.atleast_1d(t0))[0]
-        assert grad == pytest.approx(v0 + g / (wall + case.eps), abs=1e-5)
+        wall = mms_case.u_exact(t0, x0, 0.0)
+        grad = (mms_case.u_exact(t0, x0, h) - mms_case.u_exact(t0, x0, 0.0)) / h
+        flow = mms_case.flow
+        U = flow.U(x0, t0)
+        g = -(flow.dtU(x0, t0) + U * flow.dxU(x0, t0)) / U
+        v0 = mms_case.data.v0(np.atleast_1d(x0), np.atleast_1d(t0))[0]
+        assert grad == pytest.approx(v0 + g / (wall + mms_case.eps), abs=1e-5)
 
 
 @pytest.mark.parametrize("name, builder", [("uniform", uniform_flow),
                                            ("accelerating", accelerating_flow)])
 def test_case_flow_matches_the_builtin(name, builder):
     # build_case lambdifies the flow from the profile the forcing comes from;
-    # on the refinement-study grids it samples exactly as the numeric built-in
-    flow = build_case("c", 1 - _Y, eps=1e-2, flow_name=name).flow
+    # on every refinement-study grid it samples exactly as the numeric built-in
+    U = STUDIES[{"uniform": "x", "accelerating": "coupled"}[name]].flow
+    flow = build_case("c", 1 - _Y, U, eps=1e-2).flow
     ref = builder()
     for n in (16, 32, 64):
-        for grid in (GridSpec(n, 16, 2 * n, T=0.5), GridSpec(8, n, 16, T=0.5),
-                     GridSpec(8, 8, n, T=0.5)):
+        for grid in (row.grid(n) for row in STUDIES.values()):
             x, t = grid.x[None, :], grid.t[:, None]
             for key in ("U", "dxU", "dtU"):
                 assert np.array_equal(getattr(flow, key)(x, t), getattr(ref, key)(x, t)), key
@@ -78,50 +72,50 @@ def test_case_flow_matches_the_builtin(name, builder):
 
 def test_build_case_rejects_nonvanishing_top():
     with pytest.raises(ConfigError):
-        build_case("bad", 1 - _Y / 2, eps=1e-2)
+        build_case("bad", 1 - _Y / 2, sp.Integer(1), eps=1e-2)
 
 
 def test_build_case_rejects_bad_eps():
     with pytest.raises(ConfigError):
-        build_case("bad", 1 - _Y, eps=0.0)
+        build_case("bad", 1 - _Y, sp.Integer(1), eps=0.0)
 
 
 def test_solution_reproduced_from_own_data():
     # the manufactured forcing keeps the field on the grid, up to truncation
-    case = wall_normal_case(eps=1e-2)
+    mms_case = case("y", EPS)
     grid = GridSpec(nx=8, ny=32, nt=16, L=1.0, T=0.5)
-    prob = case.problem(grid)
-    hist = solve(prob, grid, case.eps, forcing=case.forcing)
-    err = np.max(np.abs(hist.values[-1] - case.exact_on(grid)[-1]))
+    prob = mms_case.problem(grid)
+    hist = solve(prob, grid, mms_case.eps, forcing=mms_case.forcing)
+    err = np.max(np.abs(hist.values[-1] - mms_case.exact_on(grid)[-1]))
     assert err < 5e-4
 
 
 def test_one_step_error_is_second_order():
-    case = time_case(eps=1e-2)
-    e1 = one_step_error(case, dt=1.0 / 64)
-    e2 = one_step_error(case, dt=1.0 / 128)
+    mms_case = case("t", EPS)
+    e1 = one_step_error(mms_case, dt=1.0 / 64)
+    e2 = one_step_error(mms_case, dt=1.0 / 128)
     assert e1 / e2 > 3.0
 
 
-@pytest.mark.parametrize("direction,floor", [("x", 0.9), ("t", 0.9)])
-def test_first_order_directions(direction, floor):
-    study = refinement_study(direction, levels=3, base=8)
-    assert study.order >= floor, study.summary()
+@pytest.mark.parametrize("study,floor", [("x", 0.9), ("t", 0.9), ("coupled", 0.9)])
+def test_first_order_directions(study, floor):
+    result = refinement_study(study)
+    assert result.order >= floor, result.levels
 
 
 def test_second_order_wall_normal():
-    study = refinement_study("y", levels=3, base=8)
-    assert study.order >= 1.9, study.summary()
+    study = refinement_study("y")
+    assert study.order >= 1.9, study.levels
 
 
 def test_coupled_case_converges():
-    case = coupled_case(eps=1e-2)
+    mms_case = case("coupled", EPS)
     errs = {}
     for n in (16, 32):
         grid = GridSpec(nx=n, ny=n, nt=n, L=1.0, T=0.5)
-        prob = case.problem(grid)
-        hist = solve(prob, grid, case.eps, forcing=case.forcing)
-        errs[n] = np.max(np.abs(hist.values[-1] - case.exact_on(grid)[-1]))
+        prob = mms_case.problem(grid)
+        hist = solve(prob, grid, mms_case.eps, forcing=mms_case.forcing)
+        errs[n] = np.max(np.abs(hist.values[-1] - mms_case.exact_on(grid)[-1]))
         assert hist.diagnostics["newton_iterations_max"] >= 1
     assert errs[16] / errs[32] > 1.5
 
@@ -129,5 +123,3 @@ def test_coupled_case_converges():
 def test_refinement_study_validates_arguments():
     with pytest.raises(ConfigError):
         refinement_study("z")
-    with pytest.raises(ConfigError):
-        refinement_study("x", levels=1)

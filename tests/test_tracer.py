@@ -34,6 +34,8 @@ hist.sample_dy(-0.5, 0.0, 0.0)
 wall = time.perf_counter() - start
 metrics = spans.layer_metrics(tracer.spans, wall, {
     "wall_s": wall, "import_s": 0.0, "config_s": 0.0, "criterion_s": {}}, 0)
+from crocco_prandtl import mms
+mms.refinement_study("t")
 print(json.dumps({"spans": sorted({s["name"] for s in tracer.spans}),
                   "metrics": {k: v["value"] for k, v in metrics.items()}}))
 """
@@ -46,6 +48,9 @@ def test_tracer_installs_and_reduces():
     out = json.loads(proc.stdout.splitlines()[-1])
     assert {"solver.solve", "crocco.make_problem", "kolmogorov.solve_model",
             "kolmogorov.mean_value", "grids.sample_dy"} <= set(out["spans"])
+    # the tracer rebinds module globals and dict values only, so a study
+    # that reached build_case through anything else would escape its span
+    assert {"mms.build_case", "mms.refinement_study"} <= set(out["spans"])
     metrics = out["metrics"]
     assert metrics["solver.calls"] == 1.0
     assert metrics["kolmogorov.model.calls"] == 1.0
