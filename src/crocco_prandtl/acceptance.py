@@ -4,12 +4,13 @@ Twelve numbered criteria, each measuring a pinned quantitative surrogate
 at desk scale.  Each engine owns one SolveStore: problems, strip solves
 and the shared model runs are built once per engine, so criteria reuse
 each other's fields.  The measurements themselves are the functions the
-scenario runners call (estimate battery, sweep plus refinement proxy,
-per-family stability, kernel identities, density floor, Poincare ratio,
-oscillation table); a criterion is a threshold on their result.  Two
-checks bypass the store on purpose: criterion 6 marches identical data
-twice, and criterion 12 reruns the full artifact bundle, each scenario
-with its own fresh store.
+scenario runners call, and a bound a runner applies too lives with the
+measurement in scenarios, which returns its verdicts; a criterion takes
+all of them, adds the thresholds only it applies, and formats its detail
+from the same constants.  Two checks bypass the store on purpose:
+criterion 6 compares its stored march with one fresh march of the same
+data, and criterion 12 reruns the full artifact bundle, each scenario with
+its own fresh store.
 """
 
 import tempfile
@@ -18,21 +19,22 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List
 
-import numpy as np
-
 from . import kolmogorov as ko
 from ._version import __version__
-from .config import RunConfig
+from .config import SCENARIOS, RunConfig
 from .errors import ConfigError, CroccoError
-from .estimates import (l1_stability, trace_residual, uniformity_spread,
-                        weak_residual)
+from .estimates import uniformity_spread, weak_residual
 from .grids import GridSpec
-from .scenarios import (ACCEL_T, EXACT_T, cauchy_sweep, density_floor,
-                        estimate_battery, exact_profile_problem,
-                        family_stability, favorable_accel_problem,
+from .scenarios import (ACCEL_T, DILATION_TOL, EXACT_T, EXACT_TOL,
+                        IDENTICAL_TOL, KERNEL_MASS_TOL, KERNEL_ORDER_FLOOR,
+                        SWEEP_PROXY_FACTOR, WALL_TRACE_TOL, WEAK_RESIDUAL_TOL,
+                        cauchy_sweep, density_floor, estimate_battery,
+                        exact_error, exact_profile_problem, family_stability,
+                        favorable_accel_problem, identical_data,
                         kernel_identities, linear_control, model_oscillation,
-                        pinched_poincare, unit_density)
-from .solver import SolveStore, solve
+                        pinched_poincare, poincare_cutoff, unit_density,
+                        weak_identity)
+from .solver import SolveStore
 
 EPS_FAMILY = (1e-1, 1e-2, 1e-3, 1e-4)
 SWEEP_LIST = (0.1, 0.03, 0.01, 0.003, 0.001)
@@ -74,14 +76,8 @@ class AcceptanceReport:
 
 def artifact_bundle():
     """One RunConfig per scenario at its shipped desk-scale settings."""
-    return (
-        RunConfig(scenario="exact_profile"),
-        RunConfig(scenario="favorable_accel"),
-        RunConfig(scenario="viscosity_sweep"),
-        RunConfig(scenario="stability_perturb"),
-        RunConfig(scenario="kolmogorov_checks"),
-        RunConfig(scenario="oscillation_lab", nx=48, ny=192, nt=300),
-    )
+    return tuple(RunConfig(s, *MODEL_GRID) if s == "oscillation_lab" else RunConfig(s)
+                 for s in SCENARIOS)
 
 
 def _cube(n: int, T: float) -> GridSpec:
@@ -102,18 +98,18 @@ class AcceptanceEngine:
 
     def criterion_1(self) -> CriterionResult:
         problem = self.store.build(exact_profile_problem, _cube(64, EXACT_T))
-        exact = 1.0 - problem.grid.y[None, None, :]
-        worst_err = 0.0
+        errors = []
         worst_time = 0.0
         for eps in EPS_FAMILY:
             t0 = time.perf_counter()
             hist = self.store.solve(problem, eps)
             worst_time = max(worst_time, time.perf_counter() - t0)
-            worst_err = max(worst_err, float(np.max(np.abs(hist.values - exact))))
-        passed = worst_err <= 1e-8 and worst_time < 10.0
+            errors.append(exact_error(hist))
+        passed = all(ok for _, ok in errors) and worst_time < 10.0
         return CriterionResult(
             1, "exact stationary reproduction", passed,
-            f"max error {worst_err:.3e} (tol 1e-08), slowest solve {worst_time:.2f} s (limit 10 s)")
+            f"max error {max(err for err, _ in errors):.3e} (tol {EXACT_TOL:.0e}), "
+            f"slowest solve {worst_time:.2f} s (limit 10 s)")
 
     def criterion_2(self) -> CriterionResult:
         from . import mms  # sympy loads only when this criterion runs
@@ -139,61 +135,53 @@ class AcceptanceEngine:
             f"worst spread {spreads[worst]:.3f} ({worst}) across eps {EPS_FAMILY} (tol 0.10)")
 
     def criterion_4(self) -> CriterionResult:
-        table, proxy = cauchy_sweep(self.store, _cube(64, ACCEL_T), SWEEP_LIST)
-        final = table.rows[-1].l1_diff
-        passed = table.strictly_decreasing and final < 10.0 * proxy
+        table, proxy, verdicts = cauchy_sweep(self.store, _cube(64, ACCEL_T), SWEEP_LIST)
         return CriterionResult(
-            4, "vanishing-viscosity Cauchy property", passed,
+            4, "vanishing-viscosity Cauchy property", all(verdicts.values()),
             f"diffs {['%.2e' % r.l1_diff for r in table.rows]} strictly decreasing: "
-            f"{table.strictly_decreasing}; final {final:.2e} < 10 x proxy {proxy:.2e}")
+            f"{table.strictly_decreasing}; final {table.rows[-1].l1_diff:.2e} < "
+            f"{SWEEP_PROXY_FACTOR:g} x proxy {proxy:.2e}")
 
     def criterion_5(self) -> CriterionResult:
         p64 = self.store.build(exact_profile_problem, _cube(64, EXACT_T))
         p128 = self.store.build(exact_profile_problem, _cube(128, EXACT_T))
-        h64 = self.store.solve(p64, 1e-3)
-        res64 = weak_residual(h64, p64)
+        tr, res64, verdicts = weak_identity(self.store.solve(p64, 1e-3), p64)
         res128 = weak_residual(self.store.solve(p128, 1e-3), p128)
-        wall = trace_residual(h64, p64).wall_sup
         ratio = res64 / res128 if res128 > 0 else float("inf")
-        passed = res64 <= 1e-2 and ratio >= 1.8 and wall <= 1e-6
+        passed = all(verdicts.values()) and ratio >= 1.8
         return CriterionResult(
             5, "weak-solution identity", passed,
-            f"residual {res64:.3e} (tol 1e-02), refinement ratio {ratio:.2f} (>=1.8), "
-            f"wall trace {wall:.3e} (tol 1e-06)")
+            f"residual {res64:.3e} (tol {WEAK_RESIDUAL_TOL:.0e}), refinement ratio "
+            f"{ratio:.2f} (>=1.8), wall trace {tr.wall_sup:.3e} (tol {WALL_TRACE_TOL:.0e})")
 
     def criterion_6(self) -> CriterionResult:
         c6 = {}
+        finite = True
         for n in (64, 128):
             for eps in (1e-2, 1e-3):
-                stabs = family_stability(self.store, _cube(n, ACCEL_T), eps, 1e-3)
+                stabs, verdicts = family_stability(self.store, _cube(n, ACCEL_T), eps, 1e-3)
+                finite = finite and all(verdicts.values())
                 for family, stab in stabs.items():
                     c6.setdefault(family, []).append(stab.c6_hat)
         spreads = {f: uniformity_spread(v) for f, v in c6.items()}
-
-        # two deliberate fresh marches of the same data, never served from the store
+        # the stored march at n = 64, eps = 1e-3 against one fresh march
         problem = self.store.build(favorable_accel_problem, _cube(64, ACCEL_T))
-        rerun_a = solve(problem, problem.grid, 1e-3)
-        rerun_b = solve(problem, problem.grid, 1e-3)
-        ident = l1_stability(rerun_a, rerun_b, problem, problem)
-        ident_max = float(np.max(ident.lhs))
-
-        finite = all(np.isfinite(v) for vals in c6.values() for v in vals)
-        passed = (finite and all(s < 0.20 for s in spreads.values())
-                  and ident_max <= 1e-12)
+        ident, ident_ok = identical_data(self.store, problem, 1e-3)
+        passed = finite and all(s < 0.20 for s in spreads.values()) and ident_ok
         worst = max(spreads, key=spreads.get)
         return CriterionResult(
             6, "L1 continuous dependence", passed,
             f"c6 per family {({f: '%.3f' % max(v) for f, v in c6.items()})}, worst spread "
-            f"{spreads[worst]:.3f} ({worst}, tol 0.20), identical-data lhs {ident_max:.2e} (tol 1e-12)")
+            f"{spreads[worst]:.3f} ({worst}, tol 0.20), identical-data lhs {ident:.2e} "
+            f"(tol {IDENTICAL_TOL:.0e})")
 
     def criterion_7(self) -> CriterionResult:
-        kid = kernel_identities(7)
-        mass, dil, order = max(kid["mass"].values()), kid["dilation"], kid["order"]
-        passed = mass <= 1e-8 and dil <= 1e-12 and order >= 1.9
+        kid, verdicts = kernel_identities(7)
         return CriterionResult(
-            7, "fundamental-solution identities", passed,
-            f"mass defect {mass:.2e} (tol 1e-08), dilation defect {dil:.2e} (tol 1e-12), "
-            f"residual order {order:.2f} (>=1.9)")
+            7, "fundamental-solution identities", all(verdicts.values()),
+            f"mass defect {max(kid['mass'].values()):.2e} (tol {KERNEL_MASS_TOL:.0e}), "
+            f"dilation defect {kid['dilation']:.2e} (tol {DILATION_TOL:.0e}), "
+            f"residual order {kid['order']:.2f} (>={KERNEL_ORDER_FLOOR:g})")
 
     def criterion_8(self) -> CriterionResult:
         report = ko.verify_lemma(ko.CutoffSpec(r=1.0, theta=THETA_DEFAULT), n=33)
@@ -203,9 +191,8 @@ class AcceptanceEngine:
             f"33^3 lattice at theta {THETA_DEFAULT:g}: {margins}")
 
     def criterion_9(self) -> CriterionResult:
-        unit = unit_density(0.01)
+        unit, ok = unit_density(0.01)
         details = [f"unit field {unit.ratio:.3f}"]
-        ok = unit.ratio == 1.0
         for kind, lam, seed in ROUGH_COEFS:
             den, run_ok = density_floor(self.store.build(_model_history, kind, lam, seed), 0.01)
             ok = ok and run_ok
@@ -216,7 +203,7 @@ class AcceptanceEngine:
             "; ".join(details) + f" (floor {ko.DENSITY_FLOOR:.4f} for h <= 0.01)")
 
     def criterion_10(self) -> CriterionResult:
-        spec = ko.CutoffSpec(r=0.8 * THETA_DEFAULT, theta=THETA_DEFAULT)
+        spec = poincare_cutoff(THETA_DEFAULT)
 
         def family_constant(grid):
             reports = [pinched_poincare(ko.model_scenarios(kind, lam=lam, seed=seed),
@@ -237,19 +224,15 @@ class AcceptanceEngine:
             f"{viol_base + viol_fine}")
 
     def criterion_11(self) -> CriterionResult:
-        beta = 0.0
-        alphas = []
-        for kind in ("checkerboard", "seeded-random"):
-            for lam in (2.0, 4.0):
-                osc = model_oscillation(self.store.build(_model_history, kind, lam, 0))
-                beta = max(beta, osc.beta_bar)
-                alphas.append(osc.alpha_holder)
-        ctl_err = max(abs(row.ratio - 0.3) for row in linear_control().rows)
-        passed = beta < 1.0 and all(a > 0 for a in alphas) and ctl_err <= 1e-9
+        oscs = [model_oscillation(self.store.build(_model_history, kind, lam, 0))
+                for kind in ("checkerboard", "seeded-random") for lam in (2.0, 4.0)]
+        _, ctl_err, ctl_ok = linear_control()
+        passed = ctl_ok and all(all(verdicts.values()) for _, verdicts in oscs)
         return CriterionResult(
             11, "oscillation decay", passed,
-            f"beta_bar {beta:.3f} (<1), Holder exponents "
-            f"{['%.2f' % a for a in alphas]} (>0), linear control defect {ctl_err:.1e}")
+            f"beta_bar {['%.3f' % osc.beta_bar for osc, _ in oscs]} (in (0, 1)), Holder "
+            f"exponents {['%.2f' % osc.alpha_holder for osc, _ in oscs]} (>0), "
+            f"linear control defect {ctl_err:.1e}")
 
     def criterion_12(self) -> CriterionResult:
         from .reporting import write_artifacts
@@ -265,8 +248,7 @@ class AcceptanceEngine:
 
         with tempfile.TemporaryDirectory() as tmp_a, tempfile.TemporaryDirectory() as tmp_b:
             ra, rb = Path(tmp_a), Path(tmp_b)
-            files_a = produce(ra)
-            files_b = produce(rb)
+            files_a, files_b = produce(ra), produce(rb)
             if files_a != files_b:
                 return CriterionResult(12, "determinism", False,
                                        "artifact sets differ between invocations")

@@ -187,17 +187,7 @@ def make_problem(flow: ExternalFlow, grid: GridSpec, data: CroccoData, label: st
     corner = float(np.max(np.abs(w0[0, :] - w1[0, :])))
     if corner > 1e-9:
         raise DataError(f"initial and inflow data disagree at the corner x=0, t=0 by {corner:.3g}")
-    return CroccoProblem(
-        grid=grid,
-        U=_lock(U),
-        dxU=_lock(dxU),
-        dtU=_lock(dtU),
-        px_over_u=_lock(dxP / U),
-        w0=_lock(w0),
-        w1=_lock(w1),
-        v0=_lock(v0),
-        label=label,
-    )
+    return CroccoProblem(grid, *map(_lock, (U, dxU, dtU, dxP / U, w0, w1, v0)), label=label)
 
 
 def validate(problem: CroccoProblem) -> ValidationReport:

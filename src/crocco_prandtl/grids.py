@@ -76,9 +76,13 @@ class GridSpec:
 
 
 def _cell(nodes: np.ndarray, q) -> tuple:
-    """Cell and in-cell weight of q; points outside extrapolate from the edge cell."""
-    h = (nodes[-1] - nodes[0]) / (nodes.size - 1)
-    cell = np.fmax(np.fmin(np.floor((q - nodes[0]) / h), nodes.size - 2), 0.0).astype(np.intp)
+    """Cell and in-cell weight of q; a query more than 1e-12 of the span
+    outside the axis raises ConfigError."""
+    n = nodes.size - 1
+    s = (q - nodes[0]) / ((nodes[-1] - nodes[0]) / n)
+    if np.min(s, initial=0.0) < -1e-12 * n or np.max(s, initial=0.0) > (1.0 + 1e-12) * n:
+        raise ConfigError("sample query outside the axis of the field history")
+    cell = np.fmax(np.fmin(np.floor(s), n - 1), 0.0).astype(np.intp)
     return cell, (q - nodes[cell]) / np.diff(nodes)[cell]
 
 
@@ -100,7 +104,7 @@ class FieldHistory:
 
     values has shape (t.size, x.size, y.size); each axis has at least two
     ascending equally spaced nodes.  Arrays are marked read-only after
-    construction.  Sampling extrapolates linearly outside the grid.
+    construction.  A query outside the axes raises ConfigError.
     """
 
     t: np.ndarray

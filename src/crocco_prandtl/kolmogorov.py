@@ -788,8 +788,9 @@ def solve_model(coef: RoughCoefficient, nx: int = 48, ny: int = 192,
     dia[:, 1:-1] = 1.0 + ry * (a_half[:, :-1] + a_half[:, 1:])
     solve_columns = _factor_columns(sub, dia, sup)
 
-    hist = np.empty((nt + 1, nx, ny + 1))
-    hist[0] = u
+    # column nx is the periodic wrap of column 0, so interpolation covers x = 1
+    hist = np.empty((nt + 1, nx + 1, ny + 1))
+    hist[0, :nx], hist[0, nx] = u, u[0]
     speed_pos = y > 0
     for n in range(nt):
         tn1 = t[n + 1]
@@ -802,12 +803,9 @@ def solve_model(coef: RoughCoefficient, nx: int = 48, ny: int = 192,
         u = solve_columns(rhs)
         if not np.all(np.isfinite(u)):
             raise NumericalError(f"model run lost finiteness at step {n + 1}")
-        hist[n + 1] = u
+        hist[n + 1, :nx], hist[n + 1, nx] = u, u[0]
 
-    # append the periodic wrap column so interpolation covers x = 1
-    x_out = np.append(x, 1.0)
-    vals = np.concatenate([hist, hist[:, :1, :]], axis=1)
-    return FieldHistory(t=t, x=x_out, y=y, values=vals,
+    return FieldHistory(t=t, x=np.append(x, 1.0), y=y, values=hist,
                         label=f"model-{coef.name}",
                         diagnostics={"dt": dt, "dx": dx, "dy": dy})
 

@@ -29,9 +29,7 @@ def artifact_header(result: RunResult) -> str:
 def fmt(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
 

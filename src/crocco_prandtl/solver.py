@@ -166,8 +166,7 @@ def _advance(u, n, problem, grid, eps, source, a_n, b_n, c_n1) -> tuple:
         raise NumericalError(f"non-finite field after step to t={grid.t[n + 1]:.6g}")
     umin = float(np.min(u_new))
     if umin < -1e-12:
-        k = int(np.argmin(u_new))
-        i, j = np.unravel_index(k, u_new.shape)
+        i, j = np.unravel_index(int(np.argmin(u_new)), u_new.shape)
         raise NumericalError(
             f"positivity lost at t={grid.t[n + 1]:.6g}, x={grid.x[i]:.6g}, "
             f"y={grid.y[j]:.6g}: u={umin:.3e}"
@@ -198,20 +197,10 @@ def solve(problem: CroccoProblem, grid: GridSpec, eps: float,
         a_n, b_n = a_n1, b_n1
         newton_iters[n] = it
         values[n + 1] = u
-    return FieldHistory(
-        t=grid.t,
-        x=grid.x,
-        y=grid.y,
-        values=values,
-        eps=eps,
-        label=label or problem.label,
-        diagnostics={
-            "newton_iterations_max": int(newton_iters.max(initial=0)),
-            "newton_iterations": newton_iters,
-            "cfl_x": margins["cfl_x"],
-            "cfl_y": margins["cfl_y"],
-        },
-    )
+    return FieldHistory(t=grid.t, x=grid.x, y=grid.y, values=values, eps=eps,
+                        label=label or problem.label,
+                        diagnostics={"newton_iterations_max": int(newton_iters.max(initial=0)),
+                                     "newton_iterations": newton_iters, **margins})
 
 
 class SolveStore:
@@ -260,8 +249,7 @@ class ConvergenceTable:
     @property
     def strictly_decreasing(self) -> bool:
         d = np.array([r.l1_diff for r in self.rows])
-        finite = np.isfinite(d)
-        if not np.all(finite) or d.size < 2:
+        if not np.all(np.isfinite(d)) or d.size < 2:
             return False
         return bool(np.all(np.diff(d) < 0))
 

@@ -1,6 +1,6 @@
 """FieldHistory sampling (sample, sample_dy and the field at fixed times,
 at_times) against scipy's RegularGridInterpolator, which is the reference
-here only: linear, with linear extrapolation outside the grid."""
+here only, on queries inside the axes; a query outside them is refused."""
 
 import numpy as np
 import pytest
@@ -21,14 +21,14 @@ def _oracle(nodes, values, queries):
 
 @st.composite
 def axis_with_queries(draw):
-    """Uniform nodes and queries on them: inside, exactly on a node (the
-    last one included) and up to two cells outside either end."""
+    """Uniform nodes and queries on them: inside and exactly on a node (the
+    last one included)."""
     n = draw(st.integers(2, 9))
     start = draw(st.floats(-10.0, 10.0))
     h = draw(st.floats(1e-3, 10.0))
     nodes = np.linspace(start, start + h * (n - 1), n)
     on_node = st.sampled_from(nodes.tolist())
-    anywhere = st.floats(nodes[0] - 2.0 * h, nodes[-1] + 2.0 * h)
+    anywhere = st.floats(nodes[0], nodes[-1])
     queries = draw(st.lists(st.one_of(on_node, anywhere), min_size=1, max_size=6))
     return nodes, np.array(queries + [nodes[0], nodes[-1]])
 
@@ -62,6 +62,36 @@ def test_non_uniform_history_is_refused(x):
     t, y = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4)
     with pytest.raises(ConfigError):
         FieldHistory(t=t, x=np.array(x), y=y, values=np.zeros((3, len(x), 4)))
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("axis", ["t", "x", "y"])
+def test_queries_outside_the_axes_are_refused(axis, side):
+    axes = {"t": np.linspace(0.0, 1.0, 5), "x": np.linspace(-1.0, 1.0, 9),
+            "y": np.linspace(0.0, 2.0, 11)}
+    hist = FieldHistory(values=np.random.default_rng(0).uniform(size=(5, 9, 11)), **axes)
+    nodes = axes[axis]
+    span, cell = nodes[-1] - nodes[0], nodes[1] - nodes[0]
+    edge, out = (nodes[0], -1.0) if side == "below" else (nodes[-1], 1.0)
+
+    def at(offset):
+        q = {"t": 0.5, "x": 0.0, "y": 1.0}
+        q[axis] = edge + out * offset
+        return q["t"], q["x"], q["y"]
+
+    # rounding at the edge, within 1e-12 of the span, is still inside
+    tq, xq, yq = at(1e-13 * span)
+    hist.sample(tq, xq, yq)
+    hist.sample_dy(tq, xq, yq)
+    hist.at_times(np.array([tq]), (xq, xq), (yq, yq))(np.array([yq]))(np.array([xq]))
+    # one cell outside raises from every sampler
+    tq, xq, yq = at(cell)
+    with pytest.raises(ConfigError):
+        hist.sample(tq, xq, yq)
+    with pytest.raises(ConfigError):
+        hist.sample_dy(tq, xq, yq)
+    with pytest.raises(ConfigError):
+        hist.at_times(np.array([tq]), (xq, xq), (yq, yq))(np.array([yq]))(np.array([xq]))
 
 
 def test_at_times_refuses_queries_outside_its_spans():

@@ -18,7 +18,7 @@ def const_field(c):
 
 
 def const_history(c):
-    # two nodes per axis: sampling extrapolates the constant everywhere
+    # two nodes per axis: the constant on the unit past window
     return FieldHistory(t=[-1.0, 0.0], x=[-1.0, 1.0], y=[-1.0, 1.0],
                         values=np.full((2, 2, 2), c))
 
@@ -307,11 +307,12 @@ def reference_mean_value_at(w_field, cut, z, n_tau=160, n_eta=16, n_xi=8):
 
 def coarse_random_history():
     # nine time nodes 0.0375 apart: the tau nodes of r = 1 span about five
-    # time cells; random nodal values expose any corner or weight mix-up
+    # time cells; random nodal values expose any corner or weight mix-up.
+    # The axes hold every query, off-lattice points included (y down to -84)
     rng = np.random.default_rng(11)
     t = np.linspace(-0.3, 0.0, 9)
     x = np.linspace(-16.0, 16.0, 33)
-    y = np.linspace(-70.0, 70.0, 57)
+    y = np.linspace(-90.0, 90.0, 73)
     return FieldHistory(t=t, x=x, y=y, values=rng.uniform(0.5, 1.5, (t.size, x.size, y.size)))
 
 

@@ -5,10 +5,15 @@ tests pin the report structure and the small-grid behavior so runner
 regressions surface quickly.
 """
 
+from dataclasses import dataclass, replace
+from typing import Callable
+
 import numpy as np
 import pytest
 
 from crocco_prandtl import kolmogorov as ko
+from crocco_prandtl import scenarios
+from crocco_prandtl.acceptance import AcceptanceEngine
 from crocco_prandtl.config import RunConfig
 from crocco_prandtl.errors import ConfigError
 from crocco_prandtl.reporting import write_artifacts
@@ -22,8 +27,8 @@ from crocco_prandtl.scenarios import (
     run_scenario,
     validate_scenario,
 )
-from crocco_prandtl.grids import GridSpec
-from crocco_prandtl.solver import check_cfl
+from crocco_prandtl.grids import FieldHistory, GridSpec
+from crocco_prandtl.solver import ConvergenceTable, SolveStore, SweepRow, check_cfl
 
 
 def test_exact_profile_small_grid():
@@ -169,3 +174,143 @@ def test_artifact_writer_emits_tables(tmp_path):
 
 def test_runner_registry_is_callable():
     assert all(callable(fn) for fn in RUNNERS.values())
+
+
+# ---------------------------------------------------------------------------
+# shared bounds: a bound that a runner and an acceptance criterion both
+# apply is decided once, in the shared measurement.  Each case patches the
+# quantity that measurement reads to a value just inside its bound, where
+# the runner's verdicts and the criterion must pass, and to one just past
+# it, where both must fail.
+
+
+def _wrap(m, owner, name, change):
+    """Pass every result of owner.name through change(result, *args, **kwargs)."""
+    original = getattr(owner, name)
+    m.setattr(owner, name, lambda *a, **k: change(original(*a, **k), *a, **k))
+
+
+def _exact_offset(m, v):
+    # every strip run becomes the exact profile 1 - y shifted by v
+    _wrap(m, SolveStore, "solve", lambda hist, *a, **k: FieldHistory(
+        t=hist.t, x=hist.x, y=hist.y, eps=hist.eps, label=hist.label,
+        values=np.broadcast_to(1.0 - hist.y + v, hist.values.shape)))
+
+
+def _sweep_ratio(m, v):
+    # a final sweep gap of 1e-3 against a refinement proxy of 1e-3 / v
+    rows = [SweepRow(0.1, 0.01, 2e-3, True), SweepRow(0.01, 0.001, 1e-3, True)]
+    m.setattr(scenarios, "viscosity_sweep", lambda *a: ConvergenceTable(rows))
+    m.setattr(scenarios, "grid_refinement_proxy", lambda *a, **k: 1e-3 / v)
+
+
+def _control_row(rep, v):
+    # the first linear-control row moves by v; beta_bar is another row's
+    rows = [replace(rep.rows[0], ratio=ko.OSC_THETA_BAR - v)] + rep.rows[1:]
+    return replace(rep, rows=rows, beta_bar=max(row.ratio for row in rows))
+
+
+def _model_oscillation(m, **fields):
+    _wrap(m, ko, "oscillation_table", lambda rep, field, domain=None:
+          rep if domain is None else replace(rep, **fields))
+
+
+@dataclass
+class SharedBound:
+    criterion: int
+    cfg: RunConfig
+    verdict: str          # the runner's verdict name, or its prefix
+    patch: Callable       # patch(monkeypatch context, value)
+    inside: float
+    past: float
+
+
+EXACT = RunConfig(scenario="exact_profile", nx=16, ny=16, nt=24, eps=1e-2)
+SWEEP = RunConfig(scenario="viscosity_sweep", nx=16, ny=16, nt=24, eps_list=(0.1, 0.03, 0.01))
+PERTURB = RunConfig(scenario="stability_perturb", nx=16, ny=16, nt=24, eps=1e-2)
+KERNEL = RunConfig(scenario="kolmogorov_checks")
+LAB = RunConfig(scenario="oscillation_lab", nx=16, ny=48, nt=12)
+TINY, ONE_MINUS = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+
+SHARED_BOUNDS = {
+    "exact": SharedBound(1, EXACT, "exact_solution_reproduced", _exact_offset,
+                         scenarios.EXACT_TOL * (1 - 1e-3), scenarios.EXACT_TOL * (1 + 1e-3)),
+    "wall_trace": SharedBound(
+        5, EXACT, "wall_trace_small",
+        lambda m, v: _wrap(m, scenarios, "trace_residual", lambda tr, *a: replace(tr, wall_sup=v)),
+        scenarios.WALL_TRACE_TOL * (1 - 1e-3), scenarios.WALL_TRACE_TOL * (1 + 1e-3)),
+    "weak_residual": SharedBound(
+        5, EXACT, "weak_residual_small",
+        lambda m, v: _wrap(m, scenarios, "weak_residual",
+                           lambda res, hist, problem, margin=0: res if margin else v),
+        scenarios.WEAK_RESIDUAL_TOL * (1 - 1e-3), scenarios.WEAK_RESIDUAL_TOL * (1 + 1e-3)),
+    "sweep_gap": SharedBound(4, SWEEP, "final_gap_below_grid_error", _sweep_ratio,
+                             scenarios.SWEEP_PROXY_FACTOR * (1 - 1e-3),
+                             scenarios.SWEEP_PROXY_FACTOR * (1 + 1e-3)),
+    "identical_data": SharedBound(
+        6, PERTURB, "identical_data_silent",
+        lambda m, v: _wrap(m, scenarios, "l1_stability", lambda rep, a, b, pa, pb:
+                           replace(rep, lhs=np.full_like(rep.lhs, v)) if pa is pb else rep),
+        scenarios.IDENTICAL_TOL * (1 - 1e-3), scenarios.IDENTICAL_TOL * (1 + 1e-3)),
+    "c6_finite": SharedBound(
+        6, PERTURB, "c6_finite_",
+        lambda m, v: _wrap(m, scenarios, "l1_stability", lambda rep, a, b, pa, pb:
+                           rep if pa is pb else replace(rep, c6_hat=v)),
+        1.0, np.inf),
+    "kernel_mass": SharedBound(
+        7, KERNEL, "kernel_mass_unit",
+        lambda m, v: m.setattr(ko, "normalization", lambda s: 1.0 + v),
+        scenarios.KERNEL_MASS_TOL * (1 - 1e-3), scenarios.KERNEL_MASS_TOL * (1 + 1e-3)),
+    "dilation": SharedBound(
+        7, KERNEL, "dilation_identity",
+        lambda m, v: m.setattr(ko, "dilation_defect", lambda z, mu: v),
+        scenarios.DILATION_TOL * (1 - 1e-3), scenarios.DILATION_TOL * (1 + 1e-3)),
+    "residual_order": SharedBound(
+        7, KERNEL, "kernel_residual_second_order",
+        lambda m, v: m.setattr(ko, "l0_residual", lambda z, h: h ** v),
+        scenarios.KERNEL_ORDER_FLOOR * (1 + 1e-6), scenarios.KERNEL_ORDER_FLOOR * (1 - 1e-6)),
+    "unit_density": SharedBound(
+        9, LAB, "density_unit_control",
+        lambda m, v: _wrap(m, ko, "density_ratio", lambda rep, field, **k:
+                           rep if k.get("normalize") else replace(rep, ratio=v)),
+        1.0, ONE_MINUS),
+    # a check of beta_bar alone, the largest row, misses this defect
+    "linear_control_row": SharedBound(
+        11, LAB, "oscillation_linear_control_exact",
+        lambda m, v: _wrap(m, ko, "oscillation_table", lambda rep, field, domain=None:
+                           _control_row(rep, v) if domain is None else rep),
+        scenarios.LINEAR_CONTROL_TOL * (1 - 1e-3), scenarios.LINEAR_CONTROL_TOL * (1 + 1e-3)),
+    # a bound of beta_bar < 1 alone passes a flat field, beta_bar = 0
+    "flat_oscillation": SharedBound(
+        11, LAB, "oscillation_decays_", lambda m, v: _model_oscillation(m, beta_bar=v),
+        TINY, 0.0),
+    "oscillation_growth": SharedBound(
+        11, LAB, "oscillation_decays_", lambda m, v: _model_oscillation(m, beta_bar=v),
+        ONE_MINUS, 1.0),
+    "holder_exponent": SharedBound(
+        11, LAB, "holder_positive_", lambda m, v: _model_oscillation(m, alpha_holder=v),
+        TINY, 0.0),
+}
+
+
+@pytest.fixture(scope="module")
+def lab():
+    """One engine for every case, so each criterion's solves are made once."""
+    return AcceptanceEngine()
+
+
+@pytest.mark.parametrize("name", list(SHARED_BOUNDS))
+def test_runner_and_criterion_share_each_bound(lab, monkeypatch, name):
+    case = SHARED_BOUNDS[name]
+    # the weak Poincare functional applies no shared bound and costs seconds
+    # per oscillation-lab run, so its runs are replaced by a clean report
+    monkeypatch.setattr(scenarios, "pinched_poincare",
+                        lambda *a: ko.PoincareReport(0.0, 0.0, 0.0, 0.0, True, False))
+    for value, inside in ((case.inside, True), (case.past, False)):
+        with monkeypatch.context() as m:
+            case.patch(m, value)
+            verdicts = run_scenario(case.cfg).report.verdicts
+            res = lab.run([case.criterion]).results[0]
+        named = [ok for key, ok in verdicts.items() if key.startswith(case.verdict)]
+        assert named and named == [inside] * len(named), (value, verdicts)
+        assert res.passed == inside, (value, res.line())

@@ -2,13 +2,14 @@
 engine, and the deliberate reruns that must bypass it.
 
 Solves are counted by replacing `solve` wherever the package binds it:
-the store reaches it through the solver module, and the deliberate reruns
-call it directly from the scenario and acceptance modules.
+the store reaches it through the solver module, and the deliberate rerun
+of identical data (scenarios.identical_data) calls it directly from the
+scenario module, for the runner and the acceptance criterion alike.
 """
 
 import pytest
 
-from crocco_prandtl import acceptance, scenarios, solver
+from crocco_prandtl import scenarios, solver
 from crocco_prandtl.acceptance import AcceptanceEngine
 from crocco_prandtl.config import RunConfig
 from crocco_prandtl.grids import GridSpec
@@ -26,7 +27,7 @@ def solves(monkeypatch):
         calls.append((problem.label, grid.nx, eps))
         return original(problem, grid, eps, forcing, label)
 
-    for module in (solver, scenarios, acceptance):
+    for module in (solver, scenarios):
         monkeypatch.setattr(module, "solve", counting)
     return calls
 
@@ -35,18 +36,13 @@ def solves(monkeypatch):
 def identical_pairs(monkeypatch):
     """(hist_a, hist_b) of every l1_stability call on one problem twice."""
     pairs = []
+    original = scenarios.l1_stability
 
-    def recording(module):
-        original = module.l1_stability
-
-        def wrapped(hist_a, hist_b, prob_a, prob_b):
-            if prob_a is prob_b:
-                pairs.append((hist_a, hist_b))
-            return original(hist_a, hist_b, prob_a, prob_b)
-        monkeypatch.setattr(module, "l1_stability", wrapped)
-
-    recording(scenarios)
-    recording(acceptance)
+    def wrapped(hist_a, hist_b, prob_a, prob_b):
+        if prob_a is prob_b:
+            pairs.append((hist_a, hist_b))
+        return original(hist_a, hist_b, prob_a, prob_b)
+    monkeypatch.setattr(scenarios, "l1_stability", wrapped)
     return pairs
 
 
@@ -98,8 +94,9 @@ def test_engine_reuses_runs_across_criteria(solves, identical_pairs):
                               ("favorable_accel", 128, 0.001)]
     del solves[:]
     assert engine.run([6]).all_pass
-    # negative control: the identical-data pair is two fresh marches
-    assert solves.count(("favorable_accel", 64, 1e-3)) == 2
+    # negative control: the identical-data pair is the stored march, made
+    # by criterion 3, and one fresh march
+    assert solves.count(("favorable_accel", 64, 1e-3)) == 1
     assert len(identical_pairs) == 1
     hist_a, hist_b = identical_pairs[0]
     assert hist_a is not hist_b
