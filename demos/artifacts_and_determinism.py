@@ -13,8 +13,8 @@ cfg = RunConfig(scenario="exact_profile", nx=32, ny=32, nt=32, eps=1e-3)
 result = run_scenario(cfg)
 print("scenario %s on %s, overall %s" %
       (result.scenario, result.grid_label, "PASSED" if result.ok else "FAILED"))
-for entry in result.report.entries[:6]:
-    print("  %-24s %.6g" % (entry.key, entry.value))
+for key, value, _, _ in result.entries[:6]:
+    print("  %-24s %.6g" % (key, value))
 print("  ...")
 
 with tempfile.TemporaryDirectory() as tmp:

@@ -12,9 +12,10 @@ The package splits into three layers:
 * kernel identities, cutoff geometry, mean-value / Poincare / density /
   oscillation functionals for the model operator (`kolmogorov`).
 
-Scenario runners, artifact writers, the config format, and the numbered
-acceptance checklist sit on top (`scenarios`, `reporting`, `config`,
-`acceptance`, `cli`).
+Scenario runners and the run report each returns, the rendering of every
+report and artifact, the config format, and the numbered acceptance
+checklist sit on top (`scenarios`, `reporting`, `config`, `acceptance`,
+`cli`).
 """
 
 from ._version import __version__
@@ -23,10 +24,9 @@ from .config import RunConfig, load_config, parse_config
 from .crocco import (CroccoData, CroccoProblem, make_problem, pressure_gradient,
                      validate)
 from .errors import ConfigError, CroccoError, DataError, NumericalError
-from .estimates import (EstimateReport, bv_seminorm, comparison_constant,
-                        l1_stability, physical_stability, trace_residual,
-                        uniformity_spread, weak_residual,
-                        weighted_dyy_measure, weighted_grad_norms)
+from .estimates import (bv_seminorm, comparison_constant, l1_stability,
+                        physical_stability, trace_residual, uniformity_spread,
+                        weak_residual, weighted_dyy_measure, weighted_grad_norms)
 from .flows import accelerating_flow, decelerating_flow, uniform_flow
 from .grids import AnalyticField, FieldHistory, GridSpec
 from .kolmogorov import (Box, CutoffSpec, density_ratio,
@@ -44,7 +44,7 @@ __all__ = [
     "RunConfig", "load_config", "parse_config",
     "CroccoData", "CroccoProblem", "make_problem", "pressure_gradient", "validate",
     "ConfigError", "CroccoError", "DataError", "NumericalError",
-    "EstimateReport", "bv_seminorm", "comparison_constant", "l1_stability",
+    "bv_seminorm", "comparison_constant", "l1_stability",
     "physical_stability", "trace_residual", "uniformity_spread",
     "weak_residual", "weighted_dyy_measure", "weighted_grad_norms",
     "accelerating_flow", "decelerating_flow", "uniform_flow",

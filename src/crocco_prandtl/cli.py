@@ -46,13 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     from .config import load_config
-    from .reporting import write_artifacts
+    from .reporting import report_text, write_artifacts
     from .scenarios import run_scenario
 
     cfg = load_config(args.config)
     result = run_scenario(cfg)
     paths = write_artifacts(result, args.out)
-    sys.stdout.write(result.report.to_text())
+    sys.stdout.write(report_text(result))
     for p in paths:
         print(f"wrote {p}")
     print(f"overall = {'PASSED' if result.ok else 'FAILED'}")

@@ -1,8 +1,9 @@
 """Flat key = value configuration files for laboratory runs.
 
-One key per line, '#' starts a comment, blank lines are skipped.  Keys are
-typed against a fixed schema; unknown or duplicated keys are rejected with
-the offending line number so configs stay honest.
+One key per line, '#' starts a comment, blank lines are skipped.  The keys
+are the fields of RunConfig, each parsed by its field's type; unknown or
+duplicated keys are rejected with the offending line number so configs
+stay honest.
 """
 
 from dataclasses import dataclass, fields
@@ -43,10 +44,6 @@ class RunConfig:
         return f"{self.nx}x{self.ny}x{self.nt}"
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
 def _parse_float(text: str) -> float:
     val = float(text)
     if val != val:
@@ -61,27 +58,8 @@ def _parse_float_list(text: str) -> tuple:
     return tuple(float(p) for p in parts)
 
 
-def _parse_str(text: str) -> str:
-    return text
-
-
-SCHEMA = {
-    "scenario": _parse_str,
-    "nx": _parse_int,
-    "ny": _parse_int,
-    "nt": _parse_int,
-    "eps": _parse_float,
-    "L": _parse_float,
-    "eps_list": _parse_float_list,
-    "perturb": _parse_float,
-    "lam": _parse_float,
-    "seed": _parse_int,
-    "h_level": _parse_float,
-    "theta": _parse_float,
-    "r": _parse_float,
-}
-
-assert set(SCHEMA) == {f.name for f in fields(RunConfig)}
+_PARSERS = {f.name: {int: int, float: _parse_float, tuple: _parse_float_list, str: str}[f.type]
+            for f in fields(RunConfig)}
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -127,12 +105,12 @@ def parse_config(text: str) -> RunConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in SCHEMA:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         try:
-            values[key] = SCHEMA[key](val)
+            values[key] = _PARSERS[key](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: cannot parse {key} = '{val}' ({exc})") from None
     if "scenario" not in values:

@@ -4,8 +4,10 @@ Every bound the well-posedness theory asserts is measured here as a plain
 number on the grid: the linear comparison envelope, total variation over
 the cylinder, weighted gradient norms, the weighted second-derivative mass,
 the weak-form residual against a fixed family of test functions, trace
-residuals of all four boundary conditions, and the L1 stability functional
-comparing two runs (in Crocco variables and in physical variables).
+residuals of all four boundary conditions, the L1 stability functional
+comparing two runs (in Crocco variables and in physical variables), and the
+relative spread of a functional over a viscosity family.  The scenario
+runners record these numbers in their run reports.
 
 Quadratures: volume integrals use cell midpoints (which keeps 1/u bounded,
 since u vanishes only on the y = 1 node row); staggered first differences
@@ -13,7 +15,7 @@ are the midpoint derivative samples; boundary integrals use the trace rows
 directly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -21,46 +23,6 @@ import numpy as np
 from .crocco import CroccoProblem
 from .errors import ConfigError, NumericalError
 from .grids import FieldHistory, trapezoid_weights
-
-
-# ---------------------------------------------------------------------------
-# report containers
-
-
-@dataclass
-class ReportEntry:
-    key: str
-    value: float
-    grid: str = ""
-    eps: str = ""
-    domain: str = "full"
-
-
-@dataclass
-class EstimateReport:
-    entries: List[ReportEntry] = field(default_factory=list)
-    verdicts: dict = field(default_factory=dict)
-
-    def add(self, key, value, grid, eps, domain="full"):
-        self.entries.append(ReportEntry(key, float(value), str(grid), str(eps), domain))
-
-    def verdict(self, name: str, ok: bool):
-        self.verdicts[name] = bool(ok)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.verdicts.values())
-
-    def to_text(self) -> str:
-        lines = [f"{e.key} = {e.value:.17g}" for e in self.entries]
-        lines += [f"verdict = {'pass' if ok else 'fail'} [{name}]"
-                  for name, ok in self.verdicts.items()]
-        return "\n".join(lines) + "\n"
-
-    def csv_rows(self):
-        yield "key,value,grid,eps,domain"
-        for e in self.entries:
-            yield f"{e.key},{e.value:.17g},{e.grid},{e.eps},{e.domain}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Artifact writers.
+"""Rendering of every run report and artifact.
 
 Every artifact is plain text, starts with the provenance comment line
 
     # crocco-prandtl <version> <scenario> <grid> <eps>
 
 and renders every float with the %.17g round-trip format so reruns can be
-compared byte for byte.  A failed verdict leaves a FAILED marker in the
-text report.
+compared byte for byte.  report_text renders the entry and verdict lines
+that report.txt holds and `run` prints; a failed verdict leaves a FAILED
+marker in report.txt.  report.csv holds one row per entry, with the run's
+grid label in its grid column.
 
 fields.csv is streamed one time level at a time, with no copy of the whole
 history; its bytes equal numpy.savetxt(fh, rows, fmt="%.17g", delimiter=",")
@@ -34,16 +36,24 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def report_text(result: RunResult) -> str:
+    """One `key = value` line per entry, then one line per verdict."""
+    lines = [f"{key} = {fmt(value)}" for key, value, _, _ in result.entries]
+    lines += [f"verdict = {'pass' if ok else 'fail'} [{name}]"
+              for name, ok in result.verdicts.items()]
+    return "\n".join(lines) + "\n"
+
+
 def write_report_text(path: Path, result: RunResult) -> Path:
-    lines = [artifact_header(result), result.report.to_text().rstrip("\n")]
-    lines.append(f"overall = {'PASSED' if result.ok else 'FAILED'}")
-    path.write_text("\n".join(lines) + "\n")
+    overall = f"overall = {'PASSED' if result.ok else 'FAILED'}"
+    path.write_text(f"{artifact_header(result)}\n{report_text(result)}{overall}\n")
     return path
 
 
 def write_report_csv(path: Path, result: RunResult) -> Path:
-    lines = [artifact_header(result)]
-    lines.extend(result.report.csv_rows())
+    lines = [artifact_header(result), "key,value,grid,eps,domain"]
+    lines.extend(f"{key},{fmt(value)},{result.grid_label},{eps},{domain}"
+                 for key, value, eps, domain in result.entries)
     path.write_text("\n".join(lines) + "\n")
     return path
 

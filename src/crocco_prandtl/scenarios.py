@@ -1,12 +1,13 @@
 """Named laboratory experiments and the measurements they share with the
 acceptance criteria.
 
-Each runner takes a parsed run configuration and a SolveStore, executes its
-solves and measurements, and returns a RunResult holding the numeric
-report, optional primary field, and any tabular artifacts.  run_scenario
-gives every call a fresh store, so problems and solves are shared within
-one run and released when it returns.  Runners are registered in RUNNERS
-under the scenario names accepted by the configuration schema.
+Each runner takes a parsed run configuration and a SolveStore, builds its
+RunResult first, records each measurement's entries and verdicts in it,
+and returns it with its optional primary field and tables.  The RunResult
+is the run's one report; reporting renders it.  run_scenario gives every
+call a fresh store, so problems and solves are shared within one run and
+released when it returns.  Runners are registered in RUNNERS under the
+scenario names of config.SCENARIOS.
 
 The strip scenarios build their problem from one table, STRIP_PROBLEMS
 (problem builder and end time per scenario), which validate_scenario reads
@@ -29,9 +30,9 @@ from . import kolmogorov as ko
 from .crocco import (CroccoData, ValidationIssue, ValidationReport,
                      make_problem, pressure_gradient, validate)
 from .errors import ConfigError
-from .estimates import (EstimateReport, l1_stability, physical_stability,
-                        trace_residual, weak_residual, weighted_dyy_measure,
-                        weighted_grad_norms, bv_seminorm, comparison_constant)
+from .estimates import (l1_stability, physical_stability, trace_residual,
+                        weak_residual, weighted_dyy_measure, weighted_grad_norms,
+                        bv_seminorm, comparison_constant)
 from .flows import accelerating_flow, uniform_flow
 from .grids import AnalyticField, FieldHistory, GridSpec
 from .solver import (SolveStore, check_cfl, grid_refinement_proxy, solve,
@@ -50,16 +51,23 @@ class Table:
 
 @dataclass
 class RunResult:
+    """The report of one run: (key, value, eps, domain) entries on the run's
+    grid, named verdicts, the primary field and any tables."""
+
     scenario: str
     grid_label: str
     eps_label: str
-    report: EstimateReport
     history: Optional[FieldHistory] = None
     tables: List[Table] = field(default_factory=list)
+    entries: List[tuple] = field(default_factory=list)
+    verdicts: dict = field(default_factory=dict)
+
+    def add(self, key, value, domain="full", eps=None):
+        self.entries.append((key, float(value), self.eps_label if eps is None else eps, domain))
 
     @property
     def ok(self) -> bool:
-        return self.report.all_pass
+        return all(self.verdicts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -192,27 +200,25 @@ def weak_identity(hist: FieldHistory, problem) -> tuple:
                       "weak_residual_small": weak <= WEAK_RESIDUAL_TOL}
 
 
-def standard_estimates(rep: EstimateReport, hist: FieldHistory, problem,
-                       grid_label: str, eps_label: str) -> dict:
-    """The estimate battery, its interior variants, traces, and the weak
-    residual; returns the full-domain battery plus "verdicts", those of
-    weak_identity."""
+def standard_estimates(result: RunResult, hist: FieldHistory, problem) -> dict:
+    """Record the estimate battery, its interior variants, traces, and the
+    weak residual in result; returns the full-domain battery plus
+    "verdicts", those of weak_identity."""
     out = estimate_battery(hist)
     for key, value in out.items():
-        rep.add(key, value, grid_label, eps_label)
+        result.add(key, value)
     # interior variants (2-cell margin) expose how much the free outflow
     # face contributes to each norm; published, never asserted small
     for key, value in estimate_battery(hist, margin=2).items():
-        rep.add(key, value, grid_label, eps_label, "interior")
-    rep.add("weak_residual_sup", weak_residual(hist, problem, margin=2),
-            grid_label, eps_label, "interior")
+        result.add(key, value, "interior")
+    result.add("weak_residual_sup", weak_residual(hist, problem, margin=2), "interior")
     tr, weak, out["verdicts"] = weak_identity(hist, problem)
-    rep.add("trace_initial_sup", tr.initial_sup, grid_label, eps_label, "t=0")
-    rep.add("trace_top_sup", tr.outflow_top_sup, grid_label, eps_label, "y=1")
-    rep.add("trace_inflow_sup", tr.inflow_sup, grid_label, eps_label, "x=0")
-    rep.add("trace_wall_sup", tr.wall_sup, grid_label, eps_label, "y=0")
-    rep.add("trace_wall_l1", tr.wall_l1, grid_label, eps_label, "y=0")
-    rep.add("weak_residual_sup", weak, grid_label, eps_label)
+    result.add("trace_initial_sup", tr.initial_sup, "t=0")
+    result.add("trace_top_sup", tr.outflow_top_sup, "y=1")
+    result.add("trace_inflow_sup", tr.inflow_sup, "x=0")
+    result.add("trace_wall_sup", tr.wall_sup, "y=0")
+    result.add("trace_wall_l1", tr.wall_l1, "y=0")
+    result.add("weak_residual_sup", weak)
     return out
 
 
@@ -334,110 +340,102 @@ def pinched_poincare(coef, grid: tuple, h: float, spec):
 def run_exact_profile(cfg, store: SolveStore) -> RunResult:
     problem = strip_problem(cfg, store)
     hist = store.solve(problem, cfg.eps)
-    rep = EstimateReport()
-    g, e = cfg.grid_label, f"{cfg.eps:g}"
+    result = RunResult("exact_profile", cfg.grid_label, f"{cfg.eps:g}", history=hist)
     sup_err, exact_ok = exact_error(hist)
-    rep.add("exact_sup_error", sup_err, g, e)
-    out = standard_estimates(rep, hist, problem, g, e)
-    rep.add("newton_iterations_max", hist.diagnostics.get("newton_iterations_max", 0), g, e)
-    rep.verdict("exact_solution_reproduced", exact_ok)
-    rep.verdicts.update(out["verdicts"])
-    return RunResult("exact_profile", g, e, rep, history=hist)
+    result.add("exact_sup_error", sup_err)
+    out = standard_estimates(result, hist, problem)
+    result.add("newton_iterations_max", hist.diagnostics.get("newton_iterations_max", 0))
+    result.verdicts["exact_solution_reproduced"] = exact_ok
+    result.verdicts.update(out["verdicts"])
+    return result
 
 
 def run_favorable_accel(cfg, store: SolveStore) -> RunResult:
     problem = strip_problem(cfg, store)
     hist = store.solve(problem, cfg.eps)
-    rep = EstimateReport()
-    g, e = cfg.grid_label, f"{cfg.eps:g}"
-    out = standard_estimates(rep, hist, problem, g, e)
+    result = RunResult("favorable_accel", cfg.grid_label, f"{cfg.eps:g}", history=hist)
+    out = standard_estimates(result, hist, problem)
     grad = pressure_gradient(problem)
-    rep.add("pressure_gradient_worst", grad.worst_value, g, e)
-    rep.verdict("pressure_favorable", grad.favorable)
-    rep.verdict("comparison_finite", np.isfinite(out["comparison_constant"]))
-    rep.verdict("solution_positive_below_top", bool(np.min(hist.values[:, :, :-1]) > 0))
-    return RunResult("favorable_accel", g, e, rep, history=hist)
+    result.add("pressure_gradient_worst", grad.worst_value)
+    result.verdicts["pressure_favorable"] = grad.favorable
+    result.verdicts["comparison_finite"] = np.isfinite(out["comparison_constant"])
+    result.verdicts["solution_positive_below_top"] = bool(np.min(hist.values[:, :, :-1]) > 0)
+    return result
 
 
 def run_viscosity_sweep(cfg, store: SolveStore) -> RunResult:
     problem = strip_problem(cfg, store)
     table, proxy, verdicts = cauchy_sweep(store, problem.grid, cfg.eps_list)
-    rep = EstimateReport()
-    g = cfg.grid_label
-    rows = []
+    sweep = Table("sweep", ["eps_hi", "eps_lo", "l1_diff", "ok"])
+    result = RunResult("viscosity_sweep", cfg.grid_label, f"{cfg.eps_list[-1]:g}",
+                       tables=[sweep])
     for row in table.rows:
-        rep.add("sweep_l1_diff", row.l1_diff, g, f"{row.eps_hi:g}->{row.eps_lo:g}")
-        rows.append((row.eps_hi, row.eps_lo, row.l1_diff, int(row.ok)))
-    rep.add("grid_refinement_proxy", proxy, g, f"{cfg.eps_list[-1]:g}")
-    rep.verdicts.update(verdicts)
-    hist = store.solve(problem, cfg.eps_list[-1])
-    sweep_table = Table("sweep", ["eps_hi", "eps_lo", "l1_diff", "ok"], rows)
-    return RunResult("viscosity_sweep", g, f"{cfg.eps_list[-1]:g}", rep,
-                     history=hist, tables=[sweep_table])
+        result.add("sweep_l1_diff", row.l1_diff, eps=f"{row.eps_hi:g}->{row.eps_lo:g}")
+        sweep.rows.append((row.eps_hi, row.eps_lo, row.l1_diff, int(row.ok)))
+    result.add("grid_refinement_proxy", proxy)
+    result.verdicts.update(verdicts)
+    result.history = store.solve(problem, cfg.eps_list[-1])
+    return result
 
 
 def run_stability_perturb(cfg, store: SolveStore) -> RunResult:
     base_problem = strip_problem(cfg, store)
     grid = base_problem.grid
     base = store.solve(base_problem, cfg.eps)
-    rep = EstimateReport()
-    g, e = cfg.grid_label, f"{cfg.eps:g}"
+    result = RunResult("stability_perturb", cfg.grid_label, f"{cfg.eps:g}", history=base)
 
     ident, ident_ok = identical_data(store, base_problem, cfg.eps)
-    rep.add("identical_data_lhs_max", ident, g, e)
-    rep.verdict("identical_data_silent", ident_ok)
+    result.add("identical_data_lhs_max", ident)
+    result.verdicts["identical_data_silent"] = ident_ok
 
     stabs, verdicts = family_stability(store, grid, cfg.eps, cfg.perturb)
     for name, stab in stabs.items():
-        rep.add(f"c6_{name}", stab.c6_hat, g, e)
-        rep.add(f"lhs_final_{name}", float(stab.lhs[-1]), g, e)
-    rep.verdicts.update(verdicts)
+        result.add(f"c6_{name}", stab.c6_hat)
+        result.add(f"lhs_final_{name}", stab.lhs[-1])
+    result.verdicts.update(verdicts)
 
     initial = store.build(perturbed_problems, grid, cfg.perturb)["initial"]
     phys = physical_stability(base, store.solve(initial, cfg.eps), base_problem, initial)
-    rep.add("physical_identity_gap", phys.identity_gap, g, e)
-    rep.add("c6_physical_initial", phys.c6_hat, g, e)
-    return RunResult("stability_perturb", g, e, rep, history=base)
+    result.add("physical_identity_gap", phys.identity_gap)
+    result.add("c6_physical_initial", phys.c6_hat)
+    return result
 
 
 def run_kolmogorov_checks(cfg, store: SolveStore) -> RunResult:
-    rep = EstimateReport()
-    g, e = "analytic", "0"
+    result = RunResult("kolmogorov_checks", "analytic", "0")
     point_defect = abs(ko.gamma0((0.0, 0.0, 1.0)) - np.sqrt(3.0) / (2.0 * np.pi))
-    rep.add("kernel_point_defect", point_defect, g, e)
+    result.add("kernel_point_defect", point_defect)
     kid, kid_verdicts = kernel_identities(cfg.seed)
     for s, defect in kid["mass"].items():
-        rep.add(f"kernel_mass_defect_s{s:g}", defect, g, e)
-    rep.add("dilation_defect_max", kid["dilation"], g, e)
-    rep.add("kernel_residual_h1e-3", kid["residual"], g, e)
-    rep.add("kernel_residual_order", kid["order"], g, e)
+        result.add(f"kernel_mass_defect_s{s:g}", defect)
+    result.add("dilation_defect_max", kid["dilation"])
+    result.add("kernel_residual_h1e-3", kid["residual"])
+    result.add("kernel_residual_order", kid["order"])
 
     spec = ko.CutoffSpec(r=cfg.r, theta=cfg.theta)
     for chk in ko.verify_lemma(spec).checks:
-        rep.add(f"cutoff_{chk.name}_margin", chk.margin, g, e)
-        rep.verdict(f"cutoff_{chk.name}", chk.passed)
+        result.add(f"cutoff_{chk.name}_margin", chk.margin)
+        result.verdicts[f"cutoff_{chk.name}"] = chk.passed
 
     const = AnalyticField(lambda t, x, y: np.full_like(np.asarray(t, float), 2.5))
     mv = ko.mean_value(const, spec, nz=3)
-    rep.add("mean_value_const_rel_error", abs(mv.i0 - 2.5) / 2.5, g, e)
-    rep.add("mean_value_band_leak", mv.band_term_max, g, e)
+    result.add("mean_value_const_rel_error", abs(mv.i0 - 2.5) / 2.5)
+    result.add("mean_value_band_leak", mv.band_term_max)
 
     for variant in ko.LOG_VARIANTS:
         vals, bound = ko.log_subsolution(np.array([0.0]), cfg.h_level, variant)
-        rep.add(f"log_bound_defect_{variant}", abs(vals[0] - bound), g, e)
-        rep.verdict(f"log_bound_attained_{variant}", abs(vals[0] - bound) <= 1e-12)
+        result.add(f"log_bound_defect_{variant}", abs(vals[0] - bound))
+        result.verdicts[f"log_bound_attained_{variant}"] = abs(vals[0] - bound) <= 1e-12
 
-    rep.verdicts.update(kid_verdicts)
-    rep.verdict("mean_value_reproduces_constants", abs(mv.i0 - 2.5) / 2.5 <= 5e-3)
-    return RunResult("kolmogorov_checks", g, e, rep)
+    result.verdicts.update(kid_verdicts)
+    result.verdicts["mean_value_reproduces_constants"] = abs(mv.i0 - 2.5) / 2.5 <= 5e-3
+    return result
 
 
 def run_oscillation_lab(cfg, store: SolveStore) -> RunResult:
-    rep = EstimateReport()
-    g = cfg.grid_label
     osc_table = Table("oscillation", ["coefficient", "r", "osc_small", "osc_big", "ratio"])
     den_table = Table("density", ["coefficient", "t", "level", "ratio", "ok"])
-    primary = None
+    result = RunResult("oscillation_lab", cfg.grid_label, "0", tables=[osc_table, den_table])
     spec = poincare_cutoff(cfg.theta)
 
     # exact linear control: every oscillation ratio equals the scale factor
@@ -445,13 +443,13 @@ def run_oscillation_lab(cfg, store: SolveStore) -> RunResult:
     for row in ctl.rows:
         osc_table.rows.append(("linear_control", row.r, row.osc_small,
                                row.osc_big, row.ratio))
-    rep.add("oscillation_linear_control_beta", ctl.beta_bar, g, "0")
-    rep.verdict("oscillation_linear_control_exact", ctl_ok)
+    result.add("oscillation_linear_control_beta", ctl.beta_bar)
+    result.verdicts["oscillation_linear_control_exact"] = ctl_ok
 
     # synthetic full-density control
     full, full_ok = unit_density(cfg.h_level)
-    rep.add("density_unit_control_ratio", full.ratio, g, "0")
-    rep.verdict("density_unit_control", full_ok)
+    result.add("density_unit_control_ratio", full.ratio)
+    result.verdicts["density_unit_control"] = full_ok
 
     # model runs stay out of the store: besides the primary history, one
     # run is alive at a time
@@ -459,10 +457,10 @@ def run_oscillation_lab(cfg, store: SolveStore) -> RunResult:
     for coef in lab_coefficients(cfg):
         hist = ko.solve_model(coef, nx=cfg.nx, ny=cfg.ny, nt=cfg.nt)
         if coef.name.startswith("checkerboard"):
-            primary = hist
+            result.history = hist
         den, den_ok = density_floor(hist, cfg.h_level)
-        rep.add(f"density_ratio_{coef.name}", den.ratio, g, "0")
-        rep.verdict(f"density_floor_{coef.name}", den_ok)
+        result.add(f"density_ratio_{coef.name}", den.ratio)
+        result.verdicts[f"density_floor_{coef.name}"] = den_ok
         for t_row in den.rows:
             den_table.rows.append((coef.name,) + t_row[:3] + (int(t_row[3]),))
         for level, val in den.h_certificate.items():
@@ -473,19 +471,18 @@ def run_oscillation_lab(cfg, store: SolveStore) -> RunResult:
         for row in osc.rows:
             osc_table.rows.append((coef.name, row.r, row.osc_small,
                                    row.osc_big, row.ratio))
-        rep.add(f"oscillation_beta_{coef.name}", osc.beta_bar, g, "0")
-        rep.add(f"holder_exponent_{coef.name}", osc.alpha_holder, g, "0")
-        rep.verdicts.update((f"{name}_{coef.name}", ok) for name, ok in verdicts.items())
+        result.add(f"oscillation_beta_{coef.name}", osc.beta_bar)
+        result.add(f"holder_exponent_{coef.name}", osc.alpha_holder)
+        result.verdicts.update((f"{name}_{coef.name}", ok) for name, ok in verdicts.items())
 
         poin = pinched_poincare(coef, (cfg.nx, cfg.ny, cfg.nt), cfg.h_level, spec)
-        rep.add(f"poincare_i0_{coef.name}", poin.i0, g, "0")
-        rep.add(f"poincare_ratio_{coef.name}", poin.ratio, g, "0")
-        rep.verdict(f"poincare_no_violation_{coef.name}", not poin.hard_violation)
+        result.add(f"poincare_i0_{coef.name}", poin.i0)
+        result.add(f"poincare_ratio_{coef.name}", poin.ratio)
+        result.verdicts[f"poincare_no_violation_{coef.name}"] = not poin.hard_violation
         poincare_ratios.append(poin.ratio)
 
-    rep.add("poincare_constant_bound", max(poincare_ratios), g, "0")
-    return RunResult("oscillation_lab", g, "0", rep, history=primary,
-                     tables=[osc_table, den_table])
+    result.add("poincare_constant_bound", max(poincare_ratios))
+    return result
 
 
 RUNNERS = {

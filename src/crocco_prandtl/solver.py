@@ -208,11 +208,11 @@ class SolveStore:
 
     build(builder, *args) calls builder(*args) once per argument tuple; the
     problem builders take the grid as their argument, so a problem is keyed
-    by (builder, grid).  solve(problem, eps, forcing) marches once per
-    (problem, eps, forcing), keyed by the identity of problem and forcing,
-    which the entry holds so the identities stay unique.  Solves go through
-    the module-level `solve`; a rerun that must not be served from memory
-    calls `solve` itself.
+    by (builder, grid).  solve(problem, eps) marches once per (problem,
+    eps), keyed by the identity of problem, which the entry holds so the
+    identities stay unique.  Solves go through the module-level `solve`,
+    unforced; a forced march, or a rerun that must not be served from
+    memory, calls `solve` itself.
     """
 
     def __init__(self):
@@ -225,13 +225,11 @@ class SolveStore:
             self._built[key] = builder(*args)
         return self._built[key]
 
-    def solve(self, problem: CroccoProblem, eps: float,
-              forcing: Optional[Callable] = None) -> FieldHistory:
-        key = (id(problem), eps, id(forcing))
+    def solve(self, problem: CroccoProblem, eps: float) -> FieldHistory:
+        key = (id(problem), eps)
         if key not in self._solved:
-            self._solved[key] = (problem, forcing,
-                                 solve(problem, problem.grid, eps, forcing))
-        return self._solved[key][2]
+            self._solved[key] = (problem, solve(problem, problem.grid, eps))
+        return self._solved[key][1]
 
 
 @dataclass

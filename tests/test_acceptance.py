@@ -3,8 +3,9 @@
 Tolerances are pinned inside crocco_prandtl.acceptance; these tests only
 run each criterion and assert its verdict, so a failure here reproduces
 the exact line the `acceptance` CLI verb would print.  The engine, and
-with it its solve store, is module-scoped, so problems, solves and model
-runs are shared across criteria as in one `acceptance` invocation.
+with it its solve store, is the session-scoped `engine` fixture of
+conftest.py, so problems, solves and model runs are shared across criteria
+as in one `acceptance` invocation.
 """
 
 import numpy as np
@@ -13,11 +14,6 @@ import pytest
 from crocco_prandtl.acceptance import AcceptanceEngine, parse_suite, run_acceptance
 from crocco_prandtl.crocco import CroccoProblem
 from crocco_prandtl.errors import ConfigError
-
-
-@pytest.fixture(scope="module")
-def engine():
-    return AcceptanceEngine()
 
 
 @pytest.fixture(scope="module")

@@ -305,7 +305,7 @@ def test_cli_internal_error_exits_4(tmp_path, capsys, monkeypatch):
 
     def failed_verdict(cfg):
         result = real_run(cfg)
-        result.report.verdict("forced_failure", False)
+        result.verdicts["forced_failure"] = False
         return result
 
     cfg = write_cfg(tmp_path, TINY_EXACT)

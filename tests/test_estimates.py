@@ -7,7 +7,6 @@ from crocco_prandtl.crocco import CroccoData, make_problem
 from crocco_prandtl.errors import ConfigError, NumericalError
 from crocco_prandtl import estimates
 from crocco_prandtl.estimates import (
-    EstimateReport,
     bv_seminorm,
     comparison_constant,
     l1_stability,
@@ -410,25 +409,6 @@ def test_physical_stability_linear_pair():
     # both routes approximate 0.2 * integral (1-y) dy = 0.1
     assert np.all(np.abs(l1_stability(h_a, h_b, prob_a, prob_b).lhs - 0.1) < 1e-12)
     assert rep.identity_gap < 5.0 / 128
-
-
-# ---------------------------------------------------------------------------
-# report plumbing
-
-
-def test_estimate_report_text_and_csv():
-    rep = EstimateReport()
-    rep.add("c_comparison", 1.25, grid="64x64x64", eps="0.001")
-    rep.verdict("comparison", True)
-    rep.verdict("bv", False)
-    text = rep.to_text()
-    assert "c_comparison = 1.25" in text
-    assert "verdict = pass [comparison]" in text
-    assert "verdict = fail [bv]" in text
-    assert not rep.all_pass
-    rows = list(rep.csv_rows())
-    assert rows[0] == "key,value,grid,eps,domain"
-    assert rows[1].startswith("c_comparison,1.25,64x64x64,0.001")
 
 
 def test_uniformity_spread():

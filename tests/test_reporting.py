@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from crocco_prandtl.reporting import artifact_header, write_fields_csv
+from crocco_prandtl.reporting import (artifact_header, report_text, write_fields_csv,
+                                      write_report_csv)
 from crocco_prandtl.scenarios import RunResult
 
 SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.2e17]
@@ -19,7 +20,7 @@ def _result(t, x, y, values):
     # non-uniform and non-finite coordinates that a FieldHistory refuses
     hist = SimpleNamespace(t=t, x=x, y=y, values=values)
     return RunResult(scenario="exact_profile", grid_label="6x2x4", eps_label="1e-3",
-                     report=None, history=hist)
+                     history=hist)
 
 
 def _reference_bytes(result):
@@ -70,3 +71,18 @@ def test_fields_csv_matches_savetxt_property(arrays):
     result = _result(*arrays)
     with tempfile.TemporaryDirectory() as directory:
         assert _written_bytes(result, directory) == _reference_bytes(result)
+
+
+def test_run_report_text_and_csv(tmp_path):
+    result = RunResult(scenario="exact_profile", grid_label="64x64x64", eps_label="0.001")
+    result.add("c_comparison", 1.25)
+    result.verdicts["comparison"] = True
+    result.verdicts["bv"] = False
+    text = report_text(result)
+    assert "c_comparison = 1.25" in text
+    assert "verdict = pass [comparison]" in text
+    assert "verdict = fail [bv]" in text
+    assert not result.ok
+    rows = write_report_csv(tmp_path / "report.csv", result).read_text().splitlines()[1:]
+    assert rows[0] == "key,value,grid,eps,domain"
+    assert rows[1].startswith("c_comparison,1.25,64x64x64,0.001")

@@ -13,7 +13,6 @@ import pytest
 
 from crocco_prandtl import kolmogorov as ko
 from crocco_prandtl import scenarios
-from crocco_prandtl.acceptance import AcceptanceEngine
 from crocco_prandtl.config import RunConfig
 from crocco_prandtl.errors import ConfigError
 from crocco_prandtl.reporting import write_artifacts
@@ -35,7 +34,7 @@ def test_exact_profile_small_grid():
     cfg = RunConfig(scenario="exact_profile", nx=16, ny=16, nt=24, eps=1e-2)
     result = run_scenario(cfg)
     assert result.ok
-    keys = {e.key for e in result.report.entries}
+    keys = {key for key, *_ in result.entries}
     assert {"exact_sup_error", "comparison_constant", "bv_seminorm",
             "trace_wall_sup", "weak_residual_sup"} <= keys
     assert result.history is not None
@@ -47,7 +46,7 @@ def test_favorable_accel_small_grid():
     cfg = RunConfig(scenario="favorable_accel", nx=16, ny=16, nt=24, eps=1e-2)
     result = run_scenario(cfg)
     assert result.ok
-    worst = {e.key: e.value for e in result.report.entries}["pressure_gradient_worst"]
+    worst = {key: value for key, value, *_ in result.entries}["pressure_gradient_worst"]
     assert worst == pytest.approx(-1.0)
 
 
@@ -65,7 +64,7 @@ def test_stability_perturb_small_grid():
                     eps=1e-2, perturb=1e-3)
     result = run_scenario(cfg)
     assert result.ok
-    vals = {e.key: e.value for e in result.report.entries}
+    vals = {key: value for key, value, *_ in result.entries}
     assert vals["identical_data_lhs_max"] == 0.0
     for family in ("initial", "inflow", "suction"):
         assert np.isfinite(vals[f"c6_{family}"])
@@ -84,7 +83,7 @@ def test_oscillation_lab_reduced_grid():
     result = run_scenario(cfg)
     assert result.ok
     assert {t.name for t in result.tables} == {"oscillation", "density"}
-    vals = {e.key: e.value for e in result.report.entries}
+    vals = {key: value for key, value, *_ in result.entries}
     assert 0.0 < vals["oscillation_beta_checkerboard-2"] < 1.0
     assert result.history is not None
 
@@ -181,7 +180,9 @@ def test_runner_registry_is_callable():
 # apply is decided once, in the shared measurement.  Each case patches the
 # quantity that measurement reads to a value just inside its bound, where
 # the runner's verdicts and the criterion must pass, and to one just past
-# it, where both must fail.
+# it, where both must fail.  The criteria run on the session's engine
+# (conftest.py); no patch reaches its store, since _exact_offset wraps
+# SolveStore.solve outside the store and the others patch measurements.
 
 
 def _wrap(m, owner, name, change):
@@ -293,14 +294,8 @@ SHARED_BOUNDS = {
 }
 
 
-@pytest.fixture(scope="module")
-def lab():
-    """One engine for every case, so each criterion's solves are made once."""
-    return AcceptanceEngine()
-
-
 @pytest.mark.parametrize("name", list(SHARED_BOUNDS))
-def test_runner_and_criterion_share_each_bound(lab, monkeypatch, name):
+def test_runner_and_criterion_share_each_bound(engine, monkeypatch, name):
     case = SHARED_BOUNDS[name]
     # the weak Poincare functional applies no shared bound and costs seconds
     # per oscillation-lab run, so its runs are replaced by a clean report
@@ -309,8 +304,8 @@ def test_runner_and_criterion_share_each_bound(lab, monkeypatch, name):
     for value, inside in ((case.inside, True), (case.past, False)):
         with monkeypatch.context() as m:
             case.patch(m, value)
-            verdicts = run_scenario(case.cfg).report.verdicts
-            res = lab.run([case.criterion]).results[0]
+            verdicts = run_scenario(case.cfg).verdicts
+            res = engine.run([case.criterion]).results[0]
         named = [ok for key, ok in verdicts.items() if key.startswith(case.verdict)]
         assert named and named == [inside] * len(named), (value, verdicts)
         assert res.passed == inside, (value, res.line())
