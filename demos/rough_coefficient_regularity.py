@@ -17,7 +17,7 @@ coef = model_scenarios("checkerboard", lam=LAM)
 hist = solve_model(coef, nx=48, ny=192, nt=300)
 
 print("density of positivity, checkerboard coefficient, lam = %g" % LAM)
-den = density_ratio(hist, r=0.5, h=0.01, normalize=True)
+den = density_ratio(hist, h=0.01, normalize=True)
 print("hypothesis fraction %.3f, verdict %s" % (den.hypothesis_fraction, den.verdict))
 for level, ratio in den.h_certificate.items():
     print("  level h = %-8g slab ratio %.3f (floor 1/11 = %.4f)" %

@@ -38,8 +38,7 @@ from .solver import SolveStore
 
 EPS_FAMILY = (1e-1, 1e-2, 1e-3, 1e-4)
 SWEEP_LIST = (0.1, 0.03, 0.01, 0.003, 0.001)
-MODEL_GRID = (48, 192, 300)
-MODEL_GRID_FINE = (96, 384, 600)
+MODEL_GRID_FINE = tuple(2 * n for n in ko.MODEL_GRID)
 ROUGH_COEFS = (("checkerboard", 2.0, 0), ("seeded-random", 2.0, 0), ("seeded-random", 4.0, 1))
 THETA_DEFAULT = 0.01
 # least convergence order of each manufactured-solution study (mms.STUDIES)
@@ -76,7 +75,7 @@ class AcceptanceReport:
 
 def artifact_bundle():
     """One RunConfig per scenario at its shipped desk-scale settings."""
-    return tuple(RunConfig(s, *MODEL_GRID) if s == "oscillation_lab" else RunConfig(s)
+    return tuple(RunConfig(s, *ko.MODEL_GRID) if s == "oscillation_lab" else RunConfig(s)
                  for s in SCENARIOS)
 
 
@@ -85,8 +84,7 @@ def _cube(n: int, T: float) -> GridSpec:
 
 
 def _model_history(kind: str, lam: float, seed: int):
-    nx, ny, nt = MODEL_GRID
-    return ko.solve_model(ko.model_scenarios(kind, lam=lam, seed=seed), nx=nx, ny=ny, nt=nt)
+    return ko.solve_model(ko.model_scenarios(kind, lam=lam, seed=seed), *ko.MODEL_GRID)
 
 
 class AcceptanceEngine:
@@ -184,11 +182,11 @@ class AcceptanceEngine:
             f"residual order {kid['order']:.2f} (>={KERNEL_ORDER_FLOOR:g})")
 
     def criterion_8(self) -> CriterionResult:
-        report = ko.verify_lemma(ko.CutoffSpec(r=1.0, theta=THETA_DEFAULT), n=33)
+        report = ko.verify_lemma(ko.CutoffSpec(r=1.0, theta=THETA_DEFAULT))
         margins = ", ".join(f"{c.name} {c.margin:.3g}" for c in report.checks)
         return CriterionResult(
             8, "cutoff certification", report.ok,
-            f"33^3 lattice at theta {THETA_DEFAULT:g}: {margins}")
+            f"{ko.LEMMA_NODES}^3 lattice at theta {THETA_DEFAULT:g}: {margins}")
 
     def criterion_9(self) -> CriterionResult:
         unit, ok = unit_density(0.01)
@@ -212,7 +210,7 @@ class AcceptanceEngine:
             return (max(rep.ratio for rep in reports),
                     sum(int(rep.hard_violation) for rep in reports))
 
-        c_base, viol_base = family_constant(MODEL_GRID)
+        c_base, viol_base = family_constant(ko.MODEL_GRID)
         c_fine, viol_fine = family_constant(MODEL_GRID_FINE)
         both_tiny = c_base <= 1e-6 and c_fine <= 1e-6
         stable = both_tiny or abs(c_base - c_fine) <= 0.25 * max(c_base, c_fine)
@@ -295,9 +293,9 @@ def run_acceptance(numbers=None, out_dir=None) -> AcceptanceReport:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "acceptance.txt").write_text(
-            f"# crocco-prandtl {__version__} acceptance\n" + report.summary() + "\n")
-        rows = [f"# crocco-prandtl {__version__} acceptance", "number,passed,name"]
+        header = f"# crocco-prandtl {__version__} acceptance"
+        (out / "acceptance.txt").write_text(header + "\n" + report.summary() + "\n")
+        rows = [header, "number,passed,name"]
         rows += [f"{r.number},{int(r.passed)},{r.name}" for r in report.results]
         (out / "acceptance.csv").write_text("\n".join(rows) + "\n")
     return report

@@ -75,9 +75,7 @@ def _cmd_acceptance(args) -> int:
 
     numbers = parse_suite(args.suite)
     report = run_acceptance(numbers=numbers, out_dir=args.out)
-    for res in report.results:
-        print(res.line())
-    print(f"acceptance = {'PASSED' if report.all_pass else 'FAILED'}")
+    print(report.summary())
     return 0 if report.all_pass else 1
 
 

@@ -1,11 +1,12 @@
 """Flat key = value configuration files for laboratory runs.
 
 One key per line, '#' starts a comment, blank lines are skipped.  The keys
-are the fields of RunConfig, each parsed by its field's type; unknown or
-duplicated keys are rejected with the offending line number so configs
-stay honest.
+are the fields of RunConfig, each parsed by its field's type, and every
+float must be finite; unknown or duplicated keys are rejected with the
+offending line number so configs stay honest.
 """
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -46,8 +47,8 @@ class RunConfig:
 
 def _parse_float(text: str) -> float:
     val = float(text)
-    if val != val:
-        raise ValueError("nan is not a valid value")
+    if not math.isfinite(val):
+        raise ValueError(f"{val} is not a valid value")
     return val
 
 
@@ -55,7 +56,7 @@ def _parse_float_list(text: str) -> tuple:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 _PARSERS = {f.name: {int: int, float: _parse_float, tuple: _parse_float_list, str: str}[f.type]

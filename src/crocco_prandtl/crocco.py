@@ -99,13 +99,14 @@ class PressureGradient:
     worst_location: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CroccoProblem:
     """Outer-flow factors and data sampled on a GridSpec.
 
     The (t, x) arrays are U, dxU, dtU, px_over_u (= dxP/U) and v0; w0 is
     (x, y) and w1 is (t, y).  The coefficients a, b, c are never stored:
     `coefficients` forms them from the (t, x) factors and the y profiles.
+    A problem compares and hashes by identity.
     """
 
     grid: GridSpec

@@ -23,6 +23,9 @@ import numpy as np
 
 from .errors import ConfigError
 
+# largest Courant number of explicit upwind transport, in both marchers
+CFL_SAFETY = 0.9
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -65,10 +68,6 @@ class GridSpec:
     @property
     def t(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.nt + 1)
-
-    @property
-    def label(self) -> str:
-        return f"{self.nx}x{self.ny}x{self.nt}"
 
     def refined(self) -> "GridSpec":
         """The grid with every step halved."""

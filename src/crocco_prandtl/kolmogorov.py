@@ -17,8 +17,9 @@ rough-coefficient solver produces the fields those functionals are
 measured on; model_axes decides the stability of its grid, for solve_model
 and for config validation alike.
 
-Quadrature sizes, slab proportions and box radii are module constants, so
-every caller measures with the same ones.
+Quadrature sizes, slab proportions, box radii and grid sizes (LEMMA_NODES,
+DENSITY_R and MODEL_GRID among them) are module constants, so every caller
+measures with the same ones.
 """
 
 import math
@@ -31,7 +32,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .config import THETA_MAX
 from .errors import ConfigError, NumericalError
-from .grids import FieldHistory, trapezoid_weights
+from .grids import CFL_SAFETY, FieldHistory, trapezoid_weights
 
 SQRT3 = math.sqrt(3.0)
 
@@ -179,7 +180,7 @@ class CutoffSpec:
     """
 
     r: float
-    theta: float = 0.01
+    theta: float
 
     def __post_init__(self):
         if self.r <= 0:
@@ -262,15 +263,16 @@ SLAB_BETA = 0.9
 # the strict-band item always has an earlier part of the slab to test.
 LEMMA_ALPHA1 = 0.99 * min(SLAB_ALPHA, 1.0 / 12.0)
 LEMMA_TOL = 1e-12
+LEMMA_NODES = 33  # lattice nodes per axis of every certification box
 
 
-def verify_lemma(spec: CutoffSpec, n: int = 33) -> LemmaReport:
+def verify_lemma(spec: CutoffSpec) -> LemmaReport:
     """Sampled certification of the five cutoff properties.
 
-    Lattices have n points per axis.  The slab items use the density slab
-    with its time extent cut to LEMMA_ALPHA1 r^2.
+    Lattices have LEMMA_NODES points per axis.  The slab items use the
+    density slab with its time extent cut to LEMMA_ALPHA1 r^2.
     """
-    r, theta = spec.r, spec.theta
+    r, theta, n = spec.r, spec.theta, LEMMA_NODES
     checks = []
 
     def wide_box(stretch):
@@ -536,23 +538,23 @@ class DensityReport:
 
 
 DENSITY_FLOOR = 1.0 / 11.0
-# x and y lattice nodes of the past box and of the slab, and slab time levels
+# past-box radius, x and y lattice nodes of the box and the slab, slab times
+DENSITY_R = 0.5
 DENSITY_NODES = 33
 DENSITY_TIMES = 9
 
 
-def density_ratio(u_field, r: float = 0.5, h: float = 0.01,
-                  normalize: bool = False) -> DensityReport:
+def density_ratio(u_field, h: float, normalize: bool = False) -> DensityReport:
     """Occupation measure of {u >= h} on the slab against the floor 1/11.
 
-    The hypothesis (at least half the past box sits at level >= 1) is
-    measured on a node lattice; normalize=True rescales by the lattice
-    median first, which makes the hypothesis hold whenever the median is
-    positive.  No verdict is issued when the hypothesis fails.  The slab
-    ratio at level h is also the first entry of the h-certificate, which
-    adds the levels h/2 and h/4.
+    The hypothesis (at least half the past box of radius DENSITY_R sits at
+    level >= 1) is measured on a node lattice; normalize=True rescales by
+    the lattice median first, which makes the hypothesis hold whenever the
+    median is positive.  No verdict is issued when the hypothesis fails.
+    The slab ratio at level h is also the first entry of the h-certificate,
+    which adds the levels h/2 and h/4.
     """
-    X, Y, T = np.meshgrid(*Box(r, "past").lattice(DENSITY_NODES), indexing="ij")
+    X, Y, T = np.meshgrid(*Box(DENSITY_R, "past").lattice(DENSITY_NODES), indexing="ij")
     vals = u_field.sample(T, X, Y)
     scale = 1.0
     if normalize:
@@ -565,9 +567,9 @@ def density_ratio(u_field, r: float = 0.5, h: float = 0.01,
                              rows=[], ratio=float("nan"), verdict=None,
                              h_certificate={})
 
-    sx, sy = Box(SLAB_BETA * r, "slab").lattice(DENSITY_NODES)
+    sx, sy = Box(SLAB_BETA * DENSITY_R, "slab").lattice(DENSITY_NODES)
     SX, SY = np.meshgrid(sx, sy, indexing="ij")
-    t_samples = np.linspace(-SLAB_ALPHA * r**2, 0.0, DENSITY_TIMES)
+    t_samples = np.linspace(-SLAB_ALPHA * DENSITY_R**2, 0.0, DENSITY_TIMES)
 
     def slab_ratio(level):
         worst = 1.0
@@ -685,29 +687,27 @@ def model_scenarios(kind: str, lam: float = 2.0, seed: int = 0) -> RoughCoeffici
     """
     if lam <= 1.0 and kind != "constant":
         raise ConfigError("rough scenarios need an ellipticity constant above 1")
-    cx, cy = MODEL_CELL
     if kind == "constant":
         return RoughCoefficient(a=lambda x, y: np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape),
                                 lam=max(lam, 1.0), name="constant")
+    cx, cy = MODEL_CELL
+    cells = (int(np.ceil(2.0 / cx)), int(np.ceil(2.0 / cy)))
     if kind == "checkerboard":
-        def a(x, y):
-            ix = np.floor((np.asarray(x, float) + 1.0) / cx).astype(int)
-            iy = np.floor((np.asarray(y, float) + 1.0) / cy).astype(int)
-            even = (ix + iy) % 2 == 0
-            return np.where(even, lam, 1.0 / lam)
-        return RoughCoefficient(a=a, lam=lam, name=f"checkerboard-{lam:g}")
-    if kind == "seeded-random":
-        nx_cells = int(np.ceil(2.0 / cx))
-        ny_cells = int(np.ceil(2.0 / cy))
+        table = np.where(np.indices(cells).sum(axis=0) % 2 == 0, lam, 1.0 / lam)
+        name = f"checkerboard-{lam:g}"
+    elif kind == "seeded-random":
         rng = np.random.default_rng(seed)
-        table = np.exp(rng.uniform(-np.log(lam), np.log(lam), size=(nx_cells, ny_cells)))
+        table = np.exp(rng.uniform(-np.log(lam), np.log(lam), size=cells))
+        name = f"seeded-random-{lam:g}-{seed}"
+    else:
+        raise ConfigError(f"unknown model scenario '{kind}'")
 
-        def a(x, y):
-            ix = np.clip(np.floor((np.asarray(x, float) + 1.0) / cx).astype(int), 0, nx_cells - 1)
-            iy = np.clip(np.floor((np.asarray(y, float) + 1.0) / cy).astype(int), 0, ny_cells - 1)
-            return table[ix, iy]
-        return RoughCoefficient(a=a, lam=lam, name=f"seeded-random-{lam:g}-{seed}")
-    raise ConfigError(f"unknown model scenario '{kind}'")
+    def a(x, y):
+        # the clip never binds on the model domain [-1, 1) x (-1, 1)
+        ix = np.clip(np.floor((np.asarray(x, float) + 1.0) / cx).astype(int), 0, cells[0] - 1)
+        iy = np.clip(np.floor((np.asarray(y, float) + 1.0) / cy).astype(int), 0, cells[1] - 1)
+        return table[ix, iy]
+    return RoughCoefficient(a=a, lam=lam, name=name)
 
 
 def _factor_columns(sub, dia, sup) -> Callable:
@@ -721,29 +721,30 @@ def _factor_columns(sub, dia, sup) -> Callable:
     return lambda rhs: dgttrs(dl, d, du, du2, ipiv, rhs.ravel())[0].reshape(rhs.shape)
 
 
-# start of the past window the model runs march to t = 0
+# past-window start (marched to t = 0) and desk grid (nx, ny, nt) of model runs
 MODEL_T0 = -0.75
+MODEL_GRID = (48, 192, 300)
 
 
 def model_axes(nx: int, nt: int, t0: float) -> tuple:
     """Time and streamwise nodes (t, x) of a model run: nt steps from t0 to
     0 and nx periodic cells on [-1, 1).  A past window (t0 < 0) and stable
-    upwind transport, dt <= 0.9 dx, are required; solve_model and config
-    validation both decide through here."""
+    upwind transport, dt <= CFL_SAFETY dx, are required; solve_model and
+    config validation both decide through here."""
     if t0 >= 0:
         raise ConfigError("model runs march a past window, t0 < 0")
     x = np.linspace(-1.0, 1.0, nx, endpoint=False)
     t = np.linspace(t0, 0.0, nt + 1)
     dx = x[1] - x[0]
     dt = t[1] - t[0]
-    if dt > 0.9 * dx:
+    if dt > CFL_SAFETY * dx:
         raise ConfigError(
-            f"transport stability needs dt <= 0.9 dx: dt={dt:g}, dx={dx:g}")
+            f"transport stability needs dt <= {CFL_SAFETY} dx: dt={dt:g}, dx={dx:g}")
     return t, x
 
 
-def solve_model(coef: RoughCoefficient, nx: int = 48, ny: int = 192,
-                nt: int = 300, t0: float = MODEL_T0,
+def solve_model(coef: RoughCoefficient, nx: int, ny: int, nt: int,
+                t0: float = MODEL_T0,
                 u0: Optional[Callable] = None,
                 bottom: Optional[Callable] = None,
                 top: Optional[Callable] = None) -> FieldHistory:

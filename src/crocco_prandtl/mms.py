@@ -143,7 +143,7 @@ def case(study: str, eps: float) -> ManufacturedCase:
 
 @dataclass
 class StudyLevel:
-    grid: str
+    grid: GridSpec
     h: float
     error: float
 
@@ -180,7 +180,7 @@ def refinement_study(study: str) -> StudyResult:
     mms_case = case(study, EPS)
     row = STUDIES[study]
     grids = [row.grid(BASE * 2**k) for k in range(LEVELS)]
-    levels = [StudyLevel(grid=g.label, h=getattr(g, row.step), error=_final_error(mms_case, g))
+    levels = [StudyLevel(grid=g, h=getattr(g, row.step), error=_final_error(mms_case, g))
               for g in grids]
     order = _fit_order([lv.h for lv in levels], [lv.error for lv in levels])
     return StudyResult(levels=levels, order=order)

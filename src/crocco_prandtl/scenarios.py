@@ -284,14 +284,14 @@ def pinched_initial(xq, yq):
 def unit_density(h: float) -> tuple:
     """Density report of the constant field 1 and whether its ratio is 1."""
     den = ko.density_ratio(AnalyticField(
-        lambda t, x, y: np.ones_like(np.asarray(t, float))), r=0.5, h=h)
+        lambda t, x, y: np.ones_like(np.asarray(t, float))), h)
     return den, den.ratio == 1.0
 
 
 def density_floor(hist: FieldHistory, h: float) -> tuple:
     """Normalized density report of a model run and whether it holds with
     every level of its h-certificate at or above DENSITY_FLOOR."""
-    den = ko.density_ratio(hist, r=0.5, h=h, normalize=True)
+    den = ko.density_ratio(hist, h, normalize=True)
     return den, den.verdict is True and all(
         v >= ko.DENSITY_FLOOR for v in den.h_certificate.values())
 
@@ -328,8 +328,7 @@ def pinched_poincare(coef, grid: tuple, h: float, spec):
     """Weak Poincare report of the reciprocal log transform of a model run
     on grid (nx, ny, nt) from the pinched initial state.  The run is not
     kept."""
-    nx, ny, nt = grid
-    pinched = ko.solve_model(coef, nx=nx, ny=ny, nt=nt, u0=pinched_initial)
+    pinched = ko.solve_model(coef, *grid, u0=pinched_initial)
     return ko.weak_poincare_ratio(ko.log_field(pinched, h=h, variant="reciprocal"), spec)
 
 

@@ -41,15 +41,14 @@ from scipy.linalg.lapack import dgtsv
 
 from .crocco import CroccoProblem
 from .errors import ConfigError, NumericalError
-from .grids import FieldHistory, GridSpec, l1_spacetime_norm
+from .grids import CFL_SAFETY, FieldHistory, GridSpec, l1_spacetime_norm
 
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-13
-CFL_SAFETY = 0.9
 
 
 def cfl_margins(problem: CroccoProblem, grid: GridSpec, eps: float) -> dict:
-    """Stability margins of the explicit transport terms (must stay <= 0.9)."""
+    """Stability margins of the explicit transport terms (must stay <= CFL_SAFETY)."""
     amax = float(np.max(problem.U)) + eps  # max a = max U exactly, as 0 <= y <= 1
     bmax = problem.b_abs_max
     return {
@@ -206,18 +205,17 @@ def solve(problem: CroccoProblem, grid: GridSpec, eps: float,
 class SolveStore:
     """Memoized problem construction and solves for one run or one engine.
 
-    build(builder, *args) calls builder(*args) once per argument tuple; the
-    problem builders take the grid as their argument, so a problem is keyed
-    by (builder, grid).  solve(problem, eps) marches once per (problem,
-    eps), keyed by the identity of problem, which the entry holds so the
-    identities stay unique.  Solves go through the module-level `solve`,
-    unforced; a forced march, or a rerun that must not be served from
-    memory, calls `solve` itself.
+    build(builder, *args) calls builder(*args) once per argument tuple and
+    keeps the result under that key.  The problem builders take the grid as
+    their argument, so a problem is keyed by (builder, grid).  A problem
+    hashes by identity, so solve(problem, eps) is build(solve, problem,
+    problem.grid, eps): one unforced march per (problem, eps) through the
+    module-level `solve`, looked up at call time.  A forced march, or a
+    rerun that must not be served from memory, calls `solve` itself.
     """
 
     def __init__(self):
         self._built = {}
-        self._solved = {}
 
     def build(self, builder, *args):
         key = (builder,) + args
@@ -226,10 +224,7 @@ class SolveStore:
         return self._built[key]
 
     def solve(self, problem: CroccoProblem, eps: float) -> FieldHistory:
-        key = (id(problem), eps)
-        if key not in self._solved:
-            self._solved[key] = (problem, solve(problem, problem.grid, eps))
-        return self._solved[key][1]
+        return self.build(solve, problem, problem.grid, eps)
 
 
 @dataclass

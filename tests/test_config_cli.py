@@ -55,6 +55,9 @@ def test_parse_config_lists_and_comments():
     ("scenario exact_profile\n", "line 1: expected"),
     ("scenario = exact_profile\nnx = soon\n", "line 2: cannot parse nx"),
     ("scenario = exact_profile\neps = nan\n", "line 2: cannot parse eps"),
+    ("scenario = exact_profile\nL = inf\n", "line 2: cannot parse L"),
+    ("scenario = viscosity_sweep\neps_list = 0.1, nan\n", "line 2: cannot parse eps_list"),
+    ("scenario = oscillation_lab\nlam = inf\n", "line 2: cannot parse lam"),
     ("nx = 16\n", "missing required key"),
     ("scenario = warp_drive\n", "unknown scenario"),
 ])
@@ -288,6 +291,18 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert main(["validate", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_cli_non_finite_value_exits_2(tmp_path, capsys):
+    # a non-finite value is refused at parse time, before anything is allocated
+    for text in ("scenario = exact_profile\nnx = 8\nny = 8\nnt = 8\nL = inf\n",
+                 "scenario = viscosity_sweep\nnx = 8\nny = 8\nnt = 16\neps_list = 0.1, nan\n",
+                 "scenario = oscillation_lab\nnx = 8\nny = 16\nnt = 12\nlam = inf\n"):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["validate", "--config", cfg]) == 2, text
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2, text
+        assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_numerical_error_exits_3(tmp_path, capsys, monkeypatch):

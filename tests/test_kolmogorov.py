@@ -111,7 +111,7 @@ def test_box_validation():
 
 def test_cutoff_spec_validation():
     with pytest.raises(ConfigError):
-        ko.CutoffSpec(r=0.0)
+        ko.CutoffSpec(r=0.0, theta=0.01)
     with pytest.raises(ConfigError):
         ko.CutoffSpec(r=1.0, theta=0.1)   # theta must stay below 2^-6
     with pytest.raises(ConfigError):
@@ -383,7 +383,8 @@ def test_weak_poincare_subsolution_is_slack():
     # over the past mean value is negligible against the gradient mass
     coef = ko.model_scenarios("checkerboard", lam=2.0)
     hist = ko.solve_model(
-        coef, u0=lambda xq, yq: 0.75 * (1.0 - np.cos(np.pi * xq) * np.cos(np.pi * yq / 2.0)))
+        coef, *ko.MODEL_GRID,
+        u0=lambda xq, yq: 0.75 * (1.0 - np.cos(np.pi * xq) * np.cos(np.pi * yq / 2.0)))
     V = ko.log_field(hist, h=0.01, variant="reciprocal")
     rep = ko.weak_poincare_ratio(V, ko.CutoffSpec(r=0.008, theta=0.01))
     assert not rep.hard_violation
@@ -397,33 +398,27 @@ def test_weak_poincare_subsolution_is_slack():
 
 
 def test_density_constant_one_field():
-    rep = ko.density_ratio(const_field(1.0), r=0.5)
+    rep = ko.density_ratio(const_field(1.0), 0.01)
     assert rep.hypothesis_met and rep.verdict is True
     assert rep.ratio == 1.0
     assert all(v == 1.0 for v in rep.h_certificate.values())
 
 
 def test_density_zero_field_gives_no_verdict():
-    rep = ko.density_ratio(const_field(0.0), r=0.5, normalize=True)
+    rep = ko.density_ratio(const_field(0.0), 0.01, normalize=True)
     assert not rep.hypothesis_met
     assert rep.verdict is None and rep.rows == []
 
 
 def test_density_on_model_run():
-    hist = ko.solve_model(ko.model_scenarios("checkerboard", lam=2.0))
-    rep = ko.density_ratio(hist, normalize=True)
+    hist = ko.solve_model(ko.model_scenarios("checkerboard", lam=2.0), *ko.MODEL_GRID)
+    rep = ko.density_ratio(hist, 0.01, normalize=True)
     assert rep.hypothesis_met
     assert rep.verdict is True
     assert rep.ratio >= ko.DENSITY_FLOOR
     for level, val in rep.h_certificate.items():
         assert val >= ko.DENSITY_FLOOR, level
     assert all(row[3] for row in rep.rows)
-
-
-def test_density_validation():
-    # the past box of radius r must fit the unit box
-    with pytest.raises(ConfigError):
-        ko.density_ratio(const_field(1.0), r=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +449,7 @@ def test_oscillation_guards():
 
 
 def test_oscillation_decays_on_model_run():
-    hist = ko.solve_model(ko.model_scenarios("checkerboard", lam=2.0))
+    hist = ko.solve_model(ko.model_scenarios("checkerboard", lam=2.0), *ko.MODEL_GRID)
     rep = ko.oscillation_table(hist, domain=(1.0, 1.0, -0.75))
     assert 0.0 < rep.beta_bar < 1.0
     assert rep.alpha_holder > 0.0
@@ -543,7 +538,7 @@ def test_model_factored_solve_matches_banded_oracle():
 
 def test_solve_model_validation():
     with pytest.raises(ConfigError):
-        ko.solve_model(ko.model_scenarios("constant"), t0=0.5)
+        ko.solve_model(ko.model_scenarios("constant"), *ko.MODEL_GRID, t0=0.5)
 
 
 def test_kernel_reproduction_accuracy():

@@ -272,8 +272,8 @@ SHARED_BOUNDS = {
         scenarios.KERNEL_ORDER_FLOOR * (1 + 1e-6), scenarios.KERNEL_ORDER_FLOOR * (1 - 1e-6)),
     "unit_density": SharedBound(
         9, LAB, "density_unit_control",
-        lambda m, v: _wrap(m, ko, "density_ratio", lambda rep, field, **k:
-                           rep if k.get("normalize") else replace(rep, ratio=v)),
+        lambda m, v: _wrap(m, ko, "density_ratio", lambda rep, field, h, normalize=False:
+                           rep if normalize else replace(rep, ratio=v)),
         1.0, ONE_MINUS),
     # a check of beta_bar alone, the largest row, misses this defect
     "linear_control_row": SharedBound(

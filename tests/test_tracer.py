@@ -29,7 +29,7 @@ start = time.perf_counter()
 grid = GridSpec(4, 8, 8)
 solver.solve(scenarios.exact_profile_problem(grid), grid, 0.01)
 hist = ko.solve_model(ko.model_scenarios("constant"), nx=8, ny=8, nt=4)
-ko.mean_value(hist, ko.CutoffSpec(r=0.008), nz=2)
+ko.mean_value(hist, ko.CutoffSpec(r=0.008, theta=0.01), nz=2)
 hist.sample_dy(-0.5, 0.0, 0.0)
 wall = time.perf_counter() - start
 metrics = spans.layer_metrics(tracer.spans, wall, {
