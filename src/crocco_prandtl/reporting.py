@@ -12,9 +12,17 @@ grid label in its grid column.
 
 fields.csv is streamed one time level at a time, with no copy of the whole
 history; its bytes equal numpy.savetxt(fh, rows, fmt="%.17g", delimiter=",")
-over the (t, x, y, value) rows in t-major, then x, then y order.
+over the (t, x, y, value) rows in t-major, then x, then y order.  Its time
+levels are formatted by up to one process per usable core, each writing a
+contiguous run of levels, and the parts are joined in order, so the bytes do
+not depend on the core count.
 """
 
+import os
+import pickle
+import shutil
+import signal
+import tempfile
 from pathlib import Path
 from typing import List
 
@@ -65,21 +73,86 @@ def write_table_csv(path: Path, result: RunResult, table: Table) -> Path:
     return path
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on; 1 where it cannot fork (Windows)."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_levels(fh, hist, nodes, start: int, stop: int) -> None:
+    """Write time levels start..stop-1, one %.17g template per level."""
+    for t, level in zip(hist.t[start:stop].tolist(), hist.values[start:stop]):
+        stamp = "%.17g" % t
+        template = stamp + (",%.17g\n" + stamp).join(nodes) + ",%.17g\n"
+        fh.write(template % tuple(level.ravel().tolist()))
+
+
 def write_fields_csv(path: Path, result: RunResult) -> Path:
     """One `t,x,y,value` row per node, streamed one time level at a time.
 
     The `,x,y` part of every row is formatted once; each level joins it into
     a template with one %.17g slot per node and fills that with one `%`.
+
+    The levels are cut into one contiguous chunk per usable core.  This
+    process writes the header and the first chunk into `path`; each further
+    chunk is written by a forked worker into a sibling part file, which is
+    appended in order.  A worker only formats and writes: it calls no BLAS,
+    whose threads fork does not copy, and it leaves through os._exit, so
+    inherited stdio buffers and exit handlers never run twice.  Its exception
+    comes back pickled over a pipe and is raised here.  No worker or part
+    file outlives the call.
     """
     hist = result.history
     nodes = [",%.17g,%.17g" % (x, y) for x in hist.x.tolist() for y in hist.y.tolist()]
-    with open(path, "w") as fh:
-        fh.write(artifact_header(result) + "\n")
-        fh.write("t,x,y,value\n")
-        for t, level in zip(hist.t.tolist(), hist.values):
-            stamp = "%.17g" % t
-            template = stamp + (",%.17g\n" + stamp).join(nodes) + ",%.17g\n"
-            fh.write(template % tuple(level.ravel().tolist()))
+    n = len(hist.t)
+    k = min(_usable_cores(), n)
+    bounds = [n * i // k for i in range(k + 1)]
+    parts, workers = [], {}
+    try:
+        for i in range(1, k):
+            fd, part = tempfile.mkstemp(prefix=path.name + ".", suffix=".part", dir=path.parent)
+            os.close(fd)
+            parts.append(part)
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    with open(part, "w") as fh:
+                        _write_levels(fh, hist, nodes, bounds[i], bounds[i + 1])
+                    status = 0
+                except BaseException as exc:
+                    os.write(w, pickle.dumps(exc))
+                finally:
+                    os._exit(status)
+            os.close(w)
+            workers[pid] = os.fdopen(r, "rb")
+        with open(path, "w") as fh:
+            fh.write(artifact_header(result) + "\n")
+            fh.write("t,x,y,value\n")
+            _write_levels(fh, hist, nodes, bounds[0], bounds[1])
+        for pid in list(workers):
+            error = workers[pid].read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(pid).close()
+            if error:
+                raise pickle.loads(error)
+            if code:
+                raise RuntimeError(f"fields.csv worker exited with code {code}")
+        with open(path, "ab") as out:
+            for part in parts:
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, out)
+    finally:
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in parts:
+            os.unlink(part)
     return path
 
 

@@ -1,16 +1,25 @@
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from crocco_prandtl.reporting import (artifact_header, report_text, write_fields_csv,
-                                      write_report_csv)
-from crocco_prandtl.scenarios import RunResult
+from crocco_prandtl import reporting
+from crocco_prandtl.errors import NumericalError
+from crocco_prandtl.reporting import (artifact_header, report_text, write_artifacts,
+                                      write_fields_csv, write_report_csv)
+from crocco_prandtl.scenarios import RunResult, Table
+
+SRC = str(Path(reporting.__file__).resolve().parents[1])
 
 SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.2e17]
 
@@ -39,14 +48,25 @@ def _written_bytes(result, directory):
     return write_fields_csv(Path(directory) / "fields.csv", result).read_bytes()
 
 
-def test_fields_csv_matches_savetxt_with_special_values(tmp_path):
+def _cores(n):
+    """Force the fields.csv writer to cut its levels for n usable cores."""
+    return mock.patch.object(reporting, "_usable_cores", return_value=n)
+
+
+def _special_result():
     rng = np.random.default_rng(7)
     values = rng.standard_normal((5, 7, 3)) * 10.0 ** rng.integers(-300, 300, (5, 7, 3))
     values.flat[: len(SPECIALS)] = SPECIALS
-    result = _result(np.linspace(0.0, 0.3, 5), np.linspace(0.0, 1.0, 7),
-                     np.array([-0.0, 1.0 / 3.0, 1.2e17]), values)
-    written = _written_bytes(result, tmp_path)
-    assert written == _reference_bytes(result)
+    return _result(np.linspace(0.0, 0.3, 5), np.linspace(0.0, 1.0, 7),
+                   np.array([-0.0, 1.0 / 3.0, 1.2e17]), values)
+
+
+def test_fields_csv_matches_savetxt_with_special_values(tmp_path):
+    result = _special_result()
+    for cores in (1, 3):
+        with _cores(cores):
+            written = _written_bytes(result, tmp_path)
+        assert written == _reference_bytes(result)
     lines = written.decode().splitlines()
     assert lines[1] == "t,x,y,value"
     assert len(lines) == 2 + 5 * 7 * 3
@@ -68,9 +88,100 @@ floats = st.one_of(st.sampled_from(SPECIALS), st.floats(width=64))
         hnp.arrays(np.float64, shape[2], elements=floats),
         hnp.arrays(np.float64, shape, elements=floats))))
 def test_fields_csv_matches_savetxt_property(arrays):
+    # up to 4 levels against 3 writers: some draws have more writers than levels
     result = _result(*arrays)
-    with tempfile.TemporaryDirectory() as directory:
-        assert _written_bytes(result, directory) == _reference_bytes(result)
+    for cores in (1, 3):
+        with _cores(cores), tempfile.TemporaryDirectory() as directory:
+            assert _written_bytes(result, directory) == _reference_bytes(result)
+            assert os.listdir(directory) == ["fields.csv"]
+
+
+def test_fields_csv_without_fork_writes_in_one_process(tmp_path):
+    no_fork = SimpleNamespace(**{k: v for k, v in vars(os).items() if k != "fork"})
+    result = _special_result()
+    with mock.patch.object(reporting, "os", no_fork):
+        assert reporting._usable_cores() == 1
+        assert _written_bytes(result, tmp_path) == _reference_bytes(result)
+
+
+def test_write_artifacts_leaves_only_its_files(tmp_path):
+    result = _special_result()
+    result.tables.append(Table("levels", ["t"], [(0.0,), (0.3,)]))
+    with _cores(3):
+        written = write_artifacts(result, tmp_path)
+    assert sorted(tmp_path.iterdir()) == sorted(written)
+    assert [p.name for p in written] == ["report.txt", "report.csv", "fields.csv", "levels.csv"]
+    assert not list(tmp_path.glob("*.part*"))
+
+
+def _failing_levels(failing_start, failure):
+    """_write_levels that fails on the chunk starting at failing_start."""
+    real = reporting._write_levels
+
+    def write(fh, hist, nodes, start, stop):
+        if start == failing_start:
+            failure(start, stop)
+        real(fh, hist, nodes, start, stop)
+    return write
+
+
+def _refuse(start, stop):
+    raise NumericalError(f"chunk {start}:{stop} refused")
+
+
+def _die(start, stop):
+    os._exit(7)
+
+
+@pytest.mark.parametrize("failing_start, failure, error, message", [
+    (1, _refuse, NumericalError, "chunk 1:3 refused"),
+    (0, _refuse, NumericalError, "chunk 0:1 refused"),
+    (3, _die, RuntimeError, "fields.csv worker exited with code 7"),
+], ids=["worker_raises", "caller_raises", "worker_dies"])
+def test_fields_csv_failure_leaves_no_worker_or_part(tmp_path, failing_start, failure,
+                                                     error, message):
+    result = _special_result()   # 5 levels over 3 writers: chunks 0:1, 1:3, 3:5
+    with _cores(3), mock.patch.object(reporting, "_write_levels",
+                                      _failing_levels(failing_start, failure)):
+        with pytest.raises(error) as info:
+            _written_bytes(result, tmp_path)
+    assert type(info.value) is error and str(info.value) == message
+    assert [p.name for p in tmp_path.iterdir()] == ["fields.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    with _cores(3):
+        assert _written_bytes(result, tmp_path) == _reference_bytes(result)
+
+
+MARKER_SCRIPT = r"""
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+from crocco_prandtl import reporting
+from crocco_prandtl.scenarios import RunResult
+
+reporting._usable_cores = lambda: 3
+sys.stdout.write("unflushed marker\n")
+hist = SimpleNamespace(t=np.arange(4.0), x=np.arange(2.0), y=np.arange(3.0),
+                       values=np.zeros((4, 2, 3)))
+reporting.write_fields_csv(Path(sys.argv[1]), RunResult(
+    scenario="exact_profile", grid_label="3x2x4", eps_label="1e-3", history=hist))
+"""
+
+
+def test_fields_csv_workers_do_not_flush_inherited_stdout(tmp_path):
+    # stdout to a pipe is block-buffered, so the marker is still in the
+    # buffer when the workers fork; a worker that flushed it would print it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", MARKER_SCRIPT, str(tmp_path / "fields.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "unflushed marker\n"
+    assert len((tmp_path / "fields.csv").read_text().splitlines()) == 2 + 4 * 2 * 3
 
 
 def test_run_report_text_and_csv(tmp_path):
