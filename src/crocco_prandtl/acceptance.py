@@ -143,8 +143,8 @@ class AcceptanceEngine:
     def criterion_5(self) -> CriterionResult:
         p64 = self.store.build(exact_profile_problem, _cube(64, EXACT_T))
         p128 = self.store.build(exact_profile_problem, _cube(128, EXACT_T))
-        tr, res64, verdicts = weak_identity(self.store.solve(p64, 1e-3), p64)
-        res128 = weak_residual(self.store.solve(p128, 1e-3), p128)
+        tr, res64, verdicts = weak_identity(self.store, self.store.solve(p64, 1e-3), p64)
+        res128 = self.store.build(weak_residual, self.store.solve(p128, 1e-3), p128)
         ratio = res64 / res128 if res128 > 0 else float("inf")
         passed = all(verdicts.values()) and ratio >= 1.8
         return CriterionResult(

@@ -3,7 +3,9 @@
 One key per line, '#' starts a comment, blank lines are skipped.  The keys
 are the fields of RunConfig, each parsed by its field's type, and every
 float must be finite; unknown or duplicated keys are rejected with the
-offending line number so configs stay honest.
+offending line number so configs stay honest.  A model grid whose history
+and coefficients would exceed MODEL_BYTES_BUDGET is refused here, before
+anything is allocated.
 """
 
 import math
@@ -22,6 +24,10 @@ SCENARIOS = (
 )
 
 THETA_MAX = 2.0**-6
+
+# bytes a model grid may take for its history, (nt + 1) x nx x (ny + 1)
+# floats, plus its coefficient samples, nx x ny floats
+MODEL_BYTES_BUDGET = 2**30
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"theta must lie in (0, {THETA_MAX:g}), got {cfg.theta:g}")
     if cfg.r <= 0:
         raise ConfigError(f"r must be positive, got {cfg.r:g}")
+    model_bytes = 8 * ((cfg.nt + 1) * cfg.nx * (cfg.ny + 1) + cfg.nx * cfg.ny)
+    if cfg.scenario == "oscillation_lab" and model_bytes > MODEL_BYTES_BUDGET:
+        raise ConfigError(f"model grid {cfg.grid_label} needs {model_bytes:,} bytes for its "
+                          f"history and coefficients, over the budget of {MODEL_BYTES_BUDGET:,}")
     return cfg
 
 

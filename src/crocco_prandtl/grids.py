@@ -97,13 +97,14 @@ def _lerp_corners(flat: np.ndarray, base, strides, weights) -> np.ndarray:
     return vals[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class FieldHistory:
     """Full space-time field on uniform node coordinates.
 
     values has shape (t.size, x.size, y.size); each axis has at least two
     ascending equally spaced nodes.  Arrays are marked read-only after
-    construction.  A query outside the axes raises ConfigError.
+    construction.  A query outside the axes raises ConfigError.  It hashes
+    by identity, so a solve store can key the measurements of a history.
     """
 
     t: np.ndarray

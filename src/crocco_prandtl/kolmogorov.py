@@ -33,6 +33,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from .config import THETA_MAX
 from .errors import ConfigError, NumericalError
 from .grids import CFL_SAFETY, FieldHistory, trapezoid_weights
+from .parallel import fork_map
 
 SQRT3 = math.sqrt(3.0)
 
@@ -414,21 +415,21 @@ def _mean_value_level(w_field, spec: CutoffSpec, t: float, xs: np.ndarray,
     at_y = w_field.at_times(tau, x_span, (etas.min(), etas.max()))
     for j, (eta, shift) in enumerate(zip(etas, shifts)):
         w_at = at_y(eta)
-        drift_weights = (weights * spec.phi1(eta)).ravel()
+        drift_weights = weights * spec.phi1(eta)
         eta_dy = spec.phi1_dy(eta)
         band_weights = None
         if np.any(eta_dy):
             kernel_ratio = (ys[j] - eta) / (2.0 * s) + 3.0 * X / s**2
-            band_weights = (weights * eta_dy * kernel_ratio).ravel()
+            band_weights = weights * eta_dy * kernel_ratio
         for i, x in enumerate(xs):
             xi = x - shift - X
             w = w_at(xi)
             if not np.all(np.isfinite(w)):
                 raise NumericalError("field sampling returned non-finite values")
             ramp = spec._phi0_band(spec._argument(xi, tau))
-            drift[i, j] = (spec._transport(ramp, xi, eta) * w).ravel() @ drift_weights
+            drift[i, j] = np.sum(spec._transport(ramp, xi, eta) * w * drift_weights)
             if band_weights is not None:
-                band[i, j] = (spec.phi0(xi, tau) * w).ravel() @ band_weights
+                band[i, j] = np.sum(spec.phi0(xi, tau) * w * band_weights)
     drift *= dtau / math.pi
     band *= dtau / math.pi
     if not (np.all(np.isfinite(drift)) and np.all(np.isfinite(band))):
@@ -451,16 +452,21 @@ def mean_value(w_field, spec: CutoffSpec, nz: int = 9) -> MeanValueReport:
     while the MEAN_ETA_NODES = 16 eta nodes stay within |y| + 4.1 r with
     |y| <= theta r, so on the lattice of any admissible cutoff the band
     term is exactly 0.
+
+    The levels are split across the usable cores by parallel.fork_map, and
+    np.sum, not a BLAS dot product, sums each point, so the values do not
+    depend on the BLAS thread count or the core count.
     """
     zs, ys, ts = Box(spec.theta * spec.r, "past").lattice(nz)
-    vals = np.empty((nz, nz, nz))
-    band_max = 0.0
-    for k, tq in enumerate(ts):
-        drift, band = _mean_value_level(w_field, spec, float(tq), zs, ys)
-        vals[k] = drift + band
-        band_max = max(band_max, float(np.max(np.abs(band))))
+    for n in (MEAN_ETA_NODES, MEAN_XI_NODES):
+        _gauss(np.polynomial.hermite.hermgauss, n)  # LAPACK, so before the fork
+
+    def levels(start: int, stop: int) -> np.ndarray:
+        return np.array([_mean_value_level(w_field, spec, float(t), zs, ys) for t in ts[start:stop]])
+    terms = np.concatenate(fork_map(levels, nz))
+    vals, band = terms[:, 0] + terms[:, 1], terms[:, 1]
     return MeanValueReport(i0=float(np.max(vals)), values=vals.ravel(),
-                           band_term_max=band_max)
+                           band_term_max=float(np.max(np.abs(band))))
 
 
 # ---------------------------------------------------------------------------

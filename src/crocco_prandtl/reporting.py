@@ -13,15 +13,12 @@ grid label in its grid column.
 fields.csv is streamed one time level at a time, with no copy of the whole
 history; its bytes equal numpy.savetxt(fh, rows, fmt="%.17g", delimiter=",")
 over the (t, x, y, value) rows in t-major, then x, then y order.  Its time
-levels are formatted by up to one process per usable core, each writing a
-contiguous run of levels, and the parts are joined in order, so the bytes do
+levels are split across the usable cores by parallel.fork_map, the helper
+that splits the mean-value lattice too, and joined in order, so the bytes do
 not depend on the core count.
 """
 
-import os
-import pickle
 import shutil
-import signal
 import tempfile
 from pathlib import Path
 from typing import List
@@ -29,6 +26,7 @@ from typing import List
 import numpy as np
 
 from ._version import __version__
+from .parallel import fork_map
 from .scenarios import RunResult, Table
 
 
@@ -73,15 +71,6 @@ def write_table_csv(path: Path, result: RunResult, table: Table) -> Path:
     return path
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on; 1 where it cannot fork (Windows)."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _write_levels(fh, hist, nodes, start: int, stop: int) -> None:
     """Write time levels start..stop-1, one %.17g template per level."""
     for t, level in zip(hist.t[start:stop].tolist(), hist.values[start:stop]):
@@ -95,64 +84,24 @@ def write_fields_csv(path: Path, result: RunResult) -> Path:
 
     The `,x,y` part of every row is formatted once; each level joins it into
     a template with one %.17g slot per node and fills that with one `%`.
-
-    The levels are cut into one contiguous chunk per usable core.  This
-    process writes the header and the first chunk into `path`; each further
-    chunk is written by a forked worker into a sibling part file, which is
-    appended in order.  A worker only formats and writes: it calls no BLAS,
-    whose threads fork does not copy, and it leaves through os._exit, so
-    inherited stdio buffers and exit handlers never run twice.  Its exception
-    comes back pickled over a pipe and is raised here.  No worker or part
-    file outlives the call.
+    Chunk 0 of fork_map's levels is appended to `path` after the header,
+    each further chunk is written into a part file in a temporary sibling
+    directory and appended in order.  No part file outlives the call.
     """
     hist = result.history
     nodes = [",%.17g,%.17g" % (x, y) for x in hist.x.tolist() for y in hist.y.tolist()]
-    n = len(hist.t)
-    k = min(_usable_cores(), n)
-    bounds = [n * i // k for i in range(k + 1)]
-    parts, workers = [], {}
-    try:
-        for i in range(1, k):
-            fd, part = tempfile.mkstemp(prefix=path.name + ".", suffix=".part", dir=path.parent)
-            os.close(fd)
-            parts.append(part)
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    with open(part, "w") as fh:
-                        _write_levels(fh, hist, nodes, bounds[i], bounds[i + 1])
-                    status = 0
-                except BaseException as exc:
-                    os.write(w, pickle.dumps(exc))
-                finally:
-                    os._exit(status)
-            os.close(w)
-            workers[pid] = os.fdopen(r, "rb")
-        with open(path, "w") as fh:
-            fh.write(artifact_header(result) + "\n")
-            fh.write("t,x,y,value\n")
-            _write_levels(fh, hist, nodes, bounds[0], bounds[1])
-        for pid in list(workers):
-            error = workers[pid].read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            workers.pop(pid).close()
-            if error:
-                raise pickle.loads(error)
-            if code:
-                raise RuntimeError(f"fields.csv worker exited with code {code}")
+    path.write_text(artifact_header(result) + "\nt,x,y,value\n")
+    with tempfile.TemporaryDirectory(prefix=path.name + ".", dir=path.parent) as tmp:
+        def write(start: int, stop: int) -> Path:
+            part = Path(tmp, f"{start}.part") if start else path
+            with open(part, "a") as fh:
+                _write_levels(fh, hist, nodes, start, stop)
+            return part
+
         with open(path, "ab") as out:
-            for part in parts:
+            for part in fork_map(write, len(hist.t))[1:]:
                 with open(part, "rb") as src:
                     shutil.copyfileobj(src, out)
-    finally:
-        for pid, pipe in workers.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for part in parts:
-            os.unlink(part)
     return path
 
 

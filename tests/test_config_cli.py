@@ -13,8 +13,8 @@ import crocco_prandtl
 from crocco_prandtl import scenarios
 from crocco_prandtl._version import __version__
 from crocco_prandtl.cli import main
-from crocco_prandtl.config import (SCENARIOS, THETA_MAX, RunConfig, load_config,
-                                   parse_config)
+from crocco_prandtl.config import (MODEL_BYTES_BUDGET, SCENARIOS, THETA_MAX, RunConfig,
+                                   load_config, parse_config)
 from crocco_prandtl.errors import ConfigError, NumericalError
 from crocco_prandtl.reporting import fmt
 
@@ -114,7 +114,8 @@ VALID_CONFIGS = st.builds(
     h_level=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
     theta=st.floats(0.0, THETA_MAX, exclude_min=True, exclude_max=True),
     r=POSITIVE,
-)
+).filter(lambda c: c.scenario != "oscillation_lab"
+         or 8 * ((c.nt + 1) * c.nx * (c.ny + 1) + c.nx * c.ny) <= MODEL_BYTES_BUDGET)
 
 
 def _valid_eps_list(values) -> bool:
@@ -302,6 +303,28 @@ def test_cli_non_finite_value_exits_2(tmp_path, capsys):
         assert main(["validate", "--config", cfg]) == 2, text
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2, text
         assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _lab(nx, ny, nt):
+    return f"scenario = oscillation_lab\nnx = {nx}\nny = {ny}\nnt = {nt}\n"
+
+
+def test_parse_config_refuses_a_model_grid_over_the_memory_budget(tmp_path, capsys):
+    # parse_config alone: a refused grid is never allocated.  This one's
+    # history would take about 7.7 TB
+    with pytest.raises(ConfigError, match="over the budget"):
+        parse_config(_lab(2000, 8000, 60000))
+    # at nx = 48, ny = 192 the history takes 8 x 48 x 193 bytes per level
+    # and the coefficients 8 x 48 x 192 bytes: the largest nt that fits
+    nt = (MODEL_BYTES_BUDGET // 8 - 48 * 192) // (48 * 193) - 1
+    assert parse_config(_lab(48, 192, nt)).nt == nt
+    with pytest.raises(ConfigError, match="over the budget"):
+        parse_config(_lab(48, 192, nt + 1))
+    cfg = write_cfg(tmp_path, _lab(2000, 8000, 60000))
+    assert main(["validate", "--config", cfg]) == 2
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "over the budget" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

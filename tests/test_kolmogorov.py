@@ -3,12 +3,18 @@ functionals.  Expected values are frozen from closed forms where available
 and from converged reference computations otherwise."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
 from crocco_prandtl import kolmogorov as ko
+from crocco_prandtl import parallel
 from crocco_prandtl.errors import ConfigError
 from crocco_prandtl.grids import AnalyticField, FieldHistory
 
@@ -362,6 +368,49 @@ def test_mean_value_window_guards():
     # after the window start but before the ramp band: zero contribution
     d, b = point_value(const_field(1.0), cut, (0.0, 0.0, -0.9))
     assert d == 0.0 and b == 0.0
+
+
+# one mean_value of coarse_random_history, its values printed as hex bits
+MEAN_VALUE_BITS_SCRIPT = r"""
+import numpy as np
+from crocco_prandtl import kolmogorov as ko
+from crocco_prandtl.grids import FieldHistory
+
+rng = np.random.default_rng(11)
+t = np.linspace(-0.3, 0.0, 9)
+x = np.linspace(-16.0, 16.0, 33)
+y = np.linspace(-90.0, 90.0, 73)
+field = FieldHistory(t=t, x=x, y=y, values=rng.uniform(0.5, 1.5, (t.size, x.size, y.size)))
+print(ko.mean_value(field, ko.CutoffSpec(r=1.0, theta=0.01), nz=3).values.tobytes().hex())
+"""
+
+
+def test_mean_value_bits_do_not_follow_the_blas_thread_count():
+    # 20,480 quadrature nodes per point: above the size at which OpenBLAS
+    # splits a dot product across its threads, so a BLAS reduction would
+    # sum in an order set by OPENBLAS_NUM_THREADS
+    src = str(Path(ko.__file__).resolve().parents[1])
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", MEAN_VALUE_BITS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        bits.append(proc.stdout)
+    assert len(bits[0]) == 2 * 8 * 27 + 1
+    assert bits[0] == bits[1]
+
+
+def test_mean_value_bits_do_not_follow_the_core_count():
+    cut = ko.CutoffSpec(r=1.0, theta=0.01)
+    reports = []
+    for cores in (1, 2):
+        with mock.patch.object(parallel, "_usable_cores", return_value=cores):
+            reports.append(ko.mean_value(coarse_random_history(), cut, nz=3))
+    serial, forked = reports
+    assert serial.values.tobytes() == forked.values.tobytes()
+    assert serial.i0 == forked.i0 and serial.band_term_max == forked.band_term_max
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from crocco_prandtl import reporting
+from crocco_prandtl import kolmogorov as ko
+from crocco_prandtl import parallel, reporting
 from crocco_prandtl.errors import NumericalError
+from crocco_prandtl.grids import AnalyticField
 from crocco_prandtl.reporting import (artifact_header, report_text, write_artifacts,
                                       write_fields_csv, write_report_csv)
 from crocco_prandtl.scenarios import RunResult, Table
@@ -49,8 +51,8 @@ def _written_bytes(result, directory):
 
 
 def _cores(n):
-    """Force the fields.csv writer to cut its levels for n usable cores."""
-    return mock.patch.object(reporting, "_usable_cores", return_value=n)
+    """Force the fork helper to cut its range for n usable cores."""
+    return mock.patch.object(parallel, "_usable_cores", return_value=n)
 
 
 def _special_result():
@@ -99,8 +101,8 @@ def test_fields_csv_matches_savetxt_property(arrays):
 def test_fields_csv_without_fork_writes_in_one_process(tmp_path):
     no_fork = SimpleNamespace(**{k: v for k, v in vars(os).items() if k != "fork"})
     result = _special_result()
-    with mock.patch.object(reporting, "os", no_fork):
-        assert reporting._usable_cores() == 1
+    with mock.patch.object(parallel, "os", no_fork):
+        assert parallel._usable_cores() == 1
         assert _written_bytes(result, tmp_path) == _reference_bytes(result)
 
 
@@ -114,43 +116,78 @@ def test_write_artifacts_leaves_only_its_files(tmp_path):
     assert not list(tmp_path.glob("*.part*"))
 
 
-def _failing_levels(failing_start, failure):
-    """_write_levels that fails on the chunk starting at failing_start."""
+# each caller of the fork helper: how to run it on 5 levels, which become
+# the chunks 0:1, 1:3 and 3:5 over 3 cores, the per-level function to patch,
+# and the files it leaves in its directory
+def _run_writer(directory):
+    return _written_bytes(_special_result(), directory)
+
+
+def _fail_writer(failing_start, failure):
     real = reporting._write_levels
 
     def write(fh, hist, nodes, start, stop):
         if start == failing_start:
-            failure(start, stop)
+            failure(start)
         real(fh, hist, nodes, start, stop)
-    return write
+    return mock.patch.object(reporting, "_write_levels", write)
 
 
-def _refuse(start, stop):
-    raise NumericalError(f"chunk {start}:{stop} refused")
+MEAN_CUT = ko.CutoffSpec(r=1.0, theta=0.01)
+MEAN_FIELD = AnalyticField(lambda t, x, y: 1.0 + 0.3 * np.sin(3.0 * x) * np.cos(2.0 * y) + 2.0 * t)
 
 
-def _die(start, stop):
+def _run_mean_value(directory):
+    return ko.mean_value(MEAN_FIELD, MEAN_CUT, nz=5).values.tobytes()
+
+
+def _fail_mean_value(failing_start, failure):
+    real = ko._mean_value_level
+    ts = ko.Box(MEAN_CUT.theta * MEAN_CUT.r, "past").lattice(5)[2]
+
+    def level(w_field, spec, t, xs, ys):
+        if t == ts[failing_start]:
+            failure(failing_start)
+        return real(w_field, spec, t, xs, ys)
+    return mock.patch.object(ko, "_mean_value_level", level)
+
+
+CALLERS = {"fields_csv": (_run_writer, _fail_writer, ["fields.csv"]),
+           "mean_value": (_run_mean_value, _fail_mean_value, [])}
+
+
+def _refuse(start):
+    raise NumericalError(f"chunk from {start} refused")
+
+
+def _die(start):
     os._exit(7)
 
 
-@pytest.mark.parametrize("failing_start, failure, error, message", [
-    (1, _refuse, NumericalError, "chunk 1:3 refused"),
-    (0, _refuse, NumericalError, "chunk 0:1 refused"),
-    (3, _die, RuntimeError, "fields.csv worker exited with code 7"),
-], ids=["worker_raises", "caller_raises", "worker_dies"])
-def test_fields_csv_failure_leaves_no_worker_or_part(tmp_path, failing_start, failure,
+@pytest.mark.parametrize("caller, failing_start, failure, error, message", [
+    (caller, start, failure, error, message)
+    for caller in CALLERS
+    for start, failure, error, message in (
+        (1, _refuse, NumericalError, "chunk from 1 refused"),
+        (0, _refuse, NumericalError, "chunk from 0 refused"),
+        (3, _die, RuntimeError, "forked worker exited with code 7"))
+], ids=["worker_raises", "caller_raises", "worker_dies", "mean_value-worker_raises",
+        "mean_value-caller_raises", "mean_value-worker_dies"])
+def test_fields_csv_failure_leaves_no_worker_or_part(tmp_path, caller, failing_start, failure,
                                                      error, message):
-    result = _special_result()   # 5 levels over 3 writers: chunks 0:1, 1:3, 3:5
-    with _cores(3), mock.patch.object(reporting, "_write_levels",
-                                      _failing_levels(failing_start, failure)):
+    # the ids without a prefix are the fields.csv writer's
+    run, fail, leaves = CALLERS[caller]
+    with _cores(1):
+        reference = run(tmp_path)
+    with _cores(3), fail(failing_start, failure):
         with pytest.raises(error) as info:
-            _written_bytes(result, tmp_path)
+            run(tmp_path)
     assert type(info.value) is error and str(info.value) == message
-    assert [p.name for p in tmp_path.iterdir()] == ["fields.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == leaves
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     with _cores(3):
-        assert _written_bytes(result, tmp_path) == _reference_bytes(result)
+        assert run(tmp_path) == reference
 
 
 MARKER_SCRIPT = r"""
@@ -160,10 +197,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from crocco_prandtl import reporting
+from crocco_prandtl import parallel, reporting
 from crocco_prandtl.scenarios import RunResult
 
-reporting._usable_cores = lambda: 3
+parallel._usable_cores = lambda: 3
 sys.stdout.write("unflushed marker\n")
 hist = SimpleNamespace(t=np.arange(4.0), x=np.arange(2.0), y=np.arange(3.0),
                        values=np.zeros((4, 2, 3)))

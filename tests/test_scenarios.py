@@ -181,8 +181,9 @@ def test_runner_registry_is_callable():
 # quantity that measurement reads to a value just inside its bound, where
 # the runner's verdicts and the criterion must pass, and to one just past
 # it, where both must fail.  The criteria run on the session's engine
-# (conftest.py); no patch reaches its store, since _exact_offset wraps
-# SolveStore.solve outside the store and the others patch measurements.
+# (conftest.py); no patch reaches a value its store memoized: _exact_offset
+# wraps SolveStore.solve outside the store, and a patched weak_residual is
+# another builder, so the store keys its values apart from the real ones.
 
 
 def _wrap(m, owner, name, change):

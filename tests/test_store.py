@@ -12,8 +12,9 @@ import pytest
 from crocco_prandtl import scenarios, solver
 from crocco_prandtl.acceptance import AcceptanceEngine
 from crocco_prandtl.config import RunConfig
-from crocco_prandtl.grids import GridSpec
-from crocco_prandtl.scenarios import favorable_accel_problem, run_scenario
+from crocco_prandtl.grids import FieldHistory, GridSpec
+from crocco_prandtl.scenarios import (EXACT_T, exact_profile_problem, favorable_accel_problem,
+                                      run_scenario, weak_identity)
 from crocco_prandtl.solver import SolveStore
 
 
@@ -100,3 +101,27 @@ def test_engine_reuses_runs_across_criteria(solves, identical_pairs):
     assert len(identical_pairs) == 1
     hist_a, hist_b = identical_pairs[0]
     assert hist_a is not hist_b
+
+
+def test_weak_residual_is_made_once_per_history(monkeypatch):
+    calls = []
+    original = scenarios.weak_residual
+
+    def counting(hist, problem, margin=0):
+        calls.append(margin)
+        return original(hist, problem, margin)
+    monkeypatch.setattr(scenarios, "weak_residual", counting)
+    store = SolveStore()
+    problem = store.build(exact_profile_problem, GridSpec(16, 16, 24, T=EXACT_T))
+    hist = store.solve(problem, 1e-2)
+    weak = weak_identity(store, hist, problem)[1]
+    assert weak_identity(store, hist, problem)[1] == weak and calls == [0]
+    # a patched measurement is a different builder: it reaches no memoized
+    # value, and no unpatched call is served its value afterwards
+    with monkeypatch.context() as m:
+        m.setattr(scenarios, "weak_residual", lambda hist, problem: -1.0)
+        assert weak_identity(store, hist, problem)[1] == -1.0
+    assert weak_identity(store, hist, problem)[1] == weak and calls == [0]
+    # a history hashes by identity: an equal copy is measured afresh
+    copy = FieldHistory(t=hist.t, x=hist.x, y=hist.y, values=hist.values, eps=hist.eps)
+    assert weak_identity(store, copy, problem)[1] == weak and calls == [0, 0]
