@@ -2,12 +2,18 @@
 
 Twelve numbered criteria, each measuring a pinned quantitative surrogate
 at desk scale.  Each engine owns one SolveStore: problems, strip solves
-and the shared model runs are built once per engine, so criteria reuse
-each other's fields.  The measurements themselves are the functions the
-scenario runners call, and a bound a runner applies too lives with the
-measurement in scenarios, which returns its verdicts; a criterion takes
-all of them, adds the thresholds only it applies, and formats its detail
-from the same constants.  Two checks bypass the store on purpose:
+and the shared model runs are built once per store.  run() splits the
+requested criteria into contiguous chunks, one per usable core, through
+parallel.fork_map: this process runs the first chunk against the engine's
+store and a forked worker runs each further chunk against its own copy,
+discarded once its results are back.  So criteria reuse each other's
+fields within a chunk, verdicts and details are identical to a 1-core
+run, and each criterion's seconds are measured in the process that ran
+it.  The measurements themselves are the functions the scenario runners
+call, and a bound a runner applies too lives with the measurement in
+scenarios, which returns its verdicts; a criterion takes all of them,
+adds the thresholds only it applies, and formats its detail from the
+same constants.  Two checks bypass the store on purpose:
 criterion 6 compares its stored march with one fresh march of the same
 data, and criterion 12 reruns the full artifact bundle, each scenario with
 its own fresh store.
@@ -25,6 +31,7 @@ from .config import SCENARIOS, RunConfig
 from .errors import ConfigError, CroccoError
 from .estimates import uniformity_spread, weak_residual
 from .grids import GridSpec
+from .parallel import fork_map
 from .scenarios import (ACCEL_T, DILATION_TOL, EXACT_T, EXACT_TOL,
                         IDENTICAL_TOL, KERNEL_MASS_TOL, KERNEL_ORDER_FLOOR,
                         SWEEP_PROXY_FACTOR, WALL_TRACE_TOL, WEAK_RESIDUAL_TOL,
@@ -52,6 +59,10 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float = 0.0
+
+    def __post_init__(self):
+        # a verdict built from numpy comparisons is a np.bool_
+        self.passed = bool(self.passed)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -259,20 +270,28 @@ class AcceptanceEngine:
 
     def run(self, numbers=None) -> AcceptanceReport:
         numbers = list(numbers or range(1, 13))
-        results = []
+        methods = []
         for i in numbers:
             method = getattr(self, f"criterion_{i}", None)
             if method is None:
                 raise ConfigError(f"no criterion numbered {i}")
-            t0 = time.perf_counter()
-            try:
-                res = method()
-            except CroccoError as exc:
-                res = CriterionResult(i, f"criterion {i}", False,
-                                      f"raised {type(exc).__name__}: {exc}")
-            res.seconds = time.perf_counter() - t0
-            results.append(res)
-        return AcceptanceReport(results=results)
+            methods.append((i, method))
+
+        def chunk(start, stop):
+            results = []
+            for i, method in methods[start:stop]:
+                t0 = time.perf_counter()
+                try:
+                    res = method()
+                except CroccoError as exc:
+                    res = CriterionResult(i, f"criterion {i}", False,
+                                          f"raised {type(exc).__name__}: {exc}")
+                res.seconds = time.perf_counter() - t0
+                results.append(res)
+            return results
+
+        return AcceptanceReport(results=[res for part in fork_map(chunk, len(methods))
+                                         for res in part])
 
 
 def parse_suite(text: str):

@@ -3,8 +3,8 @@
 One key per line, '#' starts a comment, blank lines are skipped.  The keys
 are the fields of RunConfig, each parsed by its field's type, and every
 float must be finite; unknown or duplicated keys are rejected with the
-offending line number so configs stay honest.  A model grid whose history
-and coefficients would exceed MODEL_BYTES_BUDGET is refused here, before
+offending line number so configs stay honest.  A grid whose live
+histories would exceed HISTORY_BYTES_BUDGET is refused here, before
 anything is allocated.
 """
 
@@ -25,9 +25,10 @@ SCENARIOS = (
 
 THETA_MAX = 2.0**-6
 
-# bytes a model grid may take for its history, (nt + 1) x nx x (ny + 1)
-# floats, plus its coefficient samples, nx x ny floats
-MODEL_BYTES_BUDGET = 2**30
+# bytes the histories a run holds at once may take: a strip history is
+# (nt + 1) x (nx + 1) x (ny + 1) floats, a model history (nt + 1) x nx x
+# (ny + 1) floats plus nx x ny coefficient samples
+HISTORY_BYTES_BUDGET = 2**30
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,22 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"theta must lie in (0, {THETA_MAX:g}), got {cfg.theta:g}")
     if cfg.r <= 0:
         raise ConfigError(f"r must be positive, got {cfg.r:g}")
-    model_bytes = 8 * ((cfg.nt + 1) * cfg.nx * (cfg.ny + 1) + cfg.nx * cfg.ny)
-    if cfg.scenario == "oscillation_lab" and model_bytes > MODEL_BYTES_BUDGET:
-        raise ConfigError(f"model grid {cfg.grid_label} needs {model_bytes:,} bytes for its "
-                          f"history and coefficients, over the budget of {MODEL_BYTES_BUDGET:,}")
+    if cfg.scenario == "kolmogorov_checks":
+        return cfg
+    if cfg.scenario == "oscillation_lab":
+        held = 8 * ((cfg.nt + 1) * cfg.nx * (cfg.ny + 1) + cfg.nx * cfg.ny)
+        what = "its history and coefficients"
+    else:
+        # strip histories a runner holds at once: the sweep one per eps plus
+        # the refinement proxy's doubled grid (8 histories' worth), the
+        # stability run its base and three perturbation families
+        count = {"viscosity_sweep": len(cfg.eps_list) + 8,
+                 "stability_perturb": 4}.get(cfg.scenario, 1)
+        held = count * 8 * (cfg.nt + 1) * (cfg.nx + 1) * (cfg.ny + 1)
+        what = f"{count} histories"
+    if held > HISTORY_BYTES_BUDGET:
+        raise ConfigError(f"{cfg.scenario} grid {cfg.grid_label} needs {held:,} bytes for "
+                          f"{what}, over the budget of {HISTORY_BYTES_BUDGET:,}")
     return cfg
 
 

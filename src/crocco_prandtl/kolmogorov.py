@@ -459,7 +459,7 @@ def mean_value(w_field, spec: CutoffSpec, nz: int = 9) -> MeanValueReport:
     """
     zs, ys, ts = Box(spec.theta * spec.r, "past").lattice(nz)
     for n in (MEAN_ETA_NODES, MEAN_XI_NODES):
-        _gauss(np.polynomial.hermite.hermgauss, n)  # LAPACK, so before the fork
+        _gauss(np.polynomial.hermite.hermgauss, n)  # made once here, workers inherit them
 
     def levels(start: int, stop: int) -> np.ndarray:
         return np.array([_mean_value_level(w_field, spec, float(t), zs, ys) for t in ts[start:stop]])

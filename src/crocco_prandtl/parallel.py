@@ -1,5 +1,9 @@
-"""One fork helper for the two callers that split their time levels across
-cores: the fields.csv writer and the mean-value lattice."""
+"""One fork helper for every caller that splits a range across cores: the
+fields.csv writer and the mean-value lattice (time levels) and the
+acceptance engine (criteria).  A worker may call BLAS and LAPACK: OpenBLAS
+shuts its thread pool down before each fork (a pthread_atfork handler) and
+each process restarts it lazily on its next threaded call.  A worker may
+call fork_map again; its own workers are reaped before it returns."""
 
 import os
 import pickle
@@ -16,10 +20,10 @@ def _usable_cores() -> int:
 def fork_map(fn, n: int) -> list:
     """[fn(start, stop) for each chunk start:stop of range(n)], one chunk per
     usable core, in order.  This process runs chunk 0 and forks a worker per
-    further chunk; a worker calls no BLAS, pickles its result or exception
-    into a pipe and leaves through os._exit, so inherited stdio buffers and
-    exit handlers never run twice.  A worker's exception is raised here, one
-    that dies raises RuntimeError, and no worker outlives the call."""
+    further chunk; a worker pickles its result or exception into a pipe and
+    leaves through os._exit, so inherited stdio buffers and exit handlers
+    never run twice.  A worker's exception is raised here, one that dies
+    raises RuntimeError, and no worker outlives the call."""
     k = min(_usable_cores(), n)
     bounds = [n * i // k for i in range(k + 1)]
     workers = {}

@@ -5,15 +5,26 @@ run each criterion and assert its verdict, so a failure here reproduces
 the exact line the `acceptance` CLI verb would print.  The engine, and
 with it its solve store, is the session-scoped `engine` fixture of
 conftest.py, so problems, solves and model runs are shared across criteria
-as in one `acceptance` invocation.
+as in one `acceptance` invocation.  Each test runs one criterion, so the
+engine forks nothing; the tests at the end cover the forked run with
+stand-in criteria and the fork helper's core count patched.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from crocco_prandtl.acceptance import AcceptanceEngine, parse_suite, run_acceptance
+from crocco_prandtl import parallel
+from crocco_prandtl.acceptance import (AcceptanceEngine, CriterionResult, parse_suite,
+                                       run_acceptance)
+from crocco_prandtl.cli import main
 from crocco_prandtl.crocco import CroccoProblem
-from crocco_prandtl.errors import ConfigError
+from crocco_prandtl.errors import ConfigError, NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +37,7 @@ def check(engine, results, number):
         results[number] = engine.run([number]).results[0]
     res = results[number]
     print(res.line())
+    assert type(res.passed) is bool, type(res.passed)
     assert res.passed, res.line()
     return res
 
@@ -116,3 +128,116 @@ def test_run_acceptance_writes_summary(tmp_path):
     csv = (tmp_path / "acceptance.csv").read_text().splitlines()
     assert csv[1] == "number,passed,name"
     assert csv[2].startswith("7,1,")
+
+
+# ---------------------------------------------------------------------------
+# the criteria forked across cores: one chunk per usable core
+
+
+def _cores(n):
+    return mock.patch.object(parallel, "_usable_cores", return_value=n)
+
+
+def _pid_criterion(number):
+    """A stand-in criterion whose detail names the process that ran it."""
+    return lambda self: CriterionResult(number, f"stand-in {number}", True, str(os.getpid()))
+
+
+def _raising(exc):
+    def criterion(self):
+        raise exc
+    return criterion
+
+
+@pytest.fixture
+def stand_ins(monkeypatch):
+    for number in (7, 8):
+        monkeypatch.setattr(AcceptanceEngine, f"criterion_{number}", _pid_criterion(number))
+    return monkeypatch
+
+
+def _no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_run_keeps_request_order(stand_ins):
+    with _cores(2):
+        results = AcceptanceEngine().run([8, 7]).results
+    assert [r.number for r in results] == [8, 7]
+    # chunk 0 runs here, the second chunk in a worker
+    assert results[0].detail == str(os.getpid()) != results[1].detail
+    assert all(r.seconds > 0 for r in results)
+    _no_worker_left()
+
+
+def test_worker_numerical_error_is_a_fail_row(stand_ins):
+    stand_ins.setattr(AcceptanceEngine, "criterion_8", _raising(NumericalError("blew up")))
+    with _cores(2):
+        report = AcceptanceEngine().run([7, 8])
+    assert [r.passed for r in report.results] == [True, False]
+    assert report.results[1].detail == "raised NumericalError: blew up"
+    assert report.results[1].name == "criterion 8"
+    _no_worker_left()
+
+
+def test_worker_internal_error_reaches_the_caller(stand_ins, capsys):
+    stand_ins.setattr(AcceptanceEngine, "criterion_8", _raising(ValueError("not a verdict")))
+    with _cores(2):
+        with pytest.raises(ValueError, match="not a verdict") as info:
+            AcceptanceEngine().run([7, 8])
+        assert type(info.value) is ValueError
+        _no_worker_left()
+        assert main(["acceptance", "--suite", "7,8"]) == 4
+    assert "ValueError: not a verdict" in capsys.readouterr().err
+    _no_worker_left()
+
+
+def test_unknown_criterion_is_refused_before_any_fork(stand_ins):
+    stand_ins.setattr(AcceptanceEngine, "criterion_7", _raising(AssertionError("ran")))
+    with _cores(2), mock.patch.object(parallel.os, "fork") as fork:
+        with pytest.raises(ConfigError, match="no criterion numbered 13"):
+            AcceptanceEngine().run([7, 13, 8])
+    fork.assert_not_called()
+
+
+def test_fork_map_nests_inside_a_worker():
+    # criteria 10 and 12 fork their mean values and fields.csv writes from
+    # inside the worker chunk of a full suite
+    def outer(start, stop):
+        return parallel.fork_map(lambda a, b: (start, list(range(a, b)), os.getpid()), 4)
+
+    with _cores(2):
+        chunks = parallel.fork_map(outer, 2)
+    assert [[part[:2] for part in chunk] for chunk in chunks] == [
+        [(0, [0, 1]), (0, [2, 3])], [(1, [0, 1]), (1, [2, 3])]]
+    assert len({part[2] for chunk in chunks for part in chunk}) == 4
+    _no_worker_left()
+
+
+FORKED_RUN_SCRIPT = r"""
+from unittest import mock
+from crocco_prandtl import parallel
+from crocco_prandtl.acceptance import AcceptanceEngine
+
+for cores in (1, 2):
+    with mock.patch.object(parallel, "_usable_cores", return_value=cores):
+        results = AcceptanceEngine().run([7, 8, 9]).results
+    print(repr([(r.number, r.passed, r.detail) for r in results]))
+"""
+
+
+def test_forked_criteria_match_serial_under_either_blas_thread_count():
+    # criterion 9 marches the model and samples it (LAPACK and BLAS) in the
+    # worker's chunk; OpenBLAS restarts its thread pool there after the fork
+    src = str(Path(parallel.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", FORKED_RUN_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs += proc.stdout.splitlines()
+    assert len(outputs) == 4 and outputs[0].startswith("[(7, True, ")
+    assert len(set(outputs)) == 1, outputs

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import crocco_prandtl
 from crocco_prandtl import scenarios
 from crocco_prandtl._version import __version__
 from crocco_prandtl.cli import main
-from crocco_prandtl.config import (MODEL_BYTES_BUDGET, SCENARIOS, THETA_MAX, RunConfig,
+from crocco_prandtl.config import (HISTORY_BYTES_BUDGET, SCENARIOS, THETA_MAX, RunConfig,
                                    load_config, parse_config)
 from crocco_prandtl.errors import ConfigError, NumericalError
 from crocco_prandtl.reporting import fmt
@@ -98,6 +99,15 @@ def at_or_above(bound):
     return st.one_of(st.just(bound), st.floats(min_value=bound, allow_infinity=False))
 
 
+def held_bytes(c):
+    """Bytes of the histories a run of c holds at once."""
+    if c.scenario == "oscillation_lab":
+        return 8 * ((c.nt + 1) * c.nx * (c.ny + 1) + c.nx * c.ny)
+    strip = 8 * (c.nt + 1) * (c.nx + 1) * (c.ny + 1)
+    return {"exact_profile": strip, "favorable_accel": strip, "stability_perturb": 4 * strip,
+            "viscosity_sweep": (len(c.eps_list) + 8) * strip}.get(c.scenario, 0)
+
+
 VALID_CONFIGS = st.builds(
     RunConfig,
     scenario=st.sampled_from(SCENARIOS),
@@ -114,8 +124,7 @@ VALID_CONFIGS = st.builds(
     h_level=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
     theta=st.floats(0.0, THETA_MAX, exclude_min=True, exclude_max=True),
     r=POSITIVE,
-).filter(lambda c: c.scenario != "oscillation_lab"
-         or 8 * ((c.nt + 1) * c.nx * (c.ny + 1) + c.nx * c.ny) <= MODEL_BYTES_BUDGET)
+).filter(lambda c: held_bytes(c) <= HISTORY_BYTES_BUDGET)
 
 
 def _valid_eps_list(values) -> bool:
@@ -317,7 +326,7 @@ def test_parse_config_refuses_a_model_grid_over_the_memory_budget(tmp_path, caps
         parse_config(_lab(2000, 8000, 60000))
     # at nx = 48, ny = 192 the history takes 8 x 48 x 193 bytes per level
     # and the coefficients 8 x 48 x 192 bytes: the largest nt that fits
-    nt = (MODEL_BYTES_BUDGET // 8 - 48 * 192) // (48 * 193) - 1
+    nt = (HISTORY_BYTES_BUDGET // 8 - 48 * 192) // (48 * 193) - 1
     assert parse_config(_lab(48, 192, nt)).nt == nt
     with pytest.raises(ConfigError, match="over the budget"):
         parse_config(_lab(48, 192, nt + 1))
@@ -326,6 +335,42 @@ def test_parse_config_refuses_a_model_grid_over_the_memory_budget(tmp_path, caps
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "over the budget" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _strip(scenario, nx, ny, nt):
+    return f"scenario = {scenario}\nnx = {nx}\nny = {ny}\nnt = {nt}\n"
+
+
+@pytest.mark.parametrize("scenario", list(scenarios.STRIP_PROBLEMS))
+def test_parse_config_refuses_a_strip_grid_over_the_memory_budget(tmp_path, capsys, scenario):
+    # parse_config alone: a refused grid is never allocated.  One history of
+    # this grid would take about 7.7 TB
+    with pytest.raises(ConfigError, match="over the budget"):
+        parse_config(_strip(scenario, 2000, 8000, 60000))
+    # at nx = ny = 64 the live histories take held_bytes(nt = 0) bytes per
+    # time level: the largest nt that fits, and the next
+    nt = HISTORY_BYTES_BUDGET // held_bytes(RunConfig(scenario, 64, 64, 0)) - 1
+    assert parse_config(_strip(scenario, 64, 64, nt)).nt == nt
+    with pytest.raises(ConfigError, match="over the budget"):
+        parse_config(_strip(scenario, 64, 64, nt + 1))
+    cfg = write_cfg(tmp_path, _strip(scenario, 2000, 8000, 60000))
+    assert main(["validate", "--config", cfg]) == 2
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "over the budget" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_shipped_and_benchmark_configs_fit_the_memory_budget(monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run", root / "bench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    texts = [p.read_text() for p in sorted((root / "configs").glob("*.cfg"))]
+    texts += list(bench.STRIP_CONFIGS.values()) + [bench.OSCILLATION_CONFIG.format(seed=7)]
+    assert len(texts) == 11
+    for text in texts:
+        assert held_bytes(parse_config(text)) <= HISTORY_BYTES_BUDGET
 
 
 def test_cli_numerical_error_exits_3(tmp_path, capsys, monkeypatch):
