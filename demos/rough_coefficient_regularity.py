@@ -25,7 +25,7 @@ for level, ratio in den.h_certificate.items():
 
 print()
 print("oscillation decay over past boxes r = 0.4, 0.2, 0.1 and 0.3 r inside:")
-osc = oscillation_table(hist, domain=(1.0, 1.0, float(hist.t[0])))
+osc = oscillation_table(hist)
 for row in osc.rows:
     print("  r = %-4g osc %-10.4e -> %-10.4e ratio %.3f" %
           (row.r, row.osc_big, row.osc_small, row.ratio))

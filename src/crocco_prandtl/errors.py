@@ -19,4 +19,4 @@ class DataError(ConfigError):
 
 
 class NumericalError(CroccoError):
-    """Runtime numerical failure: Newton stall, non-finite values, lost positivity."""
+    """Runtime numerical failure: no real wall value, non-finite values, lost positivity."""

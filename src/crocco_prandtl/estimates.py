@@ -335,15 +335,21 @@ def l1_stability(hist_a: FieldHistory, hist_b: FieldHistory,
     accum = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(t))])
     rhs = d_init + accum
 
-    exact = d_init == 0.0 and np.all(d_in == 0.0) and np.all(d_wall == 0.0)
+    exact = bool(d_init == 0.0 and np.all(d_in == 0.0) and np.all(d_wall == 0.0))
+    return StabilityReport(lhs=lhs, rhs=rhs, c6_hat=_c6_hat(lhs, rhs, exact),
+                           exact_match=exact)
+
+
+def _c6_hat(lhs: np.ndarray, rhs: np.ndarray, exact: bool) -> float:
+    """Largest ratio lhs / rhs over the time levels with nonzero data
+    distance; inf if lhs is nonzero on a level whose data distance
+    vanishes.  Identical data give 0 for a vanishing lhs and inf otherwise."""
     mask = rhs > 1e-300
     if exact or not np.any(mask):
-        c6 = 0.0 if np.max(lhs, initial=0.0) <= 1e-12 else float("inf")
-    else:
-        c6 = float(np.max(lhs[mask] / rhs[mask]))
-        if np.any(lhs[~mask] > 1e-12):
-            c6 = float("inf")
-    return StabilityReport(lhs=lhs, rhs=rhs, c6_hat=c6, exact_match=bool(exact))
+        return 0.0 if np.max(lhs, initial=0.0) <= 1e-12 else float("inf")
+    if np.any(lhs[~mask] > 1e-12):
+        return float("inf")
+    return float(np.max(lhs[mask] / rhs[mask]))
 
 
 @dataclass
@@ -386,10 +392,9 @@ def physical_stability(hist_a: FieldHistory, hist_b: FieldHistory,
         seg = 0.5 * (integrand[:, 1:] + integrand[:, :-1]) * np.diff(heights, axis=1)
         phys[n] = float(wx @ seg.sum(axis=1))
     base = l1_stability(hist_a, hist_b, prob_a, prob_b)
-    mask = base.rhs > 1e-300
-    c6 = float(np.max(phys[mask] / base.rhs[mask])) if np.any(mask) else 0.0
     gap = float(np.max(np.abs(phys - base.lhs)))
-    return PhysicalStabilityReport(identity_gap=gap, c6_hat=c6)
+    return PhysicalStabilityReport(identity_gap=gap,
+                                   c6_hat=_c6_hat(phys, base.rhs, base.exact_match))
 
 
 # ---------------------------------------------------------------------------

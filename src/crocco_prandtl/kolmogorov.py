@@ -627,20 +627,15 @@ def _box_oscillation(u_field, r: float) -> float:
     return float(np.max(vals) - np.min(vals))
 
 
-def oscillation_table(u_field, domain: Optional[tuple] = None) -> OscillationReport:
+def oscillation_table(u_field) -> OscillationReport:
     """Box oscillations at two nested scales per radius.
 
-    domain, when given as (x_max, y_max, t_min), bounds the admissible
-    boxes; a box falling outside raises a parameter error.  Flat big-box
-    oscillation reports ratio 0.
+    Flat big-box oscillation reports ratio 0.  A box outside a field
+    history's axes is refused by its sampler.
     """
     rows = []
     pairs = []
     for r in OSC_RADII:
-        if domain is not None:
-            x_max, y_max, t_min = domain
-            if r**3 > x_max or r > y_max or -(r**2) < t_min:
-                raise ConfigError(f"oscillation box r={r:g} leaves the computed domain")
         osc_big = _box_oscillation(u_field, r)
         osc_small = _box_oscillation(u_field, OSC_THETA_BAR * r)
         ratio = 0.0 if osc_big == 0.0 else osc_small / osc_big

@@ -13,7 +13,7 @@ only), a steady x-independent field with genuine y-curvature (wall-normal
 error only), and an x-independent field linear in y with curved time
 dependence (time-stepping error only).  The fourth, "coupled", runs under
 the accelerating stream, so b and c are nonzero, a pressure trace enters
-the flux condition and the wall update iterates; it is refined in x.
+the flux condition and the wall row is nonlinear; it is refined in x.
 """
 
 from dataclasses import dataclass

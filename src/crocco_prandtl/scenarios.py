@@ -308,7 +308,7 @@ def linear_control() -> tuple:
 def model_oscillation(hist: FieldHistory) -> tuple:
     """Oscillation table of a model run on its unit past box, and the
     verdicts that 0 < beta_bar < 1 and the Holder exponent is positive."""
-    osc = ko.oscillation_table(hist, domain=(1.0, 1.0, float(hist.t[0])))
+    osc = ko.oscillation_table(hist)
     return osc, {"oscillation_decays": 0.0 < osc.beta_bar < 1.0,
                  "holder_positive": osc.alpha_holder > 0.0}
 
@@ -344,7 +344,6 @@ def run_exact_profile(cfg, store: SolveStore) -> RunResult:
     sup_err, exact_ok = exact_error(hist)
     result.add("exact_sup_error", sup_err)
     out = standard_estimates(result, store, hist, problem)
-    result.add("newton_iterations_max", hist.diagnostics.get("newton_iterations_max", 0))
     result.verdicts["exact_solution_reproduced"] = exact_ok
     result.verdicts.update(out["verdicts"])
     return result

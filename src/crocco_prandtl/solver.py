@@ -24,12 +24,16 @@ Coefficients are formed per time level from the problem's (t, x) factors
 (`CroccoProblem.coefficients`): a step uses a, b at t_n and c at t_{n+1}.
 
 The wall flux is imposed through a ghost node eliminated with the
-second-order centered gradient (u_1 - u_ghost) / (2 dy).  That makes the
-wall row nonlinear in the wall value alone, so each column reduces to a
-scalar Newton iteration on top of one LAPACK ?gtsv call: the interior
-columns are stacked into one block-tridiagonal system with the couplings
-between columns zeroed, solved for two right-hand sides (the step's
-right-hand side and the influence of the wall row).
+second-order centered gradient (u_1 - u_ghost) / (2 dy), which makes the
+wall row nonlinear in the wall value s alone.  One LAPACK ?gtsv call
+solves the interior columns, stacked with their couplings zeroed, for the
+step's right-hand side p and the wall row's influence q.  With
+k = 2 dy r_0 dxP/U, m = s + eps and pe = p_0 + eps, the wall row is the
+quadratic m^2 - pe m + k q_0 = 0 and a column's field is p - (k / m) q.
+The root m = (pe + sign(pe) sqrt(pe^2 - 4 k q_0)) / 2 tends to pe as
+k -> 0 and adds terms of one sign, so it is free of cancellation
+(Goldberg, ACM Comput. Surv. 23(1), 1991); k = 0 gives m = pe and the
+field p exactly.  A negative discriminant means no real wall value.
 """
 
 from dataclasses import dataclass
@@ -42,9 +46,6 @@ from scipy.linalg.lapack import dgtsv
 from .crocco import CroccoProblem
 from .errors import ConfigError, NumericalError
 from .grids import CFL_SAFETY, FieldHistory, GridSpec, l1_spacetime_norm
-
-NEWTON_MAX_ITER = 50
-NEWTON_TOL = 1e-13
 
 
 def cfl_margins(problem: CroccoProblem, grid: GridSpec, eps: float) -> dict:
@@ -84,8 +85,8 @@ def _solve_columns(sub, dia, sup, rhs) -> np.ndarray:
     return x.T.reshape(rhs.shape)
 
 
-def _advance(u, n, problem, grid, eps, source, a_n, b_n, c_n1) -> tuple:
-    """One step t_n -> t_{n+1}; returns (new field, newton iteration count).
+def _advance(u, n, problem, grid, eps, source, a_n, b_n, c_n1) -> np.ndarray:
+    """One step t_n -> t_{n+1}; returns the new field.
 
     source is None or a function of t giving the forcing on the (x, y) nodes.
     """
@@ -130,31 +131,14 @@ def _advance(u, n, problem, grid, eps, source, a_n, b_n, c_n1) -> tuple:
     b_rhs[1, :, 0] = 1.0
     p, q = _solve_columns(-r, diag, sup, b_rhs)
 
-    g = g_n1[cols]
-    coef = 2.0 * dy * r[:, 0]
-    s = u[cols, 0].copy()
-    iters = 0
-    if np.any(g != 0.0):
-        p0 = p[:, 0]
-        q0 = q[:, 0]
-        for iters in range(1, NEWTON_MAX_ITER + 1):
-            lam = coef * g / (s + eps)
-            F = p0 - lam * q0 - s
-            dlam = -coef * g / (s + eps) ** 2
-            dF = -dlam * q0 - 1.0
-            step = F / dF
-            s = s - step
-            if np.max(np.abs(F)) <= NEWTON_TOL * (1.0 + np.max(np.abs(s))):
-                break
-        else:
-            bad = int(np.argmax(np.abs(p0 - coef * g / (s + eps) * q0 - s)))
-            raise NumericalError(
-                f"wall Newton iteration failed to converge in column x={grid.x[1 + bad]:.6g}"
-            )
-        lam = coef * g / (s + eps)
-        sol = p - lam[:, None] * q
-    else:
-        sol = p
+    k = 2.0 * dy * r[:, 0] * g_n1[cols]
+    pe = p[:, 0] + eps
+    disc = pe**2 - 4.0 * k * q[:, 0]
+    if np.any(disc < 0.0):
+        bad = int(np.argmin(disc))
+        raise NumericalError(f"no real wall value in column x={grid.x[1 + bad]:.6g}")
+    m = 0.5 * (pe + np.copysign(np.sqrt(disc), pe))
+    sol = p - (k / m)[:, None] * q
 
     u_new = np.empty_like(u)
     u_new[0, :] = problem.w1[n + 1]
@@ -170,7 +154,7 @@ def _advance(u, n, problem, grid, eps, source, a_n, b_n, c_n1) -> tuple:
             f"positivity lost at t={grid.t[n + 1]:.6g}, x={grid.x[i]:.6g}, "
             f"y={grid.y[j]:.6g}: u={umin:.3e}"
         )
-    return u_new, iters
+    return u_new
 
 
 def solve(problem: CroccoProblem, grid: GridSpec, eps: float,
@@ -186,20 +170,16 @@ def solve(problem: CroccoProblem, grid: GridSpec, eps: float,
     u[0, :] = problem.w1[0]
     u[:, -1] = 0.0
     values[0] = u
-    newton_iters = np.zeros(nt, dtype=int)
     source = None if forcing is None else partial(
         forcing, *np.meshgrid(grid.x, grid.y, indexing="ij"))
     a_n, b_n, _ = problem.coefficients(0)
     for n in range(nt):
         a_n1, b_n1, c_n1 = problem.coefficients(n + 1)
-        u, it = _advance(u, n, problem, grid, eps, source, a_n, b_n, c_n1)
+        u = _advance(u, n, problem, grid, eps, source, a_n, b_n, c_n1)
         a_n, b_n = a_n1, b_n1
-        newton_iters[n] = it
         values[n + 1] = u
     return FieldHistory(t=grid.t, x=grid.x, y=grid.y, values=values, eps=eps,
-                        label=label or problem.label,
-                        diagnostics={"newton_iterations_max": int(newton_iters.max(initial=0)),
-                                     "newton_iterations": newton_iters, **margins})
+                        label=label or problem.label, diagnostics=margins)
 
 
 class SolveStore:

@@ -19,6 +19,8 @@ from crocco_prandtl.estimates import (
 )
 from crocco_prandtl.flows import decelerating_flow, uniform_flow
 from crocco_prandtl.grids import FieldHistory, GridSpec
+from crocco_prandtl.scenarios import ACCEL_T, favorable_accel_problem
+from crocco_prandtl.solver import solve
 
 
 def grid_history(f, nt=16, nx=16, ny=32, L=1.0, T=1.0, eps=None):
@@ -409,6 +411,19 @@ def test_physical_stability_linear_pair():
     # both routes approximate 0.2 * integral (1-y) dy = 0.1
     assert np.all(np.abs(l1_stability(h_a, h_b, prob_a, prob_b).lhs - 0.1) < 1e-12)
     assert rep.identity_gap < 5.0 / 128
+
+
+def test_both_stability_functionals_refuse_a_gap_on_identical_data():
+    # one problem at two regularizations: the data distance vanishes on
+    # every level while the fields differ, so neither constant is finite
+    grid = GridSpec(16, 16, 16, T=ACCEL_T)
+    prob = favorable_accel_problem(grid)
+    h_a, h_b = solve(prob, grid, 0.1), solve(prob, grid, 1e-3)
+    rep = l1_stability(h_a, h_b, prob, prob)
+    assert rep.exact_match and np.max(rep.lhs) > 1e-3
+    assert rep.c6_hat == float("inf")
+    assert physical_stability(h_a, h_b, prob, prob).c6_hat == float("inf")
+    assert physical_stability(h_a, h_a, prob, prob).c6_hat == 0.0
 
 
 def test_uniformity_spread():

@@ -492,14 +492,15 @@ def test_oscillation_flat_field():
 
 
 def test_oscillation_guards():
-    lin = AnalyticField(lambda t, x, y: np.asarray(y, float))
-    with pytest.raises(ConfigError):
-        ko.oscillation_table(lin, domain=(1.0, 0.3, -1.0))
+    # the r = 0.4 past box reaches t = -0.16, before this history starts
+    short = ko.solve_model(ko.model_scenarios("constant"), 8, 32, 8, t0=-0.1)
+    with pytest.raises(ConfigError, match="outside the axis"):
+        ko.oscillation_table(short)
 
 
 def test_oscillation_decays_on_model_run():
     hist = ko.solve_model(ko.model_scenarios("checkerboard", lam=2.0), *ko.MODEL_GRID)
-    rep = ko.oscillation_table(hist, domain=(1.0, 1.0, -0.75))
+    rep = ko.oscillation_table(hist)
     assert 0.0 < rep.beta_bar < 1.0
     assert rep.alpha_holder > 0.0
 

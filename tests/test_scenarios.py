@@ -26,7 +26,7 @@ from crocco_prandtl.scenarios import (
     run_scenario,
     validate_scenario,
 )
-from crocco_prandtl.grids import FieldHistory, GridSpec
+from crocco_prandtl.grids import AnalyticField, FieldHistory, GridSpec
 from crocco_prandtl.solver import ConvergenceTable, SolveStore, SweepRow, check_cfl
 
 
@@ -213,8 +213,8 @@ def _control_row(rep, v):
 
 
 def _model_oscillation(m, **fields):
-    _wrap(m, ko, "oscillation_table", lambda rep, field, domain=None:
-          rep if domain is None else replace(rep, **fields))
+    _wrap(m, ko, "oscillation_table", lambda rep, field:
+          rep if isinstance(field, AnalyticField) else replace(rep, **fields))
 
 
 @dataclass
@@ -279,8 +279,8 @@ SHARED_BOUNDS = {
     # a check of beta_bar alone, the largest row, misses this defect
     "linear_control_row": SharedBound(
         11, LAB, "oscillation_linear_control_exact",
-        lambda m, v: _wrap(m, ko, "oscillation_table", lambda rep, field, domain=None:
-                           _control_row(rep, v) if domain is None else rep),
+        lambda m, v: _wrap(m, ko, "oscillation_table", lambda rep, field:
+                           _control_row(rep, v) if isinstance(field, AnalyticField) else rep),
         scenarios.LINEAR_CONTROL_TOL * (1 - 1e-3), scenarios.LINEAR_CONTROL_TOL * (1 + 1e-3)),
     # a bound of beta_bar < 1 alone passes a flat field, beta_bar = 0
     "flat_oscillation": SharedBound(
