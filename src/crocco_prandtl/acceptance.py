@@ -303,6 +303,8 @@ def parse_suite(text: str):
         raise ConfigError(f"suite must be 'full' or criterion numbers, got '{text}'") from None
     if not numbers or any(i < 1 or i > 12 for i in numbers):
         raise ConfigError(f"criterion numbers must lie in 1..12, got '{text}'")
+    if len(set(numbers)) < len(numbers):
+        raise ConfigError(f"criterion numbers must not repeat, got '{text}'")
     return numbers
 
 

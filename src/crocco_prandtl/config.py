@@ -3,9 +3,9 @@
 One key per line, '#' starts a comment, blank lines are skipped.  The keys
 are the fields of RunConfig, each parsed by its field's type, and every
 float must be finite; unknown or duplicated keys are rejected with the
-offending line number so configs stay honest.  A grid whose live
-histories would exceed HISTORY_BYTES_BUDGET is refused here, before
-anything is allocated.
+offending line number so configs stay honest.  A grid whose run would
+hold more than HISTORY_BYTES_BUDGET in history-sized arrays at its peak is
+refused here, before anything is allocated.
 """
 
 import math
@@ -25,9 +25,9 @@ SCENARIOS = (
 
 THETA_MAX = 2.0**-6
 
-# bytes the histories a run holds at once may take: a strip history is
-# (nt + 1) x (nx + 1) x (ny + 1) floats, a model history (nt + 1) x nx x
-# (ny + 1) floats plus nx x ny coefficient samples
+# bytes the history-sized arrays a run holds at its peak may take: a strip
+# history is (nt + 1) x (nx + 1) x (ny + 1) floats, and so is a model
+# history, whose column nx repeats column 0
 HISTORY_BYTES_BUDGET = 2**30
 
 
@@ -101,20 +101,26 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"r must be positive, got {cfg.r:g}")
     if cfg.scenario == "kolmogorov_checks":
         return cfg
-    if cfg.scenario == "oscillation_lab":
-        held = 8 * ((cfg.nt + 1) * cfg.nx * (cfg.ny + 1) + cfg.nx * cfg.ny)
-        what = "its history and coefficients"
-    else:
-        # strip histories a runner holds at once: the sweep one per eps plus
-        # the refinement proxy's doubled grid (8 histories' worth), the
-        # stability run its base and three perturbation families
-        count = {"viscosity_sweep": len(cfg.eps_list) + 8,
-                 "stability_perturb": 4}.get(cfg.scenario, 1)
-        held = count * 8 * (cfg.nt + 1) * (cfg.nx + 1) * (cfg.ny + 1)
-        what = f"{count} histories"
+    # history-sized arrays a run holds at its peak; the per-level problem
+    # data and working arrays are left out
+    count = {
+        # the history and the weak residual's 17 midcell arrays
+        "exact_profile": 18, "favorable_accel": 18,
+        # one history per eps, the refinement proxy's doubled grid (8
+        # histories' worth) and the proxy's difference and its modulus
+        "viscosity_sweep": len(cfg.eps_list) + 10,
+        # the base run, three perturbation families, and the L1 distance's
+        # difference and its modulus
+        "stability_perturb": 6,
+        # the kept run, the current run, its pinched rerun and the four
+        # arrays of that rerun's log transform
+        "oscillation_lab": 7,
+    }[cfg.scenario]
+    held = count * 8 * (cfg.nt + 1) * (cfg.nx + 1) * (cfg.ny + 1)
     if held > HISTORY_BYTES_BUDGET:
         raise ConfigError(f"{cfg.scenario} grid {cfg.grid_label} needs {held:,} bytes for "
-                          f"{what}, over the budget of {HISTORY_BYTES_BUDGET:,}")
+                          f"{count} history-sized arrays, over the budget of "
+                          f"{HISTORY_BYTES_BUDGET:,}")
     return cfg
 
 

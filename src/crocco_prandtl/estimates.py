@@ -57,17 +57,19 @@ def _staggered_mass(diff: np.ndarray, widths: float, cross: Sequence[np.ndarray]
     return float(np.sum(w))
 
 
+def _check_margin(margin: int, nx: int, ny: int) -> None:
+    """Refuse an interior margin, in cells stripped from each side of the
+    x and y axes, that is negative or leaves no cell of an nx x ny grid."""
+    if margin < 0:
+        raise ConfigError(f"interior margin must be nonnegative, got {margin}")
+    if 2 * margin >= min(nx, ny):
+        raise ConfigError(f"interior margin {margin} leaves no cells of the {nx} x {ny} grid")
+
+
 def _restrict(values, t, x, y, margin):
-    if margin == 0:
-        return values, t, x, y
-    if 2 * margin + 1 >= min(x.size, y.size):
-        raise ConfigError("interior margin leaves no cells")
-    return (
-        values[:, margin:-margin, margin:-margin],
-        t,
-        x[margin:-margin],
-        y[margin:-margin],
-    )
+    _check_margin(margin, x.size - 1, y.size - 1)
+    xs, ys = slice(margin, x.size - margin), slice(margin, y.size - margin)
+    return values[:, xs, ys], t, x[xs], y[ys]
 
 
 def bv_seminorm(history: FieldHistory, margin: int = 0) -> float:
@@ -190,13 +192,11 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
     seven terms and their sum.
     """
     g = problem.grid
-    if margin and 2 * margin >= min(g.nx, g.ny):
-        raise ConfigError("interior margin leaves no cells")
+    _check_margin(margin, g.nx, g.ny)
     u = history.values
     t, x, y = history.t, history.x, history.y
     dt, dx, dy = np.diff(t).mean(), np.diff(x).mean(), np.diff(y).mean()
-    xs = slice(margin, g.nx - margin) if margin else slice(None)
-    ys = slice(margin, g.ny - margin) if margin else slice(None)
+    xs, ys = slice(margin, g.nx - margin), slice(margin, g.ny - margin)
     tc = 0.5 * (t[1:] + t[:-1])
     xc = 0.5 * (x[1:] + x[:-1])[xs]
     yc = 0.5 * (y[1:] + y[:-1])[ys]

@@ -11,11 +11,13 @@ On top of the kernel sit the geometric ingredients of the regularity
 argument: anisotropic past boxes and slabs (every past-box lattice comes
 from Box), the two-factor smooth cutoff (CutoffSpec, which also evaluates it)
 with its five certified pointwise properties, logarithmic subsolution
-transforms, a mean-value functional computed by kernel-adapted quadrature,
-and measured weak-Poincare / density / oscillation functionals.  A small
-rough-coefficient solver produces the fields those functionals are
-measured on; model_axes decides the stability of its grid, for solve_model
-and for config validation alike.
+transforms, a mean-value functional computed by kernel-adapted quadrature
+(its drift term alone: the wall-normal term is exactly 0 on the lattice of
+every admissible cutoff, see mean_value), and measured weak-Poincare /
+density / oscillation functionals.  A small rough-coefficient solver
+produces the fields those functionals are measured on; model_axes decides
+the stability of its grid, for solve_model and for config validation
+alike.
 
 Quadrature sizes, slab proportions, box radii and grid sizes (LEMMA_NODES,
 DENSITY_R and MODEL_GRID among them) are module constants, so every caller
@@ -171,13 +173,13 @@ def _smoothstep_d1(s):
 @dataclass(frozen=True)
 class CutoffSpec:
     """Scale r and sharpness theta of the two-factor cutoff, with the
-    evaluators of the scalar ramp chi, the two factors, and their
-    derivatives.
+    evaluators of the scalar ramp chi, the two factors, and the transport
+    derivative of the space-time factor.
 
     The scalar profile ramps from 1 at theta^(1/6) r down to 0 at r with a
     quintic smoothstep, which keeps |chi'| below 2/((1-theta^(1/6)) r).
-    The derivative of the sixth-root argument is only formed inside the
-    ramp band, where the argument is bounded away from zero.
+    The derivative of the sixth-root argument is only formed on the ramp,
+    where the argument is bounded away from zero.
     """
 
     r: float
@@ -212,31 +214,25 @@ class CutoffSpec:
     def phi0(self, x, t):
         return self.chi(np.maximum(self._argument(x, t), 0.0) ** (1.0 / 6.0))
 
-    def _phi0_band(self, A):
-        """chi'(q) * dq/dA on the ramp band, 0 elsewhere (A = the argument)."""
-        band = (A > self.theta * self.r**6) & (A < self.r**6)
-        A_safe = np.where(band, A, 1.0)
+    def transport(self, x, y, t):
+        """(d/dt + y d/dx) phi0 at (x, y, t): chi'(q) dq/dA times the
+        transport derivative of the argument A, with q = A^(1/6) formed
+        only on the ramp theta r^6 < A < r^6 and 0 elsewhere."""
+        x = np.asarray(x, float)
+        A = self._argument(x, t)
+        ramp = (A > self.theta * self.r**6) & (A < self.r**6)
+        A_safe = np.where(ramp, A, 1.0)
         q = A_safe ** (1.0 / 6.0)
         # one sixth root per node: A^(5/6) = A / q
-        return np.where(band, self.chi_prime(q) / (6.0 * A_safe / q), 0.0)
+        dq = np.where(ramp, self.chi_prime(q) / (6.0 * A_safe / q), 0.0)
+        return dq * (-6.0 * self.r**4) + np.asarray(y, float) * (dq * 2.0 * self.theta**2 * x)
 
     # wall-normal factor ----------------------------------------------------
     def phi1(self, y):
         return self.chi(self.theta * np.abs(np.asarray(y, float)))
 
-    def phi1_dy(self, y):
-        y = np.asarray(y, float)
-        return self.chi_prime(self.theta * np.abs(y)) * self.theta * np.sign(y)
-
-    # products used by the mean-value functional ----------------------------
     def phi(self, x, y, t):
         return self.phi0(x, t) * self.phi1(y)
-
-    def _transport(self, ramp, x, y):
-        """(d/dt + y d/dx) phi0 from the factor that _phi0_band returns."""
-        dt = ramp * (-6.0 * self.r**4)
-        dx = ramp * 2.0 * self.theta**2 * np.asarray(x, float)
-        return dt + np.asarray(y, float) * dx
 
 
 @dataclass
@@ -284,7 +280,7 @@ def verify_lemma(spec: CutoffSpec) -> LemmaReport:
 
     # transport direction never increases the space-time factor on the wide box
     X, Y, T = wide_box(1.0)
-    expr = -spec._transport(spec._phi0_band(spec._argument(X, T)), X, Y)
+    expr = -spec.transport(X, Y, T)
     checks.append(LemmaCheck("transport_sign", bool(np.max(expr) <= LEMMA_TOL),
                              float(np.max(expr))))
 
@@ -310,8 +306,8 @@ def verify_lemma(spec: CutoffSpec) -> LemmaReport:
     # strictly between 0 and 1 on the earlier part of that slab
     ts4 = np.linspace(-LEMMA_ALPHA1 * r**2, -theta * r**2, n)
     X4, Y4, T4 = np.meshgrid(sx, sy, ts4, indexing="ij")
-    band_vals = spec.phi0(X4, T4)
-    lo, hi = float(np.min(band_vals)), float(np.max(band_vals))
+    vals4 = spec.phi0(X4, T4)
+    lo, hi = float(np.min(vals4)), float(np.max(vals4))
     checks.append(LemmaCheck("strict_band", bool(lo > 0.0 and hi < 1.0),
                              min(lo, 1.0 - hi)))
 
@@ -373,37 +369,27 @@ MEAN_XI_NODES = 8
 class MeanValueReport:
     i0: float
     values: np.ndarray
-    band_term_max: float
 
 
 def _mean_value_level(w_field, spec: CutoffSpec, t: float, xs: np.ndarray,
-                      ys: np.ndarray) -> tuple:
-    """Drift and band terms of the mean-value identity at the points (x, y, t)
-    for every x in xs and y in ys, as two (xs.size, ys.size) arrays.
+                      ys: np.ndarray) -> np.ndarray:
+    """Drift term of the mean-value identity at the points (x, y, t) for
+    every x in xs and y in ys, as one (xs.size, ys.size) array.
 
     Quadrature follows the kernel: midpoint slices in tau, then Gauss-
     Hermite in eta (scale sqrt(4s)) and in the drift-centered xi (scale
     sqrt(s^3/3)); the kernel prefactor and the two Gaussian widths cancel
     to 1/pi per slice.
     """
-    r, theta = spec.r, spec.theta
-    if t + r**2 <= 0:
-        raise ConfigError("evaluation point lies before the sampling window")
-    drift = np.zeros((xs.size, ys.size))
-    band = np.zeros((xs.size, ys.size))
-    # the transported cutoff derivative lives on a tau band of width about
-    # r^2/6; concentrate the midpoint nodes there (padded for the small
-    # streamwise shift of the band) instead of spreading them over the
-    # whole window
-    pad = 0.02 * r**2
-    lo = max(-(r**2), -(r**2) / 6.0 - pad)
-    hi = min(t, -(theta * r**2) / 6.0 + pad)
-    if hi <= lo:
-        return drift, band
+    r = spec.r
+    # the transported cutoff derivative starts at tau = -r^2/6; the midpoint
+    # nodes run from just before it (padded for its small streamwise shift)
+    # up to t instead of spreading over the whole past window
+    lo = -(r**2) / 6.0 - 0.02 * r**2
     un, uw = _gauss(np.polynomial.hermite.hermgauss, MEAN_ETA_NODES)
     vn, vw = _gauss(np.polynomial.hermite.hermgauss, MEAN_XI_NODES)
     weights = uw[:, None] * vw
-    dtau = (hi - lo) / MEAN_TAU_NODES
+    dtau = (t - lo) / MEAN_TAU_NODES
     # axes (tau, eta node, xi node); the y axis leads the per-y arrays
     tau = (lo + (np.arange(MEAN_TAU_NODES) + 0.5) * dtau)[:, None, None]
     s = t - tau
@@ -413,28 +399,20 @@ def _mean_value_level(w_field, spec: CutoffSpec, t: float, xs: np.ndarray,
     # xi = (x - shift) - X; rounding is monotone, so these bounds hold
     x_span = (xs.min() - shifts.max() - X.max(), xs.max() - shifts.min() - X.min())
     at_y = w_field.at_times(tau, x_span, (etas.min(), etas.max()))
+    drift = np.zeros((xs.size, ys.size))
     for j, (eta, shift) in enumerate(zip(etas, shifts)):
         w_at = at_y(eta)
-        drift_weights = weights * spec.phi1(eta)
-        eta_dy = spec.phi1_dy(eta)
-        band_weights = None
-        if np.any(eta_dy):
-            kernel_ratio = (ys[j] - eta) / (2.0 * s) + 3.0 * X / s**2
-            band_weights = weights * eta_dy * kernel_ratio
+        eta_weights = weights * spec.phi1(eta)
         for i, x in enumerate(xs):
             xi = x - shift - X
             w = w_at(xi)
             if not np.all(np.isfinite(w)):
                 raise NumericalError("field sampling returned non-finite values")
-            ramp = spec._phi0_band(spec._argument(xi, tau))
-            drift[i, j] = np.sum(spec._transport(ramp, xi, eta) * w * drift_weights)
-            if band_weights is not None:
-                band[i, j] = np.sum(spec.phi0(xi, tau) * w * band_weights)
+            drift[i, j] = np.sum(spec.transport(xi, eta, tau) * w * eta_weights)
     drift *= dtau / math.pi
-    band *= dtau / math.pi
-    if not (np.all(np.isfinite(drift)) and np.all(np.isfinite(band))):
+    if not np.all(np.isfinite(drift)):
         raise NumericalError("mean-value quadrature produced non-finite values")
-    return drift, band
+    return drift
 
 
 def mean_value(w_field, spec: CutoffSpec, nz: int = 9) -> MeanValueReport:
@@ -445,28 +423,30 @@ def mean_value(w_field, spec: CutoffSpec, nz: int = 9) -> MeanValueReport:
     and the time-cell lookup are formed once, and the field is interpolated
     in time once onto those nodes over the (x, y) window of cells they
     touch (at_times), so each point costs a bilinear sample.  Per (level,
-    y) the eta nodes, their y-cell lookup, phi1, d/dy phi1 and the kernel
-    ratio are shared by the nz values of x.  The wall-normal band term is
-    formed only when d/dy phi1 is nonzero at some eta node.  It is
-    supported on |eta| > theta^(-5/6) r > 32 r (theta < THETA_MAX = 2^-6),
-    while the MEAN_ETA_NODES = 16 eta nodes stay within |y| + 4.1 r with
-    |y| <= theta r, so on the lattice of any admissible cutoff the band
-    term is exactly 0.
+    y) the eta nodes, their y-cell lookup and phi1 are shared by the nz
+    values of x.
+
+    Only the drift term (d/dt + y d/dx) phi0 phi1 of the identity is
+    formed.  Its wall-normal term carries d/dy phi1, which is supported on
+    |eta| > theta^(-5/6) r > 32 r (theta < THETA_MAX = 2^-6), while the
+    MEAN_ETA_NODES = 16 eta nodes stay within |y| + 4.1 r with |y| <=
+    theta r, so on the lattice of any admissible cutoff that term is
+    exactly 0.
 
     The levels are split across the usable cores by parallel.fork_map, and
     np.sum, not a BLAS dot product, sums each point, so the values do not
     depend on the BLAS thread count or the core count.
     """
+    if nz < 1:
+        raise ConfigError(f"the mean-value lattice needs at least one node per axis, got {nz}")
     zs, ys, ts = Box(spec.theta * spec.r, "past").lattice(nz)
     for n in (MEAN_ETA_NODES, MEAN_XI_NODES):
         _gauss(np.polynomial.hermite.hermgauss, n)  # made once here, workers inherit them
 
     def levels(start: int, stop: int) -> np.ndarray:
         return np.array([_mean_value_level(w_field, spec, float(t), zs, ys) for t in ts[start:stop]])
-    terms = np.concatenate(fork_map(levels, nz))
-    vals, band = terms[:, 0] + terms[:, 1], terms[:, 1]
-    return MeanValueReport(i0=float(np.max(vals)), values=vals.ravel(),
-                           band_term_max=float(np.max(np.abs(band))))
+    vals = np.concatenate(fork_map(levels, nz))
+    return MeanValueReport(i0=float(np.max(vals)), values=vals.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +760,7 @@ def solve_model(coef: RoughCoefficient, nx: int, ny: int, nt: int,
     if np.any(a_half < 1.0 / coef.lam - 1e-12) or np.any(a_half > coef.lam + 1e-12):
         raise ConfigError("coefficient sample violates its ellipticity bounds")
 
-    # time-constant tridiagonal bands, one row per x column of the grid
+    # time-constant tridiagonal diagonals, one row per x column of the grid
     ry = dt / dy**2
     sub = np.zeros((nx, ny + 1))
     dia = np.ones((nx, ny + 1))

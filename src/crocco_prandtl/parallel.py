@@ -19,11 +19,13 @@ def _usable_cores() -> int:
 
 def fork_map(fn, n: int) -> list:
     """[fn(start, stop) for each chunk start:stop of range(n)], one chunk per
-    usable core, in order.  This process runs chunk 0 and forks a worker per
+    usable core, in order; [] for n = 0.  This process runs chunk 0 and forks a worker per
     further chunk; a worker pickles its result or exception into a pipe and
     leaves through os._exit, so inherited stdio buffers and exit handlers
     never run twice.  A worker's exception is raised here, one that dies
     raises RuntimeError, and no worker outlives the call."""
+    if n == 0:
+        return []
     k = min(_usable_cores(), n)
     bounds = [n * i // k for i in range(k + 1)]
     workers = {}

@@ -419,7 +419,6 @@ def run_kolmogorov_checks(cfg, store: SolveStore) -> RunResult:
     const = AnalyticField(lambda t, x, y: np.full_like(np.asarray(t, float), 2.5))
     mv = ko.mean_value(const, spec, nz=3)
     result.add("mean_value_const_rel_error", abs(mv.i0 - 2.5) / 2.5)
-    result.add("mean_value_band_leak", mv.band_term_max)
 
     for variant in ko.LOG_VARIANTS:
         vals, bound = ko.log_subsolution(np.array([0.0]), cfg.h_level, variant)

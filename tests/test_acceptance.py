@@ -118,6 +118,16 @@ def test_parse_suite_accepts_full_and_lists():
         parse_suite("")
 
 
+def test_parse_suite_refuses_a_repeated_number(capsys):
+    # a repeated number would run its criterion twice and write two rows
+    with pytest.raises(ConfigError, match="must not repeat"):
+        parse_suite("1,1,7")
+    with mock.patch("crocco_prandtl.acceptance.run_acceptance") as run:
+        assert main(["acceptance", "--suite", "7, 8,7"]) == 2
+    run.assert_not_called()
+    assert "must not repeat" in capsys.readouterr().err
+
+
 def test_run_acceptance_writes_summary(tmp_path):
     report = run_acceptance(numbers=[7, 8], out_dir=tmp_path)
     assert report.all_pass
@@ -213,6 +223,15 @@ def test_fork_map_nests_inside_a_worker():
         [(0, [0, 1]), (0, [2, 3])], [(1, [0, 1]), (1, [2, 3])]]
     assert len({part[2] for chunk in chunks for part in chunk}) == 4
     _no_worker_left()
+
+
+def test_fork_map_of_an_empty_range_calls_nothing():
+    def fn(start, stop):
+        raise AssertionError("called")
+
+    with _cores(2), mock.patch.object(parallel.os, "fork") as fork:
+        assert parallel.fork_map(fn, 0) == []
+    fork.assert_not_called()
 
 
 FORKED_RUN_SCRIPT = r"""

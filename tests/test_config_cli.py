@@ -100,12 +100,11 @@ def at_or_above(bound):
 
 
 def held_bytes(c):
-    """Bytes of the histories a run of c holds at once."""
-    if c.scenario == "oscillation_lab":
-        return 8 * ((c.nt + 1) * c.nx * (c.ny + 1) + c.nx * c.ny)
-    strip = 8 * (c.nt + 1) * (c.nx + 1) * (c.ny + 1)
-    return {"exact_profile": strip, "favorable_accel": strip, "stability_perturb": 4 * strip,
-            "viscosity_sweep": (len(c.eps_list) + 8) * strip}.get(c.scenario, 0)
+    """Bytes of the history-sized arrays a run of c holds at its peak."""
+    history = 8 * (c.nt + 1) * (c.nx + 1) * (c.ny + 1)
+    return {"exact_profile": 18 * history, "favorable_accel": 18 * history,
+            "viscosity_sweep": (len(c.eps_list) + 10) * history,
+            "stability_perturb": 6 * history, "oscillation_lab": 7 * history}.get(c.scenario, 0)
 
 
 VALID_CONFIGS = st.builds(
@@ -324,9 +323,9 @@ def test_parse_config_refuses_a_model_grid_over_the_memory_budget(tmp_path, caps
     # history would take about 7.7 TB
     with pytest.raises(ConfigError, match="over the budget"):
         parse_config(_lab(2000, 8000, 60000))
-    # at nx = 48, ny = 192 the history takes 8 x 48 x 193 bytes per level
-    # and the coefficients 8 x 48 x 192 bytes: the largest nt that fits
-    nt = (HISTORY_BYTES_BUDGET // 8 - 48 * 192) // (48 * 193) - 1
+    # at nx = 48, ny = 192 the run holds seven history-sized arrays of 8 x
+    # 49 x 193 bytes per level: the largest nt that fits
+    nt = HISTORY_BYTES_BUDGET // (7 * 8 * 49 * 193) - 1
     assert parse_config(_lab(48, 192, nt)).nt == nt
     with pytest.raises(ConfigError, match="over the budget"):
         parse_config(_lab(48, 192, nt + 1))
@@ -347,8 +346,8 @@ def test_parse_config_refuses_a_strip_grid_over_the_memory_budget(tmp_path, caps
     # this grid would take about 7.7 TB
     with pytest.raises(ConfigError, match="over the budget"):
         parse_config(_strip(scenario, 2000, 8000, 60000))
-    # at nx = ny = 64 the live histories take held_bytes(nt = 0) bytes per
-    # time level: the largest nt that fits, and the next
+    # at nx = ny = 64 the run's history-sized arrays take held_bytes(nt = 0)
+    # bytes per time level: the largest nt that fits, and the next
     nt = HISTORY_BYTES_BUDGET // held_bytes(RunConfig(scenario, 64, 64, 0)) - 1
     assert parse_config(_strip(scenario, 64, 64, nt)).nt == nt
     with pytest.raises(ConfigError, match="over the budget"):

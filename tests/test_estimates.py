@@ -321,6 +321,23 @@ def test_interior_margin_too_large_rejected():
         bv_seminorm(h, margin=4)
 
 
+def test_interior_margin_is_checked_alike_by_every_functional():
+    # a negative margin once returned numbers (the weak residual 4x its
+    # margin-0 value, zero gradient norms) or raised numpy errors
+    h = grid_history(lambda t, x, y: 1.0 - y, nt=4, nx=8, ny=12)
+    prob = linear_problem(GridSpec(nx=8, ny=12, nt=4))
+    functionals = (bv_seminorm,
+                   lambda hh, margin: weighted_grad_norms(hh, 1.0, margin)[0],
+                   lambda hh, margin: weighted_dyy_measure(hh, 1.0, margin),
+                   lambda hh, margin: weak_residual(hh, prob, margin))
+    for fn in functionals:
+        for margin, message in ((-1, "nonnegative"), (4, "leaves no cells"), (6, "leaves no cells")):
+            with pytest.raises(ConfigError, match=message):
+                fn(h, margin=margin)
+        # 3 cells off each side of the 8 x 12 grid leave 2 x 6
+        assert np.isfinite(fn(h, margin=3))
+
+
 # ---------------------------------------------------------------------------
 # traces
 

@@ -150,29 +150,13 @@ def test_phi_factor_derivatives_match_finite_differences():
     cut = ko.CutoffSpec(r=1.0, theta=0.01)
     h = 1e-5
 
-    def drift_derivative(x, y, t):
-        # (d/dt + y d/dx) phi as the mean-value kernel forms it
-        return cut.phi1(y) * cut._transport(cut._phi0_band(cut._argument(x, t)), x, y)
-
-    def eta_derivative(x, y, t):
-        # d/dy phi as the band term of the mean-value kernel forms it
-        return cut.phi0(x, t) * cut.phi1_dy(y)
-
-    # points inside the ramp band of the space-time factor
+    # points on the ramp of the space-time factor
     for x0, t0 in ((5.0, -0.05), (-8.0, -0.1), (0.0, -0.12)):
         # y0 = 0 isolates the time derivative; y0 != 0 brings in y dx
         for y0 in (0.0, 3.0, -40.0):
-            fd = cut.phi1(y0) * (cut.phi0(x0 + y0 * h, t0 + h)
-                                 - cut.phi0(x0 - y0 * h, t0 - h)) / (2 * h)
-            assert drift_derivative(x0, y0, t0) == pytest.approx(fd, rel=1e-5, abs=1e-10)
-        # the far wall-normal band, where both factors vary
-        for y0 in (60.0, -75.0, 90.0):
-            fdy = (cut.phi(x0, y0 + h, t0) - cut.phi(x0, y0 - h, t0)) / (2 * h)
-            assert eta_derivative(x0, y0, t0) == pytest.approx(fdy, rel=1e-5, abs=1e-10)
-            assert abs(fdy) > 1e-4
-    for y0 in (60.0, -75.0, 90.0):
-        fdy = (cut.phi1(y0 + h) - cut.phi1(y0 - h)) / (2 * h)
-        assert cut.phi1_dy(y0) == pytest.approx(fdy, rel=1e-5, abs=1e-10)
+            fd = (cut.phi0(x0 + y0 * h, t0 + h) - cut.phi0(x0 - y0 * h, t0 - h)) / (2 * h)
+            assert cut.transport(x0, y0, t0) == pytest.approx(fd, rel=1e-5, abs=1e-10)
+            assert abs(fd) > 1e-4
 
 
 def test_phi_plateau_and_support_spot_values():
@@ -248,16 +232,14 @@ def test_log_field_wrapper():
 
 
 def point_value(w_field, cut, z):
-    """(drift, band) of the mean-value identity at the single point z = (x, y, t)."""
+    """The mean-value identity's drift term at the single point z = (x, y, t)."""
     x, y, t = z
-    drift, band = ko._mean_value_level(w_field, cut, t, np.array([x]), np.array([y]))
-    return float(drift[0, 0]), float(band[0, 0])
+    return float(ko._mean_value_level(w_field, cut, t, np.array([x]), np.array([y]))[0, 0])
 
 
 def test_mean_value_zero_field():
     cut = ko.CutoffSpec(r=1.0, theta=0.01)
-    d, b = point_value(const_field(0.0), cut, (0.0, 0.0, 0.0))
-    assert d == 0.0 and b == 0.0
+    assert point_value(const_field(0.0), cut, (0.0, 0.0, 0.0)) == 0.0
 
 
 def test_mean_value_reproduces_constants():
@@ -265,22 +247,30 @@ def test_mean_value_reproduces_constants():
     cut = ko.CutoffSpec(r=1.0, theta=0.01)
     rep = ko.mean_value(const_field(2.5), cut, nz=3)
     assert rep.i0 == pytest.approx(2.5, rel=5e-3)
-    # far cutoff band is invisible to the kernel-adapted nodes
-    assert rep.band_term_max == 0.0
 
 
 def test_mean_value_reproduces_a_solution():
     # w = 1 + y/2 solves the model equation; the identity returns w(z)
     cut = ko.CutoffSpec(r=1.0, theta=0.01)
     lin = AnalyticField(lambda t, x, y: 1.0 + 0.5 * np.asarray(y, float))
-    d, b = point_value(lin, cut, (0.0, 0.0, 0.0))
-    assert d + b == pytest.approx(1.0, rel=5e-3)
+    assert point_value(lin, cut, (0.0, 0.0, 0.0)) == pytest.approx(1.0, rel=5e-3)
+
+
+def test_mean_value_refuses_an_empty_lattice():
+    cut = ko.CutoffSpec(r=1.0, theta=0.01)
+    for nz in (0, -1):
+        with pytest.raises(ConfigError, match="at least one node"):
+            ko.mean_value(const_field(1.0), cut, nz=nz)
+    assert ko.mean_value(const_field(1.0), cut, nz=1).values.shape == (1,)
 
 
 def reference_mean_value_at(w_field, cut, z, n_tau=160, n_eta=16, n_xi=8):
     """The per-point quadrature of the mean-value identity, sampled
     trilinearly through w_field.sample, term by term as it stood before the
-    per-time-level kernel: the reference that kernel must reproduce."""
+    per-time-level kernel: (drift, band), where the drift term is the
+    reference the kernel must reproduce and the wall-normal band term,
+    phi0 d/dy phi1 against the kernel's eta and xi derivatives, is the one
+    the kernel leaves out."""
     x, y, t = z
     r, theta = cut.r, cut.theta
     un, uw = np.polynomial.hermite.hermgauss(n_eta)
@@ -304,7 +294,8 @@ def reference_mean_value_at(w_field, cut, z, n_tau=160, n_eta=16, n_xi=8):
     ramp = np.where(ramp_band, cut.chi_prime(A_safe ** (1.0 / 6.0))
                     / (6.0 * A_safe ** (5.0 / 6.0)), 0.0)
     drift = cut.phi1(eta) * (ramp * (-6.0 * r**4) + eta * ramp * 2.0 * theta**2 * xi)
-    eta_d = cut.chi(np.maximum(A, 0.0) ** (1.0 / 6.0)) * cut.phi1_dy(eta)
+    phi1_dy = cut.chi_prime(theta * np.abs(eta)) * theta * np.sign(eta)
+    eta_d = cut.chi(np.maximum(A, 0.0) ** (1.0 / 6.0)) * phi1_dy
     kernel_ratio = (y - eta) / (2.0 * sq) + 3.0 * X / sq**2
     quad = np.einsum("j,i,kji->k", uw, vw, drift * w) / math.pi
     quad_band = np.einsum("j,i,kji->k", uw, vw, eta_d * kernel_ratio * w) / math.pi
@@ -334,40 +325,45 @@ def test_mean_value_kernel_matches_per_point_reference(field):
     T, X, Y = np.meshgrid(ts, xs, ys, indexing="ij")
     ref = np.array([reference_mean_value_at(field, cut, z)
                     for z in zip(X.ravel(), Y.ravel(), T.ravel())])
-    scale = np.max(np.abs(ref.sum(axis=1)))
+    scale = np.max(np.abs(ref[:, 0]))
     assert scale > 0.5
-    assert np.max(np.abs(rep.values - ref.sum(axis=1))) <= 1e-13 * scale
+    assert np.max(np.abs(rep.values - ref[:, 0])) <= 1e-13 * scale
     assert rep.i0 == np.max(rep.values)
-    assert rep.band_term_max == 0.0 and np.all(ref[:, 1] == 0.0)
-    # off the lattice, including a point whose eta nodes reach the far band
-    # |eta| > theta^(-5/6) r, where the band term is nonzero
+    # off the lattice, including points whose eta nodes reach the far band
+    # |eta| > theta^(-5/6) r, where the band term the kernel leaves out is
+    # nonzero
     for z in ((0.3, -0.004, -0.002), (0.5, 60.0, -0.05), (0.0, -80.0, 0.0)):
-        got = np.array(point_value(field, cut, z))
-        want = np.array(reference_mean_value_at(field, cut, z))
-        assert np.max(np.abs(got - want)) <= 1e-13 * max(scale, np.max(np.abs(want)))
+        drift, band = reference_mean_value_at(field, cut, z)
+        assert abs(point_value(field, cut, z) - drift) <= 1e-13 * max(scale, abs(drift))
         if abs(z[1]) > 32.0:
-            assert abs(want[1]) > 1e-6
+            assert abs(band) > 1e-6
 
 
-@pytest.mark.parametrize("theta", [0.01, 0.015])
-@pytest.mark.parametrize("r", [0.8 * 0.01, 0.5, 1.0])
+# r in {0.008, 0.5, 1} for theta = 0.01 and 0.015, and r in {0.8 theta, 0.5,
+# 1} for theta just below THETA_MAX = 2^-6; r = 0.008 with theta = 0.01 is
+# oscillation_lab's cutoff, r = 0.8 theta
+BAND_CASES = [(r, theta) for theta in (0.01, 0.015) for r in (0.8 * 0.01, 0.5, 1.0)]
+BAND_CASES += [(r, 0.999 * 2.0**-6) for r in (0.8 * 0.999 * 2.0**-6, 0.5, 1.0)]
+
+
+@pytest.mark.parametrize("r, theta", BAND_CASES)
 def test_mean_value_band_term_vanishes_on_admissible_lattices(r, theta):
-    # eta nodes stay within |y| + 4.1 r of the lattice, below the far band's
-    # theta^(-5/6) r > 32 r; r = 0.8 theta with theta = 0.01 is oscillation_lab
+    # the premise of forming the drift term alone: eta nodes stay within
+    # |y| + 4.1 r of the lattice, below the far band's theta^(-5/6) r > 32 r,
+    # so the reference's band term is exactly 0 at every lattice point.  The
+    # eta nodes reach farthest from the corners |y| = theta r, t = 0, which
+    # every lattice holds; oscillation_lab's own nz = 9 lattice is walked whole
     cut = ko.CutoffSpec(r=r, theta=theta)
     field = AnalyticField(lambda t, x, y: 1.0 + np.asarray(y, float) + np.asarray(t, float))
-    rep = ko.mean_value(field, cut, nz=9 if r < 0.1 else 3)
-    assert rep.band_term_max == 0.0
+    nz = 9 if (r, theta) == (0.8 * 0.01, 0.01) else 3
+    rep = ko.mean_value(field, cut, nz=nz)
+    xs, ys, ts = ko.Box(cut.theta * cut.r, "past").lattice(nz)
+    T, X, Y = np.meshgrid(ts, xs, ys, indexing="ij")
+    ref = np.array([reference_mean_value_at(field, cut, z)
+                    for z in zip(X.ravel(), Y.ravel(), T.ravel())])
+    assert np.all(ref[:, 1] == 0.0)
+    assert np.max(np.abs(rep.values - ref[:, 0])) <= 1e-13 * np.max(np.abs(ref[:, 0]))
     assert rep.i0 > 0.5
-
-
-def test_mean_value_window_guards():
-    cut = ko.CutoffSpec(r=1.0, theta=0.01)
-    with pytest.raises(ConfigError):
-        point_value(const_field(1.0), cut, (0.0, 0.0, -1.5))
-    # after the window start but before the ramp band: zero contribution
-    d, b = point_value(const_field(1.0), cut, (0.0, 0.0, -0.9))
-    assert d == 0.0 and b == 0.0
 
 
 # one mean_value of coarse_random_history, its values printed as hex bits
@@ -410,7 +406,7 @@ def test_mean_value_bits_do_not_follow_the_core_count():
             reports.append(ko.mean_value(coarse_random_history(), cut, nz=3))
     serial, forked = reports
     assert serial.values.tobytes() == forked.values.tobytes()
-    assert serial.i0 == forked.i0 and serial.band_term_max == forked.band_term_max
+    assert serial.i0 == forked.i0
 
 
 # ---------------------------------------------------------------------------
