@@ -1,22 +1,29 @@
 """Acceptance checklist.
 
 Twelve numbered criteria, each measuring a pinned quantitative surrogate
-at desk scale.  Each engine owns one SolveStore: problems, strip solves
-and the shared model runs are built once per store.  run() splits the
-requested criteria into contiguous chunks, one per usable core, through
-parallel.fork_map: this process runs the first chunk against the engine's
-store and a forked worker runs each further chunk against its own copy,
-discarded once its results are back.  So criteria reuse each other's
-fields within a chunk, verdicts and details are identical to a 1-core
-run, and each criterion's seconds are measured in the process that ran
-it.  The measurements themselves are the functions the scenario runners
-call, and a bound a runner applies too lives with the measurement in
-scenarios, which returns its verdicts; a criterion takes all of them,
-adds the thresholds only it applies, and formats its detail from the
-same constants.  Two checks bypass the store on purpose:
-criterion 6 compares its stored march with one fresh march of the same
-data, and criterion 12 reruns the full artifact bundle, each scenario with
-its own fresh store.
+at desk scale.  Each engine owns one SolveStore for what criteria share:
+the 64^3 problems and strip marches of criteria 1 and 3-6 and the model
+runs of criteria 9 and 11 are built once per store.  Criterion 4's
+refinement proxy keeps its 128^3 march there too, since it goes through
+the sweep the viscosity_sweep runner shares.  The 128^3 marches that only
+one criterion reads go through a SolveStore local to that criterion's
+call, freed when it returns: criterion 5's exact-profile march and its
+residual, and criterion 6's base and perturbation-family marches, one
+store per eps.
+
+run() splits the requested criteria into contiguous chunks, one per usable
+core, through parallel.fork_map: this process runs the first chunk against
+the engine's store and a forked worker runs each further chunk against its
+own copy, discarded once its results are back.  So criteria reuse each
+other's shared fields within a chunk, verdicts and details are identical
+to a 1-core run, and each criterion's seconds are measured in the process
+that ran it.  The measurements themselves are the functions the scenario
+runners call, and a bound a runner applies too lives with the measurement
+in scenarios, which returns its verdicts; a criterion takes all of them,
+adds the thresholds only it applies, and formats its detail from the same
+constants.  Two checks bypass the store on purpose: criterion 6 compares
+its stored march with one fresh march of the same data, and criterion 12
+reruns the full artifact bundle, each scenario with its own fresh store.
 """
 
 import tempfile
@@ -99,8 +106,8 @@ def _model_history(kind: str, lam: float, seed: int):
 
 
 class AcceptanceEngine:
-    """Runs the numbered criteria against one solve store, which also keeps
-    the model runs that criteria 9 and 11 share."""
+    """Runs the numbered criteria against one solve store, which keeps the
+    strip marches and model runs that criteria share."""
 
     def __init__(self):
         self.store = SolveStore()
@@ -153,9 +160,10 @@ class AcceptanceEngine:
 
     def criterion_5(self) -> CriterionResult:
         p64 = self.store.build(exact_profile_problem, _cube(64, EXACT_T))
-        p128 = self.store.build(exact_profile_problem, _cube(128, EXACT_T))
         tr, res64, verdicts = weak_identity(self.store, self.store.solve(p64, 1e-3), p64)
-        res128 = self.store.build(weak_residual, self.store.solve(p128, 1e-3), p128)
+        local = SolveStore()  # the 128^3 march, read by this criterion only
+        p128 = local.build(exact_profile_problem, _cube(128, EXACT_T))
+        res128 = weak_residual(local.solve(p128, 1e-3), p128)
         ratio = res64 / res128 if res128 > 0 else float("inf")
         passed = all(verdicts.values()) and ratio >= 1.8
         return CriterionResult(
@@ -168,7 +176,9 @@ class AcceptanceEngine:
         finite = True
         for n in (64, 128):
             for eps in (1e-2, 1e-3):
-                stabs, verdicts = family_stability(self.store, _cube(n, ACCEL_T), eps, 1e-3)
+                # the 128^3 marches of one eps are read by that pass only
+                store = self.store if n == 64 else SolveStore()
+                stabs, verdicts = family_stability(store, _cube(n, ACCEL_T), eps, 1e-3)
                 finite = finite and all(verdicts.values())
                 for family, stab in stabs.items():
                     c6.setdefault(family, []).append(stab.c6_hat)

@@ -4,8 +4,8 @@ One key per line, '#' starts a comment, blank lines are skipped.  The keys
 are the fields of RunConfig, each parsed by its field's type, and every
 float must be finite; unknown or duplicated keys are rejected with the
 offending line number so configs stay honest.  A grid whose run would
-hold more than HISTORY_BYTES_BUDGET in history-sized arrays at its peak is
-refused here, before anything is allocated.
+hold more than HISTORY_BYTES_BUDGET in history- and level-sized arrays at its
+peak is refused here, before anything is allocated.
 """
 
 import math
@@ -25,9 +25,10 @@ SCENARIOS = (
 
 THETA_MAX = 2.0**-6
 
-# bytes the history-sized arrays a run holds at its peak may take: a strip
-# history is (nt + 1) x (nx + 1) x (ny + 1) floats, and so is a model
-# history, whose column nx repeats column 0
+# bytes the history-sized and level-sized arrays a run holds at its peak may
+# take: a strip history is (nt + 1) x (nx + 1) x (ny + 1) floats, and so is
+# a model history, whose column nx repeats column 0; a level is one time
+# level of a history
 HISTORY_BYTES_BUDGET = 2**30
 
 
@@ -101,26 +102,30 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"r must be positive, got {cfg.r:g}")
     if cfg.scenario == "kolmogorov_checks":
         return cfg
-    # history-sized arrays a run holds at its peak; the per-level problem
-    # data and working arrays are left out
-    count = {
-        # the history and the weak residual's 17 midcell arrays
-        "exact_profile": 18, "favorable_accel": 18,
+    # history-sized and level-sized ((nx + 1) x (ny + 1) floats) arrays a
+    # run holds at its peak, from peak-RSS growth: each count also covers
+    # the problems' (t, x) data, 5/(ny + 1) of a history per problem
+    count, levels = {
+        # the history and the estimate battery's full-volume temporaries;
+        # the weak quadrature's slab arrays and the march's per-step arrays
+        "exact_profile": (5, 144), "favorable_accel": (5, 144),
         # one history per eps, the refinement proxy's doubled grid (8
-        # histories' worth) and the proxy's difference and its modulus
-        "viscosity_sweep": len(cfg.eps_list) + 10,
+        # histories' worth) and the proxy's difference and its modulus; the
+        # per-step arrays of the doubled grid's march
+        "viscosity_sweep": (len(cfg.eps_list) + 11, 64),
         # the base run, three perturbation families, and the L1 distance's
-        # difference and its modulus
-        "stability_perturb": 6,
+        # difference and its modulus; the march's per-step arrays
+        "stability_perturb": (7, 16),
         # the kept run, the current run, its pinched rerun and the four
-        # arrays of that rerun's log transform
-        "oscillation_lab": 7,
+        # arrays of that rerun's log transform; the model march's per-step
+        # arrays and factored diagonals
+        "oscillation_lab": (7, 64),
     }[cfg.scenario]
-    held = count * 8 * (cfg.nt + 1) * (cfg.nx + 1) * (cfg.ny + 1)
+    held = 8 * (cfg.nx + 1) * (cfg.ny + 1) * (count * (cfg.nt + 1) + levels)
     if held > HISTORY_BYTES_BUDGET:
         raise ConfigError(f"{cfg.scenario} grid {cfg.grid_label} needs {held:,} bytes for "
-                          f"{count} history-sized arrays, over the budget of "
-                          f"{HISTORY_BYTES_BUDGET:,}")
+                          f"{count} history-sized and {levels} level-sized arrays, over the "
+                          f"budget of {HISTORY_BYTES_BUDGET:,}")
     return cfg
 
 

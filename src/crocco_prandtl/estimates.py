@@ -122,34 +122,45 @@ def weighted_dyy_measure(history: FieldHistory, alpha: float, margin: int = 0) -
 
 # exponent of the weight (1-y)^alpha in the weak identity
 WEAK_ALPHA = 2.0
+# time cells per slab of the weak quadrature, which holds no full-volume
+# array beyond one slab
+WEAK_SLAB = 8
 
 
 @dataclass(frozen=True)
 class TestFunction:
     """sin(pi k x / L) (1-y)^m t exp(-t/T): vanishes at t=0 and on both
-    streamwise faces, with closed-form first derivatives."""
+    streamwise faces.  sx, sy and st give each 1-D factor with its
+    derivative; the function and its first derivatives are their products."""
 
     k: int
     m: int
     L: float
     T: float
 
+    def sx(self, x):
+        w = np.pi * self.k / self.L
+        return np.sin(w * x), w * np.cos(w * x)
+
+    def sy(self, y):
+        # the exponent max(m - 1, 0) keeps the m = 0 derivative finite at y = 1
+        return (1.0 - y) ** self.m, -self.m * (1.0 - y) ** max(self.m - 1, 0)
+
+    def st(self, t):
+        e = np.exp(-t / self.T)
+        return t * e, (1.0 - t / self.T) * e
+
     def __call__(self, x, y, t):
-        return np.sin(np.pi * self.k * x / self.L) * (1.0 - y) ** self.m * t * np.exp(-t / self.T)
+        return self.sx(x)[0] * self.sy(y)[0] * self.st(t)[0]
 
     def dt(self, x, y, t):
-        return (np.sin(np.pi * self.k * x / self.L) * (1.0 - y) ** self.m
-                * (1.0 - t / self.T) * np.exp(-t / self.T))
+        return self.sx(x)[0] * self.sy(y)[0] * self.st(t)[1]
 
     def dx(self, x, y, t):
-        return (np.pi * self.k / self.L * np.cos(np.pi * self.k * x / self.L)
-                * (1.0 - y) ** self.m * t * np.exp(-t / self.T))
+        return self.sx(x)[1] * self.sy(y)[0] * self.st(t)[0]
 
     def dy(self, x, y, t):
-        if self.m == 0:
-            return np.zeros(np.broadcast(x, y, t).shape)
-        return (-self.m * np.sin(np.pi * self.k * x / self.L) * (1.0 - y) ** (self.m - 1)
-                * t * np.exp(-t / self.T))
+        return self.sx(x)[0] * self.sy(y)[1] * self.st(t)[0]
 
 
 def test_function_family(L: float, T: float) -> List[TestFunction]:
@@ -178,18 +189,32 @@ def _stagger_x(v):
     return 0.25 * (d[:-1, :, :-1] + d[1:, :, :-1] + d[:-1, :, 1:] + d[1:, :, 1:])
 
 
+def _contract(x_rows, y_rows, *fields):
+    """The product of the (t, x, y) fields summed over y against each y row,
+    then over x against each x row: a (t, x row, y row) table.  einsum
+    without optimize sums in its own loops, never in BLAS, whose split of a
+    long dot product follows the thread count."""
+    by_y = np.einsum("txy," * len(fields) + "ry->txr", *fields, y_rows)
+    return np.einsum("txr,qx->tqr", by_y, x_rows)
+
+
 def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
                      margin: int) -> Callable[[TestFunction], dict]:
     """Midcell quadrature of the weak identity with weight (1-y)^WEAK_ALPHA
-    for one history.
+    for one history, against the members of test_function_family on the
+    problem's grid.
 
     The seven integrals pair 1/u with the weight in the interior, add the
     time boundary term at t = T and the wall trace paid by the suction
-    data; their sum vanishes for exact solutions.  The field-dependent
-    midcell arrays are built once, restricted to the margin once; a, b, c
-    are formed only for their midcell kernels.  The returned function
-    evaluates a test function on the broadcast midcell axes and gives the
-    seven terms and their sum.
+    data; their sum vanishes for exact solutions.  A member is a product of
+    1-D factors, so each volume integral is contracted one axis at a time
+    (sum factorisation).  The time cells are walked in slabs of WEAK_SLAB:
+    a slab forms its midcell u (checked positive), 1/u, u_y and a, b, c
+    from `problem.coefficients` of its levels, and contracts each kernel
+    over y against the family's weighted y factors and over x against its
+    x factors.  Only the (nt, x factor, y factor) tables outlive a slab.
+    The returned function contracts a member's tables over t against its
+    time factor and gives the seven terms and their sum.
     """
     g = problem.grid
     _check_margin(margin, g.nx, g.ny)
@@ -201,27 +226,40 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
     xc = 0.5 * (x[1:] + x[:-1])[xs]
     yc = 0.5 * (y[1:] + y[:-1])[ys]
 
-    u_c = _center8(u)
-    if np.min(u_c) <= 0.0:
-        raise NumericalError("field is not positive at quadrature midpoints")
-    vol_sl = (slice(None), xs, ys)
-    inv_u = 1.0 / u_c[vol_sl]
-    uy_c = (_stagger_y(u) / dy)[vol_sl]
-    a, b, c = problem.coefficients()        # node volumes, dropped once centred
-    a_c, b_c, c_c = (_center8(v)[vol_sl] for v in (a, b, c))
-    ax_c, by_c = (_stagger_x(a) / dx)[vol_sl], (_stagger_y(b) / dy)[vol_sl]
-    del a, b, c
+    family = test_function_family(g.L, g.T)
+    x_factors = {phi.k: phi.sx(xc) for phi in family}
+    y_factors = {phi.m: phi.sy(yc) for phi in family}
+    ks, ms = sorted(x_factors), sorted(y_factors)
+    index = {phi: (ks.index(phi.k), ms.index(phi.m)) for phi in family}
+    S, S_x = (np.array([x_factors[k][d] for k in ks]) for d in (0, 1))
+    W = (1.0 - yc) ** WEAK_ALPHA
+    Wp = -WEAK_ALPHA * (1.0 - yc) ** (WEAK_ALPHA - 1.0)
+    # y rows: W Y pairs phi with a kernel; W Y' + W' Y pairs phi_y W + phi W'
+    # with u_y and with b
+    A = np.array([W * y_factors[m][0] for m in ms])
+    B = np.array([W * y_factors[m][1] + Wp * y_factors[m][0] for m in ms])
 
-    T3, X3, Y3 = tc[:, None, None], xc[None, :, None], yc[None, None, :]
-    W = (1.0 - Y3) ** WEAK_ALPHA
-    Wp = -WEAK_ALPHA * (1.0 - Y3) ** (WEAK_ALPHA - 1.0)
-    # each volume term pairs phi or one of its derivatives with a kernel
-    W_u = W * inv_u
-    k_diff_y, k_diff = W * uy_c, Wp * uy_c
-    k_stream, k_stream_x = ax_c * W_u, a_c * W_u
-    k_drift_y, k_drift = b_c * W_u, (W * by_c + Wp * b_c) * inv_u
-    k_react = c_c * W_u
-    buf = np.empty_like(inv_u)
+    tables = {key: np.empty((g.nt, len(ks), len(ms)))
+              for key in ("time_volume", "diffusion", "streamwise", "drift", "reaction")}
+    vol_sl = (slice(None), xs, ys)
+    for s in range(0, g.nt, WEAK_SLAB):
+        e = min(s + WEAK_SLAB, g.nt)
+        slab = u[s:e + 1]
+        u_c = _center8(slab)
+        if np.min(u_c) <= 0.0:
+            raise NumericalError("field is not positive at quadrature midpoints")
+        inv_u = 1.0 / u_c[vol_sl]
+        uy_c = (_stagger_y(slab) / dy)[vol_sl]
+        a, b, c = problem.coefficients(slice(s, e + 1))
+        a_c, b_c, c_c = (_center8(v)[vol_sl] for v in (a, b, c))
+        ax_c, by_c = (_stagger_x(a) / dx)[vol_sl], (_stagger_y(b) / dy)[vol_sl]
+        tables["time_volume"][s:e] = _contract(S, A, inv_u)
+        tables["diffusion"][s:e] = _contract(S, B, uy_c)
+        tables["streamwise"][s:e] = (_contract(S, A, ax_c, inv_u)
+                                     + _contract(S_x, A, a_c, inv_u))
+        tables["drift"][s:e] = _contract(S, B, b_c, inv_u) + _contract(S, A, by_c, inv_u)
+        tables["reaction"][s:e] = _contract(S, A, c_c, inv_u)
+
     cell = dt * dx * dy
     # final-time surface: nodes in t, midpoints in (x, y)
     XF, YF = xc[:, None], yc[None, :]
@@ -231,19 +269,20 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
     TT, XT = tc[:, None], xc[None, :]
     v0_c = _center4(problem.v0)[:, xs]
 
-    def vol(*pairs):
-        return sum(float(np.sum(np.multiply(f, k, out=buf))) for f, k in pairs) * cell
-
     def terms(phi) -> dict:
-        ph = phi(X3, Y3, T3)
-        ph_y = phi.dy(X3, Y3, T3)
+        i, j = index[phi]
+        tau, tau_t = phi.st(tc)
+
+        def vol(key, time_factor):
+            return float(np.sum(time_factor * tables[key][:, i, j])) * cell
+
         out = {
             "final_time": -float(np.sum(WT * phi(XF, YF, t[-1]) / uT)) * dx * dy,
-            "time_volume": vol((phi.dt(X3, Y3, T3), W_u)),
-            "diffusion": vol((ph_y, k_diff_y), (ph, k_diff)),
-            "streamwise": vol((ph, k_stream), (phi.dx(X3, Y3, T3), k_stream_x)),
-            "drift": vol((ph_y, k_drift_y), (ph, k_drift)),
-            "reaction": vol((ph, k_react)),
+            "time_volume": vol("time_volume", tau_t),
+            "diffusion": vol("diffusion", tau),
+            "streamwise": vol("streamwise", tau),
+            "drift": vol("drift", tau),
+            "reaction": vol("reaction", tau),
             "wall_trace": float(np.sum(v0_c * phi(XT, np.zeros_like(XT), TT))) * dt * dx,
         }
         out["residual"] = sum(out.values())
@@ -255,8 +294,8 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
 def weak_residual(history: FieldHistory, problem: CroccoProblem, margin: int = 0) -> float:
     """Largest absolute weak-identity residual over test_function_family.
 
-    The midcell fields are built once per history and shared by every
-    test function of the family.
+    One slab-by-slab pass of _weak_quadrature serves every member of the
+    family, so the residual holds no full-volume array besides the history.
     """
     terms = _weak_quadrature(history, problem, margin)
     return max(abs(terms(p)["residual"])

@@ -100,11 +100,19 @@ def at_or_above(bound):
 
 
 def held_bytes(c):
-    """Bytes of the history-sized arrays a run of c holds at its peak."""
-    history = 8 * (c.nt + 1) * (c.nx + 1) * (c.ny + 1)
-    return {"exact_profile": 18 * history, "favorable_accel": 18 * history,
-            "viscosity_sweep": (len(c.eps_list) + 10) * history,
-            "stability_perturb": 6 * history, "oscillation_lab": 7 * history}.get(c.scenario, 0)
+    """Bytes of the history- and level-sized arrays a run of c holds at its peak."""
+    count, levels = {"exact_profile": (5, 144), "favorable_accel": (5, 144),
+                     "viscosity_sweep": (len(c.eps_list) + 11, 64),
+                     "stability_perturb": (7, 16),
+                     "oscillation_lab": (7, 64)}.get(c.scenario, (0, 0))
+    return 8 * (c.nx + 1) * (c.ny + 1) * (count * (c.nt + 1) + levels)
+
+
+def largest_nt(scenario, nx, ny):
+    """The largest nt whose run of scenario on nx x ny fits the budget."""
+    base = held_bytes(RunConfig(scenario, nx, ny, 0))
+    per_level = held_bytes(RunConfig(scenario, nx, ny, 1)) - base
+    return (HISTORY_BYTES_BUDGET - base) // per_level
 
 
 VALID_CONFIGS = st.builds(
@@ -323,9 +331,8 @@ def test_parse_config_refuses_a_model_grid_over_the_memory_budget(tmp_path, caps
     # history would take about 7.7 TB
     with pytest.raises(ConfigError, match="over the budget"):
         parse_config(_lab(2000, 8000, 60000))
-    # at nx = 48, ny = 192 the run holds seven history-sized arrays of 8 x
-    # 49 x 193 bytes per level: the largest nt that fits
-    nt = HISTORY_BYTES_BUDGET // (7 * 8 * 49 * 193) - 1
+    # the largest nt that fits at nx = 48, ny = 192, and the next
+    nt = largest_nt("oscillation_lab", 48, 192)
     assert parse_config(_lab(48, 192, nt)).nt == nt
     with pytest.raises(ConfigError, match="over the budget"):
         parse_config(_lab(48, 192, nt + 1))
@@ -346,9 +353,8 @@ def test_parse_config_refuses_a_strip_grid_over_the_memory_budget(tmp_path, caps
     # this grid would take about 7.7 TB
     with pytest.raises(ConfigError, match="over the budget"):
         parse_config(_strip(scenario, 2000, 8000, 60000))
-    # at nx = ny = 64 the run's history-sized arrays take held_bytes(nt = 0)
-    # bytes per time level: the largest nt that fits, and the next
-    nt = HISTORY_BYTES_BUDGET // held_bytes(RunConfig(scenario, 64, 64, 0)) - 1
+    # the largest nt that fits at nx = ny = 64, and the next
+    nt = largest_nt(scenario, 64, 64)
     assert parse_config(_strip(scenario, 64, 64, nt)).nt == nt
     with pytest.raises(ConfigError, match="over the budget"):
         parse_config(_strip(scenario, 64, 64, nt + 1))
@@ -357,6 +363,20 @@ def test_parse_config_refuses_a_strip_grid_over_the_memory_budget(tmp_path, caps
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "over the budget" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_parse_config_budgets_the_level_sized_arrays():
+    # at nt = 8 the weak quadrature's slab arrays outweigh the histories: the
+    # largest exact_profile grid admitted at nx = 8 is just under the budget
+    # and the next is refused, while its five histories alone would admit
+    # three times the ny
+    row = 8 * 9 * (5 * 9 + 144)  # bytes per y node
+    ny = HISTORY_BYTES_BUDGET // row - 1
+    cfg = parse_config(_strip("exact_profile", 8, ny, 8))
+    assert 0 <= HISTORY_BYTES_BUDGET - held_bytes(cfg) < row
+    with pytest.raises(ConfigError, match="over the budget"):
+        parse_config(_strip("exact_profile", 8, ny + 1, 8))
+    assert 5 * 8 * 9 * 9 * (3 * ny + 1) <= HISTORY_BYTES_BUDGET
 
 
 def test_shipped_and_benchmark_configs_fit_the_memory_budget(monkeypatch):

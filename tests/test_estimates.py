@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,11 +199,16 @@ def test_weak_residual_linear_in_test_function():
     phi1 = estimates.TestFunction(k=1, m=1, L=1.0, T=1.0)
     phi2 = estimates.TestFunction(k=2, m=2, L=1.0, T=1.0)
     a, b = 0.7, -1.3
+    # the quadrature serves family members only; the combination itself is
+    # integrated by the meshgrid transcription, which takes any function
     terms = estimates._weak_quadrature(h, prob, 0)
-    r1 = terms(phi1)["residual"]
-    r2 = terms(phi2)["residual"]
-    rc = terms(_ComboFunction(a, phi1, b, phi2))["residual"]
-    assert rc == pytest.approx(a * r1 + b * r2, abs=1e-12)
+    t1, t2 = terms(phi1), terms(phi2)
+    ref = _meshgrid_terms(h, prob, uniform_flow(), _ComboFunction(a, phi1, b, phi2),
+                          estimates.WEAK_ALPHA, 0)
+    assert list(ref) == list(t1)
+    for key in ref:
+        assert a * t1[key] + b * t2[key] == pytest.approx(ref[key], abs=1e-12), key
+    assert abs(ref["residual"]) > 1e-3
 
 
 @pytest.mark.parametrize("margin", [0, 2])
@@ -263,19 +272,63 @@ def _meshgrid_terms(history, problem, flow, phi, alpha, margin):
 def test_weak_residual_terms_match_meshgrid_reference(alpha, margin):
     assert alpha == estimates.WEAK_ALPHA
     # the decelerating flow makes every coefficient kernel (a, dx a, b, dy b, c) nonzero
-    grid = GridSpec(nx=12, ny=12, nt=10, L=1.0, T=0.5)
     flow = decelerating_flow()
-    prob = linear_problem(grid, flow)
-    h = grid_history(lambda t, x, y: (1.0 - y) * (1.0 + 0.3 * np.sin(np.pi * x) * t) + 0.01,
-                     nt=10, nx=12, ny=12, T=0.5)
-    terms = estimates._weak_quadrature(h, prob, margin)
-    for phi in estimates.test_function_family(grid.L, grid.T):
-        got = terms(phi)
-        ref = _meshgrid_terms(h, prob, flow, phi, alpha, margin)
-        assert list(got) == list(ref)
-        scale = max(abs(v) for v in ref.values())
-        for key in ref:
-            assert got[key] == pytest.approx(ref[key], rel=0, abs=1e-12 * scale), key
+    # the quadrature walks time in slabs: one short slab, exactly one slab,
+    # one level past a slab, several slabs with a short last one
+    slab = estimates.WEAK_SLAB
+    for nt in (slab - 3, slab, slab + 1, 10, 2 * slab + 3):
+        grid = GridSpec(nx=12, ny=12, nt=nt, L=1.0, T=0.5)
+        prob = linear_problem(grid, flow)
+        h = grid_history(lambda t, x, y: (1.0 - y) * (1.0 + 0.3 * np.sin(np.pi * x) * t) + 0.01,
+                         nt=nt, nx=12, ny=12, T=0.5)
+        terms = estimates._weak_quadrature(h, prob, margin)
+        for phi in estimates.test_function_family(grid.L, grid.T):
+            got = terms(phi)
+            ref = _meshgrid_terms(h, prob, flow, phi, alpha, margin)
+            assert list(got) == list(ref)
+            scale = max(abs(v) for v in ref.values())
+            for key in ref:
+                assert got[key] == pytest.approx(ref[key], rel=0, abs=1e-12 * scale), (nt, key)
+
+
+# the family's terms on two thin histories, printed as hex bits: 12,000 time
+# cells (the time contraction) and 12,000 y cells (the y contraction), both
+# above the length at which OpenBLAS splits a dot product across threads
+WEAK_BITS_SCRIPT = r"""
+import numpy as np
+from crocco_prandtl import estimates
+from crocco_prandtl.crocco import CroccoData, make_problem
+from crocco_prandtl.flows import decelerating_flow
+from crocco_prandtl.grids import FieldHistory, GridSpec
+
+data = CroccoData(w0=lambda x, y: np.broadcast_to(1.0 - y, np.broadcast(x, y).shape),
+                  w1=lambda y, t: np.broadcast_to(1.0 - y, np.broadcast(y, t).shape),
+                  v0=lambda x, t: np.full(np.broadcast(x, t).shape, -1.0))
+for nt, ny in ((12000, 4), (4, 12000)):
+    grid = GridSpec(nx=4, ny=ny, nt=nt, L=1.0, T=0.5)
+    t, x, y = grid.t, grid.x, grid.y
+    tt, xx, yy = np.meshgrid(t, x, y, indexing="ij")
+    h = FieldHistory(t=t, x=x, y=y,
+                     values=(1.0 - yy) * (1.0 + 0.3 * np.sin(np.pi * xx) * tt) + 0.01)
+    terms = estimates._weak_quadrature(h, make_problem(decelerating_flow(), grid, data), 0)
+    print(np.array([list(terms(phi).values())
+                    for phi in estimates.test_function_family(1.0, 0.5)]).tobytes().hex())
+"""
+
+
+def test_weak_residual_bits_do_not_follow_the_blas_thread_count():
+    src = str(Path(estimates.__file__).resolve().parents[1])
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", WEAK_BITS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        bits.append(proc.stdout)
+    # two histories, six members, eight numbers each
+    assert len(bits[0]) == 2 * (2 * 8 * 6 * 8 + 1)
+    assert bits[0] == bits[1]
 
 
 def test_weak_residual_guards():

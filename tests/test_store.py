@@ -125,3 +125,31 @@ def test_weak_residual_is_made_once_per_history(monkeypatch):
     # a history hashes by identity: an equal copy is measured afresh
     copy = FieldHistory(t=hist.t, x=hist.x, y=hist.y, values=hist.values, eps=hist.eps)
     assert weak_identity(store, copy, problem)[1] == weak and calls == [0, 0]
+
+
+def _stored_sizes(store):
+    """nx of every history the store holds."""
+    return sorted(v.x.size - 1 for v in store._built.values() if isinstance(v, FieldHistory))
+
+
+def test_engine_keeps_no_criterion_local_march(solves):
+    engine = AcceptanceEngine()
+    res5 = engine.run([5]).results[0]
+    # the 128^3 march and its residual went through a store of its own
+    assert _stored_sizes(engine.store) == [64]
+    res6 = engine.run([6]).results[0]
+    assert _stored_sizes(engine.store) == [64] * 9
+    # the details the criteria gave while the engine's store held their
+    # 128^3 marches
+    assert res5.passed and res5.detail == (
+        "residual 1.353e-05 (tol 1e-02), refinement ratio 4.00 (>=1.8), "
+        "wall trace 2.487e-14 (tol 1e-06)")
+    assert res6.passed and res6.detail == (
+        "c6 per family {'initial': '1.000', 'inflow': '2.000', 'suction': '2.279'}, "
+        "worst spread 0.107 (suction, tol 0.20), identical-data lhs 0.00e+00 (tol 1e-12)")
+    # the 64^3 marches they share are served from the engine's store
+    del solves[:]
+    assert engine.run([1]).all_pass and engine.run([3]).all_pass
+    assert sorted(solves) == [("exact_profile", 64, 1e-4), ("exact_profile", 64, 0.01),
+                              ("exact_profile", 64, 0.1), ("favorable_accel", 64, 1e-4),
+                              ("favorable_accel", 64, 0.1)]
