@@ -1,15 +1,11 @@
 """Acceptance checklist.
 
 Twelve numbered criteria, each measuring a pinned quantitative surrogate
-at desk scale.  Each engine owns one SolveStore for what criteria share:
-the 64^3 problems and strip marches of criteria 1 and 3-6 and the model
-runs of criteria 9 and 11 are built once per store.  Criterion 4's
-refinement proxy keeps its 128^3 march there too, since it goes through
-the sweep the viscosity_sweep runner shares.  The 128^3 marches that only
-one criterion reads go through a SolveStore local to that criterion's
-call, freed when it returns: criterion 5's exact-profile march and its
-residual, and criterion 6's base and perturbation-family marches, one
-store per eps.
+at desk scale.  A store keeps only what a second reader in its run takes:
+the engine's SolveStore holds what criteria share, the 64^3 problems and
+strip marches of criteria 1 and 3-6 and the model runs of criteria 9 and
+11, and every 128^3 march is freed when the criterion that reads it
+returns.
 
 run() splits the requested criteria into contiguous chunks, one per usable
 core, through parallel.fork_map: this process runs the first chunk against
@@ -48,7 +44,7 @@ from .scenarios import (ACCEL_T, DILATION_TOL, EXACT_T, EXACT_TOL,
                         kernel_identities, linear_control, model_oscillation,
                         pinched_poincare, poincare_cutoff, unit_density,
                         weak_identity)
-from .solver import SolveStore
+from .solver import SolveStore, solve
 
 EPS_FAMILY = (1e-1, 1e-2, 1e-3, 1e-4)
 SWEEP_LIST = (0.1, 0.03, 0.01, 0.003, 0.001)
@@ -160,10 +156,9 @@ class AcceptanceEngine:
 
     def criterion_5(self) -> CriterionResult:
         p64 = self.store.build(exact_profile_problem, _cube(64, EXACT_T))
-        tr, res64, verdicts = weak_identity(self.store, self.store.solve(p64, 1e-3), p64)
-        local = SolveStore()  # the 128^3 march, read by this criterion only
-        p128 = local.build(exact_profile_problem, _cube(128, EXACT_T))
-        res128 = weak_residual(local.solve(p128, 1e-3), p128)
+        tr, res64, verdicts = weak_identity(self.store.solve(p64, 1e-3), p64)
+        p128 = exact_profile_problem(_cube(128, EXACT_T))
+        res128 = weak_residual(solve(p128, p128.grid, 1e-3), p128)
         ratio = res64 / res128 if res128 > 0 else float("inf")
         passed = all(verdicts.values()) and ratio >= 1.8
         return CriterionResult(
@@ -279,7 +274,9 @@ class AcceptanceEngine:
         return CriterionResult(12, "determinism", passed, detail)
 
     def run(self, numbers=None) -> AcceptanceReport:
-        numbers = list(numbers or range(1, 13))
+        numbers = list(range(1, 13) if numbers is None else numbers)
+        if not numbers:
+            raise ConfigError("no criteria requested")
         methods = []
         for i in numbers:
             method = getattr(self, f"criterion_{i}", None)

@@ -150,18 +150,6 @@ class TestFunction:
         e = np.exp(-t / self.T)
         return t * e, (1.0 - t / self.T) * e
 
-    def __call__(self, x, y, t):
-        return self.sx(x)[0] * self.sy(y)[0] * self.st(t)[0]
-
-    def dt(self, x, y, t):
-        return self.sx(x)[0] * self.sy(y)[0] * self.st(t)[1]
-
-    def dx(self, x, y, t):
-        return self.sx(x)[1] * self.sy(y)[0] * self.st(t)[0]
-
-    def dy(self, x, y, t):
-        return self.sx(x)[0] * self.sy(y)[1] * self.st(t)[0]
-
 
 def test_function_family(L: float, T: float) -> List[TestFunction]:
     return [TestFunction(k, m, L, T) for k in (1, 2) for m in (0, 1, 2)]
@@ -214,7 +202,8 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
     over y against the family's weighted y factors and over x against its
     x factors.  Only the (nt, x factor, y factor) tables outlive a slab.
     The returned function contracts a member's tables over t against its
-    time factor and gives the seven terms and their sum.
+    time factor, forms the two surface terms from the same factor arrays,
+    and gives the seven terms and their sum.
     """
     g = problem.grid
     _check_margin(margin, g.nx, g.ny)
@@ -232,12 +221,13 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
     ks, ms = sorted(x_factors), sorted(y_factors)
     index = {phi: (ks.index(phi.k), ms.index(phi.m)) for phi in family}
     S, S_x = (np.array([x_factors[k][d] for k in ks]) for d in (0, 1))
+    Y, Y_y = (np.array([y_factors[m][d] for m in ms]) for d in (0, 1))
     W = (1.0 - yc) ** WEAK_ALPHA
     Wp = -WEAK_ALPHA * (1.0 - yc) ** (WEAK_ALPHA - 1.0)
     # y rows: W Y pairs phi with a kernel; W Y' + W' Y pairs phi_y W + phi W'
     # with u_y and with b
-    A = np.array([W * y_factors[m][0] for m in ms])
-    B = np.array([W * y_factors[m][1] + Wp * y_factors[m][0] for m in ms])
+    A = W * Y
+    B = W * Y_y + Wp * Y
 
     tables = {key: np.empty((g.nt, len(ks), len(ms)))
               for key in ("time_volume", "diffusion", "streamwise", "drift", "reaction")}
@@ -262,11 +252,8 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
 
     cell = dt * dx * dy
     # final-time surface: nodes in t, midpoints in (x, y)
-    XF, YF = xc[:, None], yc[None, :]
     uT = _center4(u[-1])[xs, ys]
-    WT = (1.0 - YF) ** WEAK_ALPHA
-    # wall trace: nodes in y = 0 row, midpoints in (t, x)
-    TT, XT = tc[:, None], xc[None, :]
+    # wall trace: nodes in y = 0 row, where every y factor is 1, midpoints in (t, x)
     v0_c = _center4(problem.v0)[:, xs]
 
     def terms(phi) -> dict:
@@ -276,14 +263,15 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
         def vol(key, time_factor):
             return float(np.sum(time_factor * tables[key][:, i, j])) * cell
 
+        final = S[i][:, None] * Y[j] * phi.st(t[-1])[0]
         out = {
-            "final_time": -float(np.sum(WT * phi(XF, YF, t[-1]) / uT)) * dx * dy,
+            "final_time": -float(np.sum(W * final / uT)) * dx * dy,
             "time_volume": vol("time_volume", tau_t),
             "diffusion": vol("diffusion", tau),
             "streamwise": vol("streamwise", tau),
             "drift": vol("drift", tau),
             "reaction": vol("reaction", tau),
-            "wall_trace": float(np.sum(v0_c * phi(XT, np.zeros_like(XT), TT))) * dt * dx,
+            "wall_trace": float(np.sum(v0_c * (S[i] * tau[:, None]))) * dt * dx,
         }
         out["residual"] = sum(out.values())
         return out
@@ -429,7 +417,7 @@ def physical_stability(hist_a: FieldHistory, hist_b: FieldHistory,
         )
         integrand = core_a * np.abs(core_a - wb[:, :-1])
         seg = 0.5 * (integrand[:, 1:] + integrand[:, :-1]) * np.diff(heights, axis=1)
-        phys[n] = float(wx @ seg.sum(axis=1))
+        phys[n] = float(np.sum(wx * seg.sum(axis=1)))
     base = l1_stability(hist_a, hist_b, prob_a, prob_b)
     gap = float(np.max(np.abs(phys - base.lhs)))
     return PhysicalStabilityReport(identity_gap=gap,

@@ -103,8 +103,7 @@ class FieldHistory:
 
     values has shape (t.size, x.size, y.size); each axis has at least two
     ascending equally spaced nodes.  Arrays are marked read-only after
-    construction.  A query outside the axes raises ConfigError.  It hashes
-    by identity, so a solve store can key the measurements of a history.
+    construction.  A query outside the axes raises ConfigError.
     """
 
     t: np.ndarray

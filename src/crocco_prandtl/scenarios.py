@@ -191,17 +191,16 @@ def estimate_battery(hist: FieldHistory, margin: int = 0) -> dict:
     return out
 
 
-def weak_identity(store: SolveStore, hist: FieldHistory, problem) -> tuple:
+def weak_identity(hist: FieldHistory, problem) -> tuple:
     """Trace residuals and full-domain weak residual of a run, and the
-    verdicts on the wall trace and the residual.  The residual is made once
-    per (history, problem) through store."""
+    verdicts on the wall trace and the residual."""
     tr = trace_residual(hist, problem)
-    weak = store.build(weak_residual, hist, problem)
+    weak = weak_residual(hist, problem)
     return tr, weak, {"wall_trace_small": tr.wall_sup <= WALL_TRACE_TOL,
                       "weak_residual_small": weak <= WEAK_RESIDUAL_TOL}
 
 
-def standard_estimates(result: RunResult, store: SolveStore, hist: FieldHistory, problem) -> dict:
+def standard_estimates(result: RunResult, hist: FieldHistory, problem) -> dict:
     """Record the estimate battery, its interior variants, traces, and the
     weak residual in result; returns the full-domain battery plus
     "verdicts", those of weak_identity."""
@@ -213,7 +212,7 @@ def standard_estimates(result: RunResult, store: SolveStore, hist: FieldHistory,
     for key, value in estimate_battery(hist, margin=2).items():
         result.add(key, value, "interior")
     result.add("weak_residual_sup", weak_residual(hist, problem, margin=2), "interior")
-    tr, weak, out["verdicts"] = weak_identity(store, hist, problem)
+    tr, weak, out["verdicts"] = weak_identity(hist, problem)
     result.add("trace_initial_sup", tr.initial_sup, "t=0")
     result.add("trace_top_sup", tr.outflow_top_sup, "y=1")
     result.add("trace_inflow_sup", tr.inflow_sup, "x=0")
@@ -343,7 +342,7 @@ def run_exact_profile(cfg, store: SolveStore) -> RunResult:
     result = RunResult("exact_profile", cfg.grid_label, f"{cfg.eps:g}", history=hist)
     sup_err, exact_ok = exact_error(hist)
     result.add("exact_sup_error", sup_err)
-    out = standard_estimates(result, store, hist, problem)
+    out = standard_estimates(result, hist, problem)
     result.verdicts["exact_solution_reproduced"] = exact_ok
     result.verdicts.update(out["verdicts"])
     return result
@@ -353,7 +352,7 @@ def run_favorable_accel(cfg, store: SolveStore) -> RunResult:
     problem = strip_problem(cfg, store)
     hist = store.solve(problem, cfg.eps)
     result = RunResult("favorable_accel", cfg.grid_label, f"{cfg.eps:g}", history=hist)
-    out = standard_estimates(result, store, hist, problem)
+    out = standard_estimates(result, hist, problem)
     grad = pressure_gradient(problem)
     result.add("pressure_gradient_worst", grad.worst_value)
     result.verdicts["pressure_favorable"] = grad.favorable

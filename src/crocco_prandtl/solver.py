@@ -190,8 +190,9 @@ class SolveStore:
     their argument, so a problem is keyed by (builder, grid).  A problem
     hashes by identity, so solve(problem, eps) is build(solve, problem,
     problem.grid, eps): one unforced march per (problem, eps) through the
-    module-level `solve`, looked up at call time.  A forced march, or a
-    rerun that must not be served from memory, calls `solve` itself.
+    module-level `solve`, looked up at call time.  A store keeps only what a
+    second reader in its run takes: a march read once, a forced march, or
+    a rerun that must not be served from memory calls `solve` itself.
     """
 
     def __init__(self):
@@ -261,10 +262,12 @@ def grid_refinement_proxy(problem_builder, grid: GridSpec, eps: float,
     """Discretization-error proxy: L1 gap between a run and the restriction
     of the run on the grid refined by 2, both at the same eps.
 
-    problem_builder(grid) must return the problem sampled on the given grid;
-    problems and solves go through store.
+    problem_builder(grid) must return the problem sampled on the given grid.
+    The run goes through store, which its sweep shares; the refined run is
+    read here only, so it is marched outside the store and freed on return.
     """
     coarse = store.solve(store.build(problem_builder, grid), eps)
-    fine = store.solve(store.build(problem_builder, grid.refined()), eps)
+    fine_grid = grid.refined()
+    fine = solve(problem_builder(fine_grid), fine_grid, eps)
     restricted = fine.values[::2, ::2, ::2]
     return l1_spacetime_norm(coarse.values - restricted, grid.t, grid.x, grid.y)

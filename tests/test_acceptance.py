@@ -211,6 +211,18 @@ def test_unknown_criterion_is_refused_before_any_fork(stand_ins):
     fork.assert_not_called()
 
 
+def test_an_empty_request_is_refused_and_none_is_the_full_suite(monkeypatch, tmp_path):
+    for number in range(1, 13):
+        monkeypatch.setattr(AcceptanceEngine, f"criterion_{number}", _pid_criterion(number))
+    with _cores(1):
+        with pytest.raises(ConfigError, match="no criteria requested"):
+            AcceptanceEngine().run([])
+        with pytest.raises(ConfigError, match="no criteria requested"):
+            run_acceptance(numbers=[], out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+        assert [r.number for r in AcceptanceEngine().run().results] == list(range(1, 13))
+
+
 def test_fork_map_nests_inside_a_worker():
     # criteria 10 and 12 fork their mean values and fields.csv writes from
     # inside the worker chunk of a full suite

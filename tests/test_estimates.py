@@ -123,29 +123,53 @@ def test_weighted_dyy_measure_needs_positive_alpha():
 # weak identity
 
 
+def _product(phi):
+    """A member and its t, x and y derivatives at (x, y, t), each the
+    product of the member's 1-D factors."""
+    def evaluate(x, y, t):
+        (sx, sx_x), (sy, sy_y), (st, st_t) = phi.sx(x), phi.sy(y), phi.st(t)
+        return sx * sy * st, sx * sy * st_t, sx_x * sy * st, sx * sy_y * st
+    return evaluate
+
+
+def _combo(a, phi1, b, phi2):
+    """a*phi1 + b*phi2 and its derivatives, evaluated as _product does."""
+    def evaluate(x, y, t):
+        return tuple(a * v1 + b * v2 for v1, v2 in
+                     zip(_product(phi1)(x, y, t), _product(phi2)(x, y, t)))
+    return evaluate
+
+
 def test_test_function_family_shape_and_traces():
     fam = estimates.test_function_family(1.0, 1.0)
     assert len(fam) == 6
     x = np.linspace(0.0, 1.0, 9)
     for phi in fam:
-        assert np.allclose(phi(x, 0.3, 0.0), 0.0)  # vanishes at t = 0
-        assert abs(phi(0.0, 0.3, 0.5)) < 1e-15  # and on the inflow face
-        assert abs(phi(1.0, 0.3, 0.5)) < 1e-15
-        assert abs(phi(0.25, 0.0, 1.0)) > 0  # but not at the final time
+        value = lambda x, y, t: _product(phi)(x, y, t)[0]  # noqa: E731
+        assert np.allclose(value(x, 0.3, 0.0), 0.0)  # vanishes at t = 0
+        assert abs(value(0.0, 0.3, 0.5)) < 1e-15  # and on the inflow face
+        assert abs(value(1.0, 0.3, 0.5)) < 1e-15
+        assert abs(value(0.25, 0.0, 1.0)) > 0  # but not at the final time
+        assert phi.sy(0.0)[0] == 1.0  # the wall trace reads no y factor
 
 
 def test_test_function_derivatives_match_finite_differences():
     phi = estimates.TestFunction(k=2, m=2, L=1.0, T=1.0)
+    evaluate = _product(phi)
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.1, 0.9, size=(20, 3))
     h = 1e-6
     for xq, yq, tq in pts:
-        assert phi.dx(xq, yq, tq) == pytest.approx(
-            (phi(xq + h, yq, tq) - phi(xq - h, yq, tq)) / (2 * h), rel=1e-6, abs=1e-8)
-        assert phi.dy(xq, yq, tq) == pytest.approx(
-            (phi(xq, yq + h, tq) - phi(xq, yq - h, tq)) / (2 * h), rel=1e-6, abs=1e-8)
-        assert phi.dt(xq, yq, tq) == pytest.approx(
-            (phi(xq, yq, tq + h) - phi(xq, yq, tq - h)) / (2 * h), rel=1e-6, abs=1e-8)
+        _, d_t, d_x, d_y = evaluate(xq, yq, tq)
+        assert d_x == pytest.approx(
+            (evaluate(xq + h, yq, tq)[0] - evaluate(xq - h, yq, tq)[0]) / (2 * h),
+            rel=1e-6, abs=1e-8)
+        assert d_y == pytest.approx(
+            (evaluate(xq, yq + h, tq)[0] - evaluate(xq, yq - h, tq)[0]) / (2 * h),
+            rel=1e-6, abs=1e-8)
+        assert d_t == pytest.approx(
+            (evaluate(xq, yq, tq + h)[0] - evaluate(xq, yq, tq - h)[0]) / (2 * h),
+            rel=1e-6, abs=1e-8)
 
 
 def test_weak_residual_linear_profile_small_and_converging():
@@ -172,24 +196,6 @@ def test_weak_residual_terms_sum_matches_reported_residual():
     assert max(abs(p) for p in parts) > 10.0 * abs(terms["residual"])
 
 
-class _ComboFunction:
-    # a*phi1 + b*phi2 with the same evaluation interface as TestFunction
-    def __init__(self, a, phi1, b, phi2):
-        self.a, self.phi1, self.b, self.phi2 = a, phi1, b, phi2
-
-    def __call__(self, x, y, t):
-        return self.a * self.phi1(x, y, t) + self.b * self.phi2(x, y, t)
-
-    def dt(self, x, y, t):
-        return self.a * self.phi1.dt(x, y, t) + self.b * self.phi2.dt(x, y, t)
-
-    def dx(self, x, y, t):
-        return self.a * self.phi1.dx(x, y, t) + self.b * self.phi2.dx(x, y, t)
-
-    def dy(self, x, y, t):
-        return self.a * self.phi1.dy(x, y, t) + self.b * self.phi2.dy(x, y, t)
-
-
 def test_weak_residual_linear_in_test_function():
     grid = GridSpec(nx=16, ny=16, nt=16)
     prob = linear_problem(grid)
@@ -203,7 +209,7 @@ def test_weak_residual_linear_in_test_function():
     # integrated by the meshgrid transcription, which takes any function
     terms = estimates._weak_quadrature(h, prob, 0)
     t1, t2 = terms(phi1), terms(phi2)
-    ref = _meshgrid_terms(h, prob, uniform_flow(), _ComboFunction(a, phi1, b, phi2),
+    ref = _meshgrid_terms(h, prob, uniform_flow(), _combo(a, phi1, b, phi2),
                           estimates.WEAK_ALPHA, 0)
     assert list(ref) == list(t1)
     for key in ref:
@@ -224,10 +230,12 @@ def test_weak_residual_is_the_family_max_of_the_terms(margin):
     assert weak_residual(h, prob, margin=margin) == pytest.approx(expected, rel=1e-12)
 
 
-def _meshgrid_terms(history, problem, flow, phi, alpha, margin):
+def _meshgrid_terms(history, problem, flow, evaluate, alpha, margin):
     # the seven integrals transcribed term by term on full (t, x, y) midcell
-    # meshgrids, with the margin cut from each integrand; the coefficients
-    # come from the flow the problem was built from, sampled afresh
+    # meshgrids, with the margin cut from each integrand; the test function
+    # and its derivatives come from evaluate (x, y, t) -> (phi, phi_t,
+    # phi_x, phi_y), and the coefficients from the flow the problem was
+    # built from, sampled afresh
     u, t, x, y = history.values, history.t, history.x, history.y
     dt, dx, dy = np.diff(t).mean(), np.diff(x).mean(), np.diff(y).mean()
     tc, xc, yc = (0.5 * (c[1:] + c[:-1]) for c in (t, x, y))
@@ -246,21 +254,21 @@ def _meshgrid_terms(history, problem, flow, phi, alpha, margin):
     T3, X3, Y3 = np.meshgrid(tc, xc, yc, indexing="ij")
     W = (1.0 - Y3) ** alpha
     Wp = -alpha * (1.0 - Y3) ** (alpha - 1.0)
-    ph, ph_t = phi(X3, Y3, T3), phi.dt(X3, Y3, T3)
-    ph_x, ph_y = phi.dx(X3, Y3, T3), phi.dy(X3, Y3, T3)
+    ph, ph_t, ph_x, ph_y = evaluate(X3, Y3, T3)
     m = slice(margin, -margin) if margin else slice(None)
     cell = dt * dx * dy
     XF, YF = np.meshgrid(xc, yc, indexing="ij")
     TT, XT = np.meshgrid(tc, xc, indexing="ij")
     terms = {
-        "final_time": -np.sum((((1.0 - YF) ** alpha) * phi(XF, YF, t[-1])
+        "final_time": -np.sum((((1.0 - YF) ** alpha) * evaluate(XF, YF, t[-1])[0]
                                / estimates._center4(u[-1]))[m, m]) * dx * dy,
         "time_volume": np.sum((W * ph_t * inv_u)[:, m, m]) * cell,
         "diffusion": np.sum(((W * ph_y + Wp * ph) * uy_c)[:, m, m]) * cell,
         "streamwise": np.sum(((ax_c * ph + a_c * ph_x) * W * inv_u)[:, m, m]) * cell,
         "drift": np.sum(((W * b_c * ph_y + (W * by_c + Wp * b_c) * ph) * inv_u)[:, m, m]) * cell,
         "reaction": np.sum((W * ph * c_c * inv_u)[:, m, m]) * cell,
-        "wall_trace": np.sum((estimates._center4(problem.v0) * phi(XT, 0.0 * XT, TT))[:, m])
+        "wall_trace": np.sum((estimates._center4(problem.v0)
+                              * evaluate(XT, 0.0 * XT, TT)[0])[:, m])
         * dt * dx,
     }
     terms["residual"] = sum(terms.values())
@@ -284,7 +292,7 @@ def test_weak_residual_terms_match_meshgrid_reference(alpha, margin):
         terms = estimates._weak_quadrature(h, prob, margin)
         for phi in estimates.test_function_family(grid.L, grid.T):
             got = terms(phi)
-            ref = _meshgrid_terms(h, prob, flow, phi, alpha, margin)
+            ref = _meshgrid_terms(h, prob, flow, _product(phi), alpha, margin)
             assert list(got) == list(ref)
             scale = max(abs(v) for v in ref.values())
             for key in ref:
@@ -328,6 +336,46 @@ def test_weak_residual_bits_do_not_follow_the_blas_thread_count():
         bits.append(proc.stdout)
     # two histories, six members, eight numbers each
     assert len(bits[0]) == 2 * (2 * 8 * 6 * 8 + 1)
+    assert bits[0] == bits[1]
+
+
+# the physical-variable functional of two histories on 12,000 x cells, above
+# the length at which OpenBLAS splits a dot product, printed as hex bits
+PHYSICAL_BITS_SCRIPT = r"""
+import numpy as np
+from crocco_prandtl import estimates
+from crocco_prandtl.crocco import CroccoData, make_problem
+from crocco_prandtl.flows import decelerating_flow
+from crocco_prandtl.grids import FieldHistory, GridSpec
+
+grid = GridSpec(nx=12000, ny=4, nt=4, L=1.0, T=0.5)
+t, x, y = grid.t, grid.x, grid.y
+tt, xx, yy = np.meshgrid(t, x, y, indexing="ij")
+problems, histories = [], []
+for amp in (0.3, 0.4):
+    data = CroccoData(
+        w0=lambda x, y, amp=amp: (1.0 - y) * (1.0 + amp * np.sin(np.pi * x)),
+        w1=lambda y, t: np.broadcast_to(1.0 - y, np.broadcast(y, t).shape),
+        v0=lambda x, t: np.full(np.broadcast(x, t).shape, -1.0))
+    problems.append(make_problem(decelerating_flow(), grid, data))
+    histories.append(FieldHistory(t=t, x=x, y=y, values=(1.0 - yy) * (
+        1.0 + amp * np.sin(np.pi * xx) * (1.0 + tt)) + 0.01))
+rep = estimates.physical_stability(*histories, *problems)
+print(np.array([rep.identity_gap, rep.c6_hat]).tobytes().hex())
+"""
+
+
+def test_physical_stability_bits_do_not_follow_the_blas_thread_count():
+    src = str(Path(estimates.__file__).resolve().parents[1])
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", PHYSICAL_BITS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        bits.append(proc.stdout)
+    assert len(bits[0]) == 2 * 8 * 2 + 1
     assert bits[0] == bits[1]
 
 

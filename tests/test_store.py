@@ -13,8 +13,7 @@ from crocco_prandtl import scenarios, solver
 from crocco_prandtl.acceptance import AcceptanceEngine
 from crocco_prandtl.config import RunConfig
 from crocco_prandtl.grids import FieldHistory, GridSpec
-from crocco_prandtl.scenarios import (EXACT_T, exact_profile_problem, favorable_accel_problem,
-                                      run_scenario, weak_identity)
+from crocco_prandtl.scenarios import favorable_accel_problem, run_scenario
 from crocco_prandtl.solver import SolveStore
 
 
@@ -103,30 +102,6 @@ def test_engine_reuses_runs_across_criteria(solves, identical_pairs):
     assert hist_a is not hist_b
 
 
-def test_weak_residual_is_made_once_per_history(monkeypatch):
-    calls = []
-    original = scenarios.weak_residual
-
-    def counting(hist, problem, margin=0):
-        calls.append(margin)
-        return original(hist, problem, margin)
-    monkeypatch.setattr(scenarios, "weak_residual", counting)
-    store = SolveStore()
-    problem = store.build(exact_profile_problem, GridSpec(16, 16, 24, T=EXACT_T))
-    hist = store.solve(problem, 1e-2)
-    weak = weak_identity(store, hist, problem)[1]
-    assert weak_identity(store, hist, problem)[1] == weak and calls == [0]
-    # a patched measurement is a different builder: it reaches no memoized
-    # value, and no unpatched call is served its value afterwards
-    with monkeypatch.context() as m:
-        m.setattr(scenarios, "weak_residual", lambda hist, problem: -1.0)
-        assert weak_identity(store, hist, problem)[1] == -1.0
-    assert weak_identity(store, hist, problem)[1] == weak and calls == [0]
-    # a history hashes by identity: an equal copy is measured afresh
-    copy = FieldHistory(t=hist.t, x=hist.x, y=hist.y, values=hist.values, eps=hist.eps)
-    assert weak_identity(store, copy, problem)[1] == weak and calls == [0, 0]
-
-
 def _stored_sizes(store):
     """nx of every history the store holds."""
     return sorted(v.x.size - 1 for v in store._built.values() if isinstance(v, FieldHistory))
@@ -135,7 +110,7 @@ def _stored_sizes(store):
 def test_engine_keeps_no_criterion_local_march(solves):
     engine = AcceptanceEngine()
     res5 = engine.run([5]).results[0]
-    # the 128^3 march and its residual went through a store of its own
+    # the 128^3 march was made outside the engine's store
     assert _stored_sizes(engine.store) == [64]
     res6 = engine.run([6]).results[0]
     assert _stored_sizes(engine.store) == [64] * 9
@@ -153,3 +128,10 @@ def test_engine_keeps_no_criterion_local_march(solves):
     assert sorted(solves) == [("exact_profile", 64, 1e-4), ("exact_profile", 64, 0.01),
                               ("exact_profile", 64, 0.1), ("favorable_accel", 64, 1e-4),
                               ("favorable_accel", 64, 0.1)]
+    # criterion 4 keeps its sweep's 64^3 marches; its refinement proxy
+    # marches 128^3 outside the store
+    del solves[:]
+    assert engine.run([4]).all_pass
+    assert sorted(solves) == [("favorable_accel", 64, 0.003), ("favorable_accel", 64, 0.03),
+                              ("favorable_accel", 128, 0.001)]
+    assert _stored_sizes(engine.store) == [64] * 16
