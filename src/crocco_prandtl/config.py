@@ -116,10 +116,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
         # the base run, three perturbation families, and the L1 distance's
         # difference and its modulus; the march's per-step arrays
         "stability_perturb": (7, 16),
-        # the kept run, the current run, its pinched rerun and the four
-        # arrays of that rerun's log transform; the model march's per-step
-        # arrays and factored diagonals
-        "oscillation_lab": (7, 64),
+        # the kept checkerboard run, a pinched rerun and its log transform
+        # (the current run is dropped before the rerun); the model march's
+        # per-step arrays and factored diagonals
+        "oscillation_lab": (3, 64),
     }[cfg.scenario]
     held = 8 * (cfg.nx + 1) * (cfg.ny + 1) * (count * (cfg.nt + 1) + levels)
     if held > HISTORY_BYTES_BUDGET:

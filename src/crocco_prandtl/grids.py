@@ -13,7 +13,8 @@ interpolates once in time onto a windowed slab and samples it bilinearly;
 AnalyticField binds tau and y in its callable.  The mean-value functional
 calls at_times once per time level and never branches on the field type.
 Only FieldHistory has the wall-normal derivative sample_dy, which the weak
-Poincare functional integrates.
+Poincare functional integrates; it forms np.gradient along y at only the
+cell corners its interpolation reads, never over the whole history.
 """
 
 from dataclasses import dataclass, field
@@ -85,16 +86,15 @@ def _cell(nodes: np.ndarray, q) -> tuple:
     return cell, (q - nodes[cell]) / np.diff(nodes)[cell]
 
 
-def _lerp_corners(flat: np.ndarray, base, strides, weights) -> np.ndarray:
-    """Gather the 2^d cell corners above the flat index base (one stride per
-    axis) and interpolate them, the last axis first."""
-    offsets = [0]
-    for stride in strides:
-        offsets = [o + d for o in offsets for d in (0, stride)]
-    vals = [flat[base + o] for o in offsets]
-    for w in reversed(weights):
-        vals = [lo + w * (hi - lo) for lo, hi in zip(vals[::2], vals[1::2])]
-    return vals[0]
+def _lerp_corners(gather: Callable, base, strides, weights) -> np.ndarray:
+    """Interpolate the 2^d cell corners above the flat index base (one
+    stride per axis), read by gather(flat index), the last axis first.  One
+    partial result per axis is alive at a time, not all 2^d corners."""
+    if not strides:
+        return gather(base)
+    lo = _lerp_corners(gather, base, strides[1:], weights[1:])
+    hi = _lerp_corners(gather, base + strides[0], strides[1:], weights[1:])
+    return lo + weights[0] * (hi - lo)
 
 
 @dataclass(eq=False)
@@ -130,21 +130,45 @@ class FieldHistory:
         for arr in (self.t, self.x, self.y, self.values):
             arr.flags.writeable = False
 
-    def _trilinear(self, values, t, x, y) -> np.ndarray:
+    def _trilinear(self, gather, t, x, y) -> np.ndarray:
         it, wt = _cell(self.t, np.asarray(t, float))
         ix, wx = _cell(self.x, np.asarray(x, float))
         iy, wy = _cell(self.y, np.asarray(y, float))
         nx, ny = self.x.size, self.y.size
-        return _lerp_corners(values.ravel(), (it * nx + ix) * ny + iy,
-                             (nx * ny, ny, 1), (wt, wx, wy))
+        return _lerp_corners(gather, (it * nx + ix) * ny + iy, (nx * ny, ny, 1), (wt, wx, wy))
 
     def sample(self, t, x, y) -> np.ndarray:
         """Trilinear interpolation at broadcastable query coordinates."""
-        return self._trilinear(self.values, t, x, y)
+        return self._trilinear(self.values.ravel().take, t, x, y)
 
     def sample_dy(self, t, x, y) -> np.ndarray:
-        """Wall-normal derivative, computed on the grid and then interpolated."""
-        return self._trilinear(np.gradient(self.values, self.y, axis=2), t, x, y)
+        """Wall-normal derivative at broadcastable query coordinates: the
+        trilinear interpolation of np.gradient(values, y, axis=2), formed bit
+        for bit at only the cell corners the interpolation reads.
+
+        As in np.gradient, the first and last rows take the one-sided
+        difference and the interior rows the central one, which on a y axis
+        with unequal steps (decided on the full axis) is the a, b, c form.
+        """
+        flat, n = self.values.ravel(), self.y.size
+        h = np.diff(self.y)
+        # on equal steps h + h is np.gradient's central step 2h exactly
+        step = np.concatenate((h[:1], h[:-1] + h[1:], h[-1:]))
+        h1, h2 = h[:-1], h[1:]
+        # zero-padded so that the end rows index them too
+        a, b, c = (np.pad(w, 1) for w in (-h2 / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2),
+                                            h1 / (h2 * (h1 + h2))))
+        uniform = (h == h[0]).all()
+
+        def gather(k) -> np.ndarray:
+            row = k % n
+            lo, hi = k - (row > 0), k + (row < n - 1)
+            out = (flat[hi] - flat[lo]) / step[row]
+            if uniform:
+                return out
+            inner = (0 < row) & (row < n - 1)
+            return np.where(inner, a[row] * flat[lo] + b[row] * flat[k] + c[row] * flat[hi], out)
+        return self._trilinear(gather, t, x, y)
 
     def at_times(self, tau, x_span, y_span) -> Callable:
         """The field at the fixed times tau, as at_y(y) -> function of x.
@@ -173,7 +197,7 @@ class FieldHistory:
                 raise ConfigError("at_times: y query outside the y_span of the slab")
             row = level + (iy - y0)
             # one y-interpolated row per window column, the column axis first
-            rows = _lerp_corners(slab, np.add.outer(np.arange(nxw) * nyw, row), (1,),
+            rows = _lerp_corners(slab.take, np.add.outer(np.arange(nxw) * nyw, row), (1,),
                                  (wy,)).ravel()
             at = np.arange(row.size).reshape(row.shape) - x0 * row.size
 
@@ -181,7 +205,7 @@ class FieldHistory:
                 ix, wx = _cell(self.x, np.asarray(x, float))
                 if not x0 <= ix.min() <= ix.max() <= x1:
                     raise ConfigError("at_times: x query outside the x_span of the slab")
-                return _lerp_corners(rows, ix * row.size + at, (row.size,), (wx,))
+                return _lerp_corners(rows.take, ix * row.size + at, (row.size,), (wx,))
             return at_x
         return at_y
 

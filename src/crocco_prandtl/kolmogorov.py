@@ -335,6 +335,8 @@ def log_subsolution(u, h: float, variant: str = "ratio"):
 
     variant "ratio":       ln+ of h / (h^(9/8) + u), bound (1/8) ln(1/h)
     variant "reciprocal":  ln+ of 1 / (h^(9/8) + u), bound (9/8) ln(1/h)
+
+    The transform is finished in its one output array, never in u.
     """
     if not 0.0 < h < 0.5:
         raise ConfigError(f"level h must lie in (0, 1/2), got {h}")
@@ -342,13 +344,16 @@ def log_subsolution(u, h: float, variant: str = "ratio"):
     arr = u.values if isinstance(u, FieldHistory) else np.asarray(u, float)
     if np.min(arr) < -1e-9:
         raise ConfigError("log transform requires a nonnegative field")
-    arr = np.maximum(arr, 0.0)
-    inner = (h if variant == "ratio" else 1.0) / (h ** (9.0 / 8.0) + arr)
-    return np.maximum(np.log(inner), 0.0), bound
+    out = np.maximum(arr, 0.0, out=np.empty(arr.shape))
+    out += h ** (9.0 / 8.0)
+    np.divide(h if variant == "ratio" else 1.0, out, out=out)
+    np.log(out, out=out)
+    return np.maximum(out, 0.0, out=out), bound
 
 
 def log_field(history: FieldHistory, h: float, variant: str = "ratio") -> FieldHistory:
-    """FieldHistory wrapper of log_subsolution, keeping the coordinates."""
+    """FieldHistory wrapper of log_subsolution, keeping the coordinates; the
+    transform's one output array becomes the wrapper's values."""
     vals, _ = log_subsolution(history, h, variant)
     return FieldHistory(t=history.t, x=history.x, y=history.y, values=vals,
                         label=f"{history.label}:log-{variant}")

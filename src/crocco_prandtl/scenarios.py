@@ -326,10 +326,12 @@ def poincare_cutoff(theta: float):
 
 def pinched_poincare(coef, grid: tuple, h: float, spec):
     """Weak Poincare report of the reciprocal log transform of a model run
-    on grid (nx, ny, nt) from the pinched initial state.  The run is not
-    kept."""
-    pinched = ko.solve_model(coef, *grid, u0=pinched_initial)
-    return ko.weak_poincare_ratio(ko.log_field(pinched, h=h, variant="reciprocal"), spec)
+    on grid (nx, ny, nt) from the pinched initial state.  The run is freed
+    once it is transformed, so only the transform is alive while the
+    functional samples it."""
+    w = ko.log_field(ko.solve_model(coef, *grid, u0=pinched_initial), h=h,
+                     variant="reciprocal")
+    return ko.weak_poincare_ratio(w, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +450,9 @@ def run_oscillation_lab(cfg, store: SolveStore) -> RunResult:
     result.add("density_unit_control_ratio", full.ratio)
     result.verdicts["density_unit_control"] = full_ok
 
-    # model runs stay out of the store: besides the primary history, one
-    # run is alive at a time
+    # model runs stay out of the store: besides the kept checkerboard run,
+    # one run is alive at a time, and the current run is dropped before its
+    # pinched rerun
     poincare_ratios = []
     for coef in lab_coefficients(cfg):
         hist = ko.solve_model(coef, nx=cfg.nx, ny=cfg.ny, nt=cfg.nt)
@@ -472,6 +475,7 @@ def run_oscillation_lab(cfg, store: SolveStore) -> RunResult:
         result.add(f"holder_exponent_{coef.name}", osc.alpha_holder)
         result.verdicts.update((f"{name}_{coef.name}", ok) for name, ok in verdicts.items())
 
+        del hist
         poin = pinched_poincare(coef, (cfg.nx, cfg.ny, cfg.nt), cfg.h_level, spec)
         result.add(f"poincare_i0_{coef.name}", poin.i0)
         result.add(f"poincare_ratio_{coef.name}", poin.ratio)

@@ -104,7 +104,7 @@ def held_bytes(c):
     count, levels = {"exact_profile": (5, 144), "favorable_accel": (5, 144),
                      "viscosity_sweep": (len(c.eps_list) + 11, 64),
                      "stability_perturb": (7, 16),
-                     "oscillation_lab": (7, 64)}.get(c.scenario, (0, 0))
+                     "oscillation_lab": (3, 64)}.get(c.scenario, (0, 0))
     return 8 * (c.nx + 1) * (c.ny + 1) * (count * (c.nt + 1) + levels)
 
 
@@ -339,6 +339,20 @@ def test_parse_config_refuses_a_model_grid_over_the_memory_budget(tmp_path, caps
     cfg = write_cfg(tmp_path, _lab(2000, 8000, 60000))
     assert main(["validate", "--config", cfg]) == 2
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "over the budget" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_model_lab_budget_counts_three_histories(tmp_path, capsys):
+    # the kept run, a pinched rerun and its log transform, plus 64 levels,
+    # fit the budget at 48 x 192 up to nt = 4708
+    nt, level = 4708, 8 * 49 * 193
+    assert level * (3 * (nt + 1) + 64) <= HISTORY_BYTES_BUDGET < level * (3 * (nt + 2) + 64)
+    assert parse_config(_lab(48, 192, nt)).nt == nt
+    assert main(["validate", "--config", write_cfg(tmp_path, _lab(48, 192, nt))]) == 0
+    refused = write_cfg(tmp_path, _lab(48, 192, nt + 1))
+    assert main(["validate", "--config", refused]) == 2
+    assert main(["run", "--config", refused, "--out", str(tmp_path / "o")]) == 2
     assert "over the budget" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 

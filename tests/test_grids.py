@@ -2,6 +2,8 @@
 at_times) against scipy's RegularGridInterpolator, which is the reference
 here only, on queries inside the axes; a query outside them is refused."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,39 @@ def test_sample_and_sample_dy_match_oracle(t_axis, x_axis, y_axis, seed):
         assert got.shape == ref.shape
         scale = max(np.max(np.abs(field)), 1e-300)
         assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("y", [
+    np.linspace(-1.0, 1.0, 193),  # steps differ in the last bits: a, b, c weights
+    np.linspace(0.0, 1.0, 65),    # equal steps: np.gradient's uniform branch
+])
+def test_sample_dy_is_the_sampled_whole_history_gradient_bit_for_bit(y):
+    h = np.diff(y)
+    assert (h == h[0]).all() == (y.size == 65)
+    t, x = np.linspace(0.0, 1.0, 6), np.linspace(-1.0, 1.0, 7)
+    values = np.random.default_rng(y.size).uniform(-1.0, 1.0, (t.size, x.size, y.size))
+    hist = FieldHistory(t=t, x=x, y=y, values=values)
+    gradient = FieldHistory(t=t, x=x, y=y, values=np.gradient(values, y, axis=2))
+    # the first and last rows, inside the top cell, and across the axis
+    yq = np.concatenate(([y[0], y[-1], y[-1] - 0.3 * h[-1], y[1]],
+                         np.linspace(y[0], y[-1], 41)))
+    queries = (np.array([0.0, 0.37, 1.0])[:, None, None],
+               np.array([-1.0, 0.13, 1.0])[None, :, None], yq[None, None, :])
+    assert np.array_equal(hist.sample_dy(*queries), gradient.sample(*queries))
+
+
+def test_sample_dy_allocates_a_small_part_of_the_history():
+    t, x, y = np.linspace(-1.0, 0.0, 301), np.linspace(-1.0, 1.0, 97), np.linspace(0.0, 1.0, 193)
+    hist = FieldHistory(t=t, x=x, y=y, values=np.zeros((t.size, x.size, y.size)))
+    assert hist.values.nbytes > 5e6
+    lattice = np.linspace(0.0, 1.0, 25)
+    tracemalloc.start()
+    try:
+        hist.sample_dy(lattice[:, None, None] - 1.0, lattice[None, :, None], lattice[None, None, :])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < hist.values.nbytes / 10
 
 
 @pytest.mark.parametrize("x", [

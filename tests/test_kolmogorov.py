@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -214,6 +215,30 @@ def test_log_subsolution_validation():
         ko.log_subsolution(np.array([-1e-3]), 0.01)
     with pytest.raises(ConfigError):
         ko.log_subsolution(np.array([0.1]), 0.01, "squared")
+
+
+@pytest.mark.parametrize("variant", ko.LOG_VARIANTS)
+@pytest.mark.parametrize("wrap", [False, True], ids=["ndarray", "history"])
+def test_log_subsolution_fills_one_array_and_leaves_its_input(wrap, variant):
+    h = 0.01
+    u = np.random.default_rng(5).uniform(-1e-10, 0.05, (21, 30, 40))
+    u[0, 0, :3] = 0.0
+    reference = np.maximum(np.log((h if variant == "ratio" else 1.0)
+                                  / (h ** (9.0 / 8.0) + np.maximum(u, 0.0))), 0.0)
+    before = u.copy()
+    if wrap:
+        axes = [np.linspace(0.0, 1.0, n) for n in u.shape]
+        u = FieldHistory(t=axes[0], x=axes[1], y=axes[2], values=u)
+        assert not u.values.flags.writeable
+    tracemalloc.start()
+    try:
+        w, _ = ko.log_subsolution(u, h, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(u.values if wrap else u, before)
+    assert np.array_equal(w, reference)
+    assert peak <= 1.1 * w.nbytes
 
 
 def test_log_field_wrapper():
