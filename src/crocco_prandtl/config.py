@@ -3,9 +3,11 @@
 One key per line, '#' starts a comment, blank lines are skipped.  The keys
 are the fields of RunConfig, each parsed by its field's type, and every
 float must be finite; unknown or duplicated keys are rejected with the
-offending line number so configs stay honest.  A grid whose run would
-hold more than HISTORY_BYTES_BUDGET in history- and level-sized arrays at its
-peak is refused here, before anything is allocated.
+offending line number so configs stay honest.  A RunConfig checks its
+values when it is made, parsed or built (dataclasses.replace too): their
+ranges, the estimates' interior margin, and a grid whose run would hold
+more than HISTORY_BYTES_BUDGET in history- and level-sized arrays at its
+peak, refused before anything is allocated.
 """
 
 import math
@@ -13,6 +15,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .estimates import INTERIOR_MARGIN, check_margin
 
 SCENARIOS = (
     "exact_profile",
@@ -34,6 +37,8 @@ HISTORY_BYTES_BUDGET = 2**30
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's inputs, refused with ConfigError when made out of range."""
+
     scenario: str
     nx: int = 64
     ny: int = 64
@@ -47,6 +52,65 @@ class RunConfig:
     h_level: float = 0.01
     theta: float = 0.01
     r: float = 1.0
+
+    def __post_init__(self):
+        if self.scenario not in SCENARIOS:
+            raise ConfigError(
+                f"unknown scenario '{self.scenario}'; choose one of {', '.join(SCENARIOS)}")
+        for key in ("nx", "ny", "nt"):
+            if getattr(self, key) < 4:
+                raise ConfigError(f"{key} must be at least 4, got {getattr(self, key)}")
+        if self.eps <= 0:
+            raise ConfigError(f"eps must be positive, got {self.eps:g}")
+        if self.L <= 0:
+            raise ConfigError(f"L must be positive, got {self.L:g}")
+        if len(self.eps_list) < 2:
+            raise ConfigError("eps_list needs at least two values")
+        if any(e <= 0 for e in self.eps_list):
+            raise ConfigError("eps_list values must be positive")
+        if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
+            raise ConfigError("eps_list must be strictly decreasing")
+        if self.perturb <= 0:
+            raise ConfigError(f"perturb must be positive, got {self.perturb:g}")
+        if self.lam <= 1:
+            raise ConfigError(f"lam must exceed 1, got {self.lam:g}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not 0 < self.h_level < 0.5:
+            raise ConfigError(f"h_level must lie in (0, 1/2), got {self.h_level:g}")
+        if not 0 < self.theta < THETA_MAX:
+            raise ConfigError(f"theta must lie in (0, {THETA_MAX:g}), got {self.theta:g}")
+        if self.r <= 0:
+            raise ConfigError(f"r must be positive, got {self.r:g}")
+        if self.scenario in ("exact_profile", "favorable_accel"):
+            # the interior variants of standard_estimates
+            check_margin(INTERIOR_MARGIN, self.nx, self.ny)
+        if self.scenario == "kolmogorov_checks":
+            return
+        # history-sized and level-sized ((nx + 1) x (ny + 1) floats) arrays a
+        # run holds at its peak, from peak-RSS growth: each count also covers
+        # the problems' (t, x) data, 5/(ny + 1) of a history per problem
+        count, levels = {
+            # the history and the estimate battery's full-volume temporaries;
+            # the weak quadrature's slab arrays and the march's per-step arrays
+            "exact_profile": (5, 144), "favorable_accel": (5, 144),
+            # one history per eps, the refinement proxy's doubled grid (8
+            # histories' worth) and the proxy's difference and its modulus; the
+            # per-step arrays of the doubled grid's march
+            "viscosity_sweep": (len(self.eps_list) + 11, 64),
+            # the base run, three perturbation families, and the L1 distance's
+            # difference and its modulus; the march's per-step arrays
+            "stability_perturb": (7, 16),
+            # the kept checkerboard run, a pinched rerun and its log transform
+            # (the current run is dropped before the rerun); the model march's
+            # per-step arrays and factored diagonals
+            "oscillation_lab": (3, 64),
+        }[self.scenario]
+        held = 8 * (self.nx + 1) * (self.ny + 1) * (count * (self.nt + 1) + levels)
+        if held > HISTORY_BYTES_BUDGET:
+            raise ConfigError(f"{self.scenario} grid {self.grid_label} needs {held:,} bytes for "
+                              f"{count} history-sized and {levels} level-sized arrays, over the "
+                              f"budget of {HISTORY_BYTES_BUDGET:,}")
 
     @property
     def grid_label(self) -> str:
@@ -71,64 +135,6 @@ _PARSERS = {f.name: {int: int, float: _parse_float, tuple: _parse_float_list, st
             for f in fields(RunConfig)}
 
 
-def _validate(cfg: RunConfig) -> RunConfig:
-    if cfg.scenario not in SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario '{cfg.scenario}'; choose one of {', '.join(SCENARIOS)}")
-    for key in ("nx", "ny", "nt"):
-        if getattr(cfg, key) < 4:
-            raise ConfigError(f"{key} must be at least 4, got {getattr(cfg, key)}")
-    if cfg.eps <= 0:
-        raise ConfigError(f"eps must be positive, got {cfg.eps:g}")
-    if cfg.L <= 0:
-        raise ConfigError(f"L must be positive, got {cfg.L:g}")
-    if len(cfg.eps_list) < 2:
-        raise ConfigError("eps_list needs at least two values")
-    if any(e <= 0 for e in cfg.eps_list):
-        raise ConfigError("eps_list values must be positive")
-    if any(b >= a for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
-        raise ConfigError("eps_list must be strictly decreasing")
-    if cfg.perturb <= 0:
-        raise ConfigError(f"perturb must be positive, got {cfg.perturb:g}")
-    if cfg.lam <= 1:
-        raise ConfigError(f"lam must exceed 1, got {cfg.lam:g}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
-    if not 0 < cfg.h_level < 0.5:
-        raise ConfigError(f"h_level must lie in (0, 1/2), got {cfg.h_level:g}")
-    if not 0 < cfg.theta < THETA_MAX:
-        raise ConfigError(f"theta must lie in (0, {THETA_MAX:g}), got {cfg.theta:g}")
-    if cfg.r <= 0:
-        raise ConfigError(f"r must be positive, got {cfg.r:g}")
-    if cfg.scenario == "kolmogorov_checks":
-        return cfg
-    # history-sized and level-sized ((nx + 1) x (ny + 1) floats) arrays a
-    # run holds at its peak, from peak-RSS growth: each count also covers
-    # the problems' (t, x) data, 5/(ny + 1) of a history per problem
-    count, levels = {
-        # the history and the estimate battery's full-volume temporaries;
-        # the weak quadrature's slab arrays and the march's per-step arrays
-        "exact_profile": (5, 144), "favorable_accel": (5, 144),
-        # one history per eps, the refinement proxy's doubled grid (8
-        # histories' worth) and the proxy's difference and its modulus; the
-        # per-step arrays of the doubled grid's march
-        "viscosity_sweep": (len(cfg.eps_list) + 11, 64),
-        # the base run, three perturbation families, and the L1 distance's
-        # difference and its modulus; the march's per-step arrays
-        "stability_perturb": (7, 16),
-        # the kept checkerboard run, a pinched rerun and its log transform
-        # (the current run is dropped before the rerun); the model march's
-        # per-step arrays and factored diagonals
-        "oscillation_lab": (3, 64),
-    }[cfg.scenario]
-    held = 8 * (cfg.nx + 1) * (cfg.ny + 1) * (count * (cfg.nt + 1) + levels)
-    if held > HISTORY_BYTES_BUDGET:
-        raise ConfigError(f"{cfg.scenario} grid {cfg.grid_label} needs {held:,} bytes for "
-                          f"{count} history-sized and {levels} level-sized arrays, over the "
-                          f"budget of {HISTORY_BYTES_BUDGET:,}")
-    return cfg
-
-
 def parse_config(text: str) -> RunConfig:
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -150,7 +156,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: cannot parse {key} = '{val}' ({exc})") from None
     if "scenario" not in values:
         raise ConfigError("missing required key 'scenario'")
-    return _validate(RunConfig(**values))
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:

@@ -57,17 +57,23 @@ def _staggered_mass(diff: np.ndarray, widths: float, cross: Sequence[np.ndarray]
     return float(np.sum(w))
 
 
-def _check_margin(margin: int, nx: int, ny: int) -> None:
+# cells the interior variants of the estimates strip from each side
+INTERIOR_MARGIN = 2
+
+
+def check_margin(margin: int, nx: int, ny: int) -> None:
     """Refuse an interior margin, in cells stripped from each side of the
-    x and y axes, that is negative or leaves no cell of an nx x ny grid."""
+    x and y axes, that is negative or leaves under 1 x 2 cells of an nx x ny
+    grid (the dyy measure's three-point stencil needs 3 y nodes)."""
     if margin < 0:
         raise ConfigError(f"interior margin must be nonnegative, got {margin}")
-    if 2 * margin >= min(nx, ny):
-        raise ConfigError(f"interior margin {margin} leaves no cells of the {nx} x {ny} grid")
+    if nx - 2 * margin < 1 or ny - 2 * margin < 2:
+        raise ConfigError(
+            f"interior margin {margin} leaves under 1 x 2 cells of the {nx} x {ny} grid")
 
 
 def _restrict(values, t, x, y, margin):
-    _check_margin(margin, x.size - 1, y.size - 1)
+    check_margin(margin, x.size - 1, y.size - 1)
     xs, ys = slice(margin, x.size - margin), slice(margin, y.size - margin)
     return values[:, xs, ys], t, x[xs], y[ys]
 
@@ -206,7 +212,7 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
     and gives the seven terms and their sum.
     """
     g = problem.grid
-    _check_margin(margin, g.nx, g.ny)
+    check_margin(margin, g.nx, g.ny)
     u = history.values
     t, x, y = history.t, history.x, history.y
     dt, dx, dy = np.diff(t).mean(), np.diff(x).mean(), np.diff(y).mean()

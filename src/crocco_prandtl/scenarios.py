@@ -1,13 +1,13 @@
 """Named laboratory experiments and the measurements they share with the
 acceptance criteria.
 
-Each runner takes a parsed run configuration and a SolveStore, builds its
-RunResult first, records each measurement's entries and verdicts in it,
-and returns it with its optional primary field and tables.  The RunResult
-is the run's one report; reporting renders it.  run_scenario gives every
-call a fresh store, so problems and solves are shared within one run and
-released when it returns.  Runners are registered in RUNNERS under the
-scenario names of config.SCENARIOS.
+Each runner takes a RunConfig, checked when it was made, and a SolveStore,
+builds its RunResult first, records each measurement's entries and verdicts
+in it, and returns it with its optional primary field and tables.  The
+RunResult is the run's one report; reporting renders it.  run_scenario
+gives every call a fresh store, so problems and solves are shared within
+one run and released when it returns.  Runners are registered in RUNNERS
+under the scenario names of config.SCENARIOS.
 
 The strip scenarios build their problem from one table, STRIP_PROBLEMS
 (problem builder and end time per scenario), which validate_scenario reads
@@ -30,7 +30,7 @@ from . import kolmogorov as ko
 from .crocco import (CroccoData, ValidationIssue, ValidationReport,
                      make_problem, pressure_gradient, validate)
 from .errors import ConfigError
-from .estimates import (l1_stability, physical_stability, trace_residual,
+from .estimates import (INTERIOR_MARGIN, l1_stability, physical_stability, trace_residual,
                         weak_residual, weighted_dyy_measure, weighted_grad_norms,
                         bv_seminorm, comparison_constant)
 from .flows import accelerating_flow, uniform_flow
@@ -207,11 +207,11 @@ def standard_estimates(result: RunResult, hist: FieldHistory, problem) -> dict:
     out = estimate_battery(hist)
     for key, value in out.items():
         result.add(key, value)
-    # interior variants (2-cell margin) expose how much the free outflow
-    # face contributes to each norm; published, never asserted small
-    for key, value in estimate_battery(hist, margin=2).items():
+    # interior variants expose how much the free outflow face contributes
+    # to each norm; published, never asserted small
+    for key, value in estimate_battery(hist, margin=INTERIOR_MARGIN).items():
         result.add(key, value, "interior")
-    result.add("weak_residual_sup", weak_residual(hist, problem, margin=2), "interior")
+    result.add("weak_residual_sup", weak_residual(hist, problem, INTERIOR_MARGIN), "interior")
     tr, weak, out["verdicts"] = weak_identity(hist, problem)
     result.add("trace_initial_sup", tr.initial_sup, "t=0")
     result.add("trace_top_sup", tr.outflow_top_sup, "y=1")
@@ -310,13 +310,6 @@ def model_oscillation(hist: FieldHistory) -> tuple:
     osc = ko.oscillation_table(hist)
     return osc, {"oscillation_decays": 0.0 < osc.beta_bar < 1.0,
                  "holder_positive": osc.alpha_holder > 0.0}
-
-
-def lab_coefficients(cfg) -> list:
-    """The coefficient fields the oscillation lab marches, at the configured
-    lam and seed; validate_scenario builds them through here too."""
-    return [ko.model_scenarios(kind, lam=cfg.lam, seed=cfg.seed)
-            for kind in ("constant", "checkerboard", "seeded-random")]
 
 
 def poincare_cutoff(theta: float):
@@ -454,7 +447,8 @@ def run_oscillation_lab(cfg, store: SolveStore) -> RunResult:
     # one run is alive at a time, and the current run is dropped before its
     # pinched rerun
     poincare_ratios = []
-    for coef in lab_coefficients(cfg):
+    for kind in ("constant", "checkerboard", "seeded-random"):
+        coef = ko.model_scenarios(kind, lam=cfg.lam, seed=cfg.seed)
         hist = ko.solve_model(coef, nx=cfg.nx, ny=cfg.ny, nt=cfg.nt)
         if coef.name.startswith("checkerboard"):
             result.history = hist
@@ -497,11 +491,7 @@ RUNNERS = {
 
 
 def run_scenario(cfg) -> RunResult:
-    try:
-        runner = RUNNERS[cfg.scenario]
-    except KeyError:
-        raise ConfigError(f"unknown scenario '{cfg.scenario}'") from None
-    return runner(cfg, SolveStore())
+    return RUNNERS[cfg.scenario](cfg, SolveStore())
 
 
 def _refused(exc: ConfigError) -> ValidationIssue:
@@ -513,9 +503,10 @@ def validate_scenario(cfg) -> ValidationReport:
 
     A strip scenario builds the problem its run would march and checks the
     structural hypotheses on it, then the transport stability bound at the
-    largest eps the run marches.  The model-operator scenarios check their
-    geometric and coefficient parameters, reported through the same issue
-    container.  A refused parameter is reported by its error message alone.
+    largest eps the run marches.  kolmogorov_checks checks its cutoff's
+    properties and oscillation_lab its model grid's transport stability,
+    through the same issue container; the config's ranges were checked when
+    it was made.  A refused parameter is reported by its error message alone.
     """
     if cfg.scenario in STRIP_PROBLEMS:
         problem = strip_problem(cfg, SolveStore())
@@ -536,14 +527,9 @@ def validate_scenario(cfg) -> ValidationReport:
                         f"cutoff property '{chk.name}'", (cfg.theta, cfg.r), chk.margin))
         except ConfigError as exc:
             issues.append(_refused(exc))
-    elif cfg.scenario == "oscillation_lab":
-        for check in (lambda: lab_coefficients(cfg),
-                      lambda: ko.model_axes(cfg.nx, cfg.nt, ko.MODEL_T0),
-                      lambda: poincare_cutoff(cfg.theta)):
-            try:
-                check()
-            except ConfigError as exc:
-                issues.append(_refused(exc))
-    else:
-        raise ConfigError(f"unknown scenario '{cfg.scenario}'")
+    else:  # oscillation_lab
+        try:
+            ko.model_axes(cfg.nx, cfg.nt, ko.MODEL_T0)
+        except ConfigError as exc:
+            issues.append(_refused(exc))
     return ValidationReport(issues=tuple(issues), c0=None)

@@ -2,8 +2,10 @@ import importlib.util
 import os
 import subprocess
 import sys
-from dataclasses import fields
+import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -108,15 +110,25 @@ def held_bytes(c):
     return 8 * (c.nx + 1) * (c.ny + 1) * (count * (c.nt + 1) + levels)
 
 
+def interior_fits(c):
+    """Whether the 2-cell interior margin of the estimate battery leaves at
+    least 1 x 2 cells of the grid of c, for the scenarios that publish it."""
+    return c.scenario not in ("exact_profile", "favorable_accel") or (
+        c.nx - 4 >= 1 and c.ny - 4 >= 2)
+
+
 def largest_nt(scenario, nx, ny):
-    """The largest nt whose run of scenario on nx x ny fits the budget."""
-    base = held_bytes(RunConfig(scenario, nx, ny, 0))
-    per_level = held_bytes(RunConfig(scenario, nx, ny, 1)) - base
-    return (HISTORY_BYTES_BUDGET - base) // per_level
+    """The largest nt whose run of scenario on nx x ny, with the default
+    eps_list, fits the budget."""
+    def held(nt):
+        return held_bytes(SimpleNamespace(scenario=scenario, nx=nx, ny=ny, nt=nt,
+                                          eps_list=RunConfig.eps_list))
+    return (HISTORY_BYTES_BUDGET - held(0)) // (held(1) - held(0))
 
 
+# plain values first: a RunConfig is only made from values that fit
 VALID_CONFIGS = st.builds(
-    RunConfig,
+    SimpleNamespace,
     scenario=st.sampled_from(SCENARIOS),
     nx=st.integers(4, 10**6),
     ny=st.integers(4, 10**6),
@@ -131,7 +143,8 @@ VALID_CONFIGS = st.builds(
     h_level=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
     theta=st.floats(0.0, THETA_MAX, exclude_min=True, exclude_max=True),
     r=POSITIVE,
-).filter(lambda c: held_bytes(c) <= HISTORY_BYTES_BUDGET)
+).filter(lambda c: held_bytes(c) <= HISTORY_BYTES_BUDGET and interior_fits(c)).map(
+    lambda c: RunConfig(**vars(c)))
 
 
 def _valid_eps_list(values) -> bool:
@@ -176,9 +189,13 @@ def test_config_text_round_trips(cfg):
 @settings(max_examples=200, deadline=None)
 @given(VALID_CONFIGS, OUT_OF_RANGE)
 def test_config_out_of_range_value_is_refused(cfg, bad):
+    # parsed or built in code, the value is refused with the same message
     key, value = bad
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as parsed:
         parse_config(config_text(cfg, **{key: value}))
+    with pytest.raises(ConfigError) as built:
+        replace(cfg, **{key: value})
+    assert str(built.value) == str(parsed.value)
 
 
 def test_import_leaves_sympy_and_scipy_integrate_unloaded():
@@ -379,6 +396,21 @@ def test_parse_config_refuses_a_strip_grid_over_the_memory_budget(tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+def test_a_config_built_in_code_is_refused_before_anything_is_allocated():
+    # a RunConfig made in code passes the guard a parsed one does; one
+    # history of this grid would take about 7.7 TB
+    tracemalloc.start()
+    try:
+        for scenario in SCENARIOS:
+            if scenario != "kolmogorov_checks":
+                with pytest.raises(ConfigError, match="over the budget"):
+                    RunConfig(scenario, 2000, 8000, 60000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_parse_config_budgets_the_level_sized_arrays():
     # at nt = 8 the weak quadrature's slab arrays outweigh the histories: the
     # largest exact_profile grid admitted at nx = 8 is just under the budget
@@ -404,6 +436,50 @@ def test_shipped_and_benchmark_configs_fit_the_memory_budget(monkeypatch):
     assert len(texts) == 11
     for text in texts:
         assert held_bytes(parse_config(text)) <= HISTORY_BYTES_BUDGET
+
+
+# configs at and just inside each refusal boundary: the grid minimum, the
+# estimates' interior margin, the memory budget, the strip and model CFL
+# guards, and the cutoff's theta range and slab radius
+BOUNDARY_CONFIGS = [
+    _strip("exact_profile", 5, 6, 8), _strip("exact_profile", 4, 6, 8),
+    _strip("exact_profile", 5, 5, 8), _strip("exact_profile", 64, 8, 53),
+    _strip("exact_profile", 64, 8, 54),
+    _strip("exact_profile", 64, 64, largest_nt("exact_profile", 64, 64) + 1),
+    _strip("favorable_accel", 5, 6, 8), _strip("favorable_accel", 4, 8, 8),
+    _strip("favorable_accel", 8, 5, 8),
+    _strip("viscosity_sweep", 4, 4, 8), _strip("viscosity_sweep", 3, 4, 8),
+    _strip("stability_perturb", 4, 4, 8), _strip("stability_perturb", 4, 3, 8),
+    "scenario = kolmogorov_checks\n", "scenario = kolmogorov_checks\nr = 1.2\n",
+    f"scenario = kolmogorov_checks\ntheta = {THETA_MAX!r}\n",
+    _lab(12, 8, 6), _lab(12, 8, 5), _lab(4, 4, 3),
+]
+
+
+def test_validate_agrees_with_run(tmp_path, capsys, monkeypatch):
+    # a config validate passes is one run accepts; validate refuses (exit 2)
+    # only what run refuses, and run refuses before any march only what
+    # validate refuses or reports FAILED (the CFL guards and the cutoff slab
+    # are reported as failed hypotheses, exit 1)
+    from crocco_prandtl import kolmogorov, solver
+
+    marches = []
+    for module, name in ((solver, "_advance"), (kolmogorov, "_factor_columns")):
+        step = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, step=step: marches.append(1) or step(*a))
+    for i, text in enumerate(BOUNDARY_CONFIGS):
+        cfg = write_cfg(tmp_path, text)
+        validated = main(["validate", "--config", cfg])
+        marches.clear()
+        ran = main(["run", "--config", cfg, "--out", str(tmp_path / f"o{i}")])
+        capsys.readouterr()
+        assert 4 not in (validated, ran), text
+        if validated == 0:
+            assert ran in (0, 1), text
+        if validated == 2:
+            assert ran == 2, text
+        if ran == 2:
+            assert validated in (1, 2) and not marches, text
 
 
 def test_cli_numerical_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -424,19 +424,27 @@ def test_interior_margin_too_large_rejected():
 
 def test_interior_margin_is_checked_alike_by_every_functional():
     # a negative margin once returned numbers (the weak residual 4x its
-    # margin-0 value, zero gradient norms) or raised numpy errors
-    h = grid_history(lambda t, x, y: 1.0 - y, nt=4, nx=8, ny=12)
-    prob = linear_problem(GridSpec(nx=8, ny=12, nt=4))
-    functionals = (bv_seminorm,
-                   lambda hh, margin: weighted_grad_norms(hh, 1.0, margin)[0],
-                   lambda hh, margin: weighted_dyy_measure(hh, 1.0, margin),
-                   lambda hh, margin: weak_residual(hh, prob, margin))
+    # margin-0 value, zero gradient norms) or raised numpy errors, and a
+    # margin leaving one y cell overran the dyy measure's three-point stencil
+    def grid(nx, ny):
+        return (grid_history(lambda t, x, y: 1.0 - y, nt=4, nx=nx, ny=ny),
+                linear_problem(GridSpec(nx=nx, ny=ny, nt=4)))
+
+    functionals = (lambda hh, pp, margin: bv_seminorm(hh, margin),
+                   lambda hh, pp, margin: weighted_grad_norms(hh, 1.0, margin)[0],
+                   lambda hh, pp, margin: weighted_dyy_measure(hh, 1.0, margin),
+                   lambda hh, pp, margin: weak_residual(hh, pp, margin))
+    h, prob = grid(8, 12)
+    h_low, prob_low = grid(16, 9)
     for fn in functionals:
-        for margin, message in ((-1, "nonnegative"), (4, "leaves no cells"), (6, "leaves no cells")):
+        for margin, message in ((-1, "nonnegative"), (4, "leaves under"), (6, "leaves under")):
             with pytest.raises(ConfigError, match=message):
-                fn(h, margin=margin)
+                fn(h, prob, margin)
+        # 4 cells off each side of the 16 x 9 grid leave 8 x 1
+        with pytest.raises(ConfigError, match="leaves under 1 x 2 cells"):
+            fn(h_low, prob_low, 4)
         # 3 cells off each side of the 8 x 12 grid leave 2 x 6
-        assert np.isfinite(fn(h, margin=3))
+        assert np.isfinite(fn(h, prob, 3))
 
 
 # ---------------------------------------------------------------------------
