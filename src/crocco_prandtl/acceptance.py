@@ -277,6 +277,8 @@ class AcceptanceEngine:
         numbers = list(range(1, 13) if numbers is None else numbers)
         if not numbers:
             raise ConfigError("no criteria requested")
+        if len(set(numbers)) < len(numbers):
+            raise ConfigError(f"criterion numbers must not repeat, got {numbers}")
         methods = []
         for i in numbers:
             method = getattr(self, f"criterion_{i}", None)
@@ -302,17 +304,14 @@ class AcceptanceEngine:
 
 
 def parse_suite(text: str):
+    """'full' or comma-separated criterion numbers; AcceptanceEngine.run
+    checks the numbers."""
     if text == "full":
         return list(range(1, 13))
     try:
-        numbers = [int(p) for p in text.split(",") if p.strip()]
+        return [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ConfigError(f"suite must be 'full' or criterion numbers, got '{text}'") from None
-    if not numbers or any(i < 1 or i > 12 for i in numbers):
-        raise ConfigError(f"criterion numbers must lie in 1..12, got '{text}'")
-    if len(set(numbers)) < len(numbers):
-        raise ConfigError(f"criterion numbers must not repeat, got '{text}'")
-    return numbers
 
 
 def run_acceptance(numbers=None, out_dir=None) -> AcceptanceReport:

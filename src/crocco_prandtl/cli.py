@@ -2,14 +2,15 @@
 
 Verbs:
     run         execute a configured scenario and write its artifacts
-    validate    check a configuration, its data hypotheses and its grid
-                stability bounds, no solves
+    validate    check the paper's hypotheses on a configuration's data, no
+                solves; an input run would refuse is refused the same way
     acceptance  run the acceptance checklist (all criteria or a subset)
     version     print the package version
 
-Exit codes: 0 success, 1 a verdict or criterion failed, 2 configuration
-error, 3 numerical failure during a run, 4 internal error (any other
-exception, reported with its traceback on stderr).
+Exit codes: 0 success, 1 a verdict, hypothesis or criterion failed, 2
+configuration error (an input that cannot run, under either verb), 3
+numerical failure during a run, 4 internal error (any other exception,
+reported with its traceback on stderr).
 """
 
 import argparse

@@ -5,9 +5,12 @@ are the fields of RunConfig, each parsed by its field's type, and every
 float must be finite; unknown or duplicated keys are rejected with the
 offending line number so configs stay honest.  A RunConfig checks its
 values when it is made, parsed or built (dataclasses.replace too): their
-ranges, the estimates' interior margin, and a grid whose run would hold
-more than HISTORY_BYTES_BUDGET in history- and level-sized arrays at its
-peak, refused before anything is allocated.
+ranges, r's cutoff slab inside the unit box, the estimates' interior
+margin, a grid whose run would hold more than HISTORY_BYTES_BUDGET in
+history- and level-sized arrays at its peak (refused before anything is
+allocated), and the model grid's transport stability.  Every input a run
+would refuse before marching is refused here, so `validate` and `run`
+refuse alike; only the strip CFL guard needs the built problem.
 """
 
 import math
@@ -16,6 +19,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .estimates import INTERIOR_MARGIN, check_margin
+from .kolmogorov import MODEL_T0, SLAB_BETA, THETA_MAX, model_axes
 
 SCENARIOS = (
     "exact_profile",
@@ -25,8 +29,6 @@ SCENARIOS = (
     "kolmogorov_checks",
     "oscillation_lab",
 )
-
-THETA_MAX = 2.0**-6
 
 # bytes the history-sized and level-sized arrays a run holds at its peak may
 # take: a strip history is (nt + 1) x (nx + 1) x (ny + 1) floats, and so is
@@ -80,8 +82,9 @@ class RunConfig:
             raise ConfigError(f"h_level must lie in (0, 1/2), got {self.h_level:g}")
         if not 0 < self.theta < THETA_MAX:
             raise ConfigError(f"theta must lie in (0, {THETA_MAX:g}), got {self.theta:g}")
-        if self.r <= 0:
-            raise ConfigError(f"r must be positive, got {self.r:g}")
+        if not (0 < self.r and SLAB_BETA * self.r <= 1):
+            # the exact test the cutoff's density slab Box(SLAB_BETA r) makes
+            raise ConfigError(f"r must lie in (0, 1/{SLAB_BETA:g}], got {self.r!r}")
         if self.scenario in ("exact_profile", "favorable_accel"):
             # the interior variants of standard_estimates
             check_margin(INTERIOR_MARGIN, self.nx, self.ny)
@@ -111,6 +114,8 @@ class RunConfig:
             raise ConfigError(f"{self.scenario} grid {self.grid_label} needs {held:,} bytes for "
                               f"{count} history-sized and {levels} level-sized arrays, over the "
                               f"budget of {HISTORY_BYTES_BUDGET:,}")
+        if self.scenario == "oscillation_lab":
+            model_axes(self.nx, self.nt, MODEL_T0)
 
     @property
     def grid_label(self) -> str:

@@ -58,16 +58,13 @@ class CroccoData:
 
 @dataclass(frozen=True)
 class ValidationIssue:
-    """A hypothesis violated at a location, with the offending value; or a
-    refused parameter (no location, no value), whose message stands alone."""
+    """A hypothesis violated at a location, with the offending value."""
 
     condition: str
     location: tuple
-    value: Optional[float]
+    value: float
 
     def __str__(self):
-        if not self.location:
-            return self.condition
         loc = ", ".join(f"{v:.6g}" for v in self.location)
         return f"{self.condition} violated at ({loc}): value {self.value:.6g}"
 

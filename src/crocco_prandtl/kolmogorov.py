@@ -8,16 +8,16 @@ below this is the unique normalization with unit mass and vanishing
 operator residual, and the unit checks enforce both.
 
 On top of the kernel sit the geometric ingredients of the regularity
-argument: anisotropic past boxes and slabs (every past-box lattice comes
-from Box), the two-factor smooth cutoff (CutoffSpec, which also evaluates it)
-with its five certified pointwise properties, logarithmic subsolution
-transforms, a mean-value functional computed by kernel-adapted quadrature
-(its drift term alone: the wall-normal term is exactly 0 on the lattice of
-every admissible cutoff, see mean_value), and measured weak-Poincare /
-density / oscillation functionals.  A small rough-coefficient solver
-produces the fields those functionals are measured on; model_axes decides
-the stability of its grid, for solve_model and for config validation
-alike.
+argument: anisotropic past boxes and slabs (every box and slab lattice
+comes from Box), the two-factor smooth cutoff (CutoffSpec, which also
+evaluates it) with its five certified pointwise properties, logarithmic
+subsolution transforms, a mean-value functional computed by
+kernel-adapted quadrature (its drift term alone: the wall-normal term is
+exactly 0 on the lattice of every admissible cutoff, see mean_value), and
+measured weak-Poincare / density / oscillation functionals.  A small
+rough-coefficient solver produces the fields those functionals are
+measured on; model_axes decides the stability of its grid, for
+solve_model and for RunConfig alike.
 
 Quadrature sizes, slab proportions, box radii and grid sizes (LEMMA_NODES,
 DENSITY_R and MODEL_GRID among them) are module constants, so every caller
@@ -32,7 +32,6 @@ from typing import Callable, List, Optional
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .config import THETA_MAX
 from .errors import ConfigError, NumericalError
 from .grids import CFL_SAFETY, FieldHistory, trapezoid_weights
 from .parallel import fork_map
@@ -134,25 +133,19 @@ def normalization(s: float) -> float:
 
 @dataclass(frozen=True)
 class Box:
-    """Anisotropic box at the origin: |x| < r^3, |y| < r, and for the
-    "past" kind t in (-r^2, 0]; the "slab" kind has no time axis."""
+    """Anisotropic past box at the origin: |x| < r^3, |y| < r and
+    t in (-r^2, 0]."""
 
     r: float
-    kind: str
 
     def __post_init__(self):
         if not 0 < self.r <= 1:
             raise ConfigError(f"box radius must lie in (0, 1], got {self.r}")
-        if self.kind not in ("past", "slab"):
-            raise ConfigError(f"unknown box kind '{self.kind}'")
 
     def lattice(self, n: int):
-        """Node lattice (x, y[, t]) spanning the closed box."""
-        xs = np.linspace(-self.r**3, self.r**3, n)
-        ys = np.linspace(-self.r, self.r, n)
-        if self.kind == "slab":
-            return xs, ys
-        return xs, ys, np.linspace(-self.r**2, 0.0, n)
+        """Node lattice (x, y, t) spanning the closed box."""
+        return (np.linspace(-self.r**3, self.r**3, n), np.linspace(-self.r, self.r, n),
+                np.linspace(-self.r**2, 0.0, n))
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +161,11 @@ def _smoothstep_d1(s):
     # +0.0 outside (0, 1): the clipped polynomial vanishes at both ends
     sc = np.clip(s, 0.0, 1.0)
     return 30.0 * sc**2 * (1.0 - sc) ** 2
+
+
+# The cutoff's sharpness theta lies in (0, THETA_MAX), checked here and by
+# RunConfig: mean_value's band term and LEMMA_ALPHA1 rest on theta < 2^-6.
+THETA_MAX = 2.0**-6
 
 
 @dataclass(frozen=True)
@@ -285,7 +283,7 @@ def verify_lemma(spec: CutoffSpec) -> LemmaReport:
                              float(np.max(expr))))
 
     # plateau on the small past box
-    XB, YB, TB = np.meshgrid(*Box(theta * r, "past").lattice(n), indexing="ij")
+    XB, YB, TB = np.meshgrid(*Box(theta * r).lattice(n), indexing="ij")
     plateau_min = float(np.min(spec.phi(XB, YB, TB)))
     checks.append(LemmaCheck("plateau", bool(plateau_min >= 1.0 - LEMMA_TOL), plateau_min))
 
@@ -297,7 +295,7 @@ def verify_lemma(spec: CutoffSpec) -> LemmaReport:
     checks.append(LemmaCheck("support", bool(leak <= LEMMA_TOL), leak))
 
     # the measurement slab sits inside the support
-    sx, sy = Box(SLAB_BETA * r, "slab").lattice(n)
+    sx, sy = Box(SLAB_BETA * r).lattice(n)[:2]
     ts3 = np.linspace(-LEMMA_ALPHA1 * r**2, 0.0, n)
     X3, Y3, T3 = np.meshgrid(sx, sy, ts3, indexing="ij")
     slab_min = float(np.min(spec.phi(X3, Y3, T3)))
@@ -444,7 +442,7 @@ def mean_value(w_field, spec: CutoffSpec, nz: int = 9) -> MeanValueReport:
     """
     if nz < 1:
         raise ConfigError(f"the mean-value lattice needs at least one node per axis, got {nz}")
-    zs, ys, ts = Box(spec.theta * spec.r, "past").lattice(nz)
+    zs, ys, ts = Box(spec.theta * spec.r).lattice(nz)
     for n in (MEAN_ETA_NODES, MEAN_XI_NODES):
         _gauss(np.polynomial.hermite.hermgauss, n)  # made once here, workers inherit them
 
@@ -497,10 +495,10 @@ def weak_poincare_ratio(w_field, spec: CutoffSpec) -> PoincareReport:
     i0 = mean_value(w_field, spec).i0
     lhs = _box_integral(
         lambda tq, xq, yq: np.maximum(w_field.sample(tq, xq, yq) - i0, 0.0) ** 2,
-        Box(r * theta, "past"), POINCARE_SMALL_NODES)
+        Box(r * theta), POINCARE_SMALL_NODES)
     rhs_raw = _box_integral(
         lambda tq, xq, yq: w_field.sample_dy(tq, xq, yq) ** 2,
-        Box(r / theta, "past"), POINCARE_WIDE_NODES)
+        Box(r / theta), POINCARE_WIDE_NODES)
     rhs = theta**2 * r**2 * rhs_raw
     vacuous = rhs <= POINCARE_TINY and lhs <= POINCARE_TINY
     hard = rhs <= POINCARE_TINY < lhs
@@ -545,7 +543,7 @@ def density_ratio(u_field, h: float, normalize: bool = False) -> DensityReport:
     The slab ratio at level h is also the first entry of the h-certificate,
     which adds the levels h/2 and h/4.
     """
-    X, Y, T = np.meshgrid(*Box(DENSITY_R, "past").lattice(DENSITY_NODES), indexing="ij")
+    X, Y, T = np.meshgrid(*Box(DENSITY_R).lattice(DENSITY_NODES), indexing="ij")
     vals = u_field.sample(T, X, Y)
     scale = 1.0
     if normalize:
@@ -558,7 +556,7 @@ def density_ratio(u_field, h: float, normalize: bool = False) -> DensityReport:
                              rows=[], ratio=float("nan"), verdict=None,
                              h_certificate={})
 
-    sx, sy = Box(SLAB_BETA * DENSITY_R, "slab").lattice(DENSITY_NODES)
+    sx, sy = Box(SLAB_BETA * DENSITY_R).lattice(DENSITY_NODES)[:2]
     SX, SY = np.meshgrid(sx, sy, indexing="ij")
     t_samples = np.linspace(-SLAB_ALPHA * DENSITY_R**2, 0.0, DENSITY_TIMES)
 
@@ -607,7 +605,7 @@ OSC_NODES = 17
 
 
 def _box_oscillation(u_field, r: float) -> float:
-    X, Y, T = np.meshgrid(*Box(r, "past").lattice(OSC_NODES), indexing="ij")
+    X, Y, T = np.meshgrid(*Box(r).lattice(OSC_NODES), indexing="ij")
     vals = u_field.sample(T, X, Y)
     return float(np.max(vals) - np.min(vals))
 
@@ -716,7 +714,7 @@ def model_axes(nx: int, nt: int, t0: float) -> tuple:
     """Time and streamwise nodes (t, x) of a model run: nt steps from t0 to
     0 and nx periodic cells on [-1, 1).  A past window (t0 < 0) and stable
     upwind transport, dt <= CFL_SAFETY dx, are required; solve_model and
-    config validation both decide through here."""
+    RunConfig both decide through here."""
     if t0 >= 0:
         raise ConfigError("model runs march a past window, t0 < 0")
     x = np.linspace(-1.0, 1.0, nx, endpoint=False)

@@ -29,7 +29,6 @@ import numpy as np
 from . import kolmogorov as ko
 from .crocco import (CroccoData, ValidationIssue, ValidationReport,
                      make_problem, pressure_gradient, validate)
-from .errors import ConfigError
 from .estimates import (INTERIOR_MARGIN, l1_stability, physical_stability, trace_residual,
                         weak_residual, weighted_dyy_measure, weighted_grad_norms,
                         bv_seminorm, comparison_constant)
@@ -494,42 +493,24 @@ def run_scenario(cfg) -> RunResult:
     return RUNNERS[cfg.scenario](cfg, SolveStore())
 
 
-def _refused(exc: ConfigError) -> ValidationIssue:
-    return ValidationIssue(str(exc), (), None)
-
-
 def validate_scenario(cfg) -> ValidationReport:
-    """Admissibility of a configuration's data and parameters, no solves.
+    """The paper's structural hypotheses on a configuration's data, no solves.
 
-    A strip scenario builds the problem its run would march and checks the
-    structural hypotheses on it, then the transport stability bound at the
-    largest eps the run marches.  kolmogorov_checks checks its cutoff's
-    properties and oscillation_lab its model grid's transport stability,
-    through the same issue container; the config's ranges were checked when
-    it was made.  A refused parameter is reported by its error message alone.
+    A strip scenario builds the problem its run would march, passes the
+    solver's transport stability guard at the largest eps the run marches
+    (which raises ConfigError, as it does inside solve) and checks the
+    hypotheses on it; kolmogorov_checks checks its cutoff's properties.
+    Every other input a run refuses was refused when the config was made.
     """
     if cfg.scenario in STRIP_PROBLEMS:
         problem = strip_problem(cfg, SolveStore())
-        report = validate(problem)
         eps = cfg.eps_list[0] if cfg.scenario == "viscosity_sweep" else cfg.eps
-        try:
-            check_cfl(problem, problem.grid, eps)
-        except ConfigError as exc:
-            return ValidationReport(issues=report.issues + (_refused(exc),), c0=report.c0)
-        return report
-
+        check_cfl(problem, problem.grid, eps)
+        return validate(problem)
     issues = []
     if cfg.scenario == "kolmogorov_checks":
-        try:
-            for chk in ko.verify_lemma(ko.CutoffSpec(r=cfg.r, theta=cfg.theta)).checks:
-                if not chk.passed:
-                    issues.append(ValidationIssue(
-                        f"cutoff property '{chk.name}'", (cfg.theta, cfg.r), chk.margin))
-        except ConfigError as exc:
-            issues.append(_refused(exc))
-    else:  # oscillation_lab
-        try:
-            ko.model_axes(cfg.nx, cfg.nt, ko.MODEL_T0)
-        except ConfigError as exc:
-            issues.append(_refused(exc))
+        for chk in ko.verify_lemma(ko.CutoffSpec(r=cfg.r, theta=cfg.theta)).checks:
+            if not chk.passed:
+                issues.append(ValidationIssue(
+                    f"cutoff property '{chk.name}'", (cfg.theta, cfg.r), chk.margin))
     return ValidationReport(issues=tuple(issues), c0=None)

@@ -108,23 +108,30 @@ def test_criterion_12_determinism(engine, results):
 
 
 def test_parse_suite_accepts_full_and_lists():
+    # parse_suite only parses; AcceptanceEngine.run checks the numbers
     assert parse_suite("full") == list(range(1, 13))
     assert parse_suite("1,4,7") == [1, 4, 7]
-    with pytest.raises(ConfigError):
-        parse_suite("0,5")
+    assert parse_suite("0,5") == [0, 5]
+    assert parse_suite("") == []
     with pytest.raises(ConfigError):
         parse_suite("nope")
-    with pytest.raises(ConfigError):
-        parse_suite("")
+    with pytest.raises(ConfigError, match="no criterion numbered 0"):
+        AcceptanceEngine().run(parse_suite("0,5"))
+    with pytest.raises(ConfigError, match="no criteria requested"):
+        AcceptanceEngine().run(parse_suite(""))
 
 
-def test_parse_suite_refuses_a_repeated_number(capsys):
-    # a repeated number would run its criterion twice and write two rows
-    with pytest.raises(ConfigError, match="must not repeat"):
-        parse_suite("1,1,7")
-    with mock.patch("crocco_prandtl.acceptance.run_acceptance") as run:
+def test_parse_suite_refuses_a_repeated_number(stand_ins, capsys):
+    # a repeated number would run its criterion twice and write two rows; run
+    # refuses it before any fork, and the command line exits 2
+    stand_ins.setattr(AcceptanceEngine, "criterion_7", _raising(AssertionError("ran")))
+    with _cores(2), mock.patch.object(parallel.os, "fork") as fork:
+        with pytest.raises(ConfigError, match="must not repeat"):
+            AcceptanceEngine().run([8, 8])
+        with pytest.raises(ConfigError, match="must not repeat"):
+            run_acceptance(numbers=parse_suite("1,1,7"))
         assert main(["acceptance", "--suite", "7, 8,7"]) == 2
-    run.assert_not_called()
+    fork.assert_not_called()
     assert "must not repeat" in capsys.readouterr().err
 
 

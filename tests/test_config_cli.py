@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -16,9 +17,10 @@ import crocco_prandtl
 from crocco_prandtl import scenarios
 from crocco_prandtl._version import __version__
 from crocco_prandtl.cli import main
-from crocco_prandtl.config import (HISTORY_BYTES_BUDGET, SCENARIOS, THETA_MAX, RunConfig,
-                                   load_config, parse_config)
+from crocco_prandtl.config import (HISTORY_BYTES_BUDGET, SCENARIOS, RunConfig, load_config,
+                                   parse_config)
 from crocco_prandtl.errors import ConfigError, NumericalError
+from crocco_prandtl.kolmogorov import MODEL_T0, SLAB_BETA, THETA_MAX, model_axes
 from crocco_prandtl.reporting import fmt
 
 TINY_EXACT = """
@@ -117,6 +119,25 @@ def interior_fits(c):
         c.nx - 4 >= 1 and c.ny - 4 >= 2)
 
 
+def model_grid_stable(c):
+    """Whether model_axes admits the model grid of c, for the scenario that
+    marches one."""
+    if c.scenario != "oscillation_lab":
+        return True
+    try:
+        model_axes(c.nx, c.nt, MODEL_T0)
+    except ConfigError:
+        return False
+    return True
+
+
+# the largest r whose cutoff slab Box(SLAB_BETA r) fits the unit box, and
+# the next float up
+R_MAX = 1 / SLAB_BETA
+R_OVER = math.nextafter(R_MAX, math.inf)
+assert SLAB_BETA * R_MAX <= 1 < SLAB_BETA * R_OVER
+
+
 def largest_nt(scenario, nx, ny):
     """The largest nt whose run of scenario on nx x ny, with the default
     eps_list, fits the budget."""
@@ -142,9 +163,9 @@ VALID_CONFIGS = st.builds(
     seed=st.integers(0, 2**63),
     h_level=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
     theta=st.floats(0.0, THETA_MAX, exclude_min=True, exclude_max=True),
-    r=POSITIVE,
-).filter(lambda c: held_bytes(c) <= HISTORY_BYTES_BUDGET and interior_fits(c)).map(
-    lambda c: RunConfig(**vars(c)))
+    r=st.one_of(st.just(R_MAX), st.floats(0.0, R_MAX, exclude_min=True)),
+).filter(lambda c: held_bytes(c) <= HISTORY_BYTES_BUDGET and interior_fits(c)
+         and model_grid_stable(c)).map(lambda c: RunConfig(**vars(c)))
 
 
 def _valid_eps_list(values) -> bool:
@@ -160,6 +181,7 @@ OUT_OF_RANGE = st.one_of(
     st.tuples(st.just("seed"), st.integers(max_value=-1)),
     st.tuples(st.just("h_level"), st.one_of(at_or_below(0.0), at_or_above(0.5))),
     st.tuples(st.just("theta"), st.one_of(at_or_below(0.0), at_or_above(THETA_MAX))),
+    st.tuples(st.just("r"), at_or_above(R_OVER)),
     st.tuples(st.just("eps_list"), st.lists(FINITE, min_size=1, max_size=4).filter(
         lambda v: not _valid_eps_list(v)).map(tuple)),
 )
@@ -284,31 +306,32 @@ def test_cli_validate_passes_clean_config(tmp_path, capsys):
     assert "validation = PASSED" in capsys.readouterr().out
 
 
+def _refused_alike(tmp_path, capsys, text, message):
+    """Both verbs refuse the config text with exit 2 and the one stderr line
+    'configuration error: message', and neither prints a report."""
+    cfg = write_cfg(tmp_path, text)
+    for argv in (["validate", "--config", cfg],
+                 ["run", "--config", cfg, "--out", str(tmp_path / "o")]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == f"configuration error: {message}\n", argv
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_validate_fails_unstable_model_grid(tmp_path, capsys):
-    # model time step dt = 0.75/nt exceeds 0.9 dx = 1.8/nx for this pairing
-    cfg = write_cfg(tmp_path, "scenario = oscillation_lab\nnx = 64\nny = 64\nnt = 16\n")
-    assert main(["validate", "--config", cfg]) == 1
-    out = capsys.readouterr().out
-    # a refused parameter prints its message alone, with no location or value
-    assert out.splitlines() == [
-        "transport stability needs dt <= 0.9 dx: dt=0.046875, dx=0.03125",
-        "validation = FAILED",
-    ]
-    assert "nan" not in out
+    # model time step dt = 0.75/nt exceeds 0.9 dx = 1.8/nx for this pairing,
+    # refused when the config is made
+    _refused_alike(tmp_path, capsys, _lab(64, 64, 16),
+                   "transport stability needs dt <= 0.9 dx: dt=0.046875, dx=0.03125")
 
 
 def test_cli_validate_fails_unstable_strip_grid(tmp_path, capsys):
-    # dt = 0.75/4 is far above the transport bound 0.9 dx / (1 + eps); run exits 2
-    cfg = write_cfg(tmp_path, "scenario = exact_profile\nnx = 64\nny = 16\nnt = 4\n")
-    assert main(["validate", "--config", cfg]) == 1
-    out = capsys.readouterr().out
-    assert out.splitlines() == [
-        "time step violates the transport stability bound: cfl_x=12.012, cfl_y=0.000 "
-        "(limit 0.9)",
-        "validation = FAILED",
-    ]
-    assert "nan" not in out
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    # dt = 0.75/4 is far above the transport bound 0.9 dx / (1 + eps), refused
+    # by the solver's guard on the built problem
+    _refused_alike(tmp_path, capsys, _strip("exact_profile", 64, 16, 4),
+                   "time step violates the transport stability bound: cfl_x=12.012, "
+                   "cfl_y=0.000 (limit 0.9)")
 
 
 @pytest.mark.parametrize("name", ["kolmogorov_checks", "oscillation_lab"])
@@ -451,35 +474,44 @@ BOUNDARY_CONFIGS = [
     _strip("viscosity_sweep", 4, 4, 8), _strip("viscosity_sweep", 3, 4, 8),
     _strip("stability_perturb", 4, 4, 8), _strip("stability_perturb", 4, 3, 8),
     "scenario = kolmogorov_checks\n", "scenario = kolmogorov_checks\nr = 1.2\n",
+    f"scenario = kolmogorov_checks\nr = {R_MAX!r}\n",
+    f"scenario = kolmogorov_checks\nr = {R_OVER!r}\n",
     f"scenario = kolmogorov_checks\ntheta = {THETA_MAX!r}\n",
     _lab(12, 8, 6), _lab(12, 8, 5), _lab(4, 4, 3),
 ]
 
 
 def test_validate_agrees_with_run(tmp_path, capsys, monkeypatch):
-    # a config validate passes is one run accepts; validate refuses (exit 2)
-    # only what run refuses, and run refuses before any march only what
-    # validate refuses or reports FAILED (the CFL guards and the cutoff slab
-    # are reported as failed hypotheses, exit 1)
+    # a config validate passes is one run accepts; the two verbs refuse
+    # (exit 2) the same configs with the same stderr line, before any march,
+    # and validate's exit 1 is left to a failed hypothesis
     from crocco_prandtl import kolmogorov, solver
 
     marches = []
     for module, name in ((solver, "_advance"), (kolmogorov, "_factor_columns")):
         step = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, step=step: marches.append(1) or step(*a))
+    refused = []
     for i, text in enumerate(BOUNDARY_CONFIGS):
         cfg = write_cfg(tmp_path, text)
-        validated = main(["validate", "--config", cfg])
         marches.clear()
+        validated = main(["validate", "--config", cfg])
+        validate_err = capsys.readouterr().err
         ran = main(["run", "--config", cfg, "--out", str(tmp_path / f"o{i}")])
-        capsys.readouterr()
+        run_err = capsys.readouterr().err
         assert 4 not in (validated, ran), text
+        assert (validated == 2) == (ran == 2), text
         if validated == 0:
             assert ran in (0, 1), text
-        if validated == 2:
-            assert ran == 2, text
         if ran == 2:
-            assert validated in (1, 2) and not marches, text
+            assert validate_err == run_err, text
+            assert validate_err.startswith("configuration error:"), text
+            assert validate_err.count("\n") == 1, text
+            assert not marches, text
+            refused.append(text)
+    assert {_strip("exact_profile", 64, 8, 53), _lab(12, 8, 5), _lab(4, 4, 3),
+            "scenario = kolmogorov_checks\nr = 1.2\n",
+            f"scenario = kolmogorov_checks\nr = {R_OVER!r}\n"} <= set(refused)
 
 
 def test_cli_numerical_error_exits_3(tmp_path, capsys, monkeypatch):

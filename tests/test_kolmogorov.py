@@ -96,20 +96,19 @@ def test_kernel_residual_branches():
 
 
 def test_box_lattice():
-    xs, ys, ts = ko.Box(0.5, "past").lattice(5)
+    xs, ys, ts = ko.Box(0.5).lattice(5)
     assert xs[0] == -0.125 and xs[-1] == 0.125
-    assert ys[0] == -0.5 and ts[-1] == 0.0
-    sx, sy = ko.Box(0.5, "slab").lattice(5)
-    assert sx.shape == (5,) and sy.shape == (5,)
+    assert ys[0] == -0.5 and ts[0] == -0.25 and ts[-1] == 0.0
+    assert xs.shape == ys.shape == ts.shape == (5,)
 
 
 def test_box_validation():
     with pytest.raises(ConfigError):
-        ko.Box(0.0, "past")
+        ko.Box(0.0)
     with pytest.raises(ConfigError):
-        ko.Box(2.0, "slab")
-    with pytest.raises(ConfigError):
-        ko.Box(0.5, "full")
+        ko.Box(2.0)
+    # the cutoff slab's radius at the largest admissible r
+    assert ko.Box(ko.SLAB_BETA * (1 / ko.SLAB_BETA)).r == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +345,7 @@ def test_mean_value_kernel_matches_per_point_reference(field):
     cut = ko.CutoffSpec(r=1.0, theta=0.01)
     rep = ko.mean_value(field, cut, nz=3)
     # mean_value walks the past-box lattice with t slowest, then x, then y
-    xs, ys, ts = ko.Box(cut.theta * cut.r, "past").lattice(3)
+    xs, ys, ts = ko.Box(cut.theta * cut.r).lattice(3)
     T, X, Y = np.meshgrid(ts, xs, ys, indexing="ij")
     ref = np.array([reference_mean_value_at(field, cut, z)
                     for z in zip(X.ravel(), Y.ravel(), T.ravel())])
@@ -382,7 +381,7 @@ def test_mean_value_band_term_vanishes_on_admissible_lattices(r, theta):
     field = AnalyticField(lambda t, x, y: 1.0 + np.asarray(y, float) + np.asarray(t, float))
     nz = 9 if (r, theta) == (0.8 * 0.01, 0.01) else 3
     rep = ko.mean_value(field, cut, nz=nz)
-    xs, ys, ts = ko.Box(cut.theta * cut.r, "past").lattice(nz)
+    xs, ys, ts = ko.Box(cut.theta * cut.r).lattice(nz)
     T, X, Y = np.meshgrid(ts, xs, ys, indexing="ij")
     ref = np.array([reference_mean_value_at(field, cut, z)
                     for z in zip(X.ravel(), Y.ravel(), T.ravel())])

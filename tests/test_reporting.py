@@ -143,7 +143,7 @@ def _run_mean_value(directory):
 
 def _fail_mean_value(failing_start, failure):
     real = ko._mean_value_level
-    ts = ko.Box(MEAN_CUT.theta * MEAN_CUT.r, "past").lattice(5)[2]
+    ts = ko.Box(MEAN_CUT.theta * MEAN_CUT.r).lattice(5)[2]
 
     def level(w_field, spec, t, xs, ys):
         if t == ts[failing_start]:

@@ -106,31 +106,40 @@ def test_validate_scenario_verdicts():
     assert validate_scenario(RunConfig(scenario="exact_profile")).ok
     assert validate_scenario(RunConfig(scenario="favorable_accel")).ok
     assert validate_scenario(RunConfig(scenario="kolmogorov_checks")).ok
-    bad = validate_scenario(RunConfig(scenario="oscillation_lab", nx=64, nt=16))
-    assert not bad.ok
+    lab = validate_scenario(RunConfig(scenario="oscillation_lab"))
+    assert lab.ok and lab.c0 is None
+    # an unstable model grid is refused when its config is made, not reported
+    with pytest.raises(ConfigError, match="transport stability"):
+        RunConfig(scenario="oscillation_lab", nx=64, nt=16)
+
+
+def _refusal(call):
+    """The message of the ConfigError call raises, or None if it returns."""
+    try:
+        call()
+    except ConfigError as exc:
+        return str(exc)
+    return None
 
 
 def test_model_grid_stability_decided_once():
-    # validation flags the model grid exactly when the model solver refuses
-    # it; these pairs sit on both sides of dt <= 0.9 dx, some at equality
+    # RunConfig refuses the model grid exactly when the model solver refuses
+    # it, with its message; these pairs sit on both sides of dt <= 0.9 dx,
+    # some at equality
     outcomes = []
     for nx, nt in ((12, 5), (48, 20), (60, 25), (144, 60), (192, 80)):
-        report = validate_scenario(RunConfig(scenario="oscillation_lab", nx=nx, ny=8, nt=nt))
-        flagged = any("transport stability" in issue.condition for issue in report.issues)
-        try:
-            ko.solve_model(ko.model_scenarios("constant"), nx=nx, ny=8, nt=nt)
-            refused = False
-        except ConfigError:
-            refused = True
-        assert flagged == refused, (nx, nt)
-        assert report.ok == (not refused), (nx, nt)
-        outcomes.append(refused)
+        made = _refusal(lambda: RunConfig(scenario="oscillation_lab", nx=nx, ny=8, nt=nt))
+        refused = _refusal(lambda: ko.solve_model(ko.model_scenarios("constant"),
+                                                  nx=nx, ny=8, nt=nt))
+        assert made == refused, (nx, nt)
+        outcomes.append(refused is not None)
     assert True in outcomes and False in outcomes
 
 
 def test_strip_grid_stability_decided_once():
-    # validation flags a strip grid exactly when the solver's CFL guard
-    # refuses it at the largest eps the run marches; expected cfl_x in comments
+    # validation raises exactly when the solver's CFL guard refuses the grid
+    # at the largest eps the run marches, with its message; expected cfl_x in
+    # comments
     cases = (
         ("exact_profile", 53, True),     # 0.907 at eps 1e-3
         ("exact_profile", 54, False),    # 0.890
@@ -139,8 +148,6 @@ def test_strip_grid_stability_decided_once():
     )
     for scenario, nt, expect_refused in cases:
         cfg = RunConfig(scenario=scenario, nx=64, ny=8, nt=nt)
-        report = validate_scenario(cfg)
-        flagged = any("transport stability" in issue.condition for issue in report.issues)
         if scenario == "exact_profile":
             grid = GridSpec(64, 8, nt, T=EXACT_T)
             problem, eps = exact_profile_problem(grid), cfg.eps
@@ -148,14 +155,11 @@ def test_strip_grid_stability_decided_once():
             grid = GridSpec(64, 8, nt, T=ACCEL_T)
             problem = favorable_accel_problem(grid)
             eps = cfg.eps_list[0] if scenario == "viscosity_sweep" else cfg.eps
-        try:
-            check_cfl(problem, grid, eps)
-            refused = False
-        except ConfigError:
-            refused = True
-        assert refused == expect_refused, (scenario, nt)
-        assert flagged == refused, (scenario, nt)
-        assert report.ok == (not refused), (scenario, nt)
+        refused = _refusal(lambda: check_cfl(problem, grid, eps))
+        assert (refused is not None) == expect_refused, (scenario, nt)
+        assert _refusal(lambda: validate_scenario(cfg)) == refused, (scenario, nt)
+        if refused is None:
+            assert validate_scenario(cfg).ok, (scenario, nt)
 
 
 def test_artifact_writer_emits_tables(tmp_path):
