@@ -22,6 +22,7 @@ its stored march with one fresh march of the same data, and criterion 12
 reruns the full artifact bundle, each scenario with its own fresh store.
 """
 
+import filecmp
 import tempfile
 import time
 from dataclasses import dataclass
@@ -91,6 +92,21 @@ def artifact_bundle():
     """One RunConfig per scenario at its shipped desk-scale settings."""
     return tuple(RunConfig(s, *ko.MODEL_GRID) if s == "oscillation_lab" else RunConfig(s)
                  for s in SCENARIOS)
+
+
+def _determinism(ra: Path, rb: Path, files_a, files_b) -> CriterionResult:
+    """Criterion 12's verdict on two artifact trees and their sorted relative
+    paths: the same paths, and each file's bytes equal, compared block by
+    block (filecmp), so neither copy is held whole."""
+    if files_a != files_b:
+        return CriterionResult(12, "determinism", False,
+                               "artifact sets differ between invocations")
+    mismatched = [str(rel) for rel in files_a
+                  if not filecmp.cmp(ra / rel, rb / rel, shallow=False)]
+    passed = not mismatched
+    detail = (f"{len(files_a)} artifacts byte-identical across two invocations"
+              if passed else f"byte mismatch in {mismatched}")
+    return CriterionResult(12, "determinism", passed, detail)
 
 
 def _cube(n: int, T: float) -> GridSpec:
@@ -262,16 +278,7 @@ class AcceptanceEngine:
 
         with tempfile.TemporaryDirectory() as tmp_a, tempfile.TemporaryDirectory() as tmp_b:
             ra, rb = Path(tmp_a), Path(tmp_b)
-            files_a, files_b = produce(ra), produce(rb)
-            if files_a != files_b:
-                return CriterionResult(12, "determinism", False,
-                                       "artifact sets differ between invocations")
-            mismatched = [str(rel) for rel in files_a
-                          if (ra / rel).read_bytes() != (rb / rel).read_bytes()]
-        passed = not mismatched
-        detail = (f"{len(files_a)} artifacts byte-identical across two invocations"
-                  if passed else f"byte mismatch in {mismatched}")
-        return CriterionResult(12, "determinism", passed, detail)
+            return _determinism(ra, rb, produce(ra), produce(rb))
 
     def run(self, numbers=None) -> AcceptanceReport:
         numbers = list(range(1, 13) if numbers is None else numbers)

@@ -16,7 +16,9 @@ kernel-adapted quadrature (its drift term alone: the wall-normal term is
 exactly 0 on the lattice of every admissible cutoff, see mean_value), and
 measured weak-Poincare / density / oscillation functionals.  A small
 rough-coefficient solver produces the fields those functionals are
-measured on; model_axes decides the stability of its grid, for
+measured on (its bands factored once by LAPACK dgttrf and each step solved
+by dgttrs, scipy's routines through `_lapack`, without importing
+scipy.linalg); model_axes decides the stability of its grid, for
 solve_model and for RunConfig alike.
 
 Quadrature sizes, slab proportions, box radii and grid sizes (LEMMA_NODES,
@@ -30,8 +32,8 @@ from functools import lru_cache
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
+from ._lapack import dgttrf, dgttrs
 from .errors import ConfigError, NumericalError
 from .grids import CFL_SAFETY, FieldHistory, trapezoid_weights
 from .parallel import fork_map

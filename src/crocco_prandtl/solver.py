@@ -25,8 +25,9 @@ Coefficients are formed per time level from the problem's (t, x) factors
 
 The wall flux is imposed through a ghost node eliminated with the
 second-order centered gradient (u_1 - u_ghost) / (2 dy), which makes the
-wall row nonlinear in the wall value s alone.  One LAPACK ?gtsv call
-solves the interior columns, stacked with their couplings zeroed, for the
+wall row nonlinear in the wall value s alone.  One LAPACK dgtsv call
+(scipy's, through `_lapack`, without importing scipy.linalg) solves the
+interior columns, stacked with their couplings zeroed, for the
 step's right-hand side p and the wall row's influence q.  With
 k = 2 dy r_0 dxP/U, m = s + eps and pe = p_0 + eps, the wall row is the
 quadratic m^2 - pe m + k q_0 = 0 and a column's field is p - (k / m) q.
@@ -41,8 +42,8 @@ from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from ._lapack import dgtsv
 from .crocco import CroccoProblem
 from .errors import ConfigError, NumericalError
 from .grids import CFL_SAFETY, FieldHistory, GridSpec, l1_spacetime_norm

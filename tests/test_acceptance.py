@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from crocco_prandtl import parallel
-from crocco_prandtl.acceptance import (AcceptanceEngine, CriterionResult, parse_suite,
-                                       run_acceptance)
+from crocco_prandtl.acceptance import (AcceptanceEngine, CriterionResult, _determinism,
+                                       parse_suite, run_acceptance)
 from crocco_prandtl.cli import main
 from crocco_prandtl.crocco import CroccoProblem
 from crocco_prandtl.errors import ConfigError, NumericalError
@@ -105,6 +105,34 @@ def test_criterion_11_oscillation_decay(engine, results):
 
 def test_criterion_12_determinism(engine, results):
     check(engine, results, 12)
+
+
+def _two_bundles(tmp_path, mutate):
+    """Two copies of a small artifact tree, the second's largest file (three
+    8 KiB blocks and a partial one) passed through mutate; criterion 12's
+    verdict on them."""
+    rng = np.random.default_rng(12)
+    files = {"a/report.txt": b"overall = PASSED\n",
+             "b/fields.csv": rng.bytes(3 * 8192 + 100)}
+    roots = [tmp_path / "a", tmp_path / "b"]
+    for root in roots:
+        for rel, data in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_bytes(mutate(data) if root is roots[1] and
+                                     rel == "b/fields.csv" else data)
+    rels = sorted(Path(rel) for rel in files)
+    return _determinism(*roots, rels, rels)
+
+
+@pytest.mark.parametrize("mutate, detail", [
+    (lambda data: data, "2 artifacts byte-identical across two invocations"),
+    (lambda data: data[:-1] + bytes([data[-1] ^ 1]),  # a byte flipped in the last block
+     f"byte mismatch in {[str(Path('b/fields.csv'))]}"),
+    (lambda data: data[:-1], f"byte mismatch in {[str(Path('b/fields.csv'))]}"),  # a byte short
+], ids=["identical", "flipped_last_byte", "one_byte_short"])
+def test_criterion_12_compare_rejects_a_changed_copy(tmp_path, mutate, detail):
+    res = _two_bundles(tmp_path, mutate)
+    assert (res.passed, res.detail) == (detail.endswith("invocations"), detail)
 
 
 def test_parse_suite_accepts_full_and_lists():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
+from importlib.metadata import version
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -220,18 +221,48 @@ def test_config_out_of_range_value_is_refused(cfg, bad):
     assert str(built.value) == str(parsed.value)
 
 
-def test_import_leaves_sympy_and_scipy_integrate_unloaded():
-    # sympy is loaded by criterion 2 alone; nothing imported at start-up
-    # needs scipy.integrate or scipy.interpolate
-    code = ("import sys, crocco_prandtl, crocco_prandtl.cli; "
-            "print(sorted(m for m in ('sympy', 'scipy.integrate', 'scipy.interpolate')"
-            " if m in sys.modules))")
+def _fresh_python(code: str, check: bool = True) -> subprocess.CompletedProcess:
+    """code run by a fresh interpreter that imports the package from these sources."""
     src = str(Path(crocco_prandtl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=check)
+
+
+def test_import_leaves_sympy_and_scipy_integrate_unloaded():
+    # sympy is loaded by criterion 2 alone; nothing imported at start-up
+    # needs scipy.integrate or scipy.interpolate, and the LAPACK routines
+    # come from their extension without scipy.linalg's package import and
+    # the array-API shim it loads (numpy.f2py, numpy.testing, numpy.ma)
+    names = ("sympy", "scipy.integrate", "scipy.interpolate", "scipy.linalg",
+             "scipy._lib.array_api_compat", "numpy.f2py", "numpy.testing", "numpy.ma")
+    code = ("import sys, crocco_prandtl, crocco_prandtl.cli; "
+            f"print(sorted(m for m in {names!r} if m in sys.modules))")
+    assert _fresh_python(code).stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("first", ["crocco_prandtl", "scipy.linalg.lapack"])
+def test_lapack_routines_are_scipy_linalg_lapacks_in_either_import_order(first):
+    # a scipy that moves or wraps the routines fails here, not in a run
+    second = "scipy.linalg.lapack" if first == "crocco_prandtl" else "crocco_prandtl"
+    code = (f"import sys, {first}, {second}; "
+            "from crocco_prandtl import _lapack; from scipy.linalg import lapack; "
+            "print([getattr(lapack, n) is getattr(_lapack, n) "
+            "for n in ('dgtsv', 'dgttrf', 'dgttrs')], "
+            "sys.modules['scipy.linalg._flapack'] is _lapack._module)")
+    assert _fresh_python(code).stdout.strip() == "[True, True, True] True"
+
+
+def test_missing_lapack_extension_names_the_scipy_version_and_folder():
+    code = ("import importlib.machinery; importlib.machinery.EXTENSION_SUFFIXES.clear(); "
+            "import crocco_prandtl")
+    out = _fresh_python(code, check=False)
+    assert out.returncode != 0
+    last = out.stderr.strip().splitlines()[-1]
+    assert last.startswith(f"ImportError: scipy {version('scipy')} has no _flapack "
+                           "extension in ")
+    assert last.endswith(os.path.join("scipy", "linalg"))
 
 
 def test_load_config_missing_file(tmp_path):
