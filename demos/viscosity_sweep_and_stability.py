@@ -21,7 +21,7 @@ table = viscosity_sweep(problem, (0.1, 0.03, 0.01, 0.003, 0.001), store)
 print("eps sweep, L1 gaps between consecutive runs:")
 for row in table.rows:
     print("  %g -> %g : %.4e" % (row.eps_hi, row.eps_lo, row.l1_diff))
-print("strictly decreasing:", table.strictly_decreasing)
+print("strictly decreasing:", table.largest_step < 0)
 
 proxy = grid_refinement_proxy(favorable_accel_problem, grid, 0.001, store=store)
 print("grid refinement proxy at eps = 0.001: %.4e" % proxy)

@@ -15,11 +15,13 @@ other's shared fields within a chunk, verdicts and details are identical
 to a 1-core run, and each criterion's seconds are measured in the process
 that ran it.  The measurements themselves are the functions the scenario
 runners call, and a bound a runner applies too lives with the measurement
-in scenarios, which returns its verdicts; a criterion takes all of them,
-adds the thresholds only it applies, and formats its detail from the same
-constants.  Two checks bypass the store on purpose: criterion 6 compares
-its stored march with one fresh march of the same data, and criterion 12
-reruns the full artifact bundle, each scenario with its own fresh store.
+in scenarios, which returns its checks (grids.Check); criteria 1-11 take
+all of them, add a Check per threshold only they apply, and render their
+detail from the checks as `name value sense bound` items, so it shows
+every value compared with its bound.  Two criteria bypass the store on
+purpose: criterion 6 compares its stored march with one fresh march of
+the same data, and criterion 12 reruns the full artifact bundle, each
+scenario with its own fresh store.
 """
 
 import filecmp
@@ -34,12 +36,9 @@ from ._version import __version__
 from .config import SCENARIOS, RunConfig
 from .errors import ConfigError, CroccoError
 from .estimates import uniformity_spread, weak_residual
-from .grids import GridSpec
+from .grids import Check, GridSpec
 from .parallel import fork_map
-from .scenarios import (ACCEL_T, DILATION_TOL, EXACT_T, EXACT_TOL,
-                        IDENTICAL_TOL, KERNEL_MASS_TOL, KERNEL_ORDER_FLOOR,
-                        SWEEP_PROXY_FACTOR, WALL_TRACE_TOL, WEAK_RESIDUAL_TOL,
-                        cauchy_sweep, density_floor, estimate_battery,
+from .scenarios import (ACCEL_T, EXACT_T, cauchy_sweep, density_floor, estimate_battery,
                         exact_error, exact_profile_problem, family_stability,
                         favorable_accel_problem, identical_data,
                         kernel_identities, linear_control, model_oscillation,
@@ -64,10 +63,6 @@ class CriterionResult:
     detail: str
     seconds: float = 0.0
 
-    def __post_init__(self):
-        # a verdict built from numpy comparisons is a np.bool_
-        self.passed = bool(self.passed)
-
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return (f"criterion {self.number:2d} [{tag}] {self.name}: "
@@ -86,6 +81,22 @@ class AcceptanceReport:
         lines = [r.line() for r in self.results]
         lines.append(f"acceptance = {'PASSED' if self.all_pass else 'FAILED'}")
         return "\n".join(lines)
+
+
+def _detail(checks: dict) -> str:
+    """Every check as `name value sense bound`, in order."""
+    return ", ".join(f"{name} {chk}" for name, chk in checks.items())
+
+
+def _judged(number: int, name: str, checks: dict) -> CriterionResult:
+    """A criterion that passes when every one of its checks passes."""
+    return CriterionResult(number, name, all(chk.passed for chk in checks.values()),
+                           _detail(checks))
+
+
+def _keyed(checks: dict, suffix: str) -> dict:
+    """checks with suffix appended to each name, for one of several runs."""
+    return {f"{name}_{suffix}": chk for name, chk in checks.items()}
 
 
 def artifact_bundle():
@@ -126,28 +137,22 @@ class AcceptanceEngine:
 
     def criterion_1(self) -> CriterionResult:
         problem = self.store.build(exact_profile_problem, _cube(64, EXACT_T))
-        errors = []
+        checks = {}
         worst_time = 0.0
         for eps in EPS_FAMILY:
             t0 = time.perf_counter()
             hist = self.store.solve(problem, eps)
             worst_time = max(worst_time, time.perf_counter() - t0)
-            errors.append(exact_error(hist))
-        passed = all(ok for _, ok in errors) and worst_time < 10.0
-        return CriterionResult(
-            1, "exact stationary reproduction", passed,
-            f"max error {max(err for err, _ in errors):.3e} (tol {EXACT_TOL:.0e}), "
-            f"slowest solve {worst_time:.2f} s (limit 10 s)")
+            checks.update(_keyed(exact_error(hist)[1], f"eps{eps:g}"))
+        checks["slowest_solve_s"] = Check(worst_time, 10.0, "<")
+        return _judged(1, "exact stationary reproduction", checks)
 
     def criterion_2(self) -> CriterionResult:
         from . import mms  # sympy loads only when this criterion runs
 
-        orders = {s: mms.refinement_study(s).order for s in MMS_FLOORS}
-        passed = all(orders[s] >= floor for s, floor in MMS_FLOORS.items())
-        return CriterionResult(
-            2, "manufactured-solution convergence", passed,
-            "orders " + ", ".join(f"{s} {orders[s]:.2f} (>={floor:g})"
-                                  for s, floor in MMS_FLOORS.items()))
+        return _judged(2, "manufactured-solution convergence",
+                       {f"order_{s}": Check(mms.refinement_study(s).order, floor, ">=")
+                        for s, floor in MMS_FLOORS.items()})
 
     def criterion_3(self) -> CriterionResult:
         problem = self.store.build(favorable_accel_problem, _cube(64, ACCEL_T))
@@ -155,82 +160,54 @@ class AcceptanceEngine:
         for eps in EPS_FAMILY:
             for key, value in estimate_battery(self.store.solve(problem, eps)).items():
                 series.setdefault(key, []).append(value)
-        spreads = {k: uniformity_spread(v) for k, v in series.items()}
-        worst = max(spreads, key=spreads.get)
-        passed = all(s < 0.10 for s in spreads.values())
-        return CriterionResult(
-            3, "eps-uniform functional bounds", passed,
-            f"worst spread {spreads[worst]:.3f} ({worst}) across eps {EPS_FAMILY} (tol 0.10)")
+        return _judged(3, "eps-uniform functional bounds",
+                       {f"spread_{k}": Check(uniformity_spread(v), 0.10, "<")
+                        for k, v in series.items()})
 
     def criterion_4(self) -> CriterionResult:
-        table, proxy, verdicts = cauchy_sweep(self.store, _cube(64, ACCEL_T), SWEEP_LIST)
-        return CriterionResult(
-            4, "vanishing-viscosity Cauchy property", all(verdicts.values()),
-            f"diffs {['%.2e' % r.l1_diff for r in table.rows]} strictly decreasing: "
-            f"{table.strictly_decreasing}; final {table.rows[-1].l1_diff:.2e} < "
-            f"{SWEEP_PROXY_FACTOR:g} x proxy {proxy:.2e}")
+        _, checks = cauchy_sweep(self.store, _cube(64, ACCEL_T), SWEEP_LIST)
+        return _judged(4, "vanishing-viscosity Cauchy property", checks)
 
     def criterion_5(self) -> CriterionResult:
         p64 = self.store.build(exact_profile_problem, _cube(64, EXACT_T))
-        tr, res64, verdicts = weak_identity(self.store.solve(p64, 1e-3), p64)
+        _, checks = weak_identity(self.store.solve(p64, 1e-3), p64)
         p128 = exact_profile_problem(_cube(128, EXACT_T))
+        res64 = checks["weak_residual_small"].value
         res128 = weak_residual(solve(p128, p128.grid, 1e-3), p128)
         ratio = res64 / res128 if res128 > 0 else float("inf")
-        passed = all(verdicts.values()) and ratio >= 1.8
-        return CriterionResult(
-            5, "weak-solution identity", passed,
-            f"residual {res64:.3e} (tol {WEAK_RESIDUAL_TOL:.0e}), refinement ratio "
-            f"{ratio:.2f} (>=1.8), wall trace {tr.wall_sup:.3e} (tol {WALL_TRACE_TOL:.0e})")
+        checks["refinement_ratio"] = Check(ratio, 1.8, ">=")
+        return _judged(5, "weak-solution identity", checks)
 
     def criterion_6(self) -> CriterionResult:
-        c6 = {}
-        finite = True
+        c6, checks = {}, {}
         for n in (64, 128):
             for eps in (1e-2, 1e-3):
                 # the 128^3 marches of one eps are read by that pass only
                 store = self.store if n == 64 else SolveStore()
-                stabs, verdicts = family_stability(store, _cube(n, ACCEL_T), eps, 1e-3)
-                finite = finite and all(verdicts.values())
+                stabs, finite = family_stability(store, _cube(n, ACCEL_T), eps, 1e-3)
+                checks.update(_keyed(finite, f"n{n}_eps{eps:g}"))
                 for family, stab in stabs.items():
                     c6.setdefault(family, []).append(stab.c6_hat)
-        spreads = {f: uniformity_spread(v) for f, v in c6.items()}
+        checks.update((f"spread_c6_{f}", Check(uniformity_spread(v), 0.20, "<"))
+                      for f, v in c6.items())
         # the stored march at n = 64, eps = 1e-3 against one fresh march
         problem = self.store.build(favorable_accel_problem, _cube(64, ACCEL_T))
-        ident, ident_ok = identical_data(self.store, problem, 1e-3)
-        passed = finite and all(s < 0.20 for s in spreads.values()) and ident_ok
-        worst = max(spreads, key=spreads.get)
-        return CriterionResult(
-            6, "L1 continuous dependence", passed,
-            f"c6 per family {({f: '%.3f' % max(v) for f, v in c6.items()})}, worst spread "
-            f"{spreads[worst]:.3f} ({worst}, tol 0.20), identical-data lhs {ident:.2e} "
-            f"(tol {IDENTICAL_TOL:.0e})")
+        checks.update(identical_data(self.store, problem, 1e-3)[1])
+        return _judged(6, "L1 continuous dependence", checks)
 
     def criterion_7(self) -> CriterionResult:
-        kid, verdicts = kernel_identities(7)
-        return CriterionResult(
-            7, "fundamental-solution identities", all(verdicts.values()),
-            f"mass defect {max(kid['mass'].values()):.2e} (tol {KERNEL_MASS_TOL:.0e}), "
-            f"dilation defect {kid['dilation']:.2e} (tol {DILATION_TOL:.0e}), "
-            f"residual order {kid['order']:.2f} (>={KERNEL_ORDER_FLOOR:g})")
+        return _judged(7, "fundamental-solution identities", kernel_identities(7)[1])
 
     def criterion_8(self) -> CriterionResult:
-        report = ko.verify_lemma(ko.CutoffSpec(r=1.0, theta=THETA_DEFAULT))
-        margins = ", ".join(f"{c.name} {c.margin:.3g}" for c in report.checks)
-        return CriterionResult(
-            8, "cutoff certification", report.ok,
-            f"{ko.LEMMA_NODES}^3 lattice at theta {THETA_DEFAULT:g}: {margins}")
+        return _judged(8, "cutoff certification",
+                       ko.verify_lemma(ko.CutoffSpec(r=1.0, theta=THETA_DEFAULT)))
 
     def criterion_9(self) -> CriterionResult:
-        unit, ok = unit_density(0.01)
-        details = [f"unit field {unit.ratio:.3f}"]
+        checks = unit_density(0.01)[1]
         for kind, lam, seed in ROUGH_COEFS:
-            den, run_ok = density_floor(self.store.build(_model_history, kind, lam, seed), 0.01)
-            ok = ok and run_ok
-            details.append(f"{kind}-{lam:g}-{seed} min ratio "
-                           f"{min(den.h_certificate.values()):.3f}")
-        return CriterionResult(
-            9, "density estimate", ok,
-            "; ".join(details) + f" (floor {ko.DENSITY_FLOOR:.4f} for h <= 0.01)")
+            hist = self.store.build(_model_history, kind, lam, seed)
+            checks.update(_keyed(density_floor(hist, 0.01)[1], f"{kind}-{lam:g}-{seed}"))
+        return _judged(9, "density estimate", checks)
 
     def criterion_10(self) -> CriterionResult:
         spec = poincare_cutoff(THETA_DEFAULT)
@@ -244,25 +221,22 @@ class AcceptanceEngine:
 
         c_base, viol_base = family_constant(ko.MODEL_GRID)
         c_fine, viol_fine = family_constant(MODEL_GRID_FINE)
-        both_tiny = c_base <= 1e-6 and c_fine <= 1e-6
-        stable = both_tiny or abs(c_base - c_fine) <= 0.25 * max(c_base, c_fine)
-        passed = stable and viol_base == 0 and viol_fine == 0
-        return CriterionResult(
-            10, "weak Poincare functional", passed,
-            f"C {c_base:.3e} -> refined {c_fine:.3e} "
-            f"({'both negligible' if both_tiny else 'within 25%'}), hard violations "
-            f"{viol_base + viol_fine}")
+        checks = {"C": Check(c_base, 1e-6, "<="), "C_refined": Check(c_fine, 1e-6, "<="),
+                  "C_change": Check(abs(c_base - c_fine), 0.25 * max(c_base, c_fine), "<="),
+                  "hard_violations": Check(viol_base + viol_fine, 0, "==")}
+        ok = {name: chk.passed for name, chk in checks.items()}
+        # C is stable when both values are negligible or they agree within 25%
+        passed = ((ok["C"] and ok["C_refined"]) or ok["C_change"]) and ok["hard_violations"]
+        return CriterionResult(10, "weak Poincare functional", passed, _detail(checks))
 
     def criterion_11(self) -> CriterionResult:
-        oscs = [model_oscillation(self.store.build(_model_history, kind, lam, 0))
-                for kind in ("checkerboard", "seeded-random") for lam in (2.0, 4.0)]
-        _, ctl_err, ctl_ok = linear_control()
-        passed = ctl_ok and all(all(verdicts.values()) for _, verdicts in oscs)
-        return CriterionResult(
-            11, "oscillation decay", passed,
-            f"beta_bar {['%.3f' % osc.beta_bar for osc, _ in oscs]} (in (0, 1)), Holder "
-            f"exponents {['%.2f' % osc.alpha_holder for osc, _ in oscs]} (>0), "
-            f"linear control defect {ctl_err:.1e}")
+        checks = {}
+        for kind in ("checkerboard", "seeded-random"):
+            for lam in (2.0, 4.0):
+                osc = model_oscillation(self.store.build(_model_history, kind, lam, 0))[1]
+                checks.update(_keyed(osc, f"{kind}-{lam:g}"))
+        checks.update(linear_control()[1])
+        return _judged(11, "oscillation decay", checks)
 
     def criterion_12(self) -> CriterionResult:
         from .reporting import write_artifacts

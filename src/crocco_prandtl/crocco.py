@@ -42,6 +42,7 @@ from .grids import GridSpec
 
 # largest admissible constant of the linear envelope (1 - y)/C0 <= w <= C0 (1 - y)
 C0_MAX = 50.0
+FAVORABLE_TOL = 1e-12  # largest dxP a favorable pressure gradient may reach
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,7 @@ def pressure_gradient(problem: CroccoProblem) -> PressureGradient:
     ix, it = np.unravel_index(int(np.argmax(dxP.T)), dxP.T.shape)
     worst = float(dxP[it, ix])
     return PressureGradient(
-        favorable=worst <= 1e-12,
+        favorable=worst <= FAVORABLE_TOL,
         worst_value=worst,
         worst_location=(float(problem.grid.x[ix]), float(problem.grid.t[it])),
     )

@@ -15,8 +15,10 @@ calls at_times once per time level and never branches on the field type.
 Only FieldHistory has the wall-normal derivative sample_dy, which the weak
 Poincare functional integrates; it forms np.gradient along y at only the
 cell corners its interpolation reads, never over the whole history.
+Check, the package's one verdict type, keeps the numbers that decided it.
 """
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -26,6 +28,28 @@ from .errors import ConfigError
 
 # largest Courant number of explicit upwind transport, in both marchers
 CFL_SAFETY = 0.9
+
+_SENSES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+           "==": operator.eq, "in": lambda v, b: b[0] < v < b[1]}
+
+
+@dataclass(frozen=True)
+class Check:
+    """A measured value against its bound: passed when `value sense bound`
+    holds, sense one of <, <=, >, >=, == or "in", the open interval
+    bound = (lo, hi).  A NaN value fails every sense."""
+
+    value: float
+    bound: object
+    sense: str
+
+    @property
+    def passed(self) -> bool:
+        return bool(_SENSES[self.sense](self.value, self.bound))
+
+    def __str__(self) -> str:
+        bound = "(%.4g, %.4g)" % self.bound if self.sense == "in" else "%.4g" % self.bound
+        return f"{self.value:.4g} {self.sense} {bound}"
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._lapack import dgttrf, dgttrs
 from .errors import ConfigError, NumericalError
-from .grids import CFL_SAFETY, FieldHistory, trapezoid_weights
+from .grids import CFL_SAFETY, Check, FieldHistory, trapezoid_weights
 from .parallel import fork_map
 
 SQRT3 = math.sqrt(3.0)
@@ -235,22 +235,6 @@ class CutoffSpec:
         return self.phi0(x, t) * self.phi1(y)
 
 
-@dataclass
-class LemmaCheck:
-    name: str
-    passed: bool
-    margin: float
-
-
-@dataclass
-class LemmaReport:
-    checks: List[LemmaCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 # The density slab at scale r: |x| < (beta r)^3, |y| < beta r and
 # t in (-alpha r^2, 0].
 SLAB_ALPHA = 0.05
@@ -263,14 +247,15 @@ LEMMA_TOL = 1e-12
 LEMMA_NODES = 33  # lattice nodes per axis of every certification box
 
 
-def verify_lemma(spec: CutoffSpec) -> LemmaReport:
-    """Sampled certification of the five cutoff properties.
+def verify_lemma(spec: CutoffSpec) -> dict:
+    """Sampled certification of the five cutoff properties, one Check each,
+    keyed by property name.
 
     Lattices have LEMMA_NODES points per axis.  The slab items use the
     density slab with its time extent cut to LEMMA_ALPHA1 r^2.
     """
     r, theta, n = spec.r, spec.theta, LEMMA_NODES
-    checks = []
+    checks = {}
 
     def wide_box(stretch):
         # |x| < r^3/theta, |y| < r/theta, t in (-r^2, 0], stretched
@@ -281,37 +266,36 @@ def verify_lemma(spec: CutoffSpec) -> LemmaReport:
     # transport direction never increases the space-time factor on the wide box
     X, Y, T = wide_box(1.0)
     expr = -spec.transport(X, Y, T)
-    checks.append(LemmaCheck("transport_sign", bool(np.max(expr) <= LEMMA_TOL),
-                             float(np.max(expr))))
+    checks["transport_sign"] = Check(float(np.max(expr)), LEMMA_TOL, "<=")
 
     # plateau on the small past box
     XB, YB, TB = np.meshgrid(*Box(theta * r).lattice(n), indexing="ij")
     plateau_min = float(np.min(spec.phi(XB, YB, TB)))
-    checks.append(LemmaCheck("plateau", bool(plateau_min >= 1.0 - LEMMA_TOL), plateau_min))
+    checks["plateau"] = Check(plateau_min, 1.0 - LEMMA_TOL, ">=")
 
     # support confined to the wide box for t <= 0
     X2, Y2, T2 = wide_box(1.5)
     outside = (np.abs(X2) > r**3 / theta) | (np.abs(Y2) > r / theta) | (T2 < -r**2)
     vals = spec.phi(X2, Y2, T2)
     leak = float(np.max(vals[outside])) if np.any(outside) else 0.0
-    checks.append(LemmaCheck("support", bool(leak <= LEMMA_TOL), leak))
+    checks["support"] = Check(leak, LEMMA_TOL, "<=")
 
     # the measurement slab sits inside the support
     sx, sy = Box(SLAB_BETA * r).lattice(n)[:2]
     ts3 = np.linspace(-LEMMA_ALPHA1 * r**2, 0.0, n)
     X3, Y3, T3 = np.meshgrid(sx, sy, ts3, indexing="ij")
     slab_min = float(np.min(spec.phi(X3, Y3, T3)))
-    checks.append(LemmaCheck("slab_support", bool(slab_min > LEMMA_TOL), slab_min))
+    checks["slab_support"] = Check(slab_min, LEMMA_TOL, ">")
 
     # strictly between 0 and 1 on the earlier part of that slab
     ts4 = np.linspace(-LEMMA_ALPHA1 * r**2, -theta * r**2, n)
     X4, Y4, T4 = np.meshgrid(sx, sy, ts4, indexing="ij")
     vals4 = spec.phi0(X4, T4)
+    # lo > 0 and hi < 1 exactly when min(lo, 1 - hi) > 0: a float
+    # difference is positive exactly when hi < 1, and lo and hi are NaN together
     lo, hi = float(np.min(vals4)), float(np.max(vals4))
-    checks.append(LemmaCheck("strict_band", bool(lo > 0.0 and hi < 1.0),
-                             min(lo, 1.0 - hi)))
-
-    return LemmaReport(checks=checks)
+    checks["strict_band"] = Check(min(lo, 1.0 - hi), 0.0, ">")
+    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,8 @@ def fmt(value) -> str:
 def report_text(result: RunResult) -> str:
     """One `key = value` line per entry, then one line per verdict."""
     lines = [f"{key} = {fmt(value)}" for key, value, _, _ in result.entries]
-    lines += [f"verdict = {'pass' if ok else 'fail'} [{name}]"
-              for name, ok in result.verdicts.items()]
+    lines += [f"verdict = {'pass' if chk.passed else 'fail'} [{name}]"
+              for name, chk in result.verdicts.items()]
     return "\n".join(lines) + "\n"
 
 

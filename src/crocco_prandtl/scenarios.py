@@ -15,10 +15,10 @@ too, so validation checks the problem a run marches.
 
 The measurement functions between the problem data and the runners are
 the single implementation of each quantity.  A bound that a runner and an
-acceptance criterion both apply is a named constant next to them, and the
-measurement returns the verdicts it decides; runners record them and
-criteria take all of them.  The identical-data check is the stored march
-against one fresh march of the same problem.
+acceptance criterion both apply is a named constant next to them.  Each
+measurement returns its report and a dict of named grids.Check; runners
+record the checks as verdicts and criteria take all of them.  The
+identical-data check is the stored march against one fresh march.
 """
 
 from dataclasses import dataclass, field
@@ -27,13 +27,13 @@ from typing import List, Optional
 import numpy as np
 
 from . import kolmogorov as ko
-from .crocco import (CroccoData, ValidationIssue, ValidationReport,
+from .crocco import (FAVORABLE_TOL, CroccoData, ValidationIssue, ValidationReport,
                      make_problem, pressure_gradient, validate)
 from .estimates import (INTERIOR_MARGIN, l1_stability, physical_stability, trace_residual,
                         weak_residual, weighted_dyy_measure, weighted_grad_norms,
                         bv_seminorm, comparison_constant)
 from .flows import accelerating_flow, uniform_flow
-from .grids import AnalyticField, FieldHistory, GridSpec
+from .grids import AnalyticField, Check, FieldHistory, GridSpec
 from .solver import (SolveStore, check_cfl, grid_refinement_proxy, solve,
                      viscosity_sweep)
 
@@ -51,7 +51,7 @@ class Table:
 @dataclass
 class RunResult:
     """The report of one run: (key, value, eps, domain) entries on the run's
-    grid, named verdicts, the primary field and any tables."""
+    grid, named verdicts (each a Check), the primary field and any tables."""
 
     scenario: str
     grid_label: str
@@ -66,7 +66,7 @@ class RunResult:
 
     @property
     def ok(self) -> bool:
-        return all(self.verdicts.values())
+        return all(chk.passed for chk in self.verdicts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +156,8 @@ def strip_problem(cfg, store: SolveStore):
 
 # ---------------------------------------------------------------------------
 # shared measurements: the runners below and the acceptance criteria call
-# these same functions.  A bound both apply is a constant here, and the
-# measurement returns its verdicts, keyed by report name, with its result.
+# these same functions.  A bound both apply is a constant here, and each
+# measurement returns (report, checks), its checks keyed by report name.
 
 EXACT_TOL = 1e-8           # sup distance of the exact-profile run to 1 - y
 WALL_TRACE_TOL = 1e-6      # wall trace residual
@@ -168,12 +168,15 @@ KERNEL_MASS_TOL = 1e-8     # kernel mass defect
 DILATION_TOL = 1e-12       # worst kernel dilation defect
 KERNEL_ORDER_FLOOR = 1.9   # least observed order of the L0 residual
 LINEAR_CONTROL_TOL = 1e-9  # linear-control ratios against ko.OSC_THETA_BAR
+# bounds only the kolmogorov_checks run applies
+MEAN_VALUE_CONST_TOL = 5e-3  # relative error of the mean value of a constant
+LOG_BOUND_TOL = 1e-12        # log transform at u = 0 against its bound
 
 
 def exact_error(hist: FieldHistory) -> tuple:
-    """Sup distance of an exact-profile run to 1 - y, and whether it holds."""
+    """Sup distance of an exact-profile run to 1 - y, and its check."""
     err = float(np.max(np.abs(hist.values - (1.0 - hist.y[None, None, :]))))
-    return err, err <= EXACT_TOL
+    return err, {"exact_solution_reproduced": Check(err, EXACT_TOL, "<=")}
 
 
 def estimate_battery(hist: FieldHistory, margin: int = 0) -> dict:
@@ -191,18 +194,18 @@ def estimate_battery(hist: FieldHistory, margin: int = 0) -> dict:
 
 
 def weak_identity(hist: FieldHistory, problem) -> tuple:
-    """Trace residuals and full-domain weak residual of a run, and the
-    verdicts on the wall trace and the residual."""
+    """Trace residuals of a run, and the checks on its wall trace and its
+    full-domain weak residual."""
     tr = trace_residual(hist, problem)
-    weak = weak_residual(hist, problem)
-    return tr, weak, {"wall_trace_small": tr.wall_sup <= WALL_TRACE_TOL,
-                      "weak_residual_small": weak <= WEAK_RESIDUAL_TOL}
+    return tr, {"wall_trace_small": Check(tr.wall_sup, WALL_TRACE_TOL, "<="),
+                "weak_residual_small": Check(weak_residual(hist, problem),
+                                             WEAK_RESIDUAL_TOL, "<=")}
 
 
-def standard_estimates(result: RunResult, hist: FieldHistory, problem) -> dict:
+def standard_estimates(result: RunResult, hist: FieldHistory, problem) -> tuple:
     """Record the estimate battery, its interior variants, traces, and the
-    weak residual in result; returns the full-domain battery plus
-    "verdicts", those of weak_identity."""
+    weak residual in result; returns the full-domain battery and the checks
+    of weak_identity."""
     out = estimate_battery(hist)
     for key, value in out.items():
         result.add(key, value)
@@ -211,53 +214,56 @@ def standard_estimates(result: RunResult, hist: FieldHistory, problem) -> dict:
     for key, value in estimate_battery(hist, margin=INTERIOR_MARGIN).items():
         result.add(key, value, "interior")
     result.add("weak_residual_sup", weak_residual(hist, problem, INTERIOR_MARGIN), "interior")
-    tr, weak, out["verdicts"] = weak_identity(hist, problem)
+    tr, checks = weak_identity(hist, problem)
     result.add("trace_initial_sup", tr.initial_sup, "t=0")
     result.add("trace_top_sup", tr.outflow_top_sup, "y=1")
     result.add("trace_inflow_sup", tr.inflow_sup, "x=0")
     result.add("trace_wall_sup", tr.wall_sup, "y=0")
     result.add("trace_wall_l1", tr.wall_l1, "y=0")
-    result.add("weak_residual_sup", weak)
-    return out
+    result.add("weak_residual_sup", checks["weak_residual_small"].value)
+    return out, checks
 
 
 def cauchy_sweep(store: SolveStore, grid: GridSpec, eps_list) -> tuple:
     """Viscosity sweep of the accelerating scenario and the grid-refinement
-    proxy at its smallest eps: (ConvergenceTable, proxy, verdicts)."""
+    proxy at its smallest eps, ((ConvergenceTable, proxy), checks): the
+    sweep gaps strictly decrease (their largest step is negative), and the
+    final gap is below SWEEP_PROXY_FACTOR proxies."""
     problem = store.build(favorable_accel_problem, grid)
     table = viscosity_sweep(problem, eps_list, store)
     proxy = grid_refinement_proxy(favorable_accel_problem, grid, eps_list[-1],
                                   store=store)
-    return table, proxy, {
-        "sweep_strictly_decreasing": table.strictly_decreasing,
-        "final_gap_below_grid_error": table.rows[-1].l1_diff < SWEEP_PROXY_FACTOR * proxy}
+    return (table, proxy), {
+        "sweep_strictly_decreasing": Check(table.largest_step, 0.0, "<"),
+        "final_gap_below_grid_error": Check(table.rows[-1].l1_diff,
+                                            SWEEP_PROXY_FACTOR * proxy, "<")}
 
 
 def identical_data(store: SolveStore, problem, eps: float) -> tuple:
     """Largest snapshot L1 distance between the stored march of problem at
-    eps and one fresh march, never served from the store, and its verdict."""
+    eps and one fresh march, never served from the store, and its check."""
     fresh = solve(problem, problem.grid, eps)
     lhs = float(np.max(l1_stability(store.solve(problem, eps), fresh, problem, problem).lhs))
-    return lhs, lhs <= IDENTICAL_TOL
+    return lhs, {"identical_data_silent": Check(lhs, IDENTICAL_TOL, "<=")}
 
 
 def family_stability(store: SolveStore, grid: GridSpec, eps: float,
                      delta: float) -> tuple:
     """L1 stability report of each perturbation family of size delta
-    against the accelerating base run, keyed by family, and the verdicts
+    against the accelerating base run, keyed by family, and the checks
     that each constant is finite."""
     base_problem = store.build(favorable_accel_problem, grid)
     base = store.solve(base_problem, eps)
     stabs = {name: l1_stability(base, store.solve(prob, eps), base_problem, prob)
              for name, prob in store.build(perturbed_problems, grid, delta).items()}
-    return stabs, {f"c6_finite_{name}": bool(np.isfinite(stab.c6_hat))
+    return stabs, {f"c6_finite_{name}": Check(stab.c6_hat, np.inf, "<")
                    for name, stab in stabs.items()}
 
 
 def kernel_identities(seed: int) -> tuple:
     """Defects of the fundamental solution: unit mass at s = 0.1 and 1, the
     worst dilation defect over 100 points drawn from seed, and the L0
-    residual at h = 1e-3 with its observed order; and their verdicts."""
+    residual at h = 1e-3 with its observed order; and their checks."""
     mass = {s: abs(ko.normalization(s) - 1.0) for s in (0.1, 1.0)}
     rng = np.random.default_rng(seed)
     dilation = max(
@@ -269,9 +275,9 @@ def kernel_identities(seed: int) -> tuple:
     r2 = abs(ko.l0_residual((0.1, 0.2, 1.0), h=5e-4))
     order = float(np.log2(r1 / r2))
     return {"mass": mass, "dilation": dilation, "residual": r1, "order": order}, {
-        "kernel_mass_unit": all(d <= KERNEL_MASS_TOL for d in mass.values()),
-        "dilation_identity": dilation <= DILATION_TOL,
-        "kernel_residual_second_order": order >= KERNEL_ORDER_FLOOR}
+        "kernel_mass_unit": Check(float(np.max(list(mass.values()))), KERNEL_MASS_TOL, "<="),
+        "dilation_identity": Check(dilation, DILATION_TOL, "<="),
+        "kernel_residual_second_order": Check(order, KERNEL_ORDER_FLOOR, ">=")}
 
 
 def pinched_initial(xq, yq):
@@ -281,34 +287,35 @@ def pinched_initial(xq, yq):
 
 
 def unit_density(h: float) -> tuple:
-    """Density report of the constant field 1 and whether its ratio is 1."""
+    """Density report of the constant field 1 and the check its ratio is 1."""
     den = ko.density_ratio(AnalyticField(
         lambda t, x, y: np.ones_like(np.asarray(t, float))), h)
-    return den, den.ratio == 1.0
+    return den, {"density_unit_control": Check(den.ratio, 1.0, "==")}
 
 
 def density_floor(hist: FieldHistory, h: float) -> tuple:
-    """Normalized density report of a model run and whether it holds with
-    every level of its h-certificate at or above DENSITY_FLOOR."""
+    """Normalized density report of a model run and the check that its least
+    h-certificate level is at or above DENSITY_FLOOR; NaN, which fails, when
+    the density hypothesis fails and no level is measured."""
     den = ko.density_ratio(hist, h, normalize=True)
-    return den, den.verdict is True and all(
-        v >= ko.DENSITY_FLOOR for v in den.h_certificate.values())
+    least = min(den.h_certificate.values(), default=float("nan"))
+    return den, {"density_floor": Check(least, ko.DENSITY_FLOOR, ">=")}
 
 
 def linear_control() -> tuple:
     """Oscillation table of the exact linear field 1 - y, whose every ratio
-    equals the scale factor, its worst row defect and the verdict on it."""
+    equals the scale factor, and the check on its worst row defect."""
     ctl = ko.oscillation_table(AnalyticField(lambda t, x, y: 1.0 - np.asarray(y, float)))
     defect = max(abs(row.ratio - ko.OSC_THETA_BAR) for row in ctl.rows)
-    return ctl, defect, defect <= LINEAR_CONTROL_TOL
+    return ctl, {"oscillation_linear_control_exact": Check(defect, LINEAR_CONTROL_TOL, "<=")}
 
 
 def model_oscillation(hist: FieldHistory) -> tuple:
     """Oscillation table of a model run on its unit past box, and the
-    verdicts that 0 < beta_bar < 1 and the Holder exponent is positive."""
+    checks that 0 < beta_bar < 1 and the Holder exponent is positive."""
     osc = ko.oscillation_table(hist)
-    return osc, {"oscillation_decays": 0.0 < osc.beta_bar < 1.0,
-                 "holder_positive": osc.alpha_holder > 0.0}
+    return osc, {"oscillation_decays": Check(osc.beta_bar, (0.0, 1.0), "in"),
+                 "holder_positive": Check(osc.alpha_holder, 0.0, ">")}
 
 
 def poincare_cutoff(theta: float):
@@ -334,11 +341,10 @@ def run_exact_profile(cfg, store: SolveStore) -> RunResult:
     problem = strip_problem(cfg, store)
     hist = store.solve(problem, cfg.eps)
     result = RunResult("exact_profile", cfg.grid_label, f"{cfg.eps:g}", history=hist)
-    sup_err, exact_ok = exact_error(hist)
+    sup_err, exact = exact_error(hist)
     result.add("exact_sup_error", sup_err)
-    out = standard_estimates(result, hist, problem)
-    result.verdicts["exact_solution_reproduced"] = exact_ok
-    result.verdicts.update(out["verdicts"])
+    _, checks = standard_estimates(result, hist, problem)
+    result.verdicts.update(exact | checks)
     return result
 
 
@@ -346,18 +352,19 @@ def run_favorable_accel(cfg, store: SolveStore) -> RunResult:
     problem = strip_problem(cfg, store)
     hist = store.solve(problem, cfg.eps)
     result = RunResult("favorable_accel", cfg.grid_label, f"{cfg.eps:g}", history=hist)
-    out = standard_estimates(result, hist, problem)
+    out, _ = standard_estimates(result, hist, problem)
     grad = pressure_gradient(problem)
     result.add("pressure_gradient_worst", grad.worst_value)
-    result.verdicts["pressure_favorable"] = grad.favorable
-    result.verdicts["comparison_finite"] = np.isfinite(out["comparison_constant"])
-    result.verdicts["solution_positive_below_top"] = bool(np.min(hist.values[:, :, :-1]) > 0)
+    result.verdicts["pressure_favorable"] = Check(grad.worst_value, FAVORABLE_TOL, "<=")
+    result.verdicts["comparison_finite"] = Check(out["comparison_constant"], np.inf, "<")
+    result.verdicts["solution_positive_below_top"] = Check(
+        float(np.min(hist.values[:, :, :-1])), 0.0, ">")
     return result
 
 
 def run_viscosity_sweep(cfg, store: SolveStore) -> RunResult:
     problem = strip_problem(cfg, store)
-    table, proxy, verdicts = cauchy_sweep(store, problem.grid, cfg.eps_list)
+    (table, proxy), checks = cauchy_sweep(store, problem.grid, cfg.eps_list)
     sweep = Table("sweep", ["eps_hi", "eps_lo", "l1_diff", "ok"])
     result = RunResult("viscosity_sweep", cfg.grid_label, f"{cfg.eps_list[-1]:g}",
                        tables=[sweep])
@@ -365,7 +372,7 @@ def run_viscosity_sweep(cfg, store: SolveStore) -> RunResult:
         result.add("sweep_l1_diff", row.l1_diff, eps=f"{row.eps_hi:g}->{row.eps_lo:g}")
         sweep.rows.append((row.eps_hi, row.eps_lo, row.l1_diff, int(row.ok)))
     result.add("grid_refinement_proxy", proxy)
-    result.verdicts.update(verdicts)
+    result.verdicts.update(checks)
     result.history = store.solve(problem, cfg.eps_list[-1])
     return result
 
@@ -376,15 +383,15 @@ def run_stability_perturb(cfg, store: SolveStore) -> RunResult:
     base = store.solve(base_problem, cfg.eps)
     result = RunResult("stability_perturb", cfg.grid_label, f"{cfg.eps:g}", history=base)
 
-    ident, ident_ok = identical_data(store, base_problem, cfg.eps)
+    ident, checks = identical_data(store, base_problem, cfg.eps)
     result.add("identical_data_lhs_max", ident)
-    result.verdicts["identical_data_silent"] = ident_ok
+    result.verdicts.update(checks)
 
-    stabs, verdicts = family_stability(store, grid, cfg.eps, cfg.perturb)
+    stabs, checks = family_stability(store, grid, cfg.eps, cfg.perturb)
     for name, stab in stabs.items():
         result.add(f"c6_{name}", stab.c6_hat)
         result.add(f"lhs_final_{name}", stab.lhs[-1])
-    result.verdicts.update(verdicts)
+    result.verdicts.update(checks)
 
     initial = store.build(perturbed_problems, grid, cfg.perturb)["initial"]
     phys = physical_stability(base, store.solve(initial, cfg.eps), base_problem, initial)
@@ -397,7 +404,7 @@ def run_kolmogorov_checks(cfg, store: SolveStore) -> RunResult:
     result = RunResult("kolmogorov_checks", "analytic", "0")
     point_defect = abs(ko.gamma0((0.0, 0.0, 1.0)) - np.sqrt(3.0) / (2.0 * np.pi))
     result.add("kernel_point_defect", point_defect)
-    kid, kid_verdicts = kernel_identities(cfg.seed)
+    kid, kid_checks = kernel_identities(cfg.seed)
     for s, defect in kid["mass"].items():
         result.add(f"kernel_mass_defect_s{s:g}", defect)
     result.add("dilation_defect_max", kid["dilation"])
@@ -405,21 +412,23 @@ def run_kolmogorov_checks(cfg, store: SolveStore) -> RunResult:
     result.add("kernel_residual_order", kid["order"])
 
     spec = ko.CutoffSpec(r=cfg.r, theta=cfg.theta)
-    for chk in ko.verify_lemma(spec).checks:
-        result.add(f"cutoff_{chk.name}_margin", chk.margin)
-        result.verdicts[f"cutoff_{chk.name}"] = chk.passed
+    for name, chk in ko.verify_lemma(spec).items():
+        result.add(f"cutoff_{name}_margin", chk.value)
+        result.verdicts[f"cutoff_{name}"] = chk
 
     const = AnalyticField(lambda t, x, y: np.full_like(np.asarray(t, float), 2.5))
-    mv = ko.mean_value(const, spec, nz=3)
-    result.add("mean_value_const_rel_error", abs(mv.i0 - 2.5) / 2.5)
+    mv_error = abs(ko.mean_value(const, spec, nz=3).i0 - 2.5) / 2.5
+    result.add("mean_value_const_rel_error", mv_error)
 
     for variant in ko.LOG_VARIANTS:
         vals, bound = ko.log_subsolution(np.array([0.0]), cfg.h_level, variant)
-        result.add(f"log_bound_defect_{variant}", abs(vals[0] - bound))
-        result.verdicts[f"log_bound_attained_{variant}"] = abs(vals[0] - bound) <= 1e-12
+        defect = abs(vals[0] - bound)
+        result.add(f"log_bound_defect_{variant}", defect)
+        result.verdicts[f"log_bound_attained_{variant}"] = Check(defect, LOG_BOUND_TOL, "<=")
 
-    result.verdicts.update(kid_verdicts)
-    result.verdicts["mean_value_reproduces_constants"] = abs(mv.i0 - 2.5) / 2.5 <= 5e-3
+    result.verdicts.update(kid_checks)
+    result.verdicts["mean_value_reproduces_constants"] = Check(
+        mv_error, MEAN_VALUE_CONST_TOL, "<=")
     return result
 
 
@@ -430,17 +439,17 @@ def run_oscillation_lab(cfg, store: SolveStore) -> RunResult:
     spec = poincare_cutoff(cfg.theta)
 
     # exact linear control: every oscillation ratio equals the scale factor
-    ctl, _, ctl_ok = linear_control()
+    ctl, checks = linear_control()
     for row in ctl.rows:
         osc_table.rows.append(("linear_control", row.r, row.osc_small,
                                row.osc_big, row.ratio))
     result.add("oscillation_linear_control_beta", ctl.beta_bar)
-    result.verdicts["oscillation_linear_control_exact"] = ctl_ok
+    result.verdicts.update(checks)
 
     # synthetic full-density control
-    full, full_ok = unit_density(cfg.h_level)
+    full, checks = unit_density(cfg.h_level)
     result.add("density_unit_control_ratio", full.ratio)
-    result.verdicts["density_unit_control"] = full_ok
+    result.verdicts.update(checks)
 
     # model runs stay out of the store: besides the kept checkerboard run,
     # one run is alive at a time, and the current run is dropped before its
@@ -451,28 +460,28 @@ def run_oscillation_lab(cfg, store: SolveStore) -> RunResult:
         hist = ko.solve_model(coef, nx=cfg.nx, ny=cfg.ny, nt=cfg.nt)
         if coef.name.startswith("checkerboard"):
             result.history = hist
-        den, den_ok = density_floor(hist, cfg.h_level)
+        den, checks = density_floor(hist, cfg.h_level)
         result.add(f"density_ratio_{coef.name}", den.ratio)
-        result.verdicts[f"density_floor_{coef.name}"] = den_ok
         for t_row in den.rows:
             den_table.rows.append((coef.name,) + t_row[:3] + (int(t_row[3]),))
         for level, val in den.h_certificate.items():
             den_table.rows.append((coef.name, 0.0, level, val,
                                    int(val >= ko.DENSITY_FLOOR)))
 
-        osc, verdicts = model_oscillation(hist)
+        osc, osc_checks = model_oscillation(hist)
         for row in osc.rows:
             osc_table.rows.append((coef.name, row.r, row.osc_small,
                                    row.osc_big, row.ratio))
         result.add(f"oscillation_beta_{coef.name}", osc.beta_bar)
         result.add(f"holder_exponent_{coef.name}", osc.alpha_holder)
-        result.verdicts.update((f"{name}_{coef.name}", ok) for name, ok in verdicts.items())
+        checks.update(osc_checks)
 
         del hist
         poin = pinched_poincare(coef, (cfg.nx, cfg.ny, cfg.nt), cfg.h_level, spec)
         result.add(f"poincare_i0_{coef.name}", poin.i0)
         result.add(f"poincare_ratio_{coef.name}", poin.ratio)
-        result.verdicts[f"poincare_no_violation_{coef.name}"] = not poin.hard_violation
+        checks["poincare_no_violation"] = Check(int(poin.hard_violation), 0, "==")
+        result.verdicts.update((f"{name}_{coef.name}", chk) for name, chk in checks.items())
         poincare_ratios.append(poin.ratio)
 
     result.add("poincare_constant_bound", max(poincare_ratios))
@@ -509,8 +518,8 @@ def validate_scenario(cfg) -> ValidationReport:
         return validate(problem)
     issues = []
     if cfg.scenario == "kolmogorov_checks":
-        for chk in ko.verify_lemma(ko.CutoffSpec(r=cfg.r, theta=cfg.theta)).checks:
+        for name, chk in ko.verify_lemma(ko.CutoffSpec(r=cfg.r, theta=cfg.theta)).items():
             if not chk.passed:
                 issues.append(ValidationIssue(
-                    f"cutoff property '{chk.name}'", (cfg.theta, cfg.r), chk.margin))
+                    f"cutoff property '{name}'", (cfg.theta, cfg.r), chk.value))
     return ValidationReport(issues=tuple(issues), c0=None)

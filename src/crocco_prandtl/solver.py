@@ -222,11 +222,13 @@ class ConvergenceTable:
     rows: List[SweepRow]
 
     @property
-    def strictly_decreasing(self) -> bool:
+    def largest_step(self) -> float:
+        """Largest successive difference of the gaps, negative when they
+        strictly decrease; NaN for fewer than two gaps or one not finite."""
         d = np.array([r.l1_diff for r in self.rows])
         if not np.all(np.isfinite(d)) or d.size < 2:
-            return False
-        return bool(np.all(np.diff(d) < 0))
+            return float("nan")
+        return float(np.max(np.diff(d)))
 
 
 def viscosity_sweep(problem: CroccoProblem, eps_list, store: SolveStore) -> ConvergenceTable:

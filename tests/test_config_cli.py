@@ -21,6 +21,7 @@ from crocco_prandtl.cli import main
 from crocco_prandtl.config import (HISTORY_BYTES_BUDGET, SCENARIOS, RunConfig, load_config,
                                    parse_config)
 from crocco_prandtl.errors import ConfigError, NumericalError
+from crocco_prandtl.grids import Check
 from crocco_prandtl.kolmogorov import MODEL_T0, SLAB_BETA, THETA_MAX, model_axes
 from crocco_prandtl.reporting import fmt
 
@@ -560,7 +561,7 @@ def test_cli_internal_error_exits_4(tmp_path, capsys, monkeypatch):
 
     def failed_verdict(cfg):
         result = real_run(cfg)
-        result.verdicts["forced_failure"] = False
+        result.verdicts["forced_failure"] = Check(1.0, 0.0, "<")
         return result
 
     cfg = write_cfg(tmp_path, TINY_EXACT)

@@ -1,6 +1,7 @@
 """FieldHistory sampling (sample, sample_dy and the field at fixed times,
 at_times) against scipy's RegularGridInterpolator, which is the reference
-here only, on queries inside the axes; a query outside them is refused."""
+here only, on queries inside the axes; a query outside them is refused.
+Check, the verdict type, at its bound and one ulp to either side."""
 
 import tracemalloc
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from crocco_prandtl.errors import ConfigError
-from crocco_prandtl.grids import FieldHistory
+from crocco_prandtl.grids import Check, FieldHistory
 
 
 def _oracle(nodes, values, queries):
@@ -139,3 +140,37 @@ def test_at_times_refuses_queries_outside_its_spans():
         at_x(np.array([0.25, 0.55]))
     with pytest.raises(ConfigError):
         at_y(np.array([0.35, 0.55]))
+
+
+# ---------------------------------------------------------------------------
+# Check: a value against its bound
+
+# passed one ulp below the bound, at it and one ulp above it
+SENSE_OUTCOMES = {
+    "<": (True, False, False),
+    "<=": (True, True, False),
+    ">": (False, False, True),
+    ">=": (False, True, True),
+    "==": (False, True, False),
+}
+
+
+@pytest.mark.parametrize("sense", list(SENSE_OUTCOMES))
+@pytest.mark.parametrize("bound", [0.0, 1e-12, 1.0 - 1e-12, 1.0, -2.5])
+def test_check_at_its_bound_and_one_ulp_to_either_side(sense, bound):
+    values = (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf))
+    outcomes = tuple(Check(float(v), bound, sense).passed for v in values)
+    assert outcomes == SENSE_OUTCOMES[sense]
+    assert all(type(Check(float(v), bound, sense).passed) is bool for v in values)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-2.5, 1e-12)])
+def test_check_open_interval_at_both_ends(lo, hi):
+    values = (lo, np.nextafter(lo, hi), np.nextafter(hi, lo), hi)
+    assert [Check(float(v), (lo, hi), "in").passed for v in values] == [False, True, True, False]
+
+
+@pytest.mark.parametrize("sense, bound", [(s, 1.0) for s in SENSE_OUTCOMES] + [("in", (0.0, 1.0))])
+def test_nan_fails_every_sense(sense, bound):
+    assert Check(float("nan"), bound, sense).passed is False
+    assert Check(np.float64("nan"), bound, sense).passed is False

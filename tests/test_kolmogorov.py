@@ -171,9 +171,9 @@ def test_phi_plateau_and_support_spot_values():
 
 def test_verify_lemma_all_pass():
     for r in (1.0, 0.5):
-        rep = ko.verify_lemma(ko.CutoffSpec(r=r, theta=0.01))
-        assert rep.ok, [c for c in rep.checks if not c.passed]
-        assert [c.name for c in rep.checks] == [
+        checks = ko.verify_lemma(ko.CutoffSpec(r=r, theta=0.01))
+        assert all(c.passed for c in checks.values()), checks
+        assert list(checks) == [
             "transport_sign", "plateau", "support", "slab_support", "strict_band"]
 
 

@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from crocco_prandtl import kolmogorov as ko
 from crocco_prandtl import parallel, reporting
 from crocco_prandtl.errors import NumericalError
-from crocco_prandtl.grids import AnalyticField
+from crocco_prandtl.grids import AnalyticField, Check
 from crocco_prandtl.reporting import (artifact_header, report_text, write_artifacts,
                                       write_fields_csv, write_report_csv)
 from crocco_prandtl.scenarios import RunResult, Table
@@ -224,8 +224,8 @@ def test_fields_csv_workers_do_not_flush_inherited_stdout(tmp_path):
 def test_run_report_text_and_csv(tmp_path):
     result = RunResult(scenario="exact_profile", grid_label="64x64x64", eps_label="0.001")
     result.add("c_comparison", 1.25)
-    result.verdicts["comparison"] = True
-    result.verdicts["bv"] = False
+    result.verdicts["comparison"] = Check(1.25, np.inf, "<")
+    result.verdicts["bv"] = Check(np.nan, 1.0, "<")
     text = report_text(result)
     assert "c_comparison = 1.25" in text
     assert "verdict = pass [comparison]" in text

@@ -26,7 +26,7 @@ from crocco_prandtl.scenarios import (
     run_scenario,
     validate_scenario,
 )
-from crocco_prandtl.grids import AnalyticField, FieldHistory, GridSpec
+from crocco_prandtl.grids import AnalyticField, Check, FieldHistory, GridSpec
 from crocco_prandtl.solver import ConvergenceTable, SolveStore, SweepRow, check_cfl
 
 
@@ -222,6 +222,13 @@ def _model_oscillation(m, **fields):
           rep if isinstance(field, AnalyticField) else replace(rep, **fields))
 
 
+def _constant_model_density(m, v):
+    original = ko.density_ratio
+    field = AnalyticField(lambda t, x, y: np.full_like(np.asarray(t, float), v))
+    m.setattr(ko, "density_ratio", lambda u, h, normalize=False:
+              original(field if normalize else u, h, normalize))
+
+
 @dataclass
 class SharedBound:
     criterion: int
@@ -297,6 +304,10 @@ SHARED_BOUNDS = {
     "holder_exponent": SharedBound(
         11, LAB, "holder_positive_", lambda m, v: _model_oscillation(m, alpha_holder=v),
         TINY, 0.0),
+    # each model run's density measured on the constant field v: at v = 0 the
+    # density hypothesis fails, no level is measured, and the check reads NaN
+    "density_hypothesis": SharedBound(9, LAB, "density_floor_", _constant_model_density,
+                                      1.0, 0.0),
 }
 
 
@@ -321,6 +332,48 @@ def test_runner_and_criterion_share_each_bound(engine, monkeypatch, criterion_6_
             case.patch(m, value)
             verdicts = run_scenario(case.cfg).verdicts
             res = engine.run([case.criterion]).results[0]
-        named = [ok for key, ok in verdicts.items() if key.startswith(case.verdict)]
+        assert all(isinstance(chk, Check) for chk in verdicts.values()), verdicts
+        named = [chk.passed for key, chk in verdicts.items() if key.startswith(case.verdict)]
         assert named and named == [inside] * len(named), (value, verdicts)
         assert res.passed == inside, (value, res.line())
+
+
+def _below_top_minimum(m, v):
+    # every strip run with its least node below y = 1 set to v
+    def change(hist, *a, **k):
+        values = hist.values.copy()
+        below = values[:, :, :-1]
+        below[np.unravel_index(np.argmin(below), below.shape)] = v
+        return FieldHistory(t=hist.t, x=hist.x, y=hist.y, eps=hist.eps,
+                            label=hist.label, values=values)
+    _wrap(m, SolveStore, "solve", change)
+
+
+# bounds only a runner applies: (config, verdict name or prefix, patch,
+# value just inside, value just past); the runner's verdicts must pass at
+# the first and fail at the second
+RUNNER_BOUNDS = {
+    "mean_value_constant": (
+        KERNEL, "mean_value_reproduces_constants",
+        lambda m, v: m.setattr(ko, "mean_value", lambda *a, **k: ko.MeanValueReport(
+            i0=2.5 * (1.0 + v), values=np.zeros(0))),
+        scenarios.MEAN_VALUE_CONST_TOL * (1 - 1e-3), scenarios.MEAN_VALUE_CONST_TOL * (1 + 1e-3)),
+    "log_bound": (
+        KERNEL, "log_bound_attained_",
+        lambda m, v: m.setattr(ko, "log_subsolution", lambda *a: (np.array([v]), 0.0)),
+        scenarios.LOG_BOUND_TOL * (1 - 1e-3), scenarios.LOG_BOUND_TOL * (1 + 1e-3)),
+    "positive_below_top": (
+        RunConfig(scenario="favorable_accel", nx=16, ny=16, nt=24, eps=1e-2),
+        "solution_positive_below_top", _below_top_minimum, TINY, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(RUNNER_BOUNDS))
+def test_runner_bound_fails_just_past_it(monkeypatch, name):
+    cfg, verdict, patch, inside, past = RUNNER_BOUNDS[name]
+    for value, expected in ((inside, True), (past, False)):
+        with monkeypatch.context() as m:
+            patch(m, value)
+            verdicts = run_scenario(cfg).verdicts
+        named = [chk.passed for key, chk in verdicts.items() if key.startswith(verdict)]
+        assert named and named == [expected] * len(named), (value, verdicts)

@@ -149,7 +149,7 @@ def test_viscosity_sweep_decreasing_on_modulated_data():
     table = viscosity_sweep(problem, (0.1, 0.03, 0.01, 0.003), SolveStore())
     assert len(table.rows) == 3
     assert all(r.ok for r in table.rows)
-    assert table.strictly_decreasing
+    assert table.largest_step < 0
 
 
 def test_viscosity_sweep_guards():
@@ -164,12 +164,16 @@ def test_viscosity_sweep_guards():
 def test_convergence_table_flags():
     good = ConvergenceTable(rows=[SweepRow(0.1, 0.01, 1.0, True),
                                   SweepRow(0.01, 0.001, 0.5, True)])
-    assert good.strictly_decreasing
+    assert good.largest_step == -0.5
     stalled = ConvergenceTable(rows=[SweepRow(0.1, 0.01, 0.5, True),
                                      SweepRow(0.01, 0.001, 0.5, True)])
-    assert not stalled.strictly_decreasing
+    assert stalled.largest_step == 0.0
     broken = ConvergenceTable(rows=[SweepRow(0.1, 0.01, float("nan"), False)])
-    assert not broken.strictly_decreasing
+    assert np.isnan(broken.largest_step)
+    # a gap that is not finite is no decrease, though inf - 1 < 0
+    diverged = ConvergenceTable(rows=[SweepRow(0.1, 0.01, float("inf"), True),
+                                      SweepRow(0.01, 0.001, 1.0, True)])
+    assert np.isnan(diverged.largest_step)
 
 
 def test_grid_refinement_proxy_vanishes_on_exact_profile():

@@ -117,11 +117,22 @@ def test_engine_keeps_no_criterion_local_march(solves):
     # the details the criteria gave while the engine's store held their
     # 128^3 marches
     assert res5.passed and res5.detail == (
-        "residual 1.353e-05 (tol 1e-02), refinement ratio 4.00 (>=1.8), "
-        "wall trace 2.487e-14 (tol 1e-06)")
+        "wall_trace_small 2.487e-14 <= 1e-06, weak_residual_small 1.353e-05 <= 0.01, "
+        "refinement_ratio 4 >= 1.8")
     assert res6.passed and res6.detail == (
-        "c6 per family {'initial': '1.000', 'inflow': '2.000', 'suction': '2.279'}, "
-        "worst spread 0.107 (suction, tol 0.20), identical-data lhs 0.00e+00 (tol 1e-12)")
+        "c6_finite_initial_n64_eps0.01 1 < inf, c6_finite_inflow_n64_eps0.01 2 < inf, "
+        "c6_finite_suction_n64_eps0.01 2.07 < inf, "
+        "c6_finite_initial_n64_eps0.001 1 < inf, "
+        "c6_finite_inflow_n64_eps0.001 2 < inf, "
+        "c6_finite_suction_n64_eps0.001 2.048 < inf, "
+        "c6_finite_initial_n128_eps0.01 1 < inf, "
+        "c6_finite_inflow_n128_eps0.01 2 < inf, "
+        "c6_finite_suction_n128_eps0.01 2.279 < inf, "
+        "c6_finite_initial_n128_eps0.001 1 < inf, "
+        "c6_finite_inflow_n128_eps0.001 2 < inf, "
+        "c6_finite_suction_n128_eps0.001 2.254 < inf, spread_c6_initial 0 < 0.2, "
+        "spread_c6_inflow 0 < 0.2, spread_c6_suction 0.1067 < 0.2, "
+        "identical_data_silent 0 <= 1e-12")
     # the 64^3 marches they share are served from the engine's store
     del solves[:]
     assert engine.run([1]).all_pass and engine.run([3]).all_pass
