@@ -4,12 +4,16 @@ them through `scipy.linalg` would run its `__init__` and array-API shim
 (numpy.f2py, numpy.testing, numpy.ma): more than half of the package's
 import.  So the extension file is loaded directly, the importlib recipe
 "Importing a source file directly", under its real name in sys.modules,
-where a later `import scipy.linalg` finds and reuses it."""
+where a later `import scipy.linalg` finds and reuses it.  Both marchers
+hold their tridiagonal systems row by row and solve them as one uncoupled
+system in the layout of `uncoupled_bands`."""
 
 import importlib.machinery
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
 
 NAME = "scipy.linalg._flapack"
 
@@ -38,3 +42,12 @@ def _flapack():
 
 _module = _flapack()
 dgtsv, dgttrf, dgttrs = _module.dgtsv, _module.dgttrf, _module.dgttrs
+
+
+def uncoupled_bands(sub, dia, sup) -> tuple:
+    """The tridiagonal systems held row by row (sub[:, 0] and sup[:, -1]
+    ignored) as the bands (dl, d, du) of one uncoupled system: the couplings
+    between rows zeroed, each band raveled.  dl and du are private copies."""
+    lower, upper = np.array(sub, float), np.array(sup, float)
+    lower[:, 0] = upper[:, -1] = 0.0
+    return lower.ravel()[1:], dia.ravel(), upper.ravel()[:-1]

@@ -217,7 +217,7 @@ class AcceptanceEngine:
                                         grid, 0.01, spec)
                        for kind, lam, seed in ROUGH_COEFS]
             return (max(rep.ratio for rep in reports),
-                    sum(int(rep.hard_violation) for rep in reports))
+                    sum(rep.ratio == float("inf") for rep in reports))
 
         c_base, viol_base = family_constant(ko.MODEL_GRID)
         c_fine, viol_fine = family_constant(MODEL_GRID_FINE)

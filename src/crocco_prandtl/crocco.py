@@ -26,8 +26,9 @@ problem stores only U, dxU, dtU and dxP/U on (t, x); a, b, c are formed
 from them, per time level or as volumes, by `CroccoProblem.coefficients`.
 
 `make_problem` is the only place the outer flow is sampled;
-`pressure_gradient` decides favorability (dxP <= 0, the hypothesis of
-Oleinik's monotone class) on the problem's own (t, x) nodes.
+`pressure_gradient` checks favorability (dxP <= 0, the hypothesis of
+Oleinik's monotone class) on the problem's own (t, x) nodes, and
+`validate` returns every hypothesis as a grids.Check on its worst node.
 """
 
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import DataError
 from .flows import ExternalFlow
-from .grids import GridSpec
+from .grids import Check, GridSpec
 
 # largest admissible constant of the linear envelope (1 - y)/C0 <= w <= C0 (1 - y)
 C0_MAX = 50.0
@@ -58,43 +59,27 @@ class CroccoData:
 
 
 @dataclass(frozen=True)
-class ValidationIssue:
-    """A hypothesis violated at a location, with the offending value."""
-
-    condition: str
-    location: tuple
-    value: float
-
-    def __str__(self):
-        loc = ", ".join(f"{v:.6g}" for v in self.location)
-        return f"{self.condition} violated at ({loc}): value {self.value:.6g}"
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    """Issues found and the envelope constant C0 (None if none was measured)."""
+    """Each hypothesis as a Check keyed by its condition, the node where it
+    is worst keyed the same way, and the envelope constant C0 (None if none
+    was measured)."""
 
-    issues: tuple
+    checks: dict
+    where: dict
     c0: Optional[float]
 
     @property
     def ok(self) -> bool:
-        return len(self.issues) == 0
+        return all(chk.passed for chk in self.checks.values())
 
     def summary(self) -> str:
         if not self.ok:
-            return "\n".join(str(i) for i in self.issues)
+            return "\n".join(
+                f"{cond} violated at ({', '.join(f'{v:.6g}' for v in self.where[cond])}): "
+                f"value {chk.value:.6g}"
+                for cond, chk in self.checks.items() if not chk.passed)
         envelope = "" if self.c0 is None else f"; envelope constant C0 = {self.c0:.6g}"
         return "all hypotheses hold" + envelope
-
-
-@dataclass(frozen=True)
-class PressureGradient:
-    """Favorability of dxP on a problem's nodes; its largest value and (x, t)."""
-
-    favorable: bool
-    worst_value: float
-    worst_location: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,64 +180,57 @@ def validate(problem: CroccoProblem) -> ValidationReport:
 
     Reads the sampled data: non-positive suction v0, positive shear w0 and
     w1 below y = 1 (the monotone-profile class) and the linear envelope
-    bound w comparable to (1 - y) with constant below C0_MAX.  The pressure
-    gradient is classified by `pressure_gradient` on the problem's own
-    (t, x) nodes.  Positivity of U needs no check here: make_problem
-    refuses a problem without it.  An empty issue list means every
-    hypothesis holds on the grid.
+    bound w comparable to (1 - y) with constant below C0_MAX, the envelope
+    checked only on a shear that is positive.  The pressure gradient is
+    checked by `pressure_gradient` on the problem's own (t, x) nodes.
+    Positivity of U needs no check here: make_problem refuses a problem
+    without it.  Each check is made on the worst node, the first one in the
+    array's order, and keyed by the condition it tests.
     """
     g = problem.grid
     x, t, yint = g.x, g.t, g.y[:-1]
-    issues = []
-    if np.any(problem.v0 > 1e-12):
-        i, j = np.unravel_index(int(np.argmax(problem.v0)), problem.v0.shape)
-        issues.append(ValidationIssue("suction sign (v0 <= 0)", (x[j], t[i]),
-                                      float(problem.v0[i, j])))
+    checks, where = {}, {}
 
+    def record(cond, vals, pick, bound, sense, node):
+        # the value at the first arg-extremum of vals against bound, and its node
+        i, j = np.unravel_index(int(pick(vals)), vals.shape)
+        checks[cond] = Check(float(vals[i, j]), bound, sense)
+        where[cond] = node(i, j)
+
+    record("suction sign (v0 <= 0)", problem.v0, np.argmax, 1e-12, "<=",
+           lambda i, j: (x[j], t[i]))
     ratios = []
     for name, vals, coords in (("initial shear", problem.w0[:, :-1], x),
                                ("inflow shear", problem.w1[:, :-1], t)):
-        if np.any(vals <= 0):
-            i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
-            issues.append(ValidationIssue(f"monotone profile class ({name} > 0)",
-                                          (coords[i], yint[j]), float(vals[i, j])))
+        def node(i, j):
+            return coords[i], yint[j]
+        monotone = f"monotone profile class ({name} > 0)"
+        record(monotone, vals, np.argmin, 0.0, ">", node)
+        if not checks[monotone].passed:
             continue
         ratio = vals / (1.0 - yint[None, :])
         ratios.append(ratio)
-        lo = float(np.min(ratio))
-        hi = float(np.max(ratio))
-        if lo < 1.0 / C0_MAX:
-            i, j = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
-            issues.append(ValidationIssue(
-                f"linear envelope lower bound ({name} vs (1-y)/C0, C0={C0_MAX:g})",
-                (coords[i], yint[j]), lo))
-        if hi > C0_MAX:
-            i, j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-            issues.append(ValidationIssue(
-                f"linear envelope upper bound ({name} vs C0 (1-y), C0={C0_MAX:g})",
-                (coords[i], yint[j]), hi))
+        record(f"linear envelope lower bound ({name} vs (1-y)/C0, C0={C0_MAX:g})",
+               ratio, np.argmin, 1.0 / C0_MAX, ">=", node)
+        record(f"linear envelope upper bound ({name} vs C0 (1-y), C0={C0_MAX:g})",
+               ratio, np.argmax, C0_MAX, "<=", node)
 
     c0 = None
     if ratios:
         allr = np.concatenate([r.ravel() for r in ratios])
         c0 = float(max(np.max(allr), np.max(1.0 / allr)))
 
-    grad = pressure_gradient(problem)
-    if not grad.favorable:
-        issues.append(ValidationIssue("favorable pressure (dxP <= 0)",
-                                      grad.worst_location, grad.worst_value))
-    return ValidationReport(issues=tuple(issues), c0=c0)
+    favorable = "favorable pressure (dxP <= 0)"
+    checks[favorable], where[favorable] = pressure_gradient(problem)
+    return ValidationReport(checks=checks, where=where, c0=c0)
 
 
-def pressure_gradient(problem: CroccoProblem) -> PressureGradient:
+def pressure_gradient(problem: CroccoProblem) -> tuple:
     """dxP = -(dtU + U dxU) from the problem's (t, x) samples, as make_problem
-    forms it; favorable when dxP <= 0 at every node.  The worst node is the
-    first maximum in x-major order."""
+    forms it: the check that its largest value is at most FAVORABLE_TOL
+    (favorable, dxP <= 0), and that value's node (x, t), the first maximum
+    in x-major order."""
     dxP = -(problem.dtU + problem.U * problem.dxU)
     ix, it = np.unravel_index(int(np.argmax(dxP.T)), dxP.T.shape)
-    worst = float(dxP[it, ix])
-    return PressureGradient(
-        favorable=worst <= FAVORABLE_TOL,
-        worst_value=worst,
-        worst_location=(float(problem.grid.x[ix]), float(problem.grid.t[it])),
-    )
+    return (Check(float(dxP[it, ix]), FAVORABLE_TOL, "<="),
+            (float(problem.grid.x[ix]), float(problem.grid.t[it])))

@@ -39,7 +39,7 @@ def comparison_constant(history: FieldHistory) -> float:
     if np.min(u) <= 0:
         return float("inf")
     ratio = u / (1.0 - y[None, None, :])
-    return float(max(np.max(ratio), np.max(1.0 / ratio)))
+    return float(max(np.max(ratio), 1.0 / np.min(ratio)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,6 @@ class StabilityReport:
     lhs: np.ndarray
     rhs: np.ndarray
     c6_hat: float
-    exact_match: bool
 
 
 def l1_stability(hist_a: FieldHistory, hist_b: FieldHistory,
@@ -352,8 +351,8 @@ def l1_stability(hist_a: FieldHistory, hist_b: FieldHistory,
     """Continuous-dependence functional: snapshot L1 distance against the
     accumulated data distance (initial + inflow + suction).
 
-    c6_hat is the largest ratio over time levels with nonzero data distance;
-    identical data sets exact_match instead.
+    c6_hat is the largest ratio over time levels with nonzero data distance
+    (see _c6_hat); identical data have zero data distance on every level.
     """
     if hist_a.values.shape != hist_b.values.shape:
         raise ConfigError("stability comparison requires matching grids")
@@ -368,17 +367,16 @@ def l1_stability(hist_a: FieldHistory, hist_b: FieldHistory,
     accum = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(t))])
     rhs = d_init + accum
 
-    exact = bool(d_init == 0.0 and np.all(d_in == 0.0) and np.all(d_wall == 0.0))
-    return StabilityReport(lhs=lhs, rhs=rhs, c6_hat=_c6_hat(lhs, rhs, exact),
-                           exact_match=exact)
+    return StabilityReport(lhs=lhs, rhs=rhs, c6_hat=_c6_hat(lhs, rhs))
 
 
-def _c6_hat(lhs: np.ndarray, rhs: np.ndarray, exact: bool) -> float:
+def _c6_hat(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Largest ratio lhs / rhs over the time levels with nonzero data
     distance; inf if lhs is nonzero on a level whose data distance
-    vanishes.  Identical data give 0 for a vanishing lhs and inf otherwise."""
+    vanishes.  Data distance zero on every level, as for identical data,
+    gives 0 for a vanishing lhs and inf otherwise."""
     mask = rhs > 1e-300
-    if exact or not np.any(mask):
+    if not np.any(mask):
         return 0.0 if np.max(lhs, initial=0.0) <= 1e-12 else float("inf")
     if np.any(lhs[~mask] > 1e-12):
         return float("inf")
@@ -426,8 +424,7 @@ def physical_stability(hist_a: FieldHistory, hist_b: FieldHistory,
         phys[n] = float(np.sum(wx * seg.sum(axis=1)))
     base = l1_stability(hist_a, hist_b, prob_a, prob_b)
     gap = float(np.max(np.abs(phys - base.lhs)))
-    return PhysicalStabilityReport(identity_gap=gap,
-                                   c6_hat=_c6_hat(phys, base.rhs, base.exact_match))
+    return PhysicalStabilityReport(identity_gap=gap, c6_hat=_c6_hat(phys, base.rhs))
 
 
 # ---------------------------------------------------------------------------

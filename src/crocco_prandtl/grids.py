@@ -48,8 +48,19 @@ class Check:
         return bool(_SENSES[self.sense](self.value, self.bound))
 
     def __str__(self) -> str:
-        bound = "(%.4g, %.4g)" % self.bound if self.sense == "in" else "%.4g" % self.bound
+        """`value sense bound`: the value to four significant digits, the
+        bound (each end of an interval) as the shortest string that reads
+        back as the same float."""
+        bound = (f"({_shortest(self.bound[0])}, {_shortest(self.bound[1])})"
+                 if self.sense == "in" else _shortest(self.bound))
         return f"{self.value:.4g} {self.sense} {bound}"
+
+
+def _shortest(b) -> str:
+    """repr of the float b, the shortest string that round-trips, without a
+    trailing .0."""
+    text = repr(float(b))
+    return text[:-2] if text.endswith(".0") else text
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ._lapack import dgttrf, dgttrs
+from ._lapack import dgttrf, dgttrs, uncoupled_bands
 from .errors import ConfigError, NumericalError
 from .grids import CFL_SAFETY, Check, FieldHistory, trapezoid_weights
 from .parallel import fork_map
@@ -448,8 +448,6 @@ class PoincareReport:
     lhs: float
     rhs: float
     ratio: float
-    vacuous: bool
-    hard_violation: bool
 
 
 # lattice nodes per axis of the small and the wide box, and the level
@@ -472,8 +470,8 @@ def weak_poincare_ratio(w_field, spec: CutoffSpec) -> PoincareReport:
 
     LHS integrates the squared excess over the mean-value sup on the small
     box; RHS is theta^2 r^2 times the squared wall-normal gradient mass on
-    the wide box.  Zero RHS with zero LHS is a vacuous pass; zero RHS with
-    positive LHS is a hard violation.
+    the wide box.  Zero RHS with zero LHS is a vacuous pass, ratio 0; zero
+    RHS with positive LHS is a hard violation, ratio inf.
     """
     r, theta = spec.r, spec.theta
     if r >= theta:
@@ -486,16 +484,13 @@ def weak_poincare_ratio(w_field, spec: CutoffSpec) -> PoincareReport:
         lambda tq, xq, yq: w_field.sample_dy(tq, xq, yq) ** 2,
         Box(r / theta), POINCARE_WIDE_NODES)
     rhs = theta**2 * r**2 * rhs_raw
-    vacuous = rhs <= POINCARE_TINY and lhs <= POINCARE_TINY
-    hard = rhs <= POINCARE_TINY < lhs
-    if vacuous:
+    if rhs <= POINCARE_TINY and lhs <= POINCARE_TINY:
         ratio = 0.0
-    elif hard:
+    elif rhs <= POINCARE_TINY < lhs:
         ratio = float("inf")
     else:
         ratio = lhs / rhs
-    return PoincareReport(i0=i0, lhs=lhs, rhs=rhs, ratio=ratio, vacuous=vacuous,
-                          hard_violation=hard)
+    return PoincareReport(i0=i0, lhs=lhs, rhs=rhs, ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +500,8 @@ def weak_poincare_ratio(w_field, spec: CutoffSpec) -> PoincareReport:
 @dataclass
 class DensityReport:
     hypothesis_fraction: float
-    hypothesis_met: bool
-    rows: List[tuple]  # (t, h, ratio, passed)
+    rows: List[tuple]  # (t, h, ratio)
     ratio: float
-    verdict: Optional[bool]
     h_certificate: dict
 
 
@@ -520,14 +513,16 @@ DENSITY_TIMES = 9
 
 
 def density_ratio(u_field, h: float, normalize: bool = False) -> DensityReport:
-    """Occupation measure of {u >= h} on the slab against the floor 1/11.
+    """Occupation measure of {u >= h} on the slab, the ratio held against
+    DENSITY_FLOOR = 1/11.
 
     The hypothesis (at least half the past box of radius DENSITY_R sits at
     level >= 1) is measured on a node lattice; normalize=True rescales by
     the lattice median first, which makes the hypothesis hold whenever the
-    median is positive.  No verdict is issued when the hypothesis fails.
-    The slab ratio at level h is also the first entry of the h-certificate,
-    which adds the levels h/2 and h/4.
+    median is positive.  The slab ratio at level h is also the first entry
+    of the h-certificate, which adds the levels h/2 and h/4.  When the
+    hypothesis fails nothing is measured: no rows, a NaN ratio and an empty
+    h-certificate.
     """
     X, Y, T = np.meshgrid(*Box(DENSITY_R).lattice(DENSITY_NODES), indexing="ij")
     vals = u_field.sample(T, X, Y)
@@ -538,8 +533,7 @@ def density_ratio(u_field, h: float, normalize: bool = False) -> DensityReport:
             scale = med
     frac = float(np.mean(vals / scale >= 1.0 - 1e-12))
     if frac < 0.5:
-        return DensityReport(hypothesis_fraction=frac, hypothesis_met=False,
-                             rows=[], ratio=float("nan"), verdict=None,
+        return DensityReport(hypothesis_fraction=frac, rows=[], ratio=float("nan"),
                              h_certificate={})
 
     sx, sy = Box(SLAB_BETA * DENSITY_R).lattice(DENSITY_NODES)[:2]
@@ -551,7 +545,7 @@ def density_ratio(u_field, h: float, normalize: bool = False) -> DensityReport:
         per_t = []
         for tq in t_samples:
             f = float(np.mean(u_field.sample(np.full_like(SX, tq), SX, SY) / scale >= level))
-            per_t.append((float(tq), level, f, f >= DENSITY_FLOOR))
+            per_t.append((float(tq), level, f))
             worst = min(worst, f)
         return worst, per_t
 
@@ -559,9 +553,7 @@ def density_ratio(u_field, h: float, normalize: bool = False) -> DensityReport:
     cert = {h: ratio}
     for level in (h / 2.0, h / 4.0):
         cert[level], _ = slab_ratio(level)
-    return DensityReport(hypothesis_fraction=frac, hypothesis_met=True,
-                         rows=rows, ratio=ratio, verdict=bool(ratio >= DENSITY_FLOOR),
-                         h_certificate=cert)
+    return DensityReport(hypothesis_fraction=frac, rows=rows, ratio=ratio, h_certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +675,7 @@ def model_scenarios(kind: str, lam: float = 2.0, seed: int = 0) -> RoughCoeffici
 def _factor_columns(sub, dia, sup) -> Callable:
     """Factor once the tridiagonal systems held row by row (sub[:, 0] and
     sup[:, -1] ignored) as one uncoupled LAPACK system; returns its solver."""
-    lower, upper = np.array(sub, float), np.array(sup, float)
-    lower[:, 0] = upper[:, -1] = 0.0
-    dl, d, du, du2, ipiv, info = dgttrf(lower.ravel()[1:], dia.ravel(), upper.ravel()[:-1])
+    dl, d, du, du2, ipiv, info = dgttrf(*uncoupled_bands(sub, dia, sup))
     if info != 0:
         raise NumericalError(f"tridiagonal factorization failed (info={info})")
     return lambda rhs: dgttrs(dl, d, du, du2, ipiv, rhs.ravel())[0].reshape(rhs.shape)

@@ -43,7 +43,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ._lapack import dgtsv
+from ._lapack import dgtsv, uncoupled_bands
 from .crocco import CroccoProblem
 from .errors import ConfigError, NumericalError
 from .grids import CFL_SAFETY, FieldHistory, GridSpec, l1_spacetime_norm
@@ -75,11 +75,9 @@ def _solve_columns(sub, dia, sup, rhs) -> np.ndarray:
     """Solve the tridiagonal systems held row by row (sub[:, 0] and
     sup[:, -1] ignored) as one uncoupled LAPACK ?gtsv system; rhs has shape
     (nrhs, rows, n) and the solutions come back in that shape."""
-    lower, upper = np.array(sub, float), np.array(sup, float)
-    lower[:, 0] = upper[:, -1] = 0.0
     b = np.reshape(rhs, (rhs.shape[0], -1)).T
-    # lower and upper are private copies, so LAPACK may overwrite them
-    *_, x, info = dgtsv(lower.ravel()[1:], dia.ravel(), upper.ravel()[:-1], b,
+    # the off-diagonal bands are private copies, so LAPACK may overwrite them
+    *_, x, info = dgtsv(*uncoupled_bands(sub, dia, sup), b,
                         overwrite_dl=True, overwrite_du=True)
     if info != 0:
         raise NumericalError(f"wall-normal tridiagonal solve failed (info={info})")
@@ -161,7 +159,10 @@ def _advance(u, n, problem, grid, eps, source, a_n, b_n, c_n1) -> np.ndarray:
 def solve(problem: CroccoProblem, grid: GridSpec, eps: float,
           forcing: Optional[Callable] = None, label: str = "") -> FieldHistory:
     """March the full history from the initial data; CFL is enforced before
-    any stepping.  forcing, when given, is a source f(x, y, t)."""
+    any stepping.  grid must be the grid the problem was sampled on.
+    forcing, when given, is a source f(x, y, t)."""
+    if grid != problem.grid:
+        raise ConfigError(f"solve grid {grid} is not the problem's grid {problem.grid}")
     if eps <= 0:
         raise ConfigError(f"regularization eps must be positive, got {eps}")
     margins = check_cfl(problem, grid, eps)
@@ -213,8 +214,7 @@ class SolveStore:
 class SweepRow:
     eps_hi: float
     eps_lo: float
-    l1_diff: float
-    ok: bool
+    l1_diff: float  # NaN when either solve failed
 
 
 @dataclass
@@ -236,7 +236,7 @@ def viscosity_sweep(problem: CroccoProblem, eps_list, store: SolveStore) -> Conv
     and tabulate successive L1 differences over the space-time cylinder.
 
     Solves go through store, so a sweep reuses the runs its caller already
-    made.  A failed solve marks its rows and the sweep continues.
+    made.  A failed solve gives its rows a NaN gap and the sweep continues.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2:
@@ -253,10 +253,10 @@ def viscosity_sweep(problem: CroccoProblem, eps_list, store: SolveStore) -> Conv
     rows = []
     for hi, lo, h_hi, h_lo in zip(eps_list, eps_list[1:], histories, histories[1:]):
         if h_hi is None or h_lo is None:
-            rows.append(SweepRow(hi, lo, float("nan"), False))
+            rows.append(SweepRow(hi, lo, float("nan")))
         else:
             d = l1_spacetime_norm(h_hi.values - h_lo.values, grid.t, grid.x, grid.y)
-            rows.append(SweepRow(hi, lo, d, True))
+            rows.append(SweepRow(hi, lo, d))
     return ConvergenceTable(rows=rows)
 
 

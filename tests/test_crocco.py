@@ -5,7 +5,7 @@ from crocco_prandtl.crocco import CroccoData, make_problem, pressure_gradient, v
 from crocco_prandtl.errors import DataError
 from crocco_prandtl.flows import (ExternalFlow, accelerating_flow, decelerating_flow,
                                   uniform_flow)
-from crocco_prandtl.grids import GridSpec
+from crocco_prandtl.grids import Check, GridSpec
 from crocco_prandtl.solver import cfl_margins
 
 
@@ -113,13 +113,13 @@ def test_pressure_gradient_reads_the_problem_nodes():
     for flow in (decelerating_flow(), swelling_flow(), retarding):
         dxP = -(flow.dtU(xx, tt) + flow.U(xx, tt) * flow.dxU(xx, tt))
         i, j = np.unravel_index(int(np.argmax(dxP)), dxP.shape)
-        grad = pressure_gradient(make_problem(flow, grid, linear_data()))
-        assert grad.worst_value == dxP[i, j]
-        assert grad.worst_location == (grid.x[i], grid.t[j])
-        assert grad.favorable == (dxP[i, j] <= 1e-12)
+        favorable, node = pressure_gradient(make_problem(flow, grid, linear_data()))
+        assert favorable.value == dxP[i, j]
+        assert node == (grid.x[i], grid.t[j])
+        assert favorable.passed == (dxP[i, j] <= 1e-12)
     # the retarding flow's worst node is off the origin: x = 0 at the last level
-    assert grad.worst_location == (0.0, 0.5)
-    assert not grad.favorable
+    assert node == (0.0, 0.5)
+    assert not favorable.passed
 
 
 def _held_bytes(problem) -> dict:
@@ -193,7 +193,18 @@ def test_validate_clean_data_reports_envelope_one():
     report = validate(make_problem(uniform_flow(), GridSpec(16, 16, 16), linear_data()))
     assert report.ok
     assert report.c0 == pytest.approx(1.0)
-    assert "hold" in report.summary()
+    assert report.summary() == "all hypotheses hold; envelope constant C0 = 1"
+    # every hypothesis is a Check with its worst node, the passing ones too
+    assert list(report.checks) == list(report.where) == [
+        "suction sign (v0 <= 0)",
+        "monotone profile class (initial shear > 0)",
+        "linear envelope lower bound (initial shear vs (1-y)/C0, C0=50)",
+        "linear envelope upper bound (initial shear vs C0 (1-y), C0=50)",
+        "monotone profile class (inflow shear > 0)",
+        "linear envelope lower bound (inflow shear vs (1-y)/C0, C0=50)",
+        "linear envelope upper bound (inflow shear vs C0 (1-y), C0=50)",
+        "favorable pressure (dxP <= 0)"]
+    assert all(isinstance(chk, Check) and chk.passed for chk in report.checks.values())
 
 
 def test_validate_scaled_data_envelope():
@@ -210,19 +221,25 @@ def test_validate_flags_positive_suction():
     )
     report = validate(make_problem(uniform_flow(), GridSpec(8, 8, 8), data))
     assert not report.ok
-    assert any("suction" in i.condition for i in report.issues)
+    assert report.summary() == "suction sign (v0 <= 0) violated at (0, 0): value 0.5"
 
 
 def test_validate_flags_adverse_pressure():
     report = validate(make_problem(decelerating_flow(), GridSpec(8, 8, 8), linear_data()))
     assert not report.ok
-    assert any("favorable" in i.condition for i in report.issues)
+    assert report.summary() == "favorable pressure (dxP <= 0) violated at (0, 0): value 0.25"
 
 
 def test_validate_flags_envelope_violation():
     # the envelope constant is capped at C0_MAX = 50
     report = validate(make_problem(uniform_flow(), GridSpec(8, 8, 8), linear_data(scale=60.0)))
-    assert any("upper bound" in i.condition for i in report.issues)
+    assert report.summary().splitlines() == [
+        f"linear envelope upper bound ({name} shear vs C0 (1-y), C0=50) violated at (0, 0): "
+        "value 60" for name in ("initial", "inflow")]
+    report = validate(make_problem(uniform_flow(), GridSpec(8, 8, 8), linear_data(scale=0.01)))
+    assert report.summary().splitlines() == [
+        f"linear envelope lower bound ({name} shear vs (1-y)/C0, C0=50) violated at (0, 0): "
+        "value 0.01" for name in ("initial", "inflow")]
 
 
 def test_validate_flags_nonpositive_shear():
@@ -233,4 +250,8 @@ def test_validate_flags_nonpositive_shear():
         v0=lambda x, t: -1.0 + 0.0 * x * t,
     )
     report = validate(make_problem(uniform_flow(), GridSpec(8, 8, 8), data))
-    assert any("monotone" in i.condition for i in report.issues)
+    # the envelope is not checked on a shear that is not positive
+    assert report.summary().splitlines() == [
+        f"monotone profile class ({name} shear > 0) violated at (0, 0.75): value -0.0625"
+        for name in ("initial", "inflow")]
+    assert report.c0 is None

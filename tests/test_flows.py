@@ -28,27 +28,28 @@ def test_uniform_flow_is_one_with_zero_gradient():
     assert np.all(flow.U(xx, tt) == 1.0)
     assert np.all(flow.dxU(xx, tt) == 0.0)
     assert np.all(flow.dtU(xx, tt) == 0.0)
-    grad = pressure_gradient(make_problem(flow, GridSpec(8, 8, 8), linear_data()))
-    assert grad.favorable
-    assert grad.worst_value == 0.0
+    favorable, _ = pressure_gradient(make_problem(flow, GridSpec(8, 8, 8), linear_data()))
+    assert favorable.passed
+    assert favorable.value == 0.0
 
 
 def test_accelerating_flow_pressure_is_minus_one():
     flow = accelerating_flow()
     xx, tt = lattice(T=0.5)
     assert np.allclose(flow.U(xx, tt), 1.0 + tt)
-    grad = pressure_gradient(make_problem(flow, GridSpec(8, 8, 8, T=0.5), linear_data()))
-    assert grad.favorable
-    assert grad.worst_value == pytest.approx(-1.0)
+    favorable, _ = pressure_gradient(make_problem(flow, GridSpec(8, 8, 8, T=0.5),
+                                                  linear_data()))
+    assert favorable.passed
+    assert favorable.value == pytest.approx(-1.0)
 
 
 def test_decelerating_flow_is_adverse():
-    grad = pressure_gradient(make_problem(decelerating_flow(), GridSpec(8, 8, 8),
-                                          linear_data()))
-    assert not grad.favorable
+    favorable, (x, _) = pressure_gradient(make_problem(decelerating_flow(), GridSpec(8, 8, 8),
+                                                       linear_data()))
+    assert not favorable.passed
     # dxP = U/4 is largest where U is largest, at x = 0
-    assert grad.worst_value == pytest.approx(0.25)
-    assert grad.worst_location[0] == pytest.approx(0.0)
+    assert favorable.value == pytest.approx(0.25)
+    assert x == pytest.approx(0.0)
 
 
 def test_bernoulli_relation_holds_for_each_builtin():
@@ -60,5 +61,5 @@ def test_bernoulli_relation_holds_for_each_builtin():
         problem = make_problem(flow, grid, linear_data())
         expected = -(flow.dtU(x, t) + flow.U(x, t) * flow.dxU(x, t))
         assert np.allclose(problem.px_over_u * problem.U, expected), builder.__name__
-        assert pressure_gradient(problem).worst_value == pytest.approx(
+        assert pressure_gradient(problem)[0].value == pytest.approx(
             np.max(expected)), builder.__name__

@@ -174,3 +174,22 @@ def test_check_open_interval_at_both_ends(lo, hi):
 def test_nan_fails_every_sense(sense, bound):
     assert Check(float("nan"), bound, sense).passed is False
     assert Check(np.float64("nan"), bound, sense).passed is False
+
+
+def test_check_renders_its_bound_at_round_trip_precision():
+    # criterion 8's plateau bound: at four significant digits it read 1
+    assert str(Check(1.0, 1.0 - 1e-12, ">=")) == "1 >= 0.999999999999"
+    assert str(Check(1.0, 1.0 / 11.0, ">=")) == "1 >= 0.09090909090909091"
+    # values keep four significant digits; no trailing .0 on a bound
+    assert str(Check(2.4871234e-14, 1e-06, "<=")) == "2.487e-14 <= 1e-06"
+    assert str(Check(0, 0, "==")) == "0 == 0"
+    assert str(Check(2.0, np.inf, "<")) == "2 < inf"
+    assert str(Check(0.26531, (0.0, 1.0), "in")) == "0.2653 in (0, 1)"
+    assert str(Check(0.5, (1e-12, 1.0 - 1e-12), "in")) == "0.5 in (1e-12, 0.999999999999)"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_check_bound_text_reads_back_as_the_bound(bound):
+    text = str(Check(0.0, bound, "<=")).split(" <= ")[1]
+    assert float(text) == bound and not text.endswith(".0")

@@ -444,7 +444,8 @@ def test_weak_poincare_requires_small_r():
 
 def test_weak_poincare_vacuous_on_zero_field():
     rep = ko.weak_poincare_ratio(const_history(0.0), ko.CutoffSpec(r=0.008, theta=0.01))
-    assert rep.vacuous and rep.ratio == 0.0 and not rep.hard_violation
+    # a vacuous pass: both sides vanish, so the ratio is 0, not a violation's inf
+    assert rep.lhs <= ko.POINCARE_TINY and rep.rhs <= ko.POINCARE_TINY and rep.ratio == 0.0
 
 
 def test_weak_poincare_subsolution_is_slack():
@@ -456,7 +457,7 @@ def test_weak_poincare_subsolution_is_slack():
         u0=lambda xq, yq: 0.75 * (1.0 - np.cos(np.pi * xq) * np.cos(np.pi * yq / 2.0)))
     V = ko.log_field(hist, h=0.01, variant="reciprocal")
     rep = ko.weak_poincare_ratio(V, ko.CutoffSpec(r=0.008, theta=0.01))
-    assert not rep.hard_violation
+    assert rep.ratio < float("inf")
     assert rep.i0 > 0.1          # the functional is genuinely active
     assert rep.rhs > 0.0         # gradient mass present
     assert rep.ratio <= 1e-6     # inequality holds with large slack
@@ -468,26 +469,25 @@ def test_weak_poincare_subsolution_is_slack():
 
 def test_density_constant_one_field():
     rep = ko.density_ratio(const_field(1.0), 0.01)
-    assert rep.hypothesis_met and rep.verdict is True
-    assert rep.ratio == 1.0
+    assert rep.hypothesis_fraction >= 0.5
+    assert rep.ratio == 1.0 >= ko.DENSITY_FLOOR
     assert all(v == 1.0 for v in rep.h_certificate.values())
 
 
 def test_density_zero_field_gives_no_verdict():
     rep = ko.density_ratio(const_field(0.0), 0.01, normalize=True)
-    assert not rep.hypothesis_met
-    assert rep.verdict is None and rep.rows == []
+    assert rep.hypothesis_fraction < 0.5
+    assert np.isnan(rep.ratio) and rep.rows == [] and rep.h_certificate == {}
 
 
 def test_density_on_model_run():
     hist = ko.solve_model(ko.model_scenarios("checkerboard", lam=2.0), *ko.MODEL_GRID)
     rep = ko.density_ratio(hist, 0.01, normalize=True)
-    assert rep.hypothesis_met
-    assert rep.verdict is True
+    assert rep.hypothesis_fraction >= 0.5
     assert rep.ratio >= ko.DENSITY_FLOOR
     for level, val in rep.h_certificate.items():
         assert val >= ko.DENSITY_FLOOR, level
-    assert all(row[3] for row in rep.rows)
+    assert all(ratio >= ko.DENSITY_FLOOR for _, _, ratio in rep.rows)
 
 
 # ---------------------------------------------------------------------------

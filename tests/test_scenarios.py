@@ -113,6 +113,15 @@ def test_validate_scenario_verdicts():
         RunConfig(scenario="oscillation_lab", nx=64, nt=16)
 
 
+def test_validate_scenario_passes_the_cutoff_checks_through(monkeypatch):
+    lemma = dict(ko.verify_lemma(ko.CutoffSpec(r=0.5, theta=0.01)))
+    lemma["support"] = Check(3.5e-7, 1e-12, "<=")
+    monkeypatch.setattr(ko, "verify_lemma", lambda spec: lemma)
+    report = validate_scenario(RunConfig(scenario="kolmogorov_checks", r=0.5))
+    assert list(report.checks.values()) == list(lemma.values())
+    assert report.summary() == "cutoff property 'support' violated at (0.01, 0.5): value 3.5e-07"
+
+
 def _refusal(call):
     """The message of the ConfigError call raises, or None if it returns."""
     try:
@@ -206,7 +215,7 @@ def _exact_offset(m, v):
 
 def _sweep_ratio(m, v):
     # a final sweep gap of 1e-3 against a refinement proxy of 1e-3 / v
-    rows = [SweepRow(0.1, 0.01, 2e-3, True), SweepRow(0.01, 0.001, 1e-3, True)]
+    rows = [SweepRow(0.1, 0.01, 2e-3), SweepRow(0.01, 0.001, 1e-3)]
     m.setattr(scenarios, "viscosity_sweep", lambda *a: ConvergenceTable(rows))
     m.setattr(scenarios, "grid_refinement_proxy", lambda *a, **k: 1e-3 / v)
 
@@ -326,7 +335,7 @@ def test_runner_and_criterion_share_each_bound(engine, monkeypatch, criterion_6_
     # the weak Poincare functional applies no shared bound and costs seconds
     # per oscillation-lab run, so its runs are replaced by a clean report
     monkeypatch.setattr(scenarios, "pinched_poincare",
-                        lambda *a: ko.PoincareReport(0.0, 0.0, 0.0, 0.0, True, False))
+                        lambda *a: ko.PoincareReport(0.0, 0.0, 0.0, 0.0))
     for value, inside in ((case.inside, True), (case.past, False)):
         with monkeypatch.context() as m:
             case.patch(m, value)
@@ -349,6 +358,10 @@ def _below_top_minimum(m, v):
     _wrap(m, SolveStore, "solve", change)
 
 
+def _poincare_ratio(m, v):
+    m.setattr(scenarios, "pinched_poincare", lambda *a: ko.PoincareReport(0.5, 1.0, 1.0, v))
+
+
 # bounds only a runner applies: (config, verdict name or prefix, patch,
 # value just inside, value just past); the runner's verdicts must pass at
 # the first and fail at the second
@@ -365,6 +378,10 @@ RUNNER_BOUNDS = {
     "positive_below_top": (
         RunConfig(scenario="favorable_accel", nx=16, ny=16, nt=24, eps=1e-2),
         "solution_positive_below_top", _below_top_minimum, TINY, 0.0),
+    # a hard violation reads ratio inf; a NaN ratio fails too
+    "poincare_violation": (LAB, "poincare_no_violation_", _poincare_ratio,
+                           np.finfo(float).max, np.inf),
+    "poincare_nan": (LAB, "poincare_no_violation_", _poincare_ratio, 0.0, np.nan),
 }
 
 
