@@ -13,7 +13,9 @@ the engine's store and a forked worker runs each further chunk against its
 own copy, discarded once its results are back.  So criteria reuse each
 other's shared fields within a chunk, verdicts and details are identical
 to a 1-core run, and each criterion's seconds are measured in the process
-that ran it.  The measurements themselves are the functions the scenario
+that ran it.  Criteria 4 and 6 fork again inside their chunk, through the
+measurements they share with the runners (cauchy_sweep, family_stability).
+The measurements themselves are the functions the scenario
 runners call, and a bound a runner applies too lives with the measurement
 in scenarios, which returns its checks (grids.Check); criteria 1-11 take
 all of them, add a Check per threshold only they apply, and render their
@@ -30,6 +32,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List
+
+import numpy as np
 
 from . import kolmogorov as ko
 from ._version import __version__
@@ -216,7 +220,8 @@ class AcceptanceEngine:
             reports = [pinched_poincare(ko.model_scenarios(kind, lam=lam, seed=seed),
                                         grid, 0.01, spec)
                        for kind, lam, seed in ROUGH_COEFS]
-            return (max(rep.ratio for rep in reports),
+            # np.max, unlike max, keeps a NaN ratio in any position
+            return (float(np.max([rep.ratio for rep in reports])),
                     sum(rep.ratio == float("inf") for rep in reports))
 
         c_base, viol_base = family_constant(ko.MODEL_GRID)

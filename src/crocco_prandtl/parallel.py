@@ -1,9 +1,15 @@
-"""One fork helper for every caller that splits a range across cores: the
-fields.csv writer and the mean-value lattice (time levels) and the
-acceptance engine (criteria).  A worker may call BLAS and LAPACK: OpenBLAS
-shuts its thread pool down before each fork (a pthread_atfork handler) and
-each process restarts it lazily on its next threaded call.  A worker may
-call fork_map again; its own workers are reaped before it returns."""
+"""One fork helper for every caller that splits work across cores.  Two
+forms share it: fork_map splits a range (the fields.csv writer and the
+mean-value lattice by time level, the acceptance engine by criterion), and
+fork_each splits a list of thunks (a run's independent marches and
+measurements: SolveStore.solve_many, the sweep beside its refinement
+proxy, and the two halves of the estimate battery).  Chunk 0, and so thunk
+0, runs in the calling process, so what it stores stays in the caller's
+memory; with one usable core nothing forks.  A worker may call BLAS and
+LAPACK: OpenBLAS shuts its thread pool down before each fork (a
+pthread_atfork handler) and each process restarts it lazily on its next
+threaded call.  A worker may call fork_map again; its own workers are
+reaped before it returns."""
 
 import os
 import pickle
@@ -22,8 +28,9 @@ def fork_map(fn, n: int) -> list:
     usable core, in order; [] for n = 0.  This process runs chunk 0 and forks a worker per
     further chunk; a worker pickles its result or exception into a pipe and
     leaves through os._exit, so inherited stdio buffers and exit handlers
-    never run twice.  A worker's exception is raised here, one that dies
-    raises RuntimeError, and no worker outlives the call."""
+    never run twice.  The result is unpickled as it streams in, so it is
+    held once.  A worker's exception is raised here, one that dies raises
+    RuntimeError, and no worker outlives the call."""
     if n == 0:
         return []
     k = min(_usable_cores(), n)
@@ -40,7 +47,7 @@ def fork_map(fn, n: int) -> list:
                     except BaseException as exc:
                         out = (False, exc)
                     with os.fdopen(w, "wb") as pipe:
-                        pickle.dump(out, pipe)
+                        pickle.dump(out, pipe, protocol=pickle.HIGHEST_PROTOCOL)
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -48,12 +55,17 @@ def fork_map(fn, n: int) -> list:
             workers[pid] = os.fdopen(r, "rb")
         results = [fn(bounds[0], bounds[1])]
         for pid in list(workers):
-            payload = workers[pid].read()
+            broken = None
+            try:
+                ok, value = pickle.load(workers[pid])
+            except Exception as exc:  # a worker that died mid-pickle cuts it short
+                broken = exc
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             workers.pop(pid).close()
             if code:
-                raise RuntimeError(f"forked worker exited with code {code}")
-            ok, value = pickle.loads(payload)
+                raise RuntimeError(f"forked worker exited with code {code}") from broken
+            if broken is not None:
+                raise broken
             if not ok:
                 raise value
             results.append(value)
@@ -63,3 +75,10 @@ def fork_map(fn, n: int) -> list:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def fork_each(thunks: list) -> list:
+    """[thunk() for thunk in thunks], contiguous runs of the thunks split
+    across the usable cores by fork_map, so thunk 0 runs in this process."""
+    return [out for part in fork_map(lambda a, b: [t() for t in thunks[a:b]], len(thunks))
+            for out in part]

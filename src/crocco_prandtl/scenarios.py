@@ -20,9 +20,19 @@ measurement returns its report and a dict of named grids.Check; runners
 record the checks as verdicts and criteria take all of them.  The reports
 keep numbers only, so a table's ok column is worked out from its row.  The
 identical-data check is the stored march against one fresh march.
+
+Three measurements split independent work across the usable cores through
+parallel.fork_each, the first part in the calling process:
+standard_estimates runs the two batteries in a worker beside the weak
+residuals and traces, cauchy_sweep runs the sweep's marches beside the
+refinement proxy's refined march, and family_stability marches the base
+and the families through SolveStore.solve_many.  identical_data's fresh
+march never forks: it is made in the calling process, after the stored
+one, so it meets whatever state the first march left behind.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -34,6 +44,7 @@ from .estimates import (INTERIOR_MARGIN, l1_stability, physical_stability, trace
                         bv_seminorm, comparison_constant)
 from .flows import accelerating_flow, uniform_flow
 from .grids import AnalyticField, Check, FieldHistory, GridSpec
+from .parallel import fork_each
 from .solver import (SolveStore, check_cfl, grid_refinement_proxy, solve,
                      viscosity_sweep)
 
@@ -205,16 +216,23 @@ def weak_identity(hist: FieldHistory, problem) -> tuple:
 def standard_estimates(result: RunResult, hist: FieldHistory, problem) -> tuple:
     """Record the estimate battery, its interior variants, traces, and the
     weak residual in result; returns the full-domain battery and the checks
-    of weak_identity."""
-    out = estimate_battery(hist)
+    of weak_identity.  The two weak residuals and the traces run in this
+    process beside the two batteries, which a forked worker returns as
+    numbers (parallel.fork_each)."""
+    def residuals():
+        return weak_residual(hist, problem, INTERIOR_MARGIN), weak_identity(hist, problem)
+
+    def batteries():
+        return estimate_battery(hist), estimate_battery(hist, margin=INTERIOR_MARGIN)
+
+    (interior_residual, (tr, checks)), (out, interior) = fork_each([residuals, batteries])
     for key, value in out.items():
         result.add(key, value)
     # interior variants expose how much the free outflow face contributes
     # to each norm; published, never asserted small
-    for key, value in estimate_battery(hist, margin=INTERIOR_MARGIN).items():
+    for key, value in interior.items():
         result.add(key, value, "interior")
-    result.add("weak_residual_sup", weak_residual(hist, problem, INTERIOR_MARGIN), "interior")
-    tr, checks = weak_identity(hist, problem)
+    result.add("weak_residual_sup", interior_residual, "interior")
     result.add("trace_initial_sup", tr.initial_sup, "t=0")
     result.add("trace_top_sup", tr.outflow_top_sup, "y=1")
     result.add("trace_inflow_sup", tr.inflow_sup, "x=0")
@@ -228,11 +246,16 @@ def cauchy_sweep(store: SolveStore, grid: GridSpec, eps_list) -> tuple:
     """Viscosity sweep of the accelerating scenario and the grid-refinement
     proxy at its smallest eps, ((ConvergenceTable, proxy), checks): the
     sweep gaps strictly decrease (their largest step is negative), and the
-    final gap is below SWEEP_PROXY_FACTOR proxies."""
+    final gap is below SWEEP_PROXY_FACTOR proxies.
+
+    The march at the smallest eps, which both read, is stored first; then
+    the sweep's marches run in this process beside the proxy's refined
+    march in a forked worker (parallel.fork_each)."""
     problem = store.build(favorable_accel_problem, grid)
-    table = viscosity_sweep(problem, eps_list, store)
-    proxy = grid_refinement_proxy(favorable_accel_problem, grid, eps_list[-1],
-                                  store=store)
+    store.solve(problem, eps_list[-1])
+    table, proxy = fork_each([
+        partial(viscosity_sweep, problem, eps_list, store),
+        partial(grid_refinement_proxy, favorable_accel_problem, grid, eps_list[-1], store)])
     return (table, proxy), {
         "sweep_strictly_decreasing": Check(table.largest_step, 0.0, "<"),
         "final_gap_below_grid_error": Check(table.rows[-1].l1_diff,
@@ -251,11 +274,14 @@ def family_stability(store: SolveStore, grid: GridSpec, eps: float,
                      delta: float) -> tuple:
     """L1 stability report of each perturbation family of size delta
     against the accelerating base run, keyed by family, and the checks
-    that each constant is finite."""
+    that each constant is finite.  The base and family marches are made
+    together through store.solve_many, the base first."""
     base_problem = store.build(favorable_accel_problem, grid)
+    families = store.build(perturbed_problems, grid, delta)
+    store.solve_many([(prob, eps) for prob in (base_problem, *families.values())])
     base = store.solve(base_problem, eps)
     stabs = {name: l1_stability(base, store.solve(prob, eps), base_problem, prob)
-             for name, prob in store.build(perturbed_problems, grid, delta).items()}
+             for name, prob in families.items()}
     return stabs, {f"c6_finite_{name}": Check(stab.c6_hat, np.inf, "<")
                    for name, stab in stabs.items()}
 
@@ -380,6 +406,9 @@ def run_viscosity_sweep(cfg, store: SolveStore) -> RunResult:
 def run_stability_perturb(cfg, store: SolveStore) -> RunResult:
     base_problem = strip_problem(cfg, store)
     grid = base_problem.grid
+    # the families first, so their marches and the base's split across the
+    # cores, and the stored base march precedes identical_data's fresh one
+    stabs, family_checks = family_stability(store, grid, cfg.eps, cfg.perturb)
     base = store.solve(base_problem, cfg.eps)
     result = RunResult("stability_perturb", cfg.grid_label, f"{cfg.eps:g}", history=base)
 
@@ -387,11 +416,10 @@ def run_stability_perturb(cfg, store: SolveStore) -> RunResult:
     result.add("identical_data_lhs_max", ident)
     result.verdicts.update(checks)
 
-    stabs, checks = family_stability(store, grid, cfg.eps, cfg.perturb)
     for name, stab in stabs.items():
         result.add(f"c6_{name}", stab.c6_hat)
         result.add(f"lhs_final_{name}", stab.lhs[-1])
-    result.verdicts.update(checks)
+    result.verdicts.update(family_checks)
 
     initial = store.build(perturbed_problems, grid, cfg.perturb)["initial"]
     phys = physical_stability(base, store.solve(initial, cfg.eps), base_problem, initial)
@@ -482,7 +510,8 @@ def run_oscillation_lab(cfg, store: SolveStore) -> RunResult:
         result.verdicts.update((f"{name}_{coef.name}", chk) for name, chk in checks.items())
         poincare_ratios.append(poin.ratio)
 
-    result.add("poincare_constant_bound", max(poincare_ratios))
+    # np.max, unlike max, keeps a NaN ratio in any position
+    result.add("poincare_constant_bound", np.max(poincare_ratios))
     return result
 
 

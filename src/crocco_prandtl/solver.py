@@ -45,8 +45,9 @@ import numpy as np
 
 from ._lapack import dgtsv, uncoupled_bands
 from .crocco import CroccoProblem
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, CroccoError, NumericalError
 from .grids import CFL_SAFETY, FieldHistory, GridSpec, l1_spacetime_norm
+from .parallel import fork_each
 
 
 def cfl_margins(problem: CroccoProblem, grid: GridSpec, eps: float) -> dict:
@@ -195,6 +196,10 @@ class SolveStore:
     module-level `solve`, looked up at call time.  A store keeps only what a
     second reader in its run takes: a march read once, a forced march, or
     a rerun that must not be served from memory calls `solve` itself.
+
+    solve_many(pairs) makes a family of independent marches at once, split
+    across the usable cores by parallel.fork_each: the first runs in this
+    process, and each forked worker sends its histories back to be stored.
     """
 
     def __init__(self):
@@ -208,6 +213,24 @@ class SolveStore:
 
     def solve(self, problem: CroccoProblem, eps: float) -> FieldHistory:
         return self.build(solve, problem, problem.grid, eps)
+
+    def solve_many(self, pairs) -> None:
+        """Store the march of each (problem, eps) pair not yet stored.  A
+        pair whose march raises a CroccoError is left unstored, so the
+        caller's own solve raises it where it would have without this call."""
+        todo = [(problem, eps) for problem, eps in pairs
+                if (solve, problem, problem.grid, eps) not in self._built]
+
+        def march(problem, eps):
+            try:
+                return solve(problem, problem.grid, eps)
+            except CroccoError:
+                return None
+
+        hists = fork_each([partial(march, problem, eps) for problem, eps in todo])
+        for (problem, eps), hist in zip(todo, hists):
+            if hist is not None:
+                self._built[(solve, problem, problem.grid, eps)] = hist
 
 
 @dataclass

@@ -5,14 +5,17 @@ tests pin the report structure and the small-grid behavior so runner
 regressions surface quickly.
 """
 
+import hashlib
 from dataclasses import dataclass, replace
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from crocco_prandtl import kolmogorov as ko
-from crocco_prandtl import acceptance, scenarios
+from crocco_prandtl import acceptance, parallel, scenarios
+from crocco_prandtl.acceptance import AcceptanceEngine
 from crocco_prandtl.config import RunConfig
 from crocco_prandtl.errors import ConfigError
 from crocco_prandtl.reporting import write_artifacts
@@ -394,3 +397,49 @@ def test_runner_bound_fails_just_past_it(monkeypatch, name):
             verdicts = run_scenario(cfg).verdicts
         named = [chk.passed for key, chk in verdicts.items() if key.startswith(verdict)]
         assert named and named == [expected] * len(named), (value, verdicts)
+
+
+def _second_coefficient_nan(m):
+    # of each three-coefficient family, the second reads a NaN ratio behind
+    # a negligible first one; Python's max would skip it and report 1e-23
+    calls = []
+
+    def stand_in(*a):
+        calls.append(None)
+        ratio = np.nan if len(calls) % 3 == 2 else 1e-23
+        return ko.PoincareReport(0.5, ratio, 1.0, ratio)
+    for module in (scenarios, acceptance):
+        m.setattr(module, "pinched_poincare", stand_in)
+
+
+def test_a_nan_poincare_ratio_behind_a_finite_one_fails(monkeypatch):
+    _second_coefficient_nan(monkeypatch)
+    res = AcceptanceEngine().criterion_10()
+    assert not res.passed and res.detail.startswith("C nan <= 1e-06, C_refined nan <= 1e-06")
+    result = run_scenario(LAB)
+    bound = [value for key, value, *_ in result.entries if key == "poincare_constant_bound"]
+    assert len(bound) == 1 and np.isnan(bound[0])
+    assert not result.ok
+
+
+STRIP_SMALL = (EXACT, RunConfig(scenario="favorable_accel", nx=16, ny=16, nt=24, eps=1e-2),
+               SWEEP, PERTURB)
+
+
+def _strip_artifact_digests(root):
+    """sha256 of every artifact of the four strip scenarios, run under root."""
+    for cfg in STRIP_SMALL:
+        write_artifacts(run_scenario(cfg), root / cfg.scenario)
+    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_strip_artifacts_do_not_follow_the_core_count(tmp_path):
+    # the marches, the sweep's refinement proxy and the estimate batteries
+    # are split across the cores; every artifact keeps its bytes
+    digests = []
+    for cores in (1, 2, 3):
+        with mock.patch.object(parallel, "_usable_cores", return_value=cores):
+            digests.append(_strip_artifact_digests(tmp_path / f"cores{cores}"))
+    assert len(digests[0]) == 4 * 3 + 1
+    assert digests[0] == digests[1] == digests[2]
