@@ -15,12 +15,11 @@ other's shared fields within a chunk, verdicts and details are identical
 to a 1-core run, and each criterion's seconds are measured in the process
 that ran it.  Criteria 4 and 6 fork again inside their chunk, through the
 measurements they share with the runners (cauchy_sweep, family_stability).
-The measurements themselves are the functions the scenario
-runners call, and a bound a runner applies too lives with the measurement
-in scenarios, which returns its checks (grids.Check); criteria 1-11 take
-all of them, add a Check per threshold only they apply, and render their
-detail from the checks as `name value sense bound` items, so it shows
-every value compared with its bound.  Two criteria bypass the store on
+The measurements themselves are the functions the scenario runners call,
+and a bound a runner applies too lives with the measurement in scenarios,
+which returns its checks (grids.Check).  A criterion takes all of them and
+adds a Check per threshold only it applies; its result derives the verdict
+and the detail from those checks alone.  Two criteria bypass the store on
 purpose: criterion 6 compares its stored march with one fresh march of
 the same data, and criterion 12 reruns the full artifact bundle, each
 scenario with its own fresh store.
@@ -61,11 +60,23 @@ MMS_FLOORS = {"x": 0.9, "y": 1.9, "t": 0.9, "coupled": 0.9}
 
 @dataclass
 class CriterionResult:
+    """A criterion's named checks; it passes when it has at least one and
+    every one passes.  A criterion that raised has none, and error says why."""
+
     number: int
     name: str
-    passed: bool
-    detail: str
+    checks: dict
+    error: str = ""
     seconds: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.checks) and all(chk.passed for chk in self.checks.values())
+
+    @property
+    def detail(self) -> str:
+        """Every check as `name value sense bound`, in order, or the error."""
+        return self.error or ", ".join(f"{name} {chk}" for name, chk in self.checks.items())
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -87,17 +98,6 @@ class AcceptanceReport:
         return "\n".join(lines)
 
 
-def _detail(checks: dict) -> str:
-    """Every check as `name value sense bound`, in order."""
-    return ", ".join(f"{name} {chk}" for name, chk in checks.items())
-
-
-def _judged(number: int, name: str, checks: dict) -> CriterionResult:
-    """A criterion that passes when every one of its checks passes."""
-    return CriterionResult(number, name, all(chk.passed for chk in checks.values()),
-                           _detail(checks))
-
-
 def _keyed(checks: dict, suffix: str) -> dict:
     """checks with suffix appended to each name, for one of several runs."""
     return {f"{name}_{suffix}": chk for name, chk in checks.items()}
@@ -110,18 +110,15 @@ def artifact_bundle():
 
 
 def _determinism(ra: Path, rb: Path, files_a, files_b) -> CriterionResult:
-    """Criterion 12's verdict on two artifact trees and their sorted relative
-    paths: the same paths, and each file's bytes equal, compared block by
-    block (filecmp), so neither copy is held whole."""
-    if files_a != files_b:
-        return CriterionResult(12, "determinism", False,
-                               "artifact sets differ between invocations")
-    mismatched = [str(rel) for rel in files_a
-                  if not filecmp.cmp(ra / rel, rb / rel, shallow=False)]
-    passed = not mismatched
-    detail = (f"{len(files_a)} artifacts byte-identical across two invocations"
-              if passed else f"byte mismatch in {mismatched}")
-    return CriterionResult(12, "determinism", passed, detail)
+    """Criterion 12 on two artifact trees and their relative paths: a positive
+    path count, and per path 0 when both trees hold it with the same bytes
+    (compared block by block by filecmp, so neither copy is held whole)."""
+    paths, both = sorted(set(files_a) | set(files_b)), set(files_a) & set(files_b)
+    checks = {"artifacts": Check(len(paths), 0, ">")}
+    for rel in paths:
+        same = rel in both and filecmp.cmp(ra / rel, rb / rel, shallow=False)
+        checks[str(rel)] = Check(0 if same else 1, 0, "==")
+    return CriterionResult(12, "determinism", checks)
 
 
 def _cube(n: int, T: float) -> GridSpec:
@@ -149,14 +146,14 @@ class AcceptanceEngine:
             worst_time = max(worst_time, time.perf_counter() - t0)
             checks.update(_keyed(exact_error(hist)[1], f"eps{eps:g}"))
         checks["slowest_solve_s"] = Check(worst_time, 10.0, "<")
-        return _judged(1, "exact stationary reproduction", checks)
+        return CriterionResult(1, "exact stationary reproduction", checks)
 
     def criterion_2(self) -> CriterionResult:
         from . import mms  # sympy loads only when this criterion runs
 
-        return _judged(2, "manufactured-solution convergence",
-                       {f"order_{s}": Check(mms.refinement_study(s).order, floor, ">=")
-                        for s, floor in MMS_FLOORS.items()})
+        return CriterionResult(2, "manufactured-solution convergence",
+                               {f"order_{s}": Check(mms.refinement_study(s).order, floor, ">=")
+                                for s, floor in MMS_FLOORS.items()})
 
     def criterion_3(self) -> CriterionResult:
         problem = self.store.build(favorable_accel_problem, _cube(64, ACCEL_T))
@@ -164,13 +161,13 @@ class AcceptanceEngine:
         for eps in EPS_FAMILY:
             for key, value in estimate_battery(self.store.solve(problem, eps)).items():
                 series.setdefault(key, []).append(value)
-        return _judged(3, "eps-uniform functional bounds",
-                       {f"spread_{k}": Check(uniformity_spread(v), 0.10, "<")
-                        for k, v in series.items()})
+        return CriterionResult(3, "eps-uniform functional bounds",
+                               {f"spread_{k}": Check(uniformity_spread(v), 0.10, "<")
+                                for k, v in series.items()})
 
     def criterion_4(self) -> CriterionResult:
         _, checks = cauchy_sweep(self.store, _cube(64, ACCEL_T), SWEEP_LIST)
-        return _judged(4, "vanishing-viscosity Cauchy property", checks)
+        return CriterionResult(4, "vanishing-viscosity Cauchy property", checks)
 
     def criterion_5(self) -> CriterionResult:
         p64 = self.store.build(exact_profile_problem, _cube(64, EXACT_T))
@@ -180,7 +177,7 @@ class AcceptanceEngine:
         res128 = weak_residual(solve(p128, p128.grid, 1e-3), p128)
         ratio = res64 / res128 if res128 > 0 else float("inf")
         checks["refinement_ratio"] = Check(ratio, 1.8, ">=")
-        return _judged(5, "weak-solution identity", checks)
+        return CriterionResult(5, "weak-solution identity", checks)
 
     def criterion_6(self) -> CriterionResult:
         c6, checks = {}, {}
@@ -197,21 +194,21 @@ class AcceptanceEngine:
         # the stored march at n = 64, eps = 1e-3 against one fresh march
         problem = self.store.build(favorable_accel_problem, _cube(64, ACCEL_T))
         checks.update(identical_data(self.store, problem, 1e-3)[1])
-        return _judged(6, "L1 continuous dependence", checks)
+        return CriterionResult(6, "L1 continuous dependence", checks)
 
     def criterion_7(self) -> CriterionResult:
-        return _judged(7, "fundamental-solution identities", kernel_identities(7)[1])
+        return CriterionResult(7, "fundamental-solution identities", kernel_identities(7)[1])
 
     def criterion_8(self) -> CriterionResult:
-        return _judged(8, "cutoff certification",
-                       ko.verify_lemma(ko.CutoffSpec(r=1.0, theta=THETA_DEFAULT)))
+        return CriterionResult(8, "cutoff certification",
+                               ko.verify_lemma(ko.CutoffSpec(r=1.0, theta=THETA_DEFAULT)))
 
     def criterion_9(self) -> CriterionResult:
         checks = unit_density(0.01)[1]
         for kind, lam, seed in ROUGH_COEFS:
             hist = self.store.build(_model_history, kind, lam, seed)
             checks.update(_keyed(density_floor(hist, 0.01)[1], f"{kind}-{lam:g}-{seed}"))
-        return _judged(9, "density estimate", checks)
+        return CriterionResult(9, "density estimate", checks)
 
     def criterion_10(self) -> CriterionResult:
         spec = poincare_cutoff(THETA_DEFAULT)
@@ -226,13 +223,13 @@ class AcceptanceEngine:
 
         c_base, viol_base = family_constant(ko.MODEL_GRID)
         c_fine, viol_fine = family_constant(MODEL_GRID_FINE)
-        checks = {"C": Check(c_base, 1e-6, "<="), "C_refined": Check(c_fine, 1e-6, "<="),
-                  "C_change": Check(abs(c_base - c_fine), 0.25 * max(c_base, c_fine), "<="),
-                  "hard_violations": Check(viol_base + viol_fine, 0, "==")}
-        ok = {name: chk.passed for name, chk in checks.items()}
         # C is stable when both values are negligible or they agree within 25%
-        passed = ((ok["C"] and ok["C_refined"]) or ok["C_change"]) and ok["hard_violations"]
-        return CriterionResult(10, "weak Poincare functional", passed, _detail(checks))
+        larger = max(c_base, c_fine)
+        return CriterionResult(10, "weak Poincare functional", {
+            "C": Check(c_base, np.inf, "<"), "C_refined": Check(c_fine, np.inf, "<"),
+            "C_change": Check(abs(c_base - c_fine),
+                              np.inf if larger <= 1e-6 else 0.25 * larger, "<="),
+            "hard_violations": Check(viol_base + viol_fine, 0, "==")})
 
     def criterion_11(self) -> CriterionResult:
         checks = {}
@@ -241,7 +238,7 @@ class AcceptanceEngine:
                 osc = model_oscillation(self.store.build(_model_history, kind, lam, 0))[1]
                 checks.update(_keyed(osc, f"{kind}-{lam:g}"))
         checks.update(linear_control()[1])
-        return _judged(11, "oscillation decay", checks)
+        return CriterionResult(11, "oscillation decay", checks)
 
     def criterion_12(self) -> CriterionResult:
         from .reporting import write_artifacts
@@ -279,7 +276,7 @@ class AcceptanceEngine:
                 try:
                     res = method()
                 except CroccoError as exc:
-                    res = CriterionResult(i, f"criterion {i}", False,
+                    res = CriterionResult(i, f"criterion {i}", {},
                                           f"raised {type(exc).__name__}: {exc}")
                 res.seconds = time.perf_counter() - t0
                 results.append(res)

@@ -390,7 +390,7 @@ class PhysicalStabilityReport:
 
 
 def physical_stability(hist_a: FieldHistory, hist_b: FieldHistory,
-                       prob_a: CroccoProblem, prob_b: CroccoProblem) -> PhysicalStabilityReport:
+                       crocco: StabilityReport) -> PhysicalStabilityReport:
     """Physical-variable form of the stability functional.
 
     The wall-normal integral matches profile points of equal normalized
@@ -399,9 +399,9 @@ def physical_stability(hist_a: FieldHistory, hist_b: FieldHistory,
 
         integral |dy u_a - dy u_b(match)| (dy u_a / U^2) dy dx.
 
-    The change of variables makes this equal the Crocco-side L1 distance
-    (`l1_stability(...).lhs`); their largest gap over time levels is
-    reported.
+    The change of variables makes this equal the Crocco-side L1 distance,
+    crocco = `l1_stability` of the same pair; their largest gap over time
+    levels is reported, and the constant uses crocco's data distance.
     """
     t, x, y = hist_a.t, hist_a.x, hist_a.y
     wx = trapezoid_weights(x)
@@ -422,9 +422,8 @@ def physical_stability(hist_a: FieldHistory, hist_b: FieldHistory,
         integrand = core_a * np.abs(core_a - wb[:, :-1])
         seg = 0.5 * (integrand[:, 1:] + integrand[:, :-1]) * np.diff(heights, axis=1)
         phys[n] = float(np.sum(wx * seg.sum(axis=1)))
-    base = l1_stability(hist_a, hist_b, prob_a, prob_b)
-    gap = float(np.max(np.abs(phys - base.lhs)))
-    return PhysicalStabilityReport(identity_gap=gap, c6_hat=_c6_hat(phys, base.rhs))
+    gap = float(np.max(np.abs(phys - crocco.lhs)))
+    return PhysicalStabilityReport(identity_gap=gap, c6_hat=_c6_hat(phys, crocco.rhs))
 
 
 # ---------------------------------------------------------------------------

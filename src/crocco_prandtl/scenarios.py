@@ -378,13 +378,17 @@ def run_favorable_accel(cfg, store: SolveStore) -> RunResult:
     problem = strip_problem(cfg, store)
     hist = store.solve(problem, cfg.eps)
     result = RunResult("favorable_accel", cfg.grid_label, f"{cfg.eps:g}", history=hist)
+    positive = Check(float(np.min(hist.values[:, :, :-1])), 0.0, ">")
+    if not positive.passed:
+        # the estimates' weak quadrature refuses a field that is not positive
+        result.verdicts["solution_positive_below_top"] = positive
+        return result
     out, _ = standard_estimates(result, hist, problem)
     favorable, _ = pressure_gradient(problem)
     result.add("pressure_gradient_worst", favorable.value)
     result.verdicts["pressure_favorable"] = favorable
     result.verdicts["comparison_finite"] = Check(out["comparison_constant"], np.inf, "<")
-    result.verdicts["solution_positive_below_top"] = Check(
-        float(np.min(hist.values[:, :, :-1])), 0.0, ">")
+    result.verdicts["solution_positive_below_top"] = positive
     return result
 
 
@@ -422,7 +426,7 @@ def run_stability_perturb(cfg, store: SolveStore) -> RunResult:
     result.verdicts.update(family_checks)
 
     initial = store.build(perturbed_problems, grid, cfg.perturb)["initial"]
-    phys = physical_stability(base, store.solve(initial, cfg.eps), base_problem, initial)
+    phys = physical_stability(base, store.solve(initial, cfg.eps), stabs["initial"])
     result.add("physical_identity_gap", phys.identity_gap)
     result.add("c6_physical_initial", phys.c6_hat)
     return result
@@ -541,7 +545,7 @@ def validate_scenario(cfg) -> ValidationReport:
     if cfg.scenario in STRIP_PROBLEMS:
         problem = strip_problem(cfg, SolveStore())
         eps = cfg.eps_list[0] if cfg.scenario == "viscosity_sweep" else cfg.eps
-        check_cfl(problem, problem.grid, eps)
+        check_cfl(problem, eps)
         return validate(problem)
     checks = {}
     if cfg.scenario == "kolmogorov_checks":

@@ -50,8 +50,9 @@ from .grids import CFL_SAFETY, FieldHistory, GridSpec, l1_spacetime_norm
 from .parallel import fork_each
 
 
-def cfl_margins(problem: CroccoProblem, grid: GridSpec, eps: float) -> dict:
+def cfl_margins(problem: CroccoProblem, eps: float) -> dict:
     """Stability margins of the explicit transport terms (must stay <= CFL_SAFETY)."""
+    grid = problem.grid
     amax = float(np.max(problem.U)) + eps  # max a = max U exactly, as 0 <= y <= 1
     bmax = problem.b_abs_max
     return {
@@ -60,8 +61,8 @@ def cfl_margins(problem: CroccoProblem, grid: GridSpec, eps: float) -> dict:
     }
 
 
-def check_cfl(problem: CroccoProblem, grid: GridSpec, eps: float) -> dict:
-    margins = cfl_margins(problem, grid, eps)
+def check_cfl(problem: CroccoProblem, eps: float) -> dict:
+    margins = cfl_margins(problem, eps)
     worst = max(margins.values())
     if worst > CFL_SAFETY + 1e-12:
         raise ConfigError(
@@ -85,11 +86,12 @@ def _solve_columns(sub, dia, sup, rhs) -> np.ndarray:
     return x.T.reshape(rhs.shape)
 
 
-def _advance(u, n, problem, grid, eps, source, a_n, b_n, c_n1) -> np.ndarray:
-    """One step t_n -> t_{n+1}; returns the new field.
+def _advance(u, n, problem, eps, source, a_n, b_n, c_n1) -> np.ndarray:
+    """One step t_n -> t_{n+1} on the problem's grid; returns the new field.
 
     source is None or a function of t giving the forcing on the (x, y) nodes.
     """
+    grid = problem.grid
     dt, dx, dy = grid.dt, grid.dx, grid.dy
     ny = grid.ny
     v0_n = problem.v0[n]
@@ -166,7 +168,7 @@ def solve(problem: CroccoProblem, grid: GridSpec, eps: float,
         raise ConfigError(f"solve grid {grid} is not the problem's grid {problem.grid}")
     if eps <= 0:
         raise ConfigError(f"regularization eps must be positive, got {eps}")
-    margins = check_cfl(problem, grid, eps)
+    margins = check_cfl(problem, eps)
     nt = grid.nt
     values = np.empty((nt + 1, grid.nx + 1, grid.ny + 1))
     u = np.array(problem.w0, dtype=float)
@@ -178,7 +180,7 @@ def solve(problem: CroccoProblem, grid: GridSpec, eps: float,
     a_n, b_n, _ = problem.coefficients(0)
     for n in range(nt):
         a_n1, b_n1, c_n1 = problem.coefficients(n + 1)
-        u = _advance(u, n, problem, grid, eps, source, a_n, b_n, c_n1)
+        u = _advance(u, n, problem, eps, source, a_n, b_n, c_n1)
         a_n, b_n = a_n1, b_n1
         values[n + 1] = u
     return FieldHistory(t=grid.t, x=grid.x, y=grid.y, values=values, eps=eps,

@@ -19,12 +19,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from crocco_prandtl import parallel
-from crocco_prandtl.acceptance import (AcceptanceEngine, CriterionResult, _determinism,
-                                       parse_suite, run_acceptance)
+from crocco_prandtl import acceptance, parallel
+from crocco_prandtl import kolmogorov as ko
+from crocco_prandtl.acceptance import (ROUGH_COEFS, AcceptanceEngine, CriterionResult,
+                                       _determinism, parse_suite, run_acceptance)
 from crocco_prandtl.cli import main
 from crocco_prandtl.crocco import CroccoProblem
 from crocco_prandtl.errors import ConfigError, NumericalError
+from crocco_prandtl.grids import Check
 
 
 @pytest.fixture(scope="module")
@@ -107,32 +109,98 @@ def test_criterion_12_determinism(engine, results):
     check(engine, results, 12)
 
 
-def _two_bundles(tmp_path, mutate):
-    """Two copies of a small artifact tree, the second's largest file (three
-    8 KiB blocks and a partial one) passed through mutate; criterion 12's
-    verdict on them."""
-    rng = np.random.default_rng(12)
-    files = {"a/report.txt": b"overall = PASSED\n",
-             "b/fields.csv": rng.bytes(3 * 8192 + 100)}
-    roots = [tmp_path / "a", tmp_path / "b"]
-    for root in roots:
+def _bundles(tmp_path, files_a, files_b):
+    """Criterion 12's verdict on two artifact trees written from
+    {relative path: bytes}."""
+    rels = []
+    for root, files in ((tmp_path / "a", files_a), (tmp_path / "b", files_b)):
         for rel, data in files.items():
             (root / rel).parent.mkdir(parents=True, exist_ok=True)
-            (root / rel).write_bytes(mutate(data) if root is roots[1] and
-                                     rel == "b/fields.csv" else data)
-    rels = sorted(Path(rel) for rel in files)
-    return _determinism(*roots, rels, rels)
+            (root / rel).write_bytes(data)
+        rels.append(sorted(Path(rel) for rel in files))
+    return _determinism(tmp_path / "a", tmp_path / "b", *rels)
 
 
-@pytest.mark.parametrize("mutate, detail", [
-    (lambda data: data, "2 artifacts byte-identical across two invocations"),
+# a small artifact tree, its largest file three 8 KiB blocks and a partial one
+BUNDLE = {"a/report.txt": b"overall = PASSED\n",
+          "b/fields.csv": np.random.default_rng(12).bytes(3 * 8192 + 100)}
+
+
+def _failing(res):
+    return [name for name, chk in res.checks.items() if not chk.passed]
+
+
+@pytest.mark.parametrize("mutate, failing", [
+    (lambda data: data, []),
     (lambda data: data[:-1] + bytes([data[-1] ^ 1]),  # a byte flipped in the last block
-     f"byte mismatch in {[str(Path('b/fields.csv'))]}"),
-    (lambda data: data[:-1], f"byte mismatch in {[str(Path('b/fields.csv'))]}"),  # a byte short
+     [str(Path("b/fields.csv"))]),
+    (lambda data: data[:-1], [str(Path("b/fields.csv"))]),  # a byte short
 ], ids=["identical", "flipped_last_byte", "one_byte_short"])
-def test_criterion_12_compare_rejects_a_changed_copy(tmp_path, mutate, detail):
-    res = _two_bundles(tmp_path, mutate)
-    assert (res.passed, res.detail) == (detail.endswith("invocations"), detail)
+def test_criterion_12_compare_rejects_a_changed_copy(tmp_path, mutate, failing):
+    changed = dict(BUNDLE, **{"b/fields.csv": mutate(BUNDLE["b/fields.csv"])})
+    res = _bundles(tmp_path, BUNDLE, changed)
+    assert (res.passed, _failing(res)) == (not failing, failing)
+    # artifacts, then a/report.txt and b/fields.csv, each 0 when its bytes agree
+    assert [chk.value for chk in res.checks.values()] == [2, 0, len(failing)]
+
+
+@pytest.mark.parametrize("extra_in", ["first", "second"])
+def test_criterion_12_names_a_path_in_one_tree_only(tmp_path, extra_in):
+    extra = dict(BUNDLE, **{"c/extra.txt": b"only here\n"})
+    res = _bundles(tmp_path, *((extra, BUNDLE) if extra_in == "first" else (BUNDLE, extra)))
+    assert not res.passed and _failing(res) == [str(Path("c/extra.txt"))]
+    assert res.checks["artifacts"].value == 3
+
+
+def test_criterion_12_fails_an_empty_bundle(tmp_path):
+    res = _bundles(tmp_path, {}, {})
+    assert not res.passed and res.checks == {"artifacts": Check(0, 0, ">")}
+
+
+def _either_or(c, c_refined, violations):
+    """Criterion 10's verdict as it was decided before its checks decided
+    it: C is stable when both values are negligible or they agree within
+    25%, and no run reads a hard violation."""
+    return ((c <= 1e-6 and c_refined <= 1e-6)
+            or abs(c - c_refined) <= 0.25 * max(c, c_refined)) and violations == 0
+
+
+# (C, C_refined, hard violations, verdict); an infinite C is a run's ratio
+# inf, which counts as a hard violation
+NAN, INF = float("nan"), float("inf")
+CRITERION_10_CASES = {
+    "shipped": (4.393e-23, 4.365e-23, 0, True),
+    "both_negligible_far_apart": (1e-7, 1e-6, 0, True),
+    "nan_first": (NAN, 1e-23, 0, False),
+    "nan_second": (1e-23, NAN, 0, False),
+    "nan_both": (NAN, NAN, 0, False),
+    "inf_first": (INF, 1e-23, 1, False),
+    "inf_second": (1e-23, INF, 1, False),
+    "inf_both": (INF, INF, 2, False),
+    "one_above_within_quarter": (1.1e-6, 1e-6, 0, True),
+    "one_above_past_quarter": (2e-6, 1e-6, 0, False),
+    "change_at_quarter": (1.0, 0.75, 0, True),
+    "change_at_quarter_reversed": (0.75, 1.0, 0, True),
+    "change_past_quarter": (1.0, np.nextafter(0.75, 0.0), 0, False),
+}
+
+
+@pytest.mark.parametrize("case", list(CRITERION_10_CASES))
+def test_criterion_10_checks_decide_as_the_either_or_did(monkeypatch, case):
+    c, c_refined, violations, verdict = CRITERION_10_CASES[case]
+    kind, lam, seed = ROUGH_COEFS[0]
+    first = ko.model_scenarios(kind, lam=lam, seed=seed).name
+
+    def stand_in(coef, grid, h, spec):
+        # the first coefficient reads the constant of its grid, the others 0
+        ratio = (c if grid == ko.MODEL_GRID else c_refined) if coef.name == first else 0.0
+        return ko.PoincareReport(0.5, ratio, 1.0, ratio)
+    monkeypatch.setattr(acceptance, "pinched_poincare", stand_in)
+    res = AcceptanceEngine().criterion_10()
+    assert res.checks["hard_violations"].value == violations
+    assert res.passed == _either_or(c, c_refined, violations) == verdict, res.detail
+    if max(c, c_refined) <= 1e-6:  # both negligible: their change is not bounded
+        assert str(res.checks["C_change"]).endswith(" <= inf")
 
 
 def test_parse_suite_accepts_full_and_lists():
@@ -184,8 +252,9 @@ def _cores(n):
 
 
 def _pid_criterion(number):
-    """A stand-in criterion whose detail names the process that ran it."""
-    return lambda self: CriterionResult(number, f"stand-in {number}", True, str(os.getpid()))
+    """A stand-in criterion whose one check reads the process that ran it."""
+    return lambda self: CriterionResult(number, f"stand-in {number}",
+                                        {"pid": Check(os.getpid(), 0, ">")})
 
 
 def _raising(exc):
@@ -211,7 +280,7 @@ def test_forked_run_keeps_request_order(stand_ins):
         results = AcceptanceEngine().run([8, 7]).results
     assert [r.number for r in results] == [8, 7]
     # chunk 0 runs here, the second chunk in a worker
-    assert results[0].detail == str(os.getpid()) != results[1].detail
+    assert results[0].checks["pid"].value == os.getpid() != results[1].checks["pid"].value
     assert all(r.seconds > 0 for r in results)
     _no_worker_left()
 
@@ -222,8 +291,21 @@ def test_worker_numerical_error_is_a_fail_row(stand_ins):
         report = AcceptanceEngine().run([7, 8])
     assert [r.passed for r in report.results] == [True, False]
     assert report.results[1].detail == "raised NumericalError: blew up"
-    assert report.results[1].name == "criterion 8"
+    assert report.results[1].name == "criterion 8" and report.results[1].checks == {}
     _no_worker_left()
+
+
+@pytest.mark.parametrize("criterion", [
+    _raising(NumericalError("blew up")),
+    lambda self: CriterionResult(8, "no checks", {}),
+], ids=["raises", "no_checks"])
+def test_a_criterion_without_a_check_fails(stand_ins, criterion):
+    # a verdict comes from checks alone, so a criterion that made none fails
+    stand_ins.setattr(AcceptanceEngine, "criterion_8", criterion)
+    with _cores(1):
+        report = AcceptanceEngine().run([7, 8])
+    assert [r.passed for r in report.results] == [True, False]
+    assert not report.all_pass and "criterion  8 [FAIL]" in report.summary()
 
 
 def test_worker_internal_error_reaches_the_caller(stand_ins, capsys):

@@ -96,7 +96,7 @@ def test_coefficients_bit_identical_to_broadcast_reference(flow):
             assert np.array_equal(got, want[n])
     for eps in (1e-3, 0.1):
         bmax = float(np.max(np.abs(ref[1])))
-        assert cfl_margins(problem, grid, eps) == {
+        assert cfl_margins(problem, eps) == {
             "cfl_x": grid.dt * (float(np.max(ref[0])) + eps) / grid.dx,
             "cfl_y": grid.dt * bmax / grid.dy if bmax > 0 else 0.0,
         }

@@ -360,7 +360,8 @@ for amp in (0.3, 0.4):
     problems.append(make_problem(decelerating_flow(), grid, data))
     histories.append(FieldHistory(t=t, x=x, y=y, values=(1.0 - yy) * (
         1.0 + amp * np.sin(np.pi * xx) * (1.0 + tt)) + 0.01))
-rep = estimates.physical_stability(*histories, *problems)
+crocco = estimates.l1_stability(*histories, *problems)
+rep = estimates.physical_stability(*histories, crocco)
 print(np.array([rep.identity_gap, rep.c6_hat]).tobytes().hex())
 """
 
@@ -522,8 +523,9 @@ def test_physical_stability_matches_crocco_distance():
     prob_b = replace(prob_a, w0=prob_a.w0 * 0.0 + 2.0)
     h_a = grid_history(lambda t, x, y: np.full_like(y, 2.0), nt=8, nx=8, ny=64)
     h_b = grid_history(lambda t, x, y: np.ones_like(y), nt=8, nx=8, ny=64)
-    rep = physical_stability(h_a, h_b, prob_a, prob_b)
-    assert np.all(l1_stability(h_a, h_b, prob_a, prob_b).lhs == pytest.approx(1.0, rel=1e-12))
+    crocco = l1_stability(h_a, h_b, prob_a, prob_b)
+    rep = physical_stability(h_a, h_b, crocco)
+    assert np.all(crocco.lhs == pytest.approx(1.0, rel=1e-12))
     assert rep.identity_gap <= 2.0 / 64
 
 
@@ -533,9 +535,10 @@ def test_physical_stability_linear_pair():
     prob_b = replace(prob_a, w0=prob_a.w0 * 0.8)
     h_a = grid_history(lambda t, x, y: 1.0 - y, nt=4, nx=8, ny=128)
     h_b = grid_history(lambda t, x, y: 0.8 * (1.0 - y), nt=4, nx=8, ny=128)
-    rep = physical_stability(h_a, h_b, prob_a, prob_b)
+    crocco = l1_stability(h_a, h_b, prob_a, prob_b)
+    rep = physical_stability(h_a, h_b, crocco)
     # both routes approximate 0.2 * integral (1-y) dy = 0.1
-    assert np.all(np.abs(l1_stability(h_a, h_b, prob_a, prob_b).lhs - 0.1) < 1e-12)
+    assert np.all(np.abs(crocco.lhs - 0.1) < 1e-12)
     assert rep.identity_gap < 5.0 / 128
 
 
@@ -548,8 +551,8 @@ def test_both_stability_functionals_refuse_a_gap_on_identical_data():
     rep = l1_stability(h_a, h_b, prob, prob)
     assert np.all(rep.rhs == 0.0) and np.max(rep.lhs) > 1e-3
     assert rep.c6_hat == float("inf")
-    assert physical_stability(h_a, h_b, prob, prob).c6_hat == float("inf")
-    assert physical_stability(h_a, h_a, prob, prob).c6_hat == 0.0
+    assert physical_stability(h_a, h_b, rep).c6_hat == float("inf")
+    assert physical_stability(h_a, h_a, l1_stability(h_a, h_a, prob, prob)).c6_hat == 0.0
 
 
 def test_uniformity_spread():

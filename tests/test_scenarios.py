@@ -16,6 +16,7 @@ import pytest
 from crocco_prandtl import kolmogorov as ko
 from crocco_prandtl import acceptance, parallel, scenarios
 from crocco_prandtl.acceptance import AcceptanceEngine
+from crocco_prandtl.cli import main
 from crocco_prandtl.config import RunConfig
 from crocco_prandtl.errors import ConfigError
 from crocco_prandtl.reporting import write_artifacts
@@ -167,7 +168,7 @@ def test_strip_grid_stability_decided_once():
             grid = GridSpec(64, 8, nt, T=ACCEL_T)
             problem = favorable_accel_problem(grid)
             eps = cfg.eps_list[0] if scenario == "viscosity_sweep" else cfg.eps
-        refused = _refusal(lambda: check_cfl(problem, grid, eps))
+        refused = _refusal(lambda: check_cfl(problem, eps))
         assert (refused is not None) == expect_refused, (scenario, nt)
         assert _refusal(lambda: validate_scenario(cfg)) == refused, (scenario, nt)
         if refused is None:
@@ -399,6 +400,22 @@ def test_runner_bound_fails_just_past_it(monkeypatch, name):
         assert named and named == [expected] * len(named), (value, verdicts)
 
 
+def test_a_favorable_run_that_touches_zero_fails_its_positivity_verdict(
+        monkeypatch, tmp_path, capsys):
+    # the run shifted down so that its least node below y = 1 is 0 and its
+    # top row is negative: the estimates' weak quadrature would refuse it
+    # (exit 3), so the verdict is recorded first and the estimates skipped
+    _wrap(monkeypatch, SolveStore, "solve", lambda hist, *a, **k: FieldHistory(
+        t=hist.t, x=hist.x, y=hist.y, eps=hist.eps, label=hist.label,
+        values=hist.values - np.min(hist.values[:, :, :-1])))
+    cfg = tmp_path / "shifted.cfg"
+    cfg.write_text("scenario = favorable_accel\nnx = 16\nny = 16\nnt = 24\neps = 1e-2\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert report[1:] == ["verdict = fail [solution_positive_below_top]", "overall = FAILED"]
+    assert capsys.readouterr().err == ""
+
+
 def _second_coefficient_nan(m):
     # of each three-coefficient family, the second reads a NaN ratio behind
     # a negligible first one; Python's max would skip it and report 1e-23
@@ -415,7 +432,10 @@ def _second_coefficient_nan(m):
 def test_a_nan_poincare_ratio_behind_a_finite_one_fails(monkeypatch):
     _second_coefficient_nan(monkeypatch)
     res = AcceptanceEngine().criterion_10()
-    assert not res.passed and res.detail.startswith("C nan <= 1e-06, C_refined nan <= 1e-06")
+    assert not res.passed
+    assert [name for name, chk in res.checks.items() if not chk.passed] == [
+        "C", "C_refined", "C_change"]
+    assert np.isnan(res.checks["C"].value) and np.isnan(res.checks["C_refined"].value)
     result = run_scenario(LAB)
     bound = [value for key, value, *_ in result.entries if key == "poincare_constant_bound"]
     assert len(bound) == 1 and np.isnan(bound[0])

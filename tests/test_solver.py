@@ -38,10 +38,10 @@ def linear_problem(grid, scale=1.0):
 def test_cfl_guard_triggers_on_coarse_time_step():
     grid = GridSpec(64, 16, 4, L=1.0, T=1.0)
     problem = linear_problem(grid)
-    margins = cfl_margins(problem, grid, 1e-2)
+    margins = cfl_margins(problem, 1e-2)
     assert margins["cfl_x"] > 0.9
     with pytest.raises(ConfigError, match="stability"):
-        check_cfl(problem, grid, 1e-2)
+        check_cfl(problem, 1e-2)
     with pytest.raises(ConfigError, match="stability"):
         solve(problem, grid, 1e-2)
 

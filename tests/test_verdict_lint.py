@@ -3,8 +3,9 @@
 Every pass or fail is a `grids.Check`, made by the reader that applies the
 bound.  A boolean field on a report decides a bound a second time, beside
 the check that also decides it, and the two can drift apart.  This walk of
-the syntax trees of the measurement modules refuses a dataclass field
-annotated `bool` or `Optional[bool]`.
+the syntax trees of the measurement modules, the scenario runners and the
+acceptance criteria refuses a dataclass field annotated `bool` or
+`Optional[bool]`.
 """
 
 import ast
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import crocco_prandtl
 
-MODULES = ("crocco", "estimates", "grids", "kolmogorov", "mms", "solver")
+MODULES = ("acceptance", "crocco", "estimates", "grids", "kolmogorov", "mms", "scenarios",
+           "solver")
 
 
 def _is_dataclass(node) -> bool:
