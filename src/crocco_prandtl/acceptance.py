@@ -7,13 +7,13 @@ strip marches of criteria 1 and 3-6 and the model runs of criteria 9 and
 11, and every 128^3 march is freed when the criterion that reads it
 returns.
 
-run() splits the requested criteria into contiguous chunks, one per usable
-core, through parallel.fork_map: this process runs the first chunk against
-the engine's store and a forked worker runs each further chunk against its
-own copy, discarded once its results are back.  So criteria reuse each
-other's shared fields within a chunk, verdicts and details are identical
-to a 1-core run, and each criterion's seconds are measured in the process
-that ran it.  Criteria 4 and 6 fork again inside their chunk, through the
+run() hands parallel.fork_each one thunk per requested criterion, and it
+runs the first contiguous run of them here against the engine's store and
+each further run, one per usable core, in a forked worker against its own
+copy, discarded once its results are back.  So criteria reuse each
+other's shared fields within a run, verdicts and details are identical to
+a 1-core run, and each criterion's seconds are measured in the process
+that ran it.  Criteria 4 and 6 fork again inside their run, through the
 measurements they share with the runners (cauchy_sweep, family_stability).
 The measurements themselves are the functions the scenario runners call,
 and a bound a runner applies too lives with the measurement in scenarios,
@@ -22,25 +22,27 @@ adds a Check per threshold only it applies; its result derives the verdict
 and the detail from those checks alone.  Two criteria bypass the store on
 purpose: criterion 6 compares its stored march with one fresh march of
 the same data, and criterion 12 reruns the full artifact bundle, each
-scenario with its own fresh store.
+scenario with its own fresh store, the second time on one usable core, so
+that an artifact whose bits follow the split across cores differs.
 """
 
 import filecmp
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import List
 
 import numpy as np
 
 from . import kolmogorov as ko
+from . import parallel
 from ._version import __version__
 from .config import SCENARIOS, RunConfig
 from .errors import ConfigError, CroccoError
 from .estimates import uniformity_spread, weak_residual
 from .grids import Check, GridSpec
-from .parallel import fork_map
 from .scenarios import (ACCEL_T, EXACT_T, cauchy_sweep, density_floor, estimate_battery,
                         exact_error, exact_profile_problem, family_stability,
                         favorable_accel_problem, identical_data,
@@ -76,7 +78,8 @@ class CriterionResult:
     @property
     def detail(self) -> str:
         """Every check as `name value sense bound`, in order, or the error."""
-        return self.error or ", ".join(f"{name} {chk}" for name, chk in self.checks.items())
+        return (self.error or ", ".join(f"{name} {chk}" for name, chk in self.checks.items())
+                or "no checks")
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -254,7 +257,12 @@ class AcceptanceEngine:
 
         with tempfile.TemporaryDirectory() as tmp_a, tempfile.TemporaryDirectory() as tmp_b:
             ra, rb = Path(tmp_a), Path(tmp_b)
-            return _determinism(ra, rb, produce(ra), produce(rb))
+            files_a, cores_a = produce(ra), parallel._usable_cores()
+            with parallel.one_core():  # so a bit that follows the split differs
+                files_b, cores_b = produce(rb), parallel._usable_cores()
+            res = _determinism(ra, rb, files_a, files_b)
+        res.checks["usable_cores_second"] = Check(cores_b, cores_a, "<=")
+        return res
 
     def run(self, numbers=None) -> AcceptanceReport:
         numbers = list(range(1, 13) if numbers is None else numbers)
@@ -262,28 +270,20 @@ class AcceptanceEngine:
             raise ConfigError("no criteria requested")
         if len(set(numbers)) < len(numbers):
             raise ConfigError(f"criterion numbers must not repeat, got {numbers}")
-        methods = []
         for i in numbers:
-            method = getattr(self, f"criterion_{i}", None)
-            if method is None:
+            if not hasattr(self, f"criterion_{i}"):
                 raise ConfigError(f"no criterion numbered {i}")
-            methods.append((i, method))
+        return AcceptanceReport(parallel.fork_each([partial(self._timed, i) for i in numbers]))
 
-        def chunk(start, stop):
-            results = []
-            for i, method in methods[start:stop]:
-                t0 = time.perf_counter()
-                try:
-                    res = method()
-                except CroccoError as exc:
-                    res = CriterionResult(i, f"criterion {i}", {},
-                                          f"raised {type(exc).__name__}: {exc}")
-                res.seconds = time.perf_counter() - t0
-                results.append(res)
-            return results
-
-        return AcceptanceReport(results=[res for part in fork_map(chunk, len(methods))
-                                         for res in part])
+    def _timed(self, i: int) -> CriterionResult:
+        """Criterion i, with a CroccoError as its FAIL row and its seconds."""
+        t0 = time.perf_counter()
+        try:
+            res = getattr(self, f"criterion_{i}")()
+        except CroccoError as exc:
+            res = CriterionResult(i, f"criterion {i}", {}, f"raised {type(exc).__name__}: {exc}")
+        res.seconds = time.perf_counter() - t0
+        return res
 
 
 def parse_suite(text: str):

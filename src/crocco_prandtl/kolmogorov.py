@@ -28,7 +28,7 @@ measures with the same ones.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -36,7 +36,7 @@ import numpy as np
 from ._lapack import dgttrf, dgttrs, uncoupled_bands
 from .errors import ConfigError, NumericalError
 from .grids import CFL_SAFETY, Check, FieldHistory, trapezoid_weights
-from .parallel import fork_map
+from .parallel import fork_each
 
 SQRT3 = math.sqrt(3.0)
 
@@ -422,19 +422,17 @@ def mean_value(w_field, spec: CutoffSpec, nz: int = 9) -> MeanValueReport:
     theta r, so on the lattice of any admissible cutoff that term is
     exactly 0.
 
-    The levels are split across the usable cores by parallel.fork_map, and
-    np.sum, not a BLAS dot product, sums each point, so the values do not
-    depend on the BLAS thread count or the core count.
+    Each level is one thunk of parallel.fork_each, and np.sum, not a BLAS
+    dot product, sums each point, so the values do not depend on the BLAS
+    thread count or the core count.
     """
     if nz < 1:
         raise ConfigError(f"the mean-value lattice needs at least one node per axis, got {nz}")
     zs, ys, ts = Box(spec.theta * spec.r).lattice(nz)
     for n in (MEAN_ETA_NODES, MEAN_XI_NODES):
         _gauss(np.polynomial.hermite.hermgauss, n)  # made once here, workers inherit them
-
-    def levels(start: int, stop: int) -> np.ndarray:
-        return np.array([_mean_value_level(w_field, spec, float(t), zs, ys) for t in ts[start:stop]])
-    vals = np.concatenate(fork_map(levels, nz))
+    vals = np.array(fork_each([partial(_mean_value_level, w_field, spec, float(t), zs, ys)
+                               for t in ts]))
     return MeanValueReport(i0=float(np.max(vals)), values=vals.ravel())
 
 
@@ -537,17 +535,14 @@ def density_ratio(u_field, h: float, normalize: bool = False) -> DensityReport:
                              h_certificate={})
 
     sx, sy = Box(SLAB_BETA * DENSITY_R).lattice(DENSITY_NODES)[:2]
-    SX, SY = np.meshgrid(sx, sy, indexing="ij")
     t_samples = np.linspace(-SLAB_ALPHA * DENSITY_R**2, 0.0, DENSITY_TIMES)
+    # the slab sampled once, one (x, y) lattice per time
+    slab = u_field.sample(*np.meshgrid(t_samples, sx, sy, indexing="ij")) / scale
 
     def slab_ratio(level):
-        worst = 1.0
-        per_t = []
-        for tq in t_samples:
-            f = float(np.mean(u_field.sample(np.full_like(SX, tq), SX, SY) / scale >= level))
-            per_t.append((float(tq), level, f))
-            worst = min(worst, f)
-        return worst, per_t
+        per_t = np.mean(slab >= level, axis=(1, 2))
+        return float(per_t.min()), [(float(tq), level, float(f))
+                                    for tq, f in zip(t_samples, per_t)]
 
     ratio, rows = slab_ratio(h)
     cert = {h: ratio}

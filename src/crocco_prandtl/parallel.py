@@ -1,19 +1,20 @@
 """One fork helper for every caller that splits work across cores.  Two
-forms share it: fork_map splits a range (the fields.csv writer and the
-mean-value lattice by time level, the acceptance engine by criterion), and
-fork_each splits a list of thunks (a run's independent marches and
-measurements: SolveStore.solve_many, the sweep beside its refinement
-proxy, and the two halves of the estimate battery).  Chunk 0, and so thunk
-0, runs in the calling process, so what it stores stays in the caller's
-memory; with one usable core nothing forks.  A worker may call BLAS and
-LAPACK: OpenBLAS shuts its thread pool down before each fork (a
-pthread_atfork handler) and each process restarts it lazily on its next
-threaded call.  A worker may call fork_map again; its own workers are
-reaped before it returns."""
+forms share it: fork_map splits a range, for the fields.csv writer, whose
+chunk start names its part file, and fork_each a list of thunks, for the
+acceptance criteria, the mean-value lattice's time levels, a run's
+independent marches and measurements (SolveStore.solve_many, the sweep
+beside its refinement proxy, the two halves of the estimate battery).
+Chunk 0, and so thunk 0, runs in the calling process, so what it stores
+stays in the caller's memory; with one usable core, as inside one_core,
+nothing forks.  A worker may call BLAS and LAPACK: OpenBLAS shuts its
+thread pool down before each fork (a pthread_atfork handler) and each
+process restarts it lazily on its next threaded call.  A worker may fork
+again; its own workers are reaped before it returns."""
 
 import os
 import pickle
 import signal
+from contextlib import contextmanager
 
 
 def _usable_cores() -> int:
@@ -82,3 +83,18 @@ def fork_each(thunks: list) -> list:
     across the usable cores by fork_map, so thunk 0 runs in this process."""
     return [out for part in fork_map(lambda a, b: [t() for t in thunks[a:b]], len(thunks))
             for out in part]
+
+
+@contextmanager
+def one_core():
+    """This thread's CPU affinity narrowed to one of its CPUs for the block,
+    so _usable_cores reads 1 and nothing forks there; restored on exit.  A
+    no-op where the affinity cannot be set."""
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
+    if mask:
+        os.sched_setaffinity(0, {min(mask)})
+    try:
+        yield
+    finally:
+        if mask:
+            os.sched_setaffinity(0, mask)

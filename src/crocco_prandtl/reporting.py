@@ -13,9 +13,9 @@ grid label in its grid column.
 fields.csv is streamed one time level at a time, with no copy of the whole
 history; its bytes equal numpy.savetxt(fh, rows, fmt="%.17g", delimiter=",")
 over the (t, x, y, value) rows in t-major, then x, then y order.  Its time
-levels are split across the usable cores by parallel.fork_map, the helper
-that splits the mean-value lattice too, and joined in order, so the bytes do
-not depend on the core count.
+levels are split across the usable cores by parallel.fork_map, the range
+form of the one fork helper, since each chunk's start names its part file,
+and joined in order, so the bytes do not depend on the core count.
 """
 
 import shutil

@@ -19,11 +19,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from crocco_prandtl import acceptance, parallel
+from crocco_prandtl import acceptance, parallel, reporting, scenarios
 from crocco_prandtl import kolmogorov as ko
 from crocco_prandtl.acceptance import (ROUGH_COEFS, AcceptanceEngine, CriterionResult,
                                        _determinism, parse_suite, run_acceptance)
 from crocco_prandtl.cli import main
+from crocco_prandtl.config import SCENARIOS
 from crocco_prandtl.crocco import CroccoProblem
 from crocco_prandtl.errors import ConfigError, NumericalError
 from crocco_prandtl.grids import Check
@@ -157,6 +158,37 @@ def test_criterion_12_fails_an_empty_bundle(tmp_path):
     assert not res.passed and res.checks == {"artifacts": Check(0, 0, ">")}
 
 
+def _stand_in_bundle(monkeypatch, header):
+    """Criterion 12's bundle replaced by one small report per scenario that
+    holds header()."""
+    monkeypatch.setattr(scenarios, "run_scenario", lambda cfg: cfg.scenario)
+
+    def write(scenario, out):
+        out.mkdir(parents=True)
+        (out / "report.txt").write_text(f"# {scenario} {header()}\n")
+        return [out / "report.txt"]
+    monkeypatch.setattr(reporting, "write_artifacts", write)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or parallel._usable_cores() < 2,
+                    reason="needs two usable CPUs and a settable affinity")
+@pytest.mark.parametrize("header, passed", [
+    (lambda: "same on every core count", True),
+    (lambda: f"cores {parallel._usable_cores()}", False),
+], ids=["fixed", "core_count"])
+def test_criterion_12_compares_all_usable_cores_with_one(monkeypatch, header, passed):
+    # the second bundle is made on one core, so an artifact that follows the
+    # split across cores fails the check named after it
+    _stand_in_bundle(monkeypatch, header)
+    cores = parallel._usable_cores()
+    res = AcceptanceEngine().criterion_12()
+    assert res.passed is passed, res.detail
+    assert str(res.checks["usable_cores_second"]) == f"1 <= {cores}"
+    assert _failing(res) == ([] if passed else [str(Path(s, "report.txt"))
+                                                for s in sorted(SCENARIOS)])
+    assert parallel._usable_cores() == cores  # the affinity is restored
+
+
 def _either_or(c, c_refined, violations):
     """Criterion 10's verdict as it was decided before its checks decided
     it: C is stable when both values are negligible or they agree within
@@ -285,6 +317,22 @@ def test_forked_run_keeps_request_order(stand_ins):
     _no_worker_left()
 
 
+def test_criteria_split_by_count_with_the_first_run_here(monkeypatch):
+    # five criteria on three cores: [1 | 2 | 2] in request order, the first
+    # run in this process, so what it stores stays in the engine's store,
+    # and each further run in one worker
+    for number in range(1, 6):
+        monkeypatch.setattr(AcceptanceEngine, f"criterion_{number}", _pid_criterion(number))
+    with _cores(3):
+        results = AcceptanceEngine().run([5, 3, 1, 2, 4]).results
+    assert [r.number for r in results] == [5, 3, 1, 2, 4]
+    pids = [r.checks["pid"].value for r in results]
+    assert pids[0] == os.getpid()
+    assert pids[1] == pids[2] != pids[3] == pids[4]
+    assert os.getpid() not in pids[1:]
+    _no_worker_left()
+
+
 def test_worker_numerical_error_is_a_fail_row(stand_ins):
     stand_ins.setattr(AcceptanceEngine, "criterion_8", _raising(NumericalError("blew up")))
     with _cores(2):
@@ -295,17 +343,20 @@ def test_worker_numerical_error_is_a_fail_row(stand_ins):
     _no_worker_left()
 
 
-@pytest.mark.parametrize("criterion", [
-    _raising(NumericalError("blew up")),
-    lambda self: CriterionResult(8, "no checks", {}),
+@pytest.mark.parametrize("criterion, line", [
+    (_raising(NumericalError("blew up")),
+     "criterion  8 [FAIL] criterion 8: raised NumericalError: blew up"),
+    (lambda self: CriterionResult(8, "stand-in", {}), "criterion  8 [FAIL] stand-in: no checks"),
 ], ids=["raises", "no_checks"])
-def test_a_criterion_without_a_check_fails(stand_ins, criterion):
+def test_a_criterion_without_a_check_fails(stand_ins, criterion, line):
     # a verdict comes from checks alone, so a criterion that made none fails
+    # and its line says why
     stand_ins.setattr(AcceptanceEngine, "criterion_8", criterion)
     with _cores(1):
         report = AcceptanceEngine().run([7, 8])
     assert [r.passed for r in report.results] == [True, False]
-    assert not report.all_pass and "criterion  8 [FAIL]" in report.summary()
+    assert not report.all_pass
+    assert report.results[1].line().rsplit(" (", 1)[0] == line  # without the seconds
 
 
 def test_worker_internal_error_reaches_the_caller(stand_ins, capsys):

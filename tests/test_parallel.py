@@ -1,6 +1,6 @@
 """The one fork helper: fork_map's results crossing the pipe, fork_each's
-order and its thunk 0 in the calling process, and SolveStore.solve_many
-on top of it."""
+order and its thunk 0 in the calling process, one_core's narrowed
+affinity, and SolveStore.solve_many on top of it."""
 
 import os
 import tracemalloc
@@ -90,6 +90,19 @@ def test_fork_each_of_one_core_forks_nothing():
     with _cores(1), mock.patch.object(parallel.os, "fork") as fork:
         assert parallel.fork_each([lambda: 1, lambda: 2]) == [1, 2]
     fork.assert_not_called()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no settable affinity")
+def test_one_core_forks_nothing_and_restores_the_affinity():
+    mask = os.sched_getaffinity(0)
+    with mock.patch.object(parallel.os, "fork") as fork:
+        with parallel.one_core():
+            assert parallel._usable_cores() == 1
+            assert parallel.fork_each([lambda: 1, lambda: 2]) == [1, 2]
+        with pytest.raises(KeyError), parallel.one_core():
+            raise KeyError("left early")
+    fork.assert_not_called()
+    assert os.sched_getaffinity(0) == mask
 
 
 def test_solve_many_stores_what_solve_would_and_skips_stored_pairs():
