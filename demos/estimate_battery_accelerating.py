@@ -25,7 +25,7 @@ for eps in eps_family:
         l1, l2 = weighted_grad_norms(hist, alpha)
         rows.setdefault("grad_l1 a=%d" % alpha, []).append(l1)
         rows.setdefault("grad_l2 a=%d" % alpha, []).append(l2)
-    rows.setdefault("dyy a=1", []).append(weighted_dyy_measure(hist, 1.0))
+    rows.setdefault("dyy a=1", []).append(weighted_dyy_measure(hist))
     residuals.append(weak_residual(hist, problem))
 
 print("eps-uniformity of the estimate battery, accelerating flow, 64^3")

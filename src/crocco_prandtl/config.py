@@ -20,15 +20,9 @@ from pathlib import Path
 from .errors import ConfigError
 from .estimates import INTERIOR_MARGIN, check_margin
 from .kolmogorov import MODEL_T0, SLAB_BETA, THETA_MAX, model_axes
+from .scenarios import RUNNERS
 
-SCENARIOS = (
-    "exact_profile",
-    "favorable_accel",
-    "viscosity_sweep",
-    "stability_perturb",
-    "kolmogorov_checks",
-    "oscillation_lab",
-)
+SCENARIOS = tuple(RUNNERS)
 
 # bytes the history-sized and level-sized arrays a run holds at its peak may
 # take: a strip history is (nt + 1) x (nx + 1) x (ny + 1) floats, and so is

@@ -78,6 +78,8 @@ class ValidationReport:
                 f"{cond} violated at ({', '.join(f'{v:.6g}' for v in self.where[cond])}): "
                 f"value {chk.value:.6g}"
                 for cond, chk in self.checks.items() if not chk.passed)
+        if not self.checks:
+            return "no hypotheses to check"
         envelope = "" if self.c0 is None else f"; envelope constant C0 = {self.c0:.6g}"
         return "all hypotheses hold" + envelope
 
@@ -121,8 +123,8 @@ class CroccoProblem:
     @cached_property
     def b_abs_max(self) -> float:
         """max |b| over the grid nodes, formed one time level at a time."""
-        return max(float(np.max(np.abs(self.coefficients(n)[1])))
-                   for n in range(self.grid.nt + 1))
+        return float(np.max([np.max(np.abs(self.coefficients(n)[1]))
+                             for n in range(self.grid.nt + 1)]))
 
 
 @lru_cache(maxsize=8)

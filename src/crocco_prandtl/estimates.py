@@ -106,12 +106,9 @@ def weighted_grad_norms(history: FieldHistory, alpha: float, margin: int = 0) ->
     return n1, n2
 
 
-def weighted_dyy_measure(history: FieldHistory, alpha: float, margin: int = 0) -> float:
-    """(1-y)^alpha weighted mass of |dyy u|, second differences at all nodes
-    (shifted three-point stencils at the two walls); requires alpha > 0 so
-    the weight vanishes where the profile degenerates."""
-    if alpha <= 0:
-        raise ConfigError("the second-derivative mass needs a positive weight exponent")
+def weighted_dyy_measure(history: FieldHistory, margin: int = 0) -> float:
+    """(1-y)^DYY_ALPHA weighted mass of |dyy u|, second differences at all
+    nodes (shifted three-point stencils at the two walls)."""
     v, t, x, y = _restrict(history.values, history.t, history.x, history.y, margin)
     dy = np.diff(y).mean()
     d2 = np.empty_like(v)
@@ -119,7 +116,7 @@ def weighted_dyy_measure(history: FieldHistory, alpha: float, margin: int = 0) -
     d2[:, :, 0] = (v[:, :, 0] - 2.0 * v[:, :, 1] + v[:, :, 2]) / dy**2
     d2[:, :, -1] = (v[:, :, -1] - 2.0 * v[:, :, -2] + v[:, :, -3]) / dy**2
     wt, wx, wy = trapezoid_weights(t), trapezoid_weights(x), trapezoid_weights(y)
-    wgt = (1.0 - y) ** alpha * wy
+    wgt = (1.0 - y) ** DYY_ALPHA * wy
     return float(np.einsum("n,i,nij,j->", wt, wx, np.abs(d2), wgt))
 
 
@@ -128,6 +125,9 @@ def weighted_dyy_measure(history: FieldHistory, alpha: float, margin: int = 0) -
 
 # exponent of the weight (1-y)^alpha in the weak identity
 WEAK_ALPHA = 2.0
+# exponent of the weight (1-y)^alpha on the dyy mass; it must be positive,
+# so the weight vanishes at y = 1, where the profile degenerates
+DYY_ALPHA = 1.0
 # time cells per slab of the weak quadrature, which holds no full-volume
 # array beyond one slab
 WEAK_SLAB = 8
@@ -292,8 +292,8 @@ def weak_residual(history: FieldHistory, problem: CroccoProblem, margin: int = 0
     family, so the residual holds no full-volume array besides the history.
     """
     terms = _weak_quadrature(history, problem, margin)
-    return max(abs(terms(p)["residual"])
-               for p in test_function_family(problem.grid.L, problem.grid.T))
+    return float(np.max([abs(terms(p)["residual"])
+                         for p in test_function_family(problem.grid.L, problem.grid.T)]))
 
 
 # ---------------------------------------------------------------------------

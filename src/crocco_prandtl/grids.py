@@ -20,7 +20,7 @@ Check, the package's one verdict type, keeps the numbers that decided it.
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -145,7 +145,6 @@ class FieldHistory:
     x: np.ndarray
     y: np.ndarray
     values: np.ndarray
-    eps: Optional[float] = None
     label: str = ""
     diagnostics: dict = field(default_factory=dict)
 

@@ -335,12 +335,12 @@ def log_subsolution(u, h: float, variant: str = "ratio"):
     return np.maximum(out, 0.0, out=out), bound
 
 
-def log_field(history: FieldHistory, h: float, variant: str = "ratio") -> FieldHistory:
-    """FieldHistory wrapper of log_subsolution, keeping the coordinates; the
-    transform's one output array becomes the wrapper's values."""
-    vals, _ = log_subsolution(history, h, variant)
+def log_field(history: FieldHistory, h: float) -> FieldHistory:
+    """FieldHistory of the reciprocal log_subsolution, keeping the
+    coordinates; the transform's one output array becomes its values."""
+    vals, _ = log_subsolution(history, h, "reciprocal")
     return FieldHistory(t=history.t, x=history.x, y=history.y, values=vals,
-                        label=f"{history.label}:log-{variant}")
+                        label=f"{history.label}:log-reciprocal")
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +600,7 @@ def oscillation_table(u_field) -> OscillationReport:
             pairs.append((r, osc_big))
         if osc_small > 0:
             pairs.append((OSC_THETA_BAR * r, osc_small))
-    beta_bar = max(row.ratio for row in rows)
+    beta_bar = float(np.max([row.ratio for row in rows]))
     if len(pairs) >= 2:
         lr = np.log([p[0] for p in pairs])
         lo = np.log([p[1] for p in pairs])
@@ -761,9 +761,7 @@ def solve_model(coef: RoughCoefficient, nx: int, ny: int, nt: int,
             raise NumericalError(f"model run lost finiteness at step {n + 1}")
         hist[n + 1, :nx], hist[n + 1, nx] = u, u[0]
 
-    return FieldHistory(t=t, x=np.append(x, 1.0), y=y, values=hist,
-                        label=f"model-{coef.name}",
-                        diagnostics={"dt": dt, "dx": dx, "dy": dy})
+    return FieldHistory(t=t, x=np.append(x, 1.0), y=y, values=hist, label=f"model-{coef.name}")
 
 
 # wall-normal cells, window start, and the gap from the pole up to that

@@ -7,7 +7,7 @@ in it, and returns it with its optional primary field and tables.  The
 RunResult is the run's one report; reporting renders it.  run_scenario
 gives every call a fresh store, so problems and solves are shared within
 one run and released when it returns.  Runners are registered in RUNNERS
-under the scenario names of config.SCENARIOS.
+under the scenario names, and config.SCENARIOS is their keys.
 
 The strip scenarios build their problem from one table, STRIP_PROBLEMS
 (problem builder and end time per scenario), which validate_scenario reads
@@ -23,12 +23,13 @@ identical-data check is the stored march against one fresh march.
 
 Three measurements split independent work across the usable cores through
 parallel.fork_each, the first part in the calling process:
-standard_estimates runs the two batteries in a worker beside the weak
-residuals and traces, cauchy_sweep runs the sweep's marches beside the
-refinement proxy's refined march, and family_stability marches the base
-and the families through SolveStore.solve_many.  identical_data's fresh
-march never forks: it is made in the calling process, after the stored
-one, so it meets whatever state the first march left behind.
+standard_estimates hands it its four measurements, the two weak residuals
+(one with the traces) before the two batteries, cauchy_sweep runs the
+sweep's marches beside the refinement proxy's refined march, and
+family_stability marches the base and the families through
+SolveStore.solve_many.  identical_data's fresh march never forks: it is
+made in the calling process, after the stored one, so it meets whatever
+state the first march left behind.
 """
 
 from dataclasses import dataclass, field
@@ -200,7 +201,7 @@ def estimate_battery(hist: FieldHistory, margin: int = 0) -> dict:
         l1, l2 = weighted_grad_norms(hist, alpha, margin=margin)
         out[f"weighted_grad_l1_alpha{alpha}"] = l1
         out[f"weighted_grad_l2_alpha{alpha}"] = l2
-    out["weighted_dyy_alpha1"] = weighted_dyy_measure(hist, 1.0, margin=margin)
+    out["weighted_dyy_alpha1"] = weighted_dyy_measure(hist, margin=margin)
     return out
 
 
@@ -216,16 +217,14 @@ def weak_identity(hist: FieldHistory, problem) -> tuple:
 def standard_estimates(result: RunResult, hist: FieldHistory, problem) -> tuple:
     """Record the estimate battery, its interior variants, traces, and the
     weak residual in result; returns the full-domain battery and the checks
-    of weak_identity.  The two weak residuals and the traces run in this
-    process beside the two batteries, which a forked worker returns as
-    numbers (parallel.fork_each)."""
-    def residuals():
-        return weak_residual(hist, problem, INTERIOR_MARGIN), weak_identity(hist, problem)
-
-    def batteries():
-        return estimate_battery(hist), estimate_battery(hist, margin=INTERIOR_MARGIN)
-
-    (interior_residual, (tr, checks)), (out, interior) = fork_each([residuals, batteries])
+    of weak_identity.  The four measurements are split across the usable
+    cores by parallel.fork_each, the weak residuals and traces first, so on
+    two cores they run in this process and the batteries in a worker."""
+    interior_residual, (tr, checks), out, interior = fork_each([
+        partial(weak_residual, hist, problem, INTERIOR_MARGIN),
+        partial(weak_identity, hist, problem),
+        partial(estimate_battery, hist),
+        partial(estimate_battery, hist, margin=INTERIOR_MARGIN)])
     for key, value in out.items():
         result.add(key, value)
     # interior variants expose how much the free outflow face contributes
@@ -292,11 +291,11 @@ def kernel_identities(seed: int) -> tuple:
     residual at h = 1e-3 with its observed order; and their checks."""
     mass = {s: abs(ko.normalization(s) - 1.0) for s in (0.1, 1.0)}
     rng = np.random.default_rng(seed)
-    dilation = max(
+    dilation = float(np.max([
         ko.dilation_defect(
             (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.2, 1.5)),
             rng.uniform(0.5, 2.0))
-        for _ in range(100))
+        for _ in range(100)]))
     r1 = abs(ko.l0_residual((0.1, 0.2, 1.0), h=1e-3))
     r2 = abs(ko.l0_residual((0.1, 0.2, 1.0), h=5e-4))
     order = float(np.log2(r1 / r2))
@@ -332,7 +331,7 @@ def linear_control() -> tuple:
     """Oscillation table of the exact linear field 1 - y, whose every ratio
     equals the scale factor, and the check on its worst row defect."""
     ctl = ko.oscillation_table(AnalyticField(lambda t, x, y: 1.0 - np.asarray(y, float)))
-    defect = max(abs(row.ratio - ko.OSC_THETA_BAR) for row in ctl.rows)
+    defect = float(np.max([abs(row.ratio - ko.OSC_THETA_BAR) for row in ctl.rows]))
     return ctl, {"oscillation_linear_control_exact": Check(defect, LINEAR_CONTROL_TOL, "<=")}
 
 
@@ -354,8 +353,7 @@ def pinched_poincare(coef, grid: tuple, h: float, spec):
     on grid (nx, ny, nt) from the pinched initial state.  The run is freed
     once it is transformed, so only the transform is alive while the
     functional samples it."""
-    w = ko.log_field(ko.solve_model(coef, *grid, u0=pinched_initial), h=h,
-                     variant="reciprocal")
+    w = ko.log_field(ko.solve_model(coef, *grid, u0=pinched_initial), h=h)
     return ko.weak_poincare_ratio(w, spec)
 
 

@@ -183,7 +183,7 @@ def solve(problem: CroccoProblem, grid: GridSpec, eps: float,
         u = _advance(u, n, problem, eps, source, a_n, b_n, c_n1)
         a_n, b_n = a_n1, b_n1
         values[n + 1] = u
-    return FieldHistory(t=grid.t, x=grid.x, y=grid.y, values=values, eps=eps,
+    return FieldHistory(t=grid.t, x=grid.x, y=grid.y, values=values,
                         label=label or problem.label, diagnostics=margins)
 
 

@@ -27,7 +27,7 @@ from crocco_prandtl.cli import main
 from crocco_prandtl.config import SCENARIOS
 from crocco_prandtl.crocco import CroccoProblem
 from crocco_prandtl.errors import ConfigError, NumericalError
-from crocco_prandtl.grids import Check
+from crocco_prandtl.grids import Check, FieldHistory
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,22 @@ def test_criterion_11_oscillation_decay(engine, results):
 
 def test_criterion_12_determinism(engine, results):
     check(engine, results, 12)
+
+
+def test_criterion_11_fails_a_nan_in_one_run(engine):
+    # one NaN node in the checkerboard-2 run, read by its r = 0.2 row only;
+    # beta_bar once skipped it and the criterion passed on 0.2653
+    key = ("checkerboard", 2.0, 0)
+    hist = engine.store.build(acceptance._model_history, *key)
+    values = hist.values.copy()
+    values[298, 24, 113] = np.nan
+    broken = AcceptanceEngine()
+    broken.store._built = dict(engine.store._built)
+    broken.store._built[(acceptance._model_history, *key)] = FieldHistory(
+        t=hist.t, x=hist.x, y=hist.y, values=values, label=hist.label)
+    res = broken.criterion_11()
+    assert _failing(res) == ["oscillation_decays_checkerboard-2"], res.detail
+    assert np.isnan(res.checks["oscillation_decays_checkerboard-2"].value)
 
 
 def _bundles(tmp_path, files_a, files_b):

@@ -27,12 +27,12 @@ from crocco_prandtl.scenarios import ACCEL_T, favorable_accel_problem
 from crocco_prandtl.solver import solve
 
 
-def grid_history(f, nt=16, nx=16, ny=32, L=1.0, T=1.0, eps=None):
+def grid_history(f, nt=16, nx=16, ny=32, L=1.0, T=1.0):
     t = np.linspace(0.0, T, nt + 1)
     x = np.linspace(0.0, L, nx + 1)
     y = np.linspace(0.0, 1.0, ny + 1)
     tt, xx, yy = np.meshgrid(t, x, y, indexing="ij")
-    return FieldHistory(t=t, x=x, y=y, values=f(tt, xx, yy), eps=eps)
+    return FieldHistory(t=t, x=x, y=y, values=f(tt, xx, yy))
 
 
 def linear_problem(grid, flow=None):
@@ -110,13 +110,7 @@ def test_weighted_grad_norms_rejects_bad_weight():
 def test_weighted_dyy_measure_quadratic_exact():
     # dyy (1-y)^2 = 2 and the weighted integrand (1-y)*2 is trapezoid-exact
     h = grid_history(lambda t, x, y: (1.0 - y) ** 2)
-    assert weighted_dyy_measure(h, alpha=1.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_weighted_dyy_measure_needs_positive_alpha():
-    h = grid_history(lambda t, x, y: (1.0 - y) ** 2)
-    with pytest.raises(ConfigError):
-        weighted_dyy_measure(h, alpha=0.0)
+    assert weighted_dyy_measure(h) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +389,7 @@ def test_interior_margin_monotone_for_nonnegative_norms():
     for fn in (bv_seminorm,
                lambda hh, margin: weighted_grad_norms(hh, 1.0, margin)[0],
                lambda hh, margin: weighted_grad_norms(hh, 1.0, margin)[1],
-               lambda hh, margin: weighted_dyy_measure(hh, 1.0, margin)):
+               weighted_dyy_measure):
         full, m1, m2 = fn(h, margin=0), fn(h, margin=1), fn(h, margin=2)
         assert full > m1 > m2 > 0.0
 
@@ -412,9 +406,8 @@ def test_interior_margin_exact_for_compactly_supported_field():
     for alpha in (0.0, 1.0):
         assert weighted_grad_norms(h, alpha, margin=2) == pytest.approx(
             weighted_grad_norms(h, alpha), rel=1e-12)
-    for alpha in (1.0, 2.0):
-        assert weighted_dyy_measure(h, alpha, margin=2) == pytest.approx(
-            weighted_dyy_measure(h, alpha), rel=1e-12)
+    assert weighted_dyy_measure(h, margin=2) == pytest.approx(weighted_dyy_measure(h),
+                                                               rel=1e-12)
 
 
 def test_interior_margin_too_large_rejected():
@@ -433,7 +426,7 @@ def test_interior_margin_is_checked_alike_by_every_functional():
 
     functionals = (lambda hh, pp, margin: bv_seminorm(hh, margin),
                    lambda hh, pp, margin: weighted_grad_norms(hh, 1.0, margin)[0],
-                   lambda hh, pp, margin: weighted_dyy_measure(hh, 1.0, margin),
+                   lambda hh, pp, margin: weighted_dyy_measure(hh, margin),
                    lambda hh, pp, margin: weak_residual(hh, pp, margin))
     h, prob = grid(8, 12)
     h_low, prob_low = grid(16, 9)

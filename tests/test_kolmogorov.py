@@ -245,7 +245,7 @@ def test_log_field_wrapper():
     x = np.linspace(-1.0, 1.0, 5)
     y = np.linspace(-1.0, 1.0, 6)
     hist = FieldHistory(t=t, x=x, y=y, values=np.full((4, 5, 6), 0.5))
-    out = ko.log_field(hist, 0.01, "reciprocal")
+    out = ko.log_field(hist, 0.01)
     assert out.values.shape == hist.values.shape
     expected = math.log(1.0 / (0.5 + 0.01**1.125))
     assert out.values[0, 0, 0] == pytest.approx(expected, rel=1e-12)
@@ -455,7 +455,7 @@ def test_weak_poincare_subsolution_is_slack():
     hist = ko.solve_model(
         coef, *ko.MODEL_GRID,
         u0=lambda xq, yq: 0.75 * (1.0 - np.cos(np.pi * xq) * np.cos(np.pi * yq / 2.0)))
-    V = ko.log_field(hist, h=0.01, variant="reciprocal")
+    V = ko.log_field(hist, h=0.01)
     rep = ko.weak_poincare_ratio(V, ko.CutoffSpec(r=0.008, theta=0.01))
     assert rep.ratio < float("inf")
     assert rep.i0 > 0.1          # the functional is genuinely active
@@ -509,6 +509,20 @@ def test_oscillation_flat_field():
     rep = ko.oscillation_table(const_field(3.0))
     assert all(row.ratio == 0.0 for row in rep.rows)
     assert rep.beta_bar == 0.0
+
+
+def test_oscillation_beta_bar_keeps_a_nan_row():
+    # a builtin max skips a NaN that is not first, so beta_bar once read the
+    # r = 0.1 row's 0.288 and the decay check passed on a broken run
+    nx, ny, nt = ko.MODEL_GRID
+    t, x = ko.model_axes(nx, nt, ko.MODEL_T0)
+    x, y = np.append(x, 1.0), np.linspace(-1.0, 1.0, ny + 1)
+    T, X, Y = np.meshgrid(t, x, y, indexing="ij")
+    values = T + X + Y
+    values[298, 24, 113] = np.nan  # (t, x, y) = (-0.005, 0, 0.177): the r = 0.2 row's
+    rep = ko.oscillation_table(FieldHistory(t=t, x=x, y=y, values=values))
+    assert [math.isnan(row.ratio) for row in rep.rows] == [False, True, False]
+    assert math.isnan(rep.beta_bar)
 
 
 def test_oscillation_guards():

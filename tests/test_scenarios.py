@@ -213,7 +213,7 @@ def _wrap(m, owner, name, change):
 def _exact_offset(m, v):
     # every strip run becomes the exact profile 1 - y shifted by v
     _wrap(m, SolveStore, "solve", lambda hist, *a, **k: FieldHistory(
-        t=hist.t, x=hist.x, y=hist.y, eps=hist.eps, label=hist.label,
+        t=hist.t, x=hist.x, y=hist.y, label=hist.label,
         values=np.broadcast_to(1.0 - hist.y + v, hist.values.shape)))
 
 
@@ -357,8 +357,7 @@ def _below_top_minimum(m, v):
         values = hist.values.copy()
         below = values[:, :, :-1]
         below[np.unravel_index(np.argmin(below), below.shape)] = v
-        return FieldHistory(t=hist.t, x=hist.x, y=hist.y, eps=hist.eps,
-                            label=hist.label, values=values)
+        return FieldHistory(t=hist.t, x=hist.x, y=hist.y, label=hist.label, values=values)
     _wrap(m, SolveStore, "solve", change)
 
 
@@ -406,7 +405,7 @@ def test_a_favorable_run_that_touches_zero_fails_its_positivity_verdict(
     # top row is negative: the estimates' weak quadrature would refuse it
     # (exit 3), so the verdict is recorded first and the estimates skipped
     _wrap(monkeypatch, SolveStore, "solve", lambda hist, *a, **k: FieldHistory(
-        t=hist.t, x=hist.x, y=hist.y, eps=hist.eps, label=hist.label,
+        t=hist.t, x=hist.x, y=hist.y, label=hist.label,
         values=hist.values - np.min(hist.values[:, :, :-1])))
     cfg = tmp_path / "shifted.cfg"
     cfg.write_text("scenario = favorable_accel\nnx = 16\nny = 16\nnt = 24\neps = 1e-2\n")
