@@ -21,8 +21,7 @@ for eps in eps_family:
     hist = solve(problem, grid, eps)
     rows.setdefault("comparison", []).append(comparison_constant(hist))
     rows.setdefault("bv", []).append(bv_seminorm(hist))
-    for alpha in (0, 1, 2):
-        l1, l2 = weighted_grad_norms(hist, alpha)
+    for alpha, (l1, l2) in weighted_grad_norms(hist).items():
         rows.setdefault("grad_l1 a=%d" % alpha, []).append(l1)
         rows.setdefault("grad_l2 a=%d" % alpha, []).append(l2)
     rows.setdefault("dyy a=1", []).append(weighted_dyy_measure(hist))

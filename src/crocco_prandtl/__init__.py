@@ -23,7 +23,7 @@ from .acceptance import AcceptanceEngine, parse_suite, run_acceptance
 from .config import RunConfig, load_config, parse_config
 from .crocco import (CroccoData, CroccoProblem, make_problem, pressure_gradient,
                      validate)
-from .errors import ConfigError, CroccoError, DataError, NumericalError
+from .errors import ConfigError, CroccoError, NumericalError
 from .estimates import (bv_seminorm, comparison_constant, l1_stability,
                         physical_stability, trace_residual, uniformity_spread,
                         weak_residual, weighted_dyy_measure, weighted_grad_norms)
@@ -43,7 +43,7 @@ __all__ = [
     "AcceptanceEngine", "parse_suite", "run_acceptance",
     "RunConfig", "load_config", "parse_config",
     "CroccoData", "CroccoProblem", "make_problem", "pressure_gradient", "validate",
-    "ConfigError", "CroccoError", "DataError", "NumericalError",
+    "ConfigError", "CroccoError", "NumericalError",
     "bv_seminorm", "comparison_constant", "l1_stability",
     "physical_stability", "trace_residual", "uniformity_spread",
     "weak_residual", "weighted_dyy_measure", "weighted_grad_norms",

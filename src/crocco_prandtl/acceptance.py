@@ -264,8 +264,7 @@ class AcceptanceEngine:
         res.checks["usable_cores_second"] = Check(cores_b, cores_a, "<=")
         return res
 
-    def run(self, numbers=None) -> AcceptanceReport:
-        numbers = list(range(1, 13) if numbers is None else numbers)
+    def run(self, numbers) -> AcceptanceReport:
         if not numbers:
             raise ConfigError("no criteria requested")
         if len(set(numbers)) < len(numbers):
@@ -297,7 +296,7 @@ def parse_suite(text: str):
         raise ConfigError(f"suite must be 'full' or criterion numbers, got '{text}'") from None
 
 
-def run_acceptance(numbers=None, out_dir=None) -> AcceptanceReport:
+def run_acceptance(numbers, out_dir) -> AcceptanceReport:
     engine = AcceptanceEngine()
     report = engine.run(numbers)
     if out_dir is not None:

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError
 from .flows import ExternalFlow
 from .grids import Check, GridSpec
 
@@ -104,7 +104,7 @@ class CroccoProblem:
     v0: np.ndarray
     label: str = ""
 
-    def coefficients(self, n=slice(None)) -> tuple:
+    def coefficients(self, n) -> tuple:
         """(a, b, c) at time index n: (nx+1, ny+1) arrays for an integer n,
         (nt+1, nx+1, ny+1) volumes for slice(None).
 
@@ -153,7 +153,7 @@ def make_problem(flow: ExternalFlow, grid: GridSpec, data: CroccoData, label: st
     U = on_tx(flow.U)
     if np.any(U <= 0.0):
         i, j = np.unravel_index(int(np.argmin(U)), U.shape)
-        raise DataError(
+        raise ConfigError(
             f"flow U must be positive on the grid; U={U[i, j]:.6g} at "
             f"(x={x[j]:.6g}, t={t[i]:.6g})"
         )
@@ -167,12 +167,12 @@ def make_problem(flow: ExternalFlow, grid: GridSpec, data: CroccoData, label: st
     v0 = on_tx(data.v0)
 
     if np.max(np.abs(w0[:, -1])) > 1e-9 or np.max(np.abs(w1[:, -1])) > 1e-9:
-        raise DataError("shear data must vanish on the y = 1 row")
+        raise ConfigError("shear data must vanish on the y = 1 row")
     w0[:, -1] = 0.0
     w1[:, -1] = 0.0
     corner = float(np.max(np.abs(w0[0, :] - w1[0, :])))
     if corner > 1e-9:
-        raise DataError(f"initial and inflow data disagree at the corner x=0, t=0 by {corner:.3g}")
+        raise ConfigError(f"initial and inflow data disagree at the corner x=0, t=0 by {corner:.3g}")
     return CroccoProblem(grid, *map(_lock, (U, dxU, dtU, dxP / U, w0, w1, v0)), label=label)
 
 
@@ -198,29 +198,26 @@ def validate(problem: CroccoProblem) -> ValidationReport:
         i, j = np.unravel_index(int(pick(vals)), vals.shape)
         checks[cond] = Check(float(vals[i, j]), bound, sense)
         where[cond] = node(i, j)
+        return checks[cond]
 
     record("suction sign (v0 <= 0)", problem.v0, np.argmax, 1e-12, "<=",
            lambda i, j: (x[j], t[i]))
-    ratios = []
+    # each family's 1/min r and max r; 1/min r is max 1/r, as rounding is monotone
+    envelope = []
     for name, vals, coords in (("initial shear", problem.w0[:, :-1], x),
                                ("inflow shear", problem.w1[:, :-1], t)):
         def node(i, j):
             return coords[i], yint[j]
-        monotone = f"monotone profile class ({name} > 0)"
-        record(monotone, vals, np.argmin, 0.0, ">", node)
-        if not checks[monotone].passed:
+        if not record(f"monotone profile class ({name} > 0)", vals, np.argmin, 0.0, ">",
+                      node).passed:
             continue
         ratio = vals / (1.0 - yint[None, :])
-        ratios.append(ratio)
-        record(f"linear envelope lower bound ({name} vs (1-y)/C0, C0={C0_MAX:g})",
-               ratio, np.argmin, 1.0 / C0_MAX, ">=", node)
-        record(f"linear envelope upper bound ({name} vs C0 (1-y), C0={C0_MAX:g})",
-               ratio, np.argmax, C0_MAX, "<=", node)
-
-    c0 = None
-    if ratios:
-        allr = np.concatenate([r.ravel() for r in ratios])
-        c0 = float(max(np.max(allr), np.max(1.0 / allr)))
+        lower = record(f"linear envelope lower bound ({name} vs (1-y)/C0, C0={C0_MAX:g})",
+                       ratio, np.argmin, 1.0 / C0_MAX, ">=", node)
+        upper = record(f"linear envelope upper bound ({name} vs C0 (1-y), C0={C0_MAX:g})",
+                       ratio, np.argmax, C0_MAX, "<=", node)
+        envelope += [1.0 / lower.value, upper.value]
+    c0 = float(np.max(envelope)) if envelope else None
 
     favorable = "favorable pressure (dxP <= 0)"
     checks[favorable], where[favorable] = pressure_gradient(problem)

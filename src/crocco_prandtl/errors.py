@@ -11,11 +11,8 @@ class CroccoError(Exception):
 
 
 class ConfigError(CroccoError):
-    """Bad configuration: unknown keys, invalid parameters, CFL violations."""
-
-
-class DataError(ConfigError):
-    """Problem data or flow tables violate a structural requirement."""
+    """An input that cannot run: unknown keys, invalid parameters, CFL
+    violations, or problem data that violate a structural requirement."""
 
 
 class NumericalError(CroccoError):

@@ -91,19 +91,21 @@ def bv_seminorm(history: FieldHistory, margin: int = 0) -> float:
     return total
 
 
-def weighted_grad_norms(history: FieldHistory, alpha: float, margin: int = 0) -> tuple:
-    """(1-y)^alpha weighted L1 and L2 masses of the wall-normal gradient."""
-    if alpha <= -1:
-        raise ConfigError("weight exponent must exceed -1 for an integrable weight")
+def weighted_grad_norms(history: FieldHistory, margin: int = 0) -> dict:
+    """(1-y)^alpha weighted L1 and L2 masses of the wall-normal gradient,
+    {alpha: (l1, l2)} for each alpha of GRAD_ALPHAS, from one gradient."""
     v, t, x, y = _restrict(history.values, history.t, history.x, history.y, margin)
     dy = np.diff(y).mean()
     yc = 0.5 * (y[1:] + y[:-1])
-    wgt = (1.0 - yc) ** alpha * dy
+    wgts = [(1.0 - yc) ** alpha * dy for alpha in GRAD_ALPHAS]
     grad = np.diff(v, axis=2) / dy
     wt, wx = trapezoid_weights(t), trapezoid_weights(x)
-    n1 = float(np.einsum("n,i,nij,j->", wt, wx, np.abs(grad), wgt))
-    n2 = float(np.einsum("n,i,nij,j->", wt, wx, grad**2, wgt))
-    return n1, n2
+
+    def masses(power):
+        # power (|grad| or grad**2) is freed on return: one lives beside grad
+        return [float(np.einsum("n,i,nij,j->", wt, wx, power, wgt)) for wgt in wgts]
+
+    return dict(zip(GRAD_ALPHAS, zip(masses(np.abs(grad)), masses(grad**2))))
 
 
 def weighted_dyy_measure(history: FieldHistory, margin: int = 0) -> float:
@@ -123,6 +125,8 @@ def weighted_dyy_measure(history: FieldHistory, margin: int = 0) -> float:
 # ---------------------------------------------------------------------------
 # weak-form residual
 
+# exponents of the weights (1-y)^alpha on the gradient norms
+GRAD_ALPHAS = (0, 1, 2)
 # exponent of the weight (1-y)^alpha in the weak identity
 WEAK_ALPHA = 2.0
 # exponent of the weight (1-y)^alpha on the dyy mass; it must be positive,

@@ -65,7 +65,7 @@ def gamma0(z, zeta=(0.0, 0.0, 0.0)):
     return float(out) if out.ndim == 0 else out
 
 
-def l0_residual(z, h: float = 1e-3) -> float:
+def l0_residual(z, h: float) -> float:
     """Centered-difference residual of the model operator on the kernel
     with its pole at the origin.
 
@@ -313,19 +313,19 @@ def log_bound(h: float, variant: str) -> float:
     raise ConfigError(f"unknown log transform variant '{variant}'")
 
 
-def log_subsolution(u, h: float, variant: str = "ratio"):
-    """Pointwise transform turning a nonnegative field into the bounded
+def log_subsolution(values, h: float, variant: str):
+    """Pointwise transform turning a nonnegative array into the bounded
     subsolution surrogate; returns (values, sup bound).
 
     variant "ratio":       ln+ of h / (h^(9/8) + u), bound (1/8) ln(1/h)
     variant "reciprocal":  ln+ of 1 / (h^(9/8) + u), bound (9/8) ln(1/h)
 
-    The transform is finished in its one output array, never in u.
+    The transform is finished in its one output array, never in values.
     """
     if not 0.0 < h < 0.5:
         raise ConfigError(f"level h must lie in (0, 1/2), got {h}")
     bound = log_bound(h, variant)  # refuses an unknown variant
-    arr = u.values if isinstance(u, FieldHistory) else np.asarray(u, float)
+    arr = np.asarray(values, float)
     if np.min(arr) < -1e-9:
         raise ConfigError("log transform requires a nonnegative field")
     out = np.maximum(arr, 0.0, out=np.empty(arr.shape))
@@ -338,9 +338,8 @@ def log_subsolution(u, h: float, variant: str = "ratio"):
 def log_field(history: FieldHistory, h: float) -> FieldHistory:
     """FieldHistory of the reciprocal log_subsolution, keeping the
     coordinates; the transform's one output array becomes its values."""
-    vals, _ = log_subsolution(history, h, "reciprocal")
-    return FieldHistory(t=history.t, x=history.x, y=history.y, values=vals,
-                        label=f"{history.label}:log-reciprocal")
+    vals, _ = log_subsolution(history.values, h, "reciprocal")
+    return FieldHistory(t=history.t, x=history.x, y=history.y, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +595,10 @@ def oscillation_table(u_field) -> OscillationReport:
         osc_small = _box_oscillation(u_field, OSC_THETA_BAR * r)
         ratio = 0.0 if osc_big == 0.0 else osc_small / osc_big
         rows.append(OscillationRow(r=r, osc_small=osc_small, osc_big=osc_big, ratio=ratio))
-        if osc_big > 0:
+        # a NaN oscillation is kept, so the fit reads NaN on a broken run
+        if not osc_big <= 0:
             pairs.append((r, osc_big))
-        if osc_small > 0:
+        if not osc_small <= 0:
             pairs.append((OSC_THETA_BAR * r, osc_small))
     beta_bar = float(np.max([row.ratio for row in rows]))
     if len(pairs) >= 2:
@@ -771,7 +771,7 @@ KERNEL_T0 = -0.2
 KERNEL_POLE_GAP = 0.3
 
 
-def kernel_reproduction(nx: int = 128, nt: int = 128) -> dict:
+def kernel_reproduction(nx: int, nt: int) -> dict:
     """Constant-coefficient model run against the exact kernel.
 
     The initial state and the wall-normal boundary traces are sampled from

@@ -194,11 +194,11 @@ def exact_error(hist: FieldHistory) -> tuple:
 def estimate_battery(hist: FieldHistory, margin: int = 0) -> dict:
     """The eps-uniform functionals of one run keyed by report name: the
     comparison constant (full domain only), the BV seminorm, the weighted
-    gradient norms for alpha 0, 1, 2 and the weighted dyy measure."""
+    gradient norms for each alpha of GRAD_ALPHAS and the weighted dyy
+    measure."""
     out = {} if margin else {"comparison_constant": comparison_constant(hist)}
     out["bv_seminorm"] = bv_seminorm(hist, margin=margin)
-    for alpha in (0, 1, 2):
-        l1, l2 = weighted_grad_norms(hist, alpha, margin=margin)
+    for alpha, (l1, l2) in weighted_grad_norms(hist, margin=margin).items():
         out[f"weighted_grad_l1_alpha{alpha}"] = l1
         out[f"weighted_grad_l2_alpha{alpha}"] = l2
     out["weighted_dyy_alpha1"] = weighted_dyy_measure(hist, margin=margin)

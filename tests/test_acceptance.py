@@ -112,7 +112,8 @@ def test_criterion_12_determinism(engine, results):
 
 def test_criterion_11_fails_a_nan_in_one_run(engine):
     # one NaN node in the checkerboard-2 run, read by its r = 0.2 row only;
-    # beta_bar once skipped it and the criterion passed on 0.2653
+    # beta_bar once skipped it and the criterion passed on 0.2653, and the
+    # Hölder fit once dropped it and stayed positive
     key = ("checkerboard", 2.0, 0)
     hist = engine.store.build(acceptance._model_history, *key)
     values = hist.values.copy()
@@ -122,7 +123,8 @@ def test_criterion_11_fails_a_nan_in_one_run(engine):
     broken.store._built[(acceptance._model_history, *key)] = FieldHistory(
         t=hist.t, x=hist.x, y=hist.y, values=values, label=hist.label)
     res = broken.criterion_11()
-    assert _failing(res) == ["oscillation_decays_checkerboard-2"], res.detail
+    assert _failing(res) == ["oscillation_decays_checkerboard-2",
+                             "holder_positive_checkerboard-2"], res.detail
     assert np.isnan(res.checks["oscillation_decays_checkerboard-2"].value)
 
 
@@ -273,7 +275,7 @@ def test_parse_suite_refuses_a_repeated_number(stand_ins, capsys):
         with pytest.raises(ConfigError, match="must not repeat"):
             AcceptanceEngine().run([8, 8])
         with pytest.raises(ConfigError, match="must not repeat"):
-            run_acceptance(numbers=parse_suite("1,1,7"))
+            run_acceptance(numbers=parse_suite("1,1,7"), out_dir=None)
         assert main(["acceptance", "--suite", "7, 8,7"]) == 2
     fork.assert_not_called()
     assert "must not repeat" in capsys.readouterr().err
@@ -404,7 +406,8 @@ def test_an_empty_request_is_refused_and_none_is_the_full_suite(monkeypatch, tmp
         with pytest.raises(ConfigError, match="no criteria requested"):
             run_acceptance(numbers=[], out_dir=tmp_path)
         assert not any(tmp_path.iterdir())
-        assert [r.number for r in AcceptanceEngine().run().results] == list(range(1, 13))
+        full = AcceptanceEngine().run(parse_suite("full")).results
+        assert [r.number for r in full] == list(range(1, 13))
 
 
 def test_fork_map_nests_inside_a_worker():

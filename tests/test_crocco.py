@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crocco_prandtl.crocco import CroccoData, make_problem, pressure_gradient, validate
-from crocco_prandtl.errors import DataError
+from crocco_prandtl.errors import ConfigError
 from crocco_prandtl.flows import (ExternalFlow, accelerating_flow, decelerating_flow,
                                   uniform_flow)
 from crocco_prandtl.grids import Check, GridSpec
@@ -24,7 +24,7 @@ def linear_data(scale=1.0):
 def test_coefficients_accelerating_flow_closed_form():
     grid = GridSpec(8, 8, 8, L=1.0, T=0.5)
     problem = make_problem(accelerating_flow(), grid, linear_data())
-    a, b, c = problem.coefficients()
+    a, b, c = problem.coefficients(slice(None))
     t = grid.t[:, None, None]
     y = grid.y[None, None, :]
     assert np.allclose(a, y * (1.0 + t), atol=1e-14)
@@ -37,7 +37,7 @@ def test_coefficients_accelerating_flow_closed_form():
 def test_coefficient_variants_differ_by_twice_weighted_dxU():
     grid = GridSpec(8, 8, 8, L=1.0, T=0.5)
     flow = decelerating_flow()
-    c = make_problem(flow, grid, linear_data()).coefficients()[2]
+    c = make_problem(flow, grid, linear_data()).coefficients(slice(None))[2]
     x, t = grid.x[None, :, None], grid.t[:, None, None]
     y = grid.y[None, None, :]
     # the alternative zeroth-order coefficient y dxU + dtU / U
@@ -49,13 +49,13 @@ def test_wall_identity_b_equals_minus_px_over_u():
     grid = GridSpec(8, 8, 8, L=1.0, T=0.5)
     for builder in (uniform_flow, accelerating_flow, decelerating_flow):
         problem = make_problem(builder(), grid, linear_data())
-        b = problem.coefficients()[1]
+        b = problem.coefficients(slice(None))[1]
         assert np.allclose(b[:, :, 0], -problem.px_over_u, atol=1e-14), builder.__name__
 
 
 def test_coefficients_reject_nonpositive_flow():
     grid = GridSpec(8, 8, 8, L=5.0, T=0.5)
-    with pytest.raises(DataError, match="positive"):
+    with pytest.raises(ConfigError, match="positive"):
         make_problem(decelerating_flow(), grid, linear_data())
 
 
@@ -87,7 +87,7 @@ def test_coefficients_bit_identical_to_broadcast_reference(flow):
         (1.0 - y) * dxU - dxP / U,
     )]
     assert np.array_equal(problem.px_over_u, (dxP / U)[..., 0])
-    for got, want in zip(problem.coefficients(), ref):
+    for got, want in zip(problem.coefficients(slice(None)), ref):
         assert got.shape == full
         assert np.array_equal(got, want)
     for n in range(grid.nt + 1):
@@ -150,7 +150,7 @@ def test_stored_coefficients_do_not_scale_with_ny():
 def test_make_problem_shapes_and_locking():
     grid = GridSpec(6, 5, 4, L=1.0, T=0.5)
     problem = make_problem(uniform_flow(), grid, linear_data())
-    assert problem.coefficients()[0].shape == (5, 7, 6)
+    assert problem.coefficients(slice(None))[0].shape == (5, 7, 6)
     assert problem.coefficients(2)[0].shape == (7, 6)
     assert problem.w0.shape == (7, 6)
     assert problem.w1.shape == (5, 6)
@@ -170,7 +170,7 @@ def test_make_problem_rejects_nonvanishing_top():
         w1=lambda y, t: 1.0 - y + 0.1 + 0.0 * t,
         v0=lambda x, t: -1.0 + 0.0 * x * t,
     )
-    with pytest.raises(DataError, match="vanish"):
+    with pytest.raises(ConfigError, match="vanish"):
         make_problem(uniform_flow(), grid, data)
 
 
@@ -181,7 +181,7 @@ def test_make_problem_rejects_corner_mismatch():
         w1=lambda y, t: 1.5 * (1.0 - y) + 0.0 * t,
         v0=lambda x, t: -1.0 + 0.0 * x * t,
     )
-    with pytest.raises(DataError, match="corner"):
+    with pytest.raises(ConfigError, match="corner"):
         make_problem(uniform_flow(), grid, data)
 
 
@@ -211,6 +211,25 @@ def test_validate_scaled_data_envelope():
     report = validate(make_problem(uniform_flow(), GridSpec(16, 16, 16), linear_data(scale=2.0)))
     assert report.ok
     assert report.c0 == pytest.approx(2.0)
+
+
+def test_validate_c0_set_by_the_inflow_lower_bound():
+    # the inflow shear thins to a quarter of 1 - y by t = 1, so the second
+    # family's lower bound sets C0
+    data = CroccoData(
+        w0=lambda x, y: (1.0 - y) + 0.0 * x,
+        w1=lambda y, t: (1.0 - y) * (1.0 - 0.75 * t),
+        v0=lambda x, t: -1.0 + 0.0 * x * t,
+    )
+    problem = make_problem(uniform_flow(), GridSpec(8, 8, 8), data)
+    report = validate(problem)
+    assert report.ok
+    assert report.c0 == 4.0
+    # the largest of every envelope ratio and its reciprocal, bit for bit
+    yint = problem.grid.y[:-1]
+    ratios = np.concatenate([(w[:, :-1] / (1.0 - yint)).ravel()
+                             for w in (problem.w0, problem.w1)])
+    assert report.c0 == float(max(np.max(ratios), np.max(1.0 / ratios)))
 
 
 def test_validate_flags_positive_suction():

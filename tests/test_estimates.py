@@ -22,7 +22,7 @@ from crocco_prandtl.estimates import (
     weighted_grad_norms,
 )
 from crocco_prandtl.flows import decelerating_flow, uniform_flow
-from crocco_prandtl.grids import FieldHistory, GridSpec
+from crocco_prandtl.grids import FieldHistory, GridSpec, trapezoid_weights
 from crocco_prandtl.scenarios import ACCEL_T, favorable_accel_problem
 from crocco_prandtl.solver import solve
 
@@ -82,14 +82,14 @@ def test_bv_seminorm_counts_every_direction():
 
 def test_weighted_grad_norms_linear_alpha1():
     h = grid_history(lambda t, x, y: 1.0 - y)
-    n1, n2 = weighted_grad_norms(h, alpha=1.0)
+    n1, n2 = weighted_grad_norms(h)[1]
     assert n1 == pytest.approx(0.5, abs=1e-13)
     assert n2 == pytest.approx(0.5, abs=1e-13)
 
 
 def test_weighted_grad_norms_linear_alpha0():
     h = grid_history(lambda t, x, y: 1.0 - y)
-    n1, n2 = weighted_grad_norms(h, alpha=0.0)
+    n1, n2 = weighted_grad_norms(h)[0]
     assert n1 == pytest.approx(1.0, abs=1e-13)
     assert n2 == pytest.approx(1.0, abs=1e-13)
 
@@ -97,14 +97,29 @@ def test_weighted_grad_norms_linear_alpha0():
 def test_weighted_grad_norms_alpha2_midpoint():
     # integral of (1-y)^2 is 1/3; midpoint rule converges at second order
     h = grid_history(lambda t, x, y: 1.0 - y, ny=64)
-    n1, _ = weighted_grad_norms(h, alpha=2.0)
+    n1, _ = weighted_grad_norms(h)[2]
     assert n1 == pytest.approx(1.0 / 3.0, rel=1e-4)
 
 
-def test_weighted_grad_norms_rejects_bad_weight():
-    h = grid_history(lambda t, x, y: 1.0 - y)
-    with pytest.raises(ConfigError):
-        weighted_grad_norms(h, alpha=-1.5)
+def test_weighted_grad_norms_share_one_gradient_bit_for_bit():
+    # one gradient for every exponent gives the bits of one call per
+    # exponent, each forming its own gradient as below
+    h = grid_history(lambda t, x, y: np.exp(-t) * (1.0 - y) * (1.0 + 0.3 * np.sin(5.0 * x * y)),
+                     nt=8, nx=12, ny=20)
+    for margin in (0, 2):
+        xs, ys = slice(margin, h.x.size - margin), slice(margin, h.y.size - margin)
+        v, t, x, y = h.values[:, xs, ys], h.t, h.x[xs], h.y[ys]
+        expected = {}
+        for alpha in (0, 1, 2):
+            dy = np.diff(y).mean()
+            yc = 0.5 * (y[1:] + y[:-1])
+            wgt = (1.0 - yc) ** alpha * dy
+            grad = np.diff(v, axis=2) / dy
+            wt, wx = trapezoid_weights(t), trapezoid_weights(x)
+            n1 = float(np.einsum("n,i,nij,j->", wt, wx, np.abs(grad), wgt))
+            n2 = float(np.einsum("n,i,nij,j->", wt, wx, grad**2, wgt))
+            expected[alpha] = (n1, n2)
+        assert weighted_grad_norms(h, margin) == expected
 
 
 def test_weighted_dyy_measure_quadratic_exact():
@@ -387,8 +402,8 @@ def test_interior_margin_monotone_for_nonnegative_norms():
     # |dy u| = 1 up to the boundary, so every stripped band removes mass
     h = grid_history(lambda t, x, y: (1.0 - y) * (1.0 + 0.2 * np.sin(np.pi * x)))
     for fn in (bv_seminorm,
-               lambda hh, margin: weighted_grad_norms(hh, 1.0, margin)[0],
-               lambda hh, margin: weighted_grad_norms(hh, 1.0, margin)[1],
+               lambda hh, margin: weighted_grad_norms(hh, margin)[1][0],
+               lambda hh, margin: weighted_grad_norms(hh, margin)[1][1],
                weighted_dyy_measure):
         full, m1, m2 = fn(h, margin=0), fn(h, margin=1), fn(h, margin=2)
         assert full > m1 > m2 > 0.0
@@ -403,9 +418,9 @@ def test_interior_margin_exact_for_compactly_supported_field():
 
     h = grid_history(bump, nt=8, nx=16, ny=16)
     assert bv_seminorm(h, margin=2) == pytest.approx(bv_seminorm(h), rel=1e-12)
-    for alpha in (0.0, 1.0):
-        assert weighted_grad_norms(h, alpha, margin=2) == pytest.approx(
-            weighted_grad_norms(h, alpha), rel=1e-12)
+    interior, full = weighted_grad_norms(h, margin=2), weighted_grad_norms(h)
+    for alpha in (0, 1):
+        assert interior[alpha] == pytest.approx(full[alpha], rel=1e-12)
     assert weighted_dyy_measure(h, margin=2) == pytest.approx(weighted_dyy_measure(h),
                                                                rel=1e-12)
 
@@ -425,7 +440,7 @@ def test_interior_margin_is_checked_alike_by_every_functional():
                 linear_problem(GridSpec(nx=nx, ny=ny, nt=4)))
 
     functionals = (lambda hh, pp, margin: bv_seminorm(hh, margin),
-                   lambda hh, pp, margin: weighted_grad_norms(hh, 1.0, margin)[0],
+                   lambda hh, pp, margin: weighted_grad_norms(hh, margin)[1][0],
                    lambda hh, pp, margin: weighted_dyy_measure(hh, margin),
                    lambda hh, pp, margin: weak_residual(hh, pp, margin))
     h, prob = grid(8, 12)

@@ -1,20 +1,28 @@
 """A refusal leaves the package only through the command line.
 
-ConfigError and its DataError mean an input that cannot run; `cli` maps
-them onto exit 2 for every verb.  A handler elsewhere that catches them
-turns a refusal into something else (a failed hypothesis, a FAIL row, a
-fallback), so `validate` and `run` would no longer refuse alike.  This walk
-of the package's syntax trees refuses such handlers outside cli.py;
-`except CroccoError`, which turns a criterion's error into its FAIL row,
-names neither and is intended.
+ConfigError means an input that cannot run; `cli` maps it onto exit 2 for
+every verb.  A handler elsewhere that catches it turns a refusal into
+something else (a failed hypothesis, a FAIL row, a fallback), so `validate`
+and `run` would no longer refuse alike.  This walk of the package's syntax
+trees refuses such handlers outside cli.py.  It names the refusals by the
+class tree, ConfigError and every subclass, so a refusal type added later
+is covered too; `except CroccoError`, which turns a criterion's error into
+its FAIL row, names none of them and is intended.
 """
 
 import ast
 from pathlib import Path
 
 import crocco_prandtl
+from crocco_prandtl.errors import ConfigError
 
-REFUSALS = {"ConfigError", "DataError"}
+
+def _names(cls):
+    """cls and every subclass of it, by name."""
+    return {cls.__name__}.union(*(_names(sub) for sub in cls.__subclasses__()))
+
+
+REFUSALS = _names(ConfigError)
 
 
 def _refusal_handlers(tree):
@@ -34,7 +42,7 @@ try:
     pass
 except ConfigError:
     pass
-except errors.DataError as exc:
+except errors.ConfigError as exc:
     pass
 except (ValueError, ConfigError):
     pass
