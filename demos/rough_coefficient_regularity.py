@@ -33,7 +33,7 @@ print("beta_bar = %.3f, fitted Holder exponent %.2f" % (osc.beta_bar, osc.alpha_
 # a pinched initial state makes the log transform nonvacuous: the field
 # touches zero, so V = log(1/(h^{9/8} + u)) has genuine positive excursions
 print()
-rep = pinched_poincare(coef, (48, 192, 300), 0.01, poincare_cutoff(0.01))
+[rep] = pinched_poincare([coef], (48, 192, 300), 0.01, poincare_cutoff(0.01))
 print("weak Poincare on the log transform of a pinched run:")
 print("  mean-value sup I0 = %.3f, lhs %.3e, rhs %.3e" % (rep.i0, rep.lhs, rep.rhs))
 print("  ratio %.3e, hard violation: %s" % (rep.ratio, rep.ratio == float("inf")))

@@ -214,12 +214,15 @@ class AcceptanceEngine:
         return CriterionResult(9, "density estimate", checks)
 
     def criterion_10(self) -> CriterionResult:
+        """The weak Poincare constant C of the ROUGH_COEFS family, the largest
+        ratio of its three pinched runs, on MODEL_GRID and on the doubled
+        MODEL_GRID_FINE: one mean-value pass per grid, whose runs are
+        made and dropped one at a time."""
         spec = poincare_cutoff(THETA_DEFAULT)
 
         def family_constant(grid):
-            reports = [pinched_poincare(ko.model_scenarios(kind, lam=lam, seed=seed),
-                                        grid, 0.01, spec)
-                       for kind, lam, seed in ROUGH_COEFS]
+            reports = pinched_poincare([ko.model_scenarios(kind, lam=lam, seed=seed)
+                                        for kind, lam, seed in ROUGH_COEFS], grid, 0.01, spec)
             # np.max, unlike max, keeps a NaN ratio in any position
             return (float(np.max([rep.ratio for rep in reports])),
                     sum(rep.ratio == float("inf") for rep in reports))

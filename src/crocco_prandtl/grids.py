@@ -8,10 +8,15 @@ are uniform, so sampling finds a cell by one division, not a search.
 
 Two field types share the sampling protocol of the measurement layer:
 sample(t, x, y) at broadcastable queries, and the field at fixed times,
-at_times(tau, x_span, y_span) -> at_y(y) -> function of x.  FieldHistory
-interpolates once in time onto a windowed slab and samples it bilinearly;
-AnalyticField binds tau and y in its callable.  The mean-value functional
-calls at_times once per time level and never branches on the field type.
+at_times(tau, x_span, y_span) -> a slab.  A FieldHistory's slab
+(TimeSlab) is the history interpolated once in time onto the window of
+cells the spans touch; it owns that window and the axes, never the
+history.  An AnalyticField's slab binds tau to its callable.
+sample_slabs samples the slabs of several fields at the same times as
+at_y(y) -> at_x(x) -> one array per field: the cell lookups are made once
+for all of them, and slabs of different types or axes are refused.  The
+mean-value functional takes one slab per field and time level and never
+branches on the field type.
 Only FieldHistory has the wall-normal derivative sample_dy, which the weak
 Poincare functional integrates; it forms np.gradient along y at only the
 cell corners its interpolation reads, never over the whole history.
@@ -204,42 +209,61 @@ class FieldHistory:
             return np.where(inner, a[row] * flat[lo] + b[row] * flat[k] + c[row] * flat[hi], out)
         return self._trilinear(gather, t, x, y)
 
-    def at_times(self, tau, x_span, y_span) -> Callable:
-        """The field at the fixed times tau, as at_y(y) -> function of x.
-
-        The history is interpolated in time once, onto the window of (x, y)
-        cells that x_span = (lo, hi) and y_span touch.  at_y interpolates
-        that slab in y for every window column at queries inside y_span,
-        broadcastable against tau; the function of x it returns finishes
-        the bilinear sample at queries inside x_span; a query in a cell
-        outside its span raises ConfigError.  Time comes first instead of
-        last, so values agree with sample() to rounding.
-        """
+    def at_times(self, tau, x_span, y_span) -> "TimeSlab":
+        """The field at the fixed times tau on the window of (x, y) cells
+        that x_span = (lo, hi) and y_span touch, interpolated in time once.
+        Time comes first instead of last, so a slab's samples agree with
+        sample() to rounding."""
         tau = np.asarray(tau, float)
         it, wt = _cell(self.t, tau.ravel())
         (x0, x1), _ = _cell(self.x, np.asarray(x_span, float))
         (y0, y1), _ = _cell(self.y, np.asarray(y_span, float))
         window = self.values[:, x0:x1 + 2, y0:y1 + 2]
         lo = window[it]
-        slab = (lo + wt[:, None, None] * (window[it + 1] - lo)).ravel()
-        nxw, nyw = window.shape[1:]
-        level = np.arange(tau.size).reshape(tau.shape) * (nxw * nyw)
+        return TimeSlab(tau, self.x, self.y, (x0, x1, y0, y1),
+                        (lo + wt[:, None, None] * (window[it + 1] - lo)).ravel())
+
+
+@dataclass(frozen=True, eq=False)
+class TimeSlab:
+    """A FieldHistory at the fixed times tau on the window of x cells x0..x1
+    and y cells y0..y1: it owns the axes and the interpolated window, the
+    times first, never the history, which may be freed."""
+
+    tau: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    cells: tuple  # (x0, x1, y0, y1)
+    values: np.ndarray
+
+    def axes(self) -> tuple:
+        return self.tau, self.x, self.y, self.cells
+
+    @staticmethod
+    def sampler(slabs) -> Callable:
+        """at_y(y) -> at_x(x) -> one bilinear sample per slab; the cell
+        lookups and the gather indices are made once for all of them."""
+        first = slabs[0]
+        x0, x1, y0, y1 = first.cells
+        nxw, nyw = x1 - x0 + 2, y1 - y0 + 2
+        level = np.arange(first.tau.size).reshape(first.tau.shape) * (nxw * nyw)
 
         def at_y(y) -> Callable:
-            iy, wy = _cell(self.y, np.asarray(y, float))
+            iy, wy = _cell(first.y, np.asarray(y, float))
             if not y0 <= iy.min() <= iy.max() <= y1:
                 raise ConfigError("at_times: y query outside the y_span of the slab")
             row = level + (iy - y0)
             # one y-interpolated row per window column, the column axis first
-            rows = _lerp_corners(slab.take, np.add.outer(np.arange(nxw) * nyw, row), (1,),
-                                 (wy,)).ravel()
+            base = np.add.outer(np.arange(nxw) * nyw, row)
+            rows = [_lerp_corners(s.values.take, base, (1,), (wy,)).ravel() for s in slabs]
             at = np.arange(row.size).reshape(row.shape) - x0 * row.size
 
-            def at_x(x) -> np.ndarray:
-                ix, wx = _cell(self.x, np.asarray(x, float))
+            def at_x(x) -> list:
+                ix, wx = _cell(first.x, np.asarray(x, float))
                 if not x0 <= ix.min() <= ix.max() <= x1:
                     raise ConfigError("at_times: x query outside the x_span of the slab")
-                return _lerp_corners(rows.take, ix * row.size + at, (row.size,), (wx,))
+                k = ix * row.size + at
+                return [_lerp_corners(r.take, k, (row.size,), (wx,)) for r in rows]
             return at_x
         return at_y
 
@@ -255,10 +279,39 @@ class AnalyticField:
         tq, xq, yq = np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float), np.asarray(y, float))
         return np.broadcast_to(np.asarray(self.f(tq, xq, yq), float), tq.shape).copy()
 
-    def at_times(self, tau, x_span, y_span) -> Callable:
-        """The field at the fixed times tau, as at_y(y) -> function of x,
-        with the protocol of FieldHistory.at_times; the spans are unused."""
-        return lambda y: lambda x: self.sample(tau, x, y)
+    def at_times(self, tau, x_span, y_span) -> "AnalyticSlab":
+        """The field bound to the fixed times tau; the spans are unused."""
+        return AnalyticSlab(np.asarray(tau, float), self)
+
+
+@dataclass(frozen=True, eq=False)
+class AnalyticSlab:
+    """An AnalyticField bound to the fixed times tau."""
+
+    tau: np.ndarray
+    field: AnalyticField
+
+    def axes(self) -> tuple:
+        return (self.tau,)
+
+    @staticmethod
+    def sampler(slabs) -> Callable:
+        """at_y(y) -> at_x(x) -> each slab's callable at the shared queries."""
+        tau = slabs[0].tau
+        return lambda y: lambda x: [s.field.sample(tau, x, y) for s in slabs]
+
+
+def sample_slabs(slabs) -> Callable:
+    """The slabs of several fields at the same times, as at_y(y) -> at_x(x)
+    -> one array per slab, in order.  at_y takes queries broadcastable
+    against tau and at_x finishes the sample; a history slab refuses a
+    query in a cell outside its spans.  Slabs of different field types or
+    on different axes are refused with ConfigError."""
+    first = slabs[0]
+    if any(type(s) is not type(first)
+           or not all(map(np.array_equal, s.axes(), first.axes())) for s in slabs[1:]):
+        raise ConfigError("sampled slabs need one field type on shared axes and times")
+    return first.sampler(slabs)
 
 
 def trapezoid_weights(coords: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ argument: anisotropic past boxes and slabs (every box and slab lattice
 comes from Box), the two-factor smooth cutoff (CutoffSpec, which also
 evaluates it) with its five certified pointwise properties, logarithmic
 subsolution transforms, a mean-value functional computed by
-kernel-adapted quadrature (its drift term alone: the wall-normal term is
+kernel-adapted quadrature in one pass over every field that shares its
+lattice (its drift term alone: the wall-normal term is
 exactly 0 on the lattice of every admissible cutoff, see mean_value), and
 measured weak-Poincare / density / oscillation functionals.  A small
 rough-coefficient solver produces the fields those functionals are
@@ -35,7 +36,7 @@ import numpy as np
 
 from ._lapack import dgttrf, dgttrs, uncoupled_bands
 from .errors import ConfigError, NumericalError
-from .grids import CFL_SAFETY, Check, FieldHistory, trapezoid_weights
+from .grids import CFL_SAFETY, Check, FieldHistory, sample_slabs, trapezoid_weights
 from .parallel import fork_each
 
 SQRT3 = math.sqrt(3.0)
@@ -355,64 +356,118 @@ MEAN_XI_NODES = 8
 
 @dataclass
 class MeanValueReport:
-    i0: float
+    """The sup of each field of a pass, in order, and every lattice value,
+    field by field, each field's t slowest, then x, then y."""
+
+    sups: List[float]
     values: np.ndarray
 
+    @property
+    def i0(self) -> float:
+        """The largest sup, which is the sup of a one-field pass."""
+        return float(np.max(self.sups))
 
-def _mean_value_level(w_field, spec: CutoffSpec, t: float, xs: np.ndarray,
-                      ys: np.ndarray) -> np.ndarray:
-    """Drift term of the mean-value identity at the points (x, y, t) for
-    every x in xs and y in ys, as one (xs.size, ys.size) array.
+
+class _Level:
+    """The quadrature of the mean-value identity's drift term at the points
+    (x, y, t) for every x in xs and y in ys, shared by every field of a
+    pass: the tau nodes, the eta and xi offsets, and the (x, y) spans that
+    a field's slab at those nodes must cover (slab).
 
     Quadrature follows the kernel: midpoint slices in tau, then Gauss-
     Hermite in eta (scale sqrt(4s)) and in the drift-centered xi (scale
     sqrt(s^3/3)); the kernel prefactor and the two Gaussian widths cancel
     to 1/pi per slice.
     """
-    r = spec.r
-    # the transported cutoff derivative starts at tau = -r^2/6; the midpoint
-    # nodes run from just before it (padded for its small streamwise shift)
-    # up to t instead of spreading over the whole past window
-    lo = -(r**2) / 6.0 - 0.02 * r**2
-    un, uw = _gauss(np.polynomial.hermite.hermgauss, MEAN_ETA_NODES)
-    vn, vw = _gauss(np.polynomial.hermite.hermgauss, MEAN_XI_NODES)
-    weights = uw[:, None] * vw
-    dtau = (t - lo) / MEAN_TAU_NODES
-    # axes (tau, eta node, xi node); the y axis leads the per-y arrays
-    tau = (lo + (np.arange(MEAN_TAU_NODES) + 0.5) * dtau)[:, None, None]
-    s = t - tau
-    X = np.sqrt(s**3 / 3.0) * vn
-    etas = ys[:, None, None, None] + np.sqrt(4.0 * s) * un[:, None]
-    shifts = 0.5 * s * (ys[:, None, None, None] + etas)
-    # xi = (x - shift) - X; rounding is monotone, so these bounds hold
-    x_span = (xs.min() - shifts.max() - X.max(), xs.max() - shifts.min() - X.min())
-    at_y = w_field.at_times(tau, x_span, (etas.min(), etas.max()))
-    drift = np.zeros((xs.size, ys.size))
-    for j, (eta, shift) in enumerate(zip(etas, shifts)):
-        w_at = at_y(eta)
-        eta_weights = weights * spec.phi1(eta)
-        for i, x in enumerate(xs):
-            xi = x - shift - X
-            w = w_at(xi)
-            if not np.all(np.isfinite(w)):
-                raise NumericalError("field sampling returned non-finite values")
-            drift[i, j] = np.sum(spec.transport(xi, eta, tau) * w * eta_weights)
-    drift *= dtau / math.pi
-    if not np.all(np.isfinite(drift)):
-        raise NumericalError("mean-value quadrature produced non-finite values")
-    return drift
+
+    def __init__(self, spec: CutoffSpec, t: float, xs: np.ndarray, ys: np.ndarray):
+        self.spec, self.t, self.xs, self.ys = spec, t, xs, ys
+        r = spec.r
+        # the transported cutoff derivative starts at tau = -r^2/6; the midpoint
+        # nodes run from just before it (padded for its small streamwise shift)
+        # up to t instead of spreading over the whole past window
+        lo = -(r**2) / 6.0 - 0.02 * r**2
+        un, uw = _gauss(np.polynomial.hermite.hermgauss, MEAN_ETA_NODES)
+        vn, vw = _gauss(np.polynomial.hermite.hermgauss, MEAN_XI_NODES)
+        self.weights = uw[:, None] * vw
+        self.dtau = (t - lo) / MEAN_TAU_NODES
+        # axes (tau, eta node, xi node); the y axis leads the per-y arrays
+        self.tau = (lo + (np.arange(MEAN_TAU_NODES) + 0.5) * self.dtau)[:, None, None]
+        self.s = t - self.tau
+        self.X = np.sqrt(self.s**3 / 3.0) * vn
+        self.spread = np.sqrt(4.0 * self.s) * un[:, None]
+        etas, shifts = self._eta_nodes()
+        # xi = (x - shift) - X; rounding is monotone, so these bounds hold
+        self.x_span = (xs.min() - shifts.max() - self.X.max(),
+                       xs.max() - shifts.min() - self.X.min())
+        self.y_span = (etas.min(), etas.max())
+
+    def _eta_nodes(self) -> tuple:
+        """The eta nodes and the streamwise shifts 0.5 s (y + eta), the y
+        axis first; formed where they are read, not held, since a pass
+        keeps every level from its first field to its last."""
+        etas = self.ys[:, None, None, None] + self.spread
+        return etas, 0.5 * self.s * (self.ys[:, None, None, None] + etas)
+
+    def slab(self, w_field):
+        return w_field.at_times(self.tau, self.x_span, self.y_span)
+
+    def drift(self, slabs) -> np.ndarray:
+        """The drift term of each slab's field, one (xs.size, ys.size)
+        array per slab.  The transport of the cutoff and the cell lookups
+        are formed once per point; each field takes its own sample and
+        np.sum of transport * w * eta weights."""
+        spec, tau = self.spec, self.tau
+        at_y = sample_slabs(slabs)
+        drift = np.zeros((len(slabs), self.xs.size, self.ys.size))
+        for j, (eta, shift) in enumerate(zip(*self._eta_nodes())):
+            w_at = at_y(eta)
+            eta_weights = self.weights * spec.phi1(eta)
+            for i, x in enumerate(self.xs):
+                xi = x - shift - self.X
+                transport = spec.transport(xi, eta, tau)
+                for k, w in enumerate(w_at(xi)):
+                    if not np.all(np.isfinite(w)):
+                        raise NumericalError("field sampling returned non-finite values")
+                    drift[k, i, j] = np.sum(transport * w * eta_weights)
+        drift *= self.dtau / math.pi
+        if not np.all(np.isfinite(drift)):
+            raise NumericalError("mean-value quadrature produced non-finite values")
+        return drift
 
 
-def mean_value(w_field, spec: CutoffSpec, nz: int = 9) -> MeanValueReport:
-    """Sup of the mean-value functional over a lattice of the small box.
+class _MeanValuePass:
+    """The time levels of the nz^3 lattice of the past box of radius
+    theta r, and the fields taken for one pass over it, each reduced to its
+    slab at every level (take), so that the field itself can be freed."""
+
+    def __init__(self, spec: CutoffSpec, nz: int):
+        if nz < 1:
+            raise ConfigError(f"the mean-value lattice needs at least one node per axis, got {nz}")
+        xs, ys, ts = Box(spec.theta * spec.r).lattice(nz)
+        # made here, so the workers inherit the Gauss rules
+        self.levels = [_Level(spec, float(t), xs, ys) for t in ts]
+        self.slabs = []  # slabs[k][i]: field k at level i
+
+    def take(self, w_field):
+        self.slabs.append([level.slab(w_field) for level in self.levels])
+
+
+def mean_value(w_fields, spec: CutoffSpec, nz: int) -> MeanValueReport:
+    """Sup of the mean-value functional over a lattice of the small box,
+    for one field or for each field of a list or generator in one pass.
+    w_fields may also be a pass on the same spec and nz that has taken its
+    fields already (weak_poincare_ratio hands one over), so that making
+    the fields is not part of this call.
 
     The nz^3 lattice of the past box of radius theta r is walked one time
-    level at a time.  Per level the tau nodes, s, the Gauss-Hermite offsets
-    and the time-cell lookup are formed once, and the field is interpolated
-    in time once onto those nodes over the (x, y) window of cells they
-    touch (at_times), so each point costs a bilinear sample.  Per (level,
-    y) the eta nodes, their y-cell lookup and phi1 are shared by the nz
-    values of x.
+    level at a time.  Per level the tau nodes, s and the Gauss-Hermite
+    offsets are formed once for every field, and each field is reduced to
+    its slab at those nodes (at_times) and dropped before the next is
+    taken, so no field outlives its slabs.  Per point the cutoff's
+    transport and the cell lookups are formed once; each field adds a
+    bilinear sample and its np.sum.  Per (level, y) the eta nodes and phi1
+    are shared by the nz values of x.
 
     Only the drift term (d/dt + y d/dx) phi0 phi1 of the identity is
     formed.  Its wall-normal term carries d/dy phi1, which is supported on
@@ -422,17 +477,22 @@ def mean_value(w_field, spec: CutoffSpec, nz: int = 9) -> MeanValueReport:
     exactly 0.
 
     Each level is one thunk of parallel.fork_each, and np.sum, not a BLAS
-    dot product, sums each point, so the values do not depend on the BLAS
-    thread count or the core count.
+    dot product, sums each point of each field over the same operands, so
+    a field's values do not depend on the BLAS thread count, the core count
+    or the other fields of its pass.
     """
-    if nz < 1:
-        raise ConfigError(f"the mean-value lattice needs at least one node per axis, got {nz}")
-    zs, ys, ts = Box(spec.theta * spec.r).lattice(nz)
-    for n in (MEAN_ETA_NODES, MEAN_XI_NODES):
-        _gauss(np.polynomial.hermite.hermgauss, n)  # made once here, workers inherit them
-    vals = np.array(fork_each([partial(_mean_value_level, w_field, spec, float(t), zs, ys)
-                               for t in ts]))
-    return MeanValueReport(i0=float(np.max(vals)), values=vals.ravel())
+    taken = w_fields
+    if not isinstance(taken, _MeanValuePass):
+        taken = _MeanValuePass(spec, nz)
+        for w in [w_fields] if hasattr(w_fields, "at_times") else w_fields:
+            taken.take(w)
+            del w  # so a generator's next field is made with this one freed
+    if not taken.slabs:
+        raise ConfigError("a mean-value pass needs at least one field")
+    # (level, field, x, y) -> field by field
+    vals = np.array(fork_each([partial(level.drift, [field[i] for field in taken.slabs])
+                               for i, level in enumerate(taken.levels)])).swapaxes(0, 1)
+    return MeanValueReport(sups=[float(np.max(v)) for v in vals], values=vals.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -447,47 +507,65 @@ class PoincareReport:
     ratio: float
 
 
-# lattice nodes per axis of the small and the wide box, and the level
-# below which either side counts as zero
+# lattice nodes per axis of the mean-value lattice, the small and the wide
+# box, and the level below which either side counts as zero
+POINCARE_MEAN_NODES = 9
 POINCARE_SMALL_NODES = 17
 POINCARE_WIDE_NODES = 25
 POINCARE_TINY = 1e-30
 
 
-def _box_integral(fn, box: Box, n: int) -> float:
+def _box_queries(box: Box, n: int) -> tuple:
+    """The (t, x, y) queries of the n^3 lattice of box."""
+    X, Y, T = np.meshgrid(*box.lattice(n), indexing="ij")
+    return T, X, Y
+
+
+def _box_integral(vals: np.ndarray, box: Box, n: int) -> float:
+    """Trapezoid integral over box of vals on its n^3 lattice."""
     xs, ys, ts = box.lattice(n)
-    X, Y, T = np.meshgrid(xs, ys, ts, indexing="ij")
-    vals = fn(T, X, Y)
     wx, wy, wt = trapezoid_weights(xs), trapezoid_weights(ys), trapezoid_weights(ts)
     return float(np.einsum("i,j,n,ijn->", wx, wy, wt, vals))
 
 
-def weak_poincare_ratio(w_field, spec: CutoffSpec) -> PoincareReport:
-    """Measured two-sided functional of the weak Poincare inequality.
+def weak_poincare_ratio(w_fields, spec: CutoffSpec) -> List[PoincareReport]:
+    """Measured two-sided functional of the weak Poincare inequality, one
+    report per field of a list or generator, in order.
 
     LHS integrates the squared excess over the mean-value sup on the small
     box; RHS is theta^2 r^2 times the squared wall-normal gradient mass on
     the wide box.  Zero RHS with zero LHS is a vacuous pass, ratio 0; zero
     RHS with positive LHS is a hard violation, ratio inf.
+
+    The fields go through one mean_value pass.  Each is reduced to its
+    slabs, its small-box samples and its RHS, then dropped, so a
+    generator's fields are alive one at a time, and all are taken before
+    the pass is evaluated; each LHS is finished from its samples once the
+    sups are known.
     """
     r, theta = spec.r, spec.theta
     if r >= theta:
         raise ConfigError("the functional needs r < theta so the wide box stays unit-scale")
-    i0 = mean_value(w_field, spec).i0
-    lhs = _box_integral(
-        lambda tq, xq, yq: np.maximum(w_field.sample(tq, xq, yq) - i0, 0.0) ** 2,
-        Box(r * theta), POINCARE_SMALL_NODES)
-    rhs_raw = _box_integral(
-        lambda tq, xq, yq: w_field.sample_dy(tq, xq, yq) ** 2,
-        Box(r / theta), POINCARE_WIDE_NODES)
-    rhs = theta**2 * r**2 * rhs_raw
-    if rhs <= POINCARE_TINY and lhs <= POINCARE_TINY:
-        ratio = 0.0
-    elif rhs <= POINCARE_TINY < lhs:
-        ratio = float("inf")
-    else:
-        ratio = lhs / rhs
-    return PoincareReport(i0=i0, lhs=lhs, rhs=rhs, ratio=ratio)
+    small, wide = Box(r * theta), Box(r / theta)
+    taken, samples, rhs = _MeanValuePass(spec, POINCARE_MEAN_NODES), [], []
+    for w in w_fields:
+        taken.take(w)
+        samples.append(w.sample(*_box_queries(small, POINCARE_SMALL_NODES)))
+        rhs.append(theta**2 * r**2 * _box_integral(
+            w.sample_dy(*_box_queries(wide, POINCARE_WIDE_NODES)) ** 2, wide, POINCARE_WIDE_NODES))
+        del w  # so a generator's next field is made with this one freed
+    sups = mean_value(taken, spec, POINCARE_MEAN_NODES).sups
+    reports = []
+    for i0, vals, rhs_k in zip(sups, samples, rhs):
+        lhs = _box_integral(np.maximum(vals - i0, 0.0) ** 2, small, POINCARE_SMALL_NODES)
+        if rhs_k <= POINCARE_TINY and lhs <= POINCARE_TINY:
+            ratio = 0.0
+        elif rhs_k <= POINCARE_TINY < lhs:
+            ratio = float("inf")
+        else:
+            ratio = lhs / rhs_k
+        reports.append(PoincareReport(i0=i0, lhs=lhs, rhs=rhs_k, ratio=ratio))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +776,21 @@ def model_axes(nx: int, nt: int, t0: float) -> tuple:
     return t, x
 
 
+def _upwind_rhs(u: np.ndarray, split: int, dx: float, dty: np.ndarray, out: np.ndarray):
+    """u - dt y du/dx into out, with du/dx the periodic upwind difference in
+    x: backward on the y columns from split on (y > 0, as y ascends) and
+    forward before them, the wrap written as the first and last rows.  Each
+    entry is formed as u - (dt y) ((a - b) / dx), without temporaries."""
+    pos, neg = out[:, split:], out[:, :split]
+    np.subtract(u[1:, split:], u[:-1, split:], out=pos[1:])
+    np.subtract(u[0, split:], u[-1, split:], out=pos[0])
+    np.subtract(u[1:, :split], u[:-1, :split], out=neg[:-1])
+    np.subtract(u[0, :split], u[-1, :split], out=neg[-1])
+    out /= dx
+    out *= dty
+    np.subtract(u, out, out=out)
+
+
 def solve_model(coef: RoughCoefficient, nx: int, ny: int, nt: int,
                 t0: float = MODEL_T0,
                 u0: Optional[Callable] = None,
@@ -747,13 +840,11 @@ def solve_model(coef: RoughCoefficient, nx: int, ny: int, nt: int,
     # column nx is the periodic wrap of column 0, so interpolation covers x = 1
     hist = np.empty((nt + 1, nx + 1, ny + 1))
     hist[0, :nx], hist[0, nx] = u, u[0]
-    speed_pos = y > 0
+    split, dty = np.searchsorted(y, 0.0, side="right"), dt * y[None, :]
+    rhs = np.empty_like(u)
     for n in range(nt):
         tn1 = t[n + 1]
-        dudx = np.empty_like(u)
-        dudx[:, speed_pos] = (u[:, speed_pos] - np.roll(u, 1, axis=0)[:, speed_pos]) / dx
-        dudx[:, ~speed_pos] = (np.roll(u, -1, axis=0)[:, ~speed_pos] - u[:, ~speed_pos]) / dx
-        rhs = u - dt * y[None, :] * dudx
+        _upwind_rhs(u, split, dx, dty, rhs)
         rhs[:, 0] = np.broadcast_to(bottom(x, tn1), (nx,))
         rhs[:, -1] = np.broadcast_to(top(x, tn1), (nx,))
         u = solve_columns(rhs)

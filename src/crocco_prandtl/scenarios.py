@@ -348,13 +348,16 @@ def poincare_cutoff(theta: float):
     return ko.CutoffSpec(r=0.8 * theta, theta=theta)
 
 
-def pinched_poincare(coef, grid: tuple, h: float, spec):
-    """Weak Poincare report of the reciprocal log transform of a model run
-    on grid (nx, ny, nt) from the pinched initial state.  The run is freed
-    once it is transformed, so only the transform is alive while the
-    functional samples it."""
-    w = ko.log_field(ko.solve_model(coef, *grid, u0=pinched_initial), h=h)
-    return ko.weak_poincare_ratio(w, spec)
+def pinched_poincare(coefs, grid: tuple, h: float, spec) -> list:
+    """Weak Poincare reports, in order, of the reciprocal log transforms of
+    model runs on grid (nx, ny, nt) from the pinched initial state, one per
+    coefficient of coefs (a list or a generator), in one mean-value pass.
+    Each run is freed once it is transformed, and each transform once the
+    functional has taken what it reads, before the next coefficient is
+    drawn, so one run or its transform is alive at a time."""
+    return ko.weak_poincare_ratio(
+        (ko.log_field(ko.solve_model(coef, *grid, u0=pinched_initial), h=h) for coef in coefs),
+        spec)
 
 
 # ---------------------------------------------------------------------------
@@ -482,38 +485,42 @@ def run_oscillation_lab(cfg, store: SolveStore) -> RunResult:
     result.verdicts.update(checks)
 
     # model runs stay out of the store: besides the kept checkerboard run,
-    # one run is alive at a time, and the current run is dropped before its
-    # pinched rerun
-    poincare_ratios = []
-    for kind in ("constant", "checkerboard", "seeded-random"):
-        coef = ko.model_scenarios(kind, lam=cfg.lam, seed=cfg.seed)
-        hist = ko.solve_model(coef, nx=cfg.nx, ny=cfg.ny, nt=cfg.nt)
-        if coef.name.startswith("checkerboard"):
-            result.history = hist
-        den, checks = density_floor(hist, cfg.h_level)
-        result.add(f"density_ratio_{coef.name}", den.ratio)
+    # one run or pinched transform is alive at a time.  Each coefficient's
+    # run is measured and dropped before pinched_poincare makes its pinched
+    # rerun, and each rerun is reduced to what the weak Poincare functional
+    # reads before the next coefficient's run; the mean-value pass over the
+    # three transforms comes last, and the entries follow in run order
+    measured = []
+
+    def measured_coefficients():
+        for kind in ("constant", "checkerboard", "seeded-random"):
+            coef = ko.model_scenarios(kind, lam=cfg.lam, seed=cfg.seed)
+            hist = ko.solve_model(coef, nx=cfg.nx, ny=cfg.ny, nt=cfg.nt)
+            if coef.name.startswith("checkerboard"):
+                result.history = hist
+            den, checks = density_floor(hist, cfg.h_level)
+            osc, osc_checks = model_oscillation(hist)
+            del hist
+            measured.append((coef.name, den, osc, checks | osc_checks))
+            yield coef
+
+    poins = pinched_poincare(measured_coefficients(), (cfg.nx, cfg.ny, cfg.nt), cfg.h_level, spec)
+    for (name, den, osc, checks), poin in zip(measured, poins):
+        result.add(f"density_ratio_{name}", den.ratio)
         rows = den.rows + [(0.0, level, val) for level, val in den.h_certificate.items()]
-        den_table.rows.extend((coef.name, t, level, val, int(val >= ko.DENSITY_FLOOR))
+        den_table.rows.extend((name, t, level, val, int(val >= ko.DENSITY_FLOOR))
                               for t, level, val in rows)
-
-        osc, osc_checks = model_oscillation(hist)
         for row in osc.rows:
-            osc_table.rows.append((coef.name, row.r, row.osc_small,
-                                   row.osc_big, row.ratio))
-        result.add(f"oscillation_beta_{coef.name}", osc.beta_bar)
-        result.add(f"holder_exponent_{coef.name}", osc.alpha_holder)
-        checks.update(osc_checks)
-
-        del hist
-        poin = pinched_poincare(coef, (cfg.nx, cfg.ny, cfg.nt), cfg.h_level, spec)
-        result.add(f"poincare_i0_{coef.name}", poin.i0)
-        result.add(f"poincare_ratio_{coef.name}", poin.ratio)
+            osc_table.rows.append((name, row.r, row.osc_small, row.osc_big, row.ratio))
+        result.add(f"oscillation_beta_{name}", osc.beta_bar)
+        result.add(f"holder_exponent_{name}", osc.alpha_holder)
+        result.add(f"poincare_i0_{name}", poin.i0)
+        result.add(f"poincare_ratio_{name}", poin.ratio)
         checks["poincare_no_violation"] = Check(poin.ratio, np.inf, "<")
-        result.verdicts.update((f"{name}_{coef.name}", chk) for name, chk in checks.items())
-        poincare_ratios.append(poin.ratio)
+        result.verdicts.update((f"{key}_{name}", chk) for key, chk in checks.items())
 
     # np.max, unlike max, keeps a NaN ratio in any position
-    result.add("poincare_constant_bound", np.max(poincare_ratios))
+    result.add("poincare_constant_bound", np.max([poin.ratio for poin in poins]))
     return result
 
 

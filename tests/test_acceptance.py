@@ -241,10 +241,13 @@ def test_criterion_10_checks_decide_as_the_either_or_did(monkeypatch, case):
     kind, lam, seed = ROUGH_COEFS[0]
     first = ko.model_scenarios(kind, lam=lam, seed=seed).name
 
-    def stand_in(coef, grid, h, spec):
-        # the first coefficient reads the constant of its grid, the others 0
-        ratio = (c if grid == ko.MODEL_GRID else c_refined) if coef.name == first else 0.0
-        return ko.PoincareReport(0.5, ratio, 1.0, ratio)
+    def stand_in(coefs, grid, h, spec):
+        reports = []
+        for coef in coefs:
+            # the first coefficient reads the constant of its grid, the others 0
+            ratio = (c if grid == ko.MODEL_GRID else c_refined) if coef.name == first else 0.0
+            reports.append(ko.PoincareReport(0.5, ratio, 1.0, ratio))
+        return reports
     monkeypatch.setattr(acceptance, "pinched_poincare", stand_in)
     res = AcceptanceEngine().criterion_10()
     assert res.checks["hard_violations"].value == violations

@@ -1,7 +1,10 @@
 """FieldHistory sampling (sample, sample_dy and the field at fixed times,
-at_times) against scipy's RegularGridInterpolator, which is the reference
-here only, on queries inside the axes; a query outside them is refused.
-Check, the verdict type, at its bound and one ulp to either side."""
+at_times, read through sample_slabs) against scipy's
+RegularGridInterpolator, which is the reference here only, on queries
+inside the axes; a query outside them is refused.  Slabs of several
+fields sampled together, each as it is alone; a stack of mixed types or
+axes is refused.  Check, the verdict type, at its bound and one ulp to
+either side."""
 
 import tracemalloc
 
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from crocco_prandtl.errors import ConfigError
-from crocco_prandtl.grids import Check, FieldHistory
+from crocco_prandtl.grids import AnalyticField, Check, FieldHistory, sample_slabs
 
 
 def _oracle(nodes, values, queries):
@@ -45,10 +48,10 @@ def test_sample_and_sample_dy_match_oracle(t_axis, x_axis, y_axis, seed):
     # each coordinate on its own axis, broadcast to the full product
     queries = (tq[:, None, None], xq[None, :, None], yq[None, None, :])
     # the field at the query times, interpolated on the window the queries span
-    at_tq = hist.at_times(queries[0], (xq.min(), xq.max()), (yq.min(), yq.max()))
+    at_tq = sample_slabs([hist.at_times(queries[0], (xq.min(), xq.max()), (yq.min(), yq.max()))])
     for got, field in ((hist.sample(*queries), values),
                        (hist.sample_dy(*queries), np.gradient(values, y, axis=2)),
-                       (at_tq(queries[2])(queries[1]), values)):
+                       (at_tq(queries[2])(queries[1])[0], values)):
         ref = _oracle((t, x, y), field, queries)
         assert got.shape == ref.shape
         scale = max(np.max(np.abs(field)), 1e-300)
@@ -100,6 +103,12 @@ def test_non_uniform_history_is_refused(x):
         FieldHistory(t=t, x=np.array(x), y=y, values=np.zeros((3, len(x), 4)))
 
 
+def _slab_sample(hist, tq, xq, yq):
+    """The history at the one point (tq, xq, yq) through its slab there."""
+    at_y = sample_slabs([hist.at_times(np.array([tq]), (xq, xq), (yq, yq))])
+    return at_y(np.array([yq]))(np.array([xq]))[0]
+
+
 @pytest.mark.parametrize("side", ["below", "above"])
 @pytest.mark.parametrize("axis", ["t", "x", "y"])
 def test_queries_outside_the_axes_are_refused(axis, side):
@@ -119,7 +128,7 @@ def test_queries_outside_the_axes_are_refused(axis, side):
     tq, xq, yq = at(1e-13 * span)
     hist.sample(tq, xq, yq)
     hist.sample_dy(tq, xq, yq)
-    hist.at_times(np.array([tq]), (xq, xq), (yq, yq))(np.array([yq]))(np.array([xq]))
+    _slab_sample(hist, tq, xq, yq)
     # one cell outside raises from every sampler
     tq, xq, yq = at(cell)
     with pytest.raises(ConfigError):
@@ -127,19 +136,56 @@ def test_queries_outside_the_axes_are_refused(axis, side):
     with pytest.raises(ConfigError):
         hist.sample_dy(tq, xq, yq)
     with pytest.raises(ConfigError):
-        hist.at_times(np.array([tq]), (xq, xq), (yq, yq))(np.array([yq]))(np.array([xq]))
+        _slab_sample(hist, tq, xq, yq)
 
 
 def test_at_times_refuses_queries_outside_its_spans():
     t, x, y = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 11), np.linspace(0.0, 2.0, 21)
     hist = FieldHistory(t=t, x=x, y=y, values=np.zeros((5, 11, 21)))
-    at_y = hist.at_times(np.array([0.3, 0.6])[:, None], (0.2, 0.4), (0.5, 0.9))
+    at_y = sample_slabs([hist.at_times(np.array([0.3, 0.6])[:, None], (0.2, 0.4), (0.5, 0.9))])
     at_x = at_y(np.array([0.55, 0.85]))
-    assert np.array_equal(at_x(np.array([0.25, 0.35])), np.zeros((2, 2)))
+    assert np.array_equal(at_x(np.array([0.25, 0.35]))[0], np.zeros((2, 2)))
     with pytest.raises(ConfigError):
         at_x(np.array([0.25, 0.55]))
     with pytest.raises(ConfigError):
         at_y(np.array([0.35, 0.55]))
+
+
+AXES = (np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 2.0, 11))
+TAU = np.array([0.2, 0.7])[:, None]
+
+
+def _random_history(seed, x=AXES[1]):
+    t, _, y = AXES
+    return FieldHistory(t=t, x=x, y=y,
+                        values=np.random.default_rng(seed).uniform(size=(5, x.size, 11)))
+
+
+@pytest.mark.parametrize("kind", ["history", "analytic"])
+def test_slabs_sampled_together_match_each_alone(kind):
+    fields = ([_random_history(seed) for seed in range(3)] if kind == "history" else
+              [AnalyticField(lambda t, x, y, c=c: c * t + np.sin(x) * y) for c in (1.0, 2.0, 3.0)])
+    yq, xq = np.array([[0.3, 1.7]]), np.array([[-0.6], [0.4]])
+    slabs = [f.at_times(TAU, (-0.6, 0.4), (0.3, 1.7)) for f in fields]
+    together = sample_slabs(slabs)(yq)(xq)
+    assert len(together) == 3
+    for slab, field, got in zip(slabs, fields, together):
+        assert got.tobytes() == sample_slabs([slab])(yq)(xq)[0].tobytes()
+        assert np.allclose(got, field.sample(TAU, xq, yq), rtol=1e-13, atol=0.0)
+
+
+def test_a_stack_of_mixed_types_or_axes_is_refused():
+    spans = ((-0.6, 0.4), (0.3, 1.7))
+    hist = _random_history(0).at_times(TAU, *spans)
+    analytic = AnalyticField(lambda t, x, y: t + x + y)
+    for other in (_random_history(1, x=np.linspace(-1.0, 1.0, 17)).at_times(TAU, *spans),
+                  _random_history(1).at_times(TAU[::-1], *spans),
+                  _random_history(1).at_times(TAU, (-0.6, 0.9), spans[1]),
+                  analytic.at_times(TAU, *spans)):
+        with pytest.raises(ConfigError, match="shared axes"):
+            sample_slabs([hist, other])
+    with pytest.raises(ConfigError, match="shared axes"):
+        sample_slabs([analytic.at_times(TAU, *spans), analytic.at_times(TAU[::-1], *spans)])
 
 
 # ---------------------------------------------------------------------------

@@ -142,14 +142,14 @@ def _run_mean_value(directory):
 
 
 def _fail_mean_value(failing_start, failure):
-    real = ko._mean_value_level
+    real = ko._Level.drift
     ts = ko.Box(MEAN_CUT.theta * MEAN_CUT.r).lattice(5)[2]
 
-    def level(w_field, spec, t, xs, ys):
-        if t == ts[failing_start]:
+    def drift(level, slabs):
+        if level.t == ts[failing_start]:
             failure(failing_start)
-        return real(w_field, spec, t, xs, ys)
-    return mock.patch.object(ko, "_mean_value_level", level)
+        return real(level, slabs)
+    return mock.patch.object(ko._Level, "drift", drift)
 
 
 CALLERS = {"fields_csv": (_run_writer, _fail_writer, ["fields.csv"]),

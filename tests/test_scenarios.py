@@ -338,8 +338,9 @@ def test_runner_and_criterion_share_each_bound(engine, monkeypatch, criterion_6_
         monkeypatch.setattr(acceptance, "SolveStore", lambda: criterion_6_marches)
     # the weak Poincare functional applies no shared bound and costs seconds
     # per oscillation-lab run, so its runs are replaced by a clean report
+    # for each coefficient
     monkeypatch.setattr(scenarios, "pinched_poincare",
-                        lambda *a: ko.PoincareReport(0.0, 0.0, 0.0, 0.0))
+                        lambda coefs, *a: [ko.PoincareReport(0.0, 0.0, 0.0, 0.0) for _ in coefs])
     for value, inside in ((case.inside, True), (case.past, False)):
         with monkeypatch.context() as m:
             case.patch(m, value)
@@ -362,7 +363,8 @@ def _below_top_minimum(m, v):
 
 
 def _poincare_ratio(m, v):
-    m.setattr(scenarios, "pinched_poincare", lambda *a: ko.PoincareReport(0.5, 1.0, 1.0, v))
+    m.setattr(scenarios, "pinched_poincare",
+              lambda coefs, *a: [ko.PoincareReport(0.5, 1.0, 1.0, v) for _ in coefs])
 
 
 # bounds only a runner applies: (config, verdict name or prefix, patch,
@@ -372,7 +374,7 @@ RUNNER_BOUNDS = {
     "mean_value_constant": (
         KERNEL, "mean_value_reproduces_constants",
         lambda m, v: m.setattr(ko, "mean_value", lambda *a, **k: ko.MeanValueReport(
-            i0=2.5 * (1.0 + v), values=np.zeros(0))),
+            sups=[2.5 * (1.0 + v)], values=np.zeros(0))),
         scenarios.MEAN_VALUE_CONST_TOL * (1 - 1e-3), scenarios.MEAN_VALUE_CONST_TOL * (1 + 1e-3)),
     "log_bound": (
         KERNEL, "log_bound_attained_",
@@ -420,10 +422,13 @@ def _second_coefficient_nan(m):
     # a negligible first one; Python's max would skip it and report 1e-23
     calls = []
 
-    def stand_in(*a):
-        calls.append(None)
-        ratio = np.nan if len(calls) % 3 == 2 else 1e-23
-        return ko.PoincareReport(0.5, ratio, 1.0, ratio)
+    def stand_in(coefs, *a):
+        reports = []
+        for _ in coefs:
+            calls.append(None)
+            ratio = np.nan if len(calls) % 3 == 2 else 1e-23
+            reports.append(ko.PoincareReport(0.5, ratio, 1.0, ratio))
+        return reports
     for module in (scenarios, acceptance):
         m.setattr(module, "pinched_poincare", stand_in)
 

@@ -29,7 +29,9 @@ start = time.perf_counter()
 grid = GridSpec(4, 8, 8)
 solver.solve(scenarios.exact_profile_problem(grid), grid, 0.01)
 hist = ko.solve_model(ko.model_scenarios("constant"), nx=8, ny=8, nt=4)
-ko.mean_value(hist, ko.CutoffSpec(r=0.008, theta=0.01), nz=2)
+spec = ko.CutoffSpec(r=0.008, theta=0.01)
+ko.mean_value(hist, spec, nz=2)
+ko.mean_value([hist, ko.log_field(hist, 0.01)], spec, nz=2)  # a two-field pass
 hist.sample_dy(-0.5, 0.0, 0.0)
 wall = time.perf_counter() - start
 metrics = spans.layer_metrics(tracer.spans, wall, {
@@ -37,7 +39,9 @@ metrics = spans.layer_metrics(tracer.spans, wall, {
 from crocco_prandtl import mms
 mms.refinement_study("t")
 print(json.dumps({"spans": sorted({s["name"] for s in tracer.spans}),
-                  "metrics": {k: v["value"] for k, v in metrics.items()}}))
+                  "metrics": {k: v["value"] for k, v in metrics.items()},
+                  "mean_value_points": [s["counters"]["points"] for s in tracer.spans
+                                        if s["name"] == "kolmogorov.mean_value"]}))
 """
 
 
@@ -56,3 +60,5 @@ def test_tracer_installs_and_reduces():
     assert metrics["kolmogorov.model.calls"] == 1.0
     assert metrics["grids.sample.points"] == 1.0
     assert metrics["kolmogorov.mean_value.s_per_point"] > 0.0
+    # a pass counts every lattice point of every field: nz^3, then 2 nz^3
+    assert out["mean_value_points"] == [8, 16]
