@@ -150,7 +150,6 @@ class FieldHistory:
     x: np.ndarray
     y: np.ndarray
     values: np.ndarray
-    label: str = ""
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -455,10 +455,10 @@ class _MeanValuePass:
 
 def mean_value(w_fields, spec: CutoffSpec, nz: int) -> MeanValueReport:
     """Sup of the mean-value functional over a lattice of the small box,
-    for one field or for each field of a list or generator in one pass.
-    w_fields may also be a pass on the same spec and nz that has taken its
-    fields already (weak_poincare_ratio hands one over), so that making
-    the fields is not part of this call.
+    for each field of a list or generator in one pass.  w_fields may also
+    be a pass on the same spec and nz that has taken its fields already
+    (weak_poincare_ratio hands one over), so that making the fields is not
+    part of this call.
 
     The nz^3 lattice of the past box of radius theta r is walked one time
     level at a time.  Per level the tau nodes, s and the Gauss-Hermite
@@ -484,7 +484,7 @@ def mean_value(w_fields, spec: CutoffSpec, nz: int) -> MeanValueReport:
     taken = w_fields
     if not isinstance(taken, _MeanValuePass):
         taken = _MeanValuePass(spec, nz)
-        for w in [w_fields] if hasattr(w_fields, "at_times") else w_fields:
+        for w in w_fields:
             taken.take(w)
             del w  # so a generator's next field is made with this one freed
     if not taken.slabs:
@@ -599,8 +599,7 @@ def density_ratio(u_field, h: float, normalize: bool = False) -> DensityReport:
     hypothesis fails nothing is measured: no rows, a NaN ratio and an empty
     h-certificate.
     """
-    X, Y, T = np.meshgrid(*Box(DENSITY_R).lattice(DENSITY_NODES), indexing="ij")
-    vals = u_field.sample(T, X, Y)
+    vals = u_field.sample(*_box_queries(Box(DENSITY_R), DENSITY_NODES))
     scale = 1.0
     if normalize:
         med = float(np.median(vals))
@@ -655,8 +654,7 @@ OSC_NODES = 17
 
 
 def _box_oscillation(u_field, r: float) -> float:
-    X, Y, T = np.meshgrid(*Box(r).lattice(OSC_NODES), indexing="ij")
-    vals = u_field.sample(T, X, Y)
+    vals = u_field.sample(*_box_queries(Box(r), OSC_NODES))
     return float(np.max(vals) - np.min(vals))
 
 
@@ -852,7 +850,7 @@ def solve_model(coef: RoughCoefficient, nx: int, ny: int, nt: int,
             raise NumericalError(f"model run lost finiteness at step {n + 1}")
         hist[n + 1, :nx], hist[n + 1, nx] = u, u[0]
 
-    return FieldHistory(t=t, x=np.append(x, 1.0), y=y, values=hist, label=f"model-{coef.name}")
+    return FieldHistory(t=t, x=np.append(x, 1.0), y=y, values=hist)
 
 
 # wall-normal cells, window start, and the gap from the pole up to that

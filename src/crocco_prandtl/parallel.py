@@ -1,15 +1,14 @@
-"""One fork helper for every caller that splits work across cores.  Two
-forms share it: fork_map splits a range, for the fields.csv writer, whose
-chunk start names its part file, and fork_each a list of thunks, for the
-acceptance criteria, the mean-value lattice's time levels, a run's
+"""One fork helper for every caller that splits work across cores:
+fork_each runs a list of thunks, for the acceptance criteria, the time
+levels of the mean-value lattice and of the fields.csv writer, and a run's
 independent marches and measurements (SolveStore.solve_many, the sweep
 beside its refinement proxy, the two halves of the estimate battery).
-Chunk 0, and so thunk 0, runs in the calling process, so what it stores
-stays in the caller's memory; with one usable core, as inside one_core,
-nothing forks.  A worker may call BLAS and LAPACK: OpenBLAS shuts its
-thread pool down before each fork (a pthread_atfork handler) and each
-process restarts it lazily on its next threaded call.  A worker may fork
-again; its own workers are reaped before it returns."""
+Thunk 0 runs in the calling process, so what it stores stays in the
+caller's memory; with one usable core, as inside one_core, nothing forks.
+A worker may call BLAS and LAPACK: OpenBLAS shuts its thread pool down
+before each fork (a pthread_atfork handler) and each process restarts it
+lazily on its next threaded call.  A worker may fork again; its own
+workers are reaped before it returns."""
 
 import os
 import pickle
@@ -24,14 +23,15 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def fork_map(fn, n: int) -> list:
-    """[fn(start, stop) for each chunk start:stop of range(n)], one chunk per
-    usable core, in order; [] for n = 0.  This process runs chunk 0 and forks a worker per
-    further chunk; a worker pickles its result or exception into a pipe and
-    leaves through os._exit, so inherited stdio buffers and exit handlers
-    never run twice.  The result is unpickled as it streams in, so it is
-    held once.  A worker's exception is raised here, one that dies raises
-    RuntimeError, and no worker outlives the call."""
+def fork_each(thunks: list) -> list:
+    """[thunk() for thunk in thunks], the thunks split into one contiguous
+    run per usable core.  This process runs the first run and forks a
+    worker per further run; a worker pickles its results or exception into
+    a pipe and leaves through os._exit, so inherited stdio buffers and exit
+    handlers never run twice.  The results are unpickled as they stream
+    in, so they are held once.  A worker's exception is raised here, one
+    that dies raises RuntimeError, and no worker outlives the call."""
+    n = len(thunks)
     if n == 0:
         return []
     k = min(_usable_cores(), n)
@@ -44,7 +44,7 @@ def fork_map(fn, n: int) -> list:
             if pid == 0:
                 try:
                     try:
-                        out = (True, fn(bounds[i], bounds[i + 1]))
+                        out = (True, [t() for t in thunks[bounds[i]:bounds[i + 1]]])
                     except BaseException as exc:
                         out = (False, exc)
                     with os.fdopen(w, "wb") as pipe:
@@ -54,7 +54,7 @@ def fork_map(fn, n: int) -> list:
                     os._exit(1)
             os.close(w)
             workers[pid] = os.fdopen(r, "rb")
-        results = [fn(bounds[0], bounds[1])]
+        results = [t() for t in thunks[:bounds[1]]]
         for pid in list(workers):
             broken = None
             try:
@@ -69,20 +69,13 @@ def fork_map(fn, n: int) -> list:
                 raise broken
             if not ok:
                 raise value
-            results.append(value)
+            results.extend(value)
         return results
     finally:
         for pid, pipe in workers.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def fork_each(thunks: list) -> list:
-    """[thunk() for thunk in thunks], contiguous runs of the thunks split
-    across the usable cores by fork_map, so thunk 0 runs in this process."""
-    return [out for part in fork_map(lambda a, b: [t() for t in thunks[a:b]], len(thunks))
-            for out in part]
 
 
 @contextmanager

@@ -13,20 +13,22 @@ grid label in its grid column.
 fields.csv is streamed one time level at a time, with no copy of the whole
 history; its bytes equal numpy.savetxt(fh, rows, fmt="%.17g", delimiter=",")
 over the (t, x, y, value) rows in t-major, then x, then y order.  Its time
-levels are split across the usable cores by parallel.fork_map, the range
-form of the one fork helper, since each chunk's start names its part file,
-and joined in order, so the bytes do not depend on the core count.
+levels are split across the usable cores by parallel.fork_each, one thunk
+per level, and joined in order, so the bytes do not depend on the core
+count.
 """
 
+import os
 import shutil
 import tempfile
+from functools import partial
 from pathlib import Path
 from typing import List
 
 import numpy as np
 
 from ._version import __version__
-from .parallel import fork_map
+from .parallel import fork_each
 from .scenarios import RunResult, Table
 
 
@@ -71,12 +73,11 @@ def write_table_csv(path: Path, result: RunResult, table: Table) -> Path:
     return path
 
 
-def _write_levels(fh, hist, nodes, start: int, stop: int) -> None:
-    """Write time levels start..stop-1, one %.17g template per level."""
-    for t, level in zip(hist.t[start:stop].tolist(), hist.values[start:stop]):
-        stamp = "%.17g" % t
-        template = stamp + (",%.17g\n" + stamp).join(nodes) + ",%.17g\n"
-        fh.write(template % tuple(level.ravel().tolist()))
+def _write_level(fh, hist, nodes, i: int) -> None:
+    """Write time level i through one %.17g template."""
+    stamp = "%.17g" % hist.t[i]
+    template = stamp + (",%.17g\n" + stamp).join(nodes) + ",%.17g\n"
+    fh.write(template % tuple(hist.values[i].ravel().tolist()))
 
 
 def write_fields_csv(path: Path, result: RunResult) -> Path:
@@ -84,22 +85,27 @@ def write_fields_csv(path: Path, result: RunResult) -> Path:
 
     The `,x,y` part of every row is formatted once; each level joins it into
     a template with one %.17g slot per node and fills that with one `%`.
-    Chunk 0 of fork_map's levels is appended to `path` after the header,
-    each further chunk is written into a part file in a temporary sibling
-    directory and appended in order.  No part file outlives the call.
+    Each level is a thunk of fork_each that appends it to its process's
+    file, `path` here and `<pid>.part` in a temporary sibling directory in
+    a worker, and returns only that path.  Each process runs a contiguous
+    run of levels, so the parts, appended in the order first seen, are in
+    level order.  No part file outlives the call.
     """
     hist = result.history
     nodes = [",%.17g,%.17g" % (x, y) for x in hist.x.tolist() for y in hist.y.tolist()]
     path.write_text(artifact_header(result) + "\nt,x,y,value\n")
+    caller = os.getpid()
     with tempfile.TemporaryDirectory(prefix=path.name + ".", dir=path.parent) as tmp:
-        def write(start: int, stop: int) -> Path:
-            part = Path(tmp, f"{start}.part") if start else path
+        def write(i: int) -> Path:
+            pid = os.getpid()
+            part = path if pid == caller else Path(tmp, f"{pid}.part")
             with open(part, "a") as fh:
-                _write_levels(fh, hist, nodes, start, stop)
+                _write_level(fh, hist, nodes, i)
             return part
 
+        parts = dict.fromkeys(fork_each([partial(write, i) for i in range(len(hist.t))]))
         with open(path, "ab") as out:
-            for part in fork_map(write, len(hist.t))[1:]:
+            for part in list(parts)[1:]:
                 with open(part, "rb") as src:
                     shutil.copyfileobj(src, out)
     return path

@@ -450,7 +450,7 @@ def run_kolmogorov_checks(cfg, store: SolveStore) -> RunResult:
         result.verdicts[f"cutoff_{name}"] = chk
 
     const = AnalyticField(lambda t, x, y: np.full_like(np.asarray(t, float), 2.5))
-    mv_error = abs(ko.mean_value(const, spec, nz=3).i0 - 2.5) / 2.5
+    mv_error = abs(ko.mean_value([const], spec, nz=3).i0 - 2.5) / 2.5
     result.add("mean_value_const_rel_error", mv_error)
 
     for variant in ko.LOG_VARIANTS:

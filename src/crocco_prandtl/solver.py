@@ -163,7 +163,8 @@ def solve(problem: CroccoProblem, grid: GridSpec, eps: float,
           forcing: Optional[Callable] = None, label: str = "") -> FieldHistory:
     """March the full history from the initial data; CFL is enforced before
     any stepping.  grid must be the grid the problem was sampled on.
-    forcing, when given, is a source f(x, y, t)."""
+    forcing, when given, is a source f(x, y, t).  label names the march
+    for the benchmark tracer alone (bench/spans.py)."""
     if grid != problem.grid:
         raise ConfigError(f"solve grid {grid} is not the problem's grid {problem.grid}")
     if eps <= 0:
@@ -183,8 +184,7 @@ def solve(problem: CroccoProblem, grid: GridSpec, eps: float,
         u = _advance(u, n, problem, eps, source, a_n, b_n, c_n1)
         a_n, b_n = a_n1, b_n1
         values[n + 1] = u
-    return FieldHistory(t=grid.t, x=grid.x, y=grid.y, values=values,
-                        label=label or problem.label, diagnostics=margins)
+    return FieldHistory(t=grid.t, x=grid.x, y=grid.y, values=values, diagnostics=margins)
 
 
 class SolveStore:

@@ -121,7 +121,7 @@ def test_criterion_11_fails_a_nan_in_one_run(engine):
     broken = AcceptanceEngine()
     broken.store._built = dict(engine.store._built)
     broken.store._built[(acceptance._model_history, *key)] = FieldHistory(
-        t=hist.t, x=hist.x, y=hist.y, values=values, label=hist.label)
+        t=hist.t, x=hist.x, y=hist.y, values=values)
     res = broken.criterion_11()
     assert _failing(res) == ["oscillation_decays_checkerboard-2",
                              "holder_positive_checkerboard-2"], res.detail
@@ -411,29 +411,6 @@ def test_an_empty_request_is_refused_and_none_is_the_full_suite(monkeypatch, tmp
         assert not any(tmp_path.iterdir())
         full = AcceptanceEngine().run(parse_suite("full")).results
         assert [r.number for r in full] == list(range(1, 13))
-
-
-def test_fork_map_nests_inside_a_worker():
-    # criteria 10 and 12 fork their mean values and fields.csv writes from
-    # inside the worker chunk of a full suite
-    def outer(start, stop):
-        return parallel.fork_map(lambda a, b: (start, list(range(a, b)), os.getpid()), 4)
-
-    with _cores(2):
-        chunks = parallel.fork_map(outer, 2)
-    assert [[part[:2] for part in chunk] for chunk in chunks] == [
-        [(0, [0, 1]), (0, [2, 3])], [(1, [0, 1]), (1, [2, 3])]]
-    assert len({part[2] for chunk in chunks for part in chunk}) == 4
-    _no_worker_left()
-
-
-def test_fork_map_of_an_empty_range_calls_nothing():
-    def fn(start, stop):
-        raise AssertionError("called")
-
-    with _cores(2), mock.patch.object(parallel.os, "fork") as fork:
-        assert parallel.fork_map(fn, 0) == []
-    fork.assert_not_called()
 
 
 FORKED_RUN_SCRIPT = r"""

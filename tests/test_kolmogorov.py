@@ -273,7 +273,7 @@ def test_mean_value_zero_field():
 def test_mean_value_reproduces_constants():
     # frozen reference: quadrature reproduces a constant to 4.6e-4 relative
     cut = ko.CutoffSpec(r=1.0, theta=0.01)
-    rep = ko.mean_value(const_field(2.5), cut, nz=3)
+    rep = ko.mean_value([const_field(2.5)], cut, nz=3)
     assert rep.i0 == pytest.approx(2.5, rel=5e-3)
 
 
@@ -288,8 +288,8 @@ def test_mean_value_refuses_an_empty_lattice():
     cut = ko.CutoffSpec(r=1.0, theta=0.01)
     for nz in (0, -1):
         with pytest.raises(ConfigError, match="at least one node"):
-            ko.mean_value(const_field(1.0), cut, nz=nz)
-    assert ko.mean_value(const_field(1.0), cut, nz=1).values.shape == (1,)
+            ko.mean_value([const_field(1.0)], cut, nz=nz)
+    assert ko.mean_value([const_field(1.0)], cut, nz=1).values.shape == (1,)
 
 
 def reference_mean_value_at(w_field, cut, z, n_tau=160, n_eta=16, n_xi=8):
@@ -347,7 +347,7 @@ def coarse_random_history(seed=11):
 ], ids=["history", "analytic"])
 def test_mean_value_kernel_matches_per_point_reference(field):
     cut = ko.CutoffSpec(r=1.0, theta=0.01)
-    rep = ko.mean_value(field, cut, nz=3)
+    rep = ko.mean_value([field], cut, nz=3)
     # mean_value walks the past-box lattice with t slowest, then x, then y
     xs, ys, ts = ko.Box(cut.theta * cut.r).lattice(3)
     T, X, Y = np.meshgrid(ts, xs, ys, indexing="ij")
@@ -384,7 +384,7 @@ def test_mean_value_band_term_vanishes_on_admissible_lattices(r, theta):
     cut = ko.CutoffSpec(r=r, theta=theta)
     field = AnalyticField(lambda t, x, y: 1.0 + np.asarray(y, float) + np.asarray(t, float))
     nz = 9 if (r, theta) == (0.8 * 0.01, 0.01) else 3
-    rep = ko.mean_value(field, cut, nz=nz)
+    rep = ko.mean_value([field], cut, nz=nz)
     xs, ys, ts = ko.Box(cut.theta * cut.r).lattice(nz)
     T, X, Y = np.meshgrid(ts, xs, ys, indexing="ij")
     ref = np.array([reference_mean_value_at(field, cut, z)
@@ -405,7 +405,7 @@ t = np.linspace(-0.3, 0.0, 9)
 x = np.linspace(-16.0, 16.0, 33)
 y = np.linspace(-90.0, 90.0, 73)
 field = FieldHistory(t=t, x=x, y=y, values=rng.uniform(0.5, 1.5, (t.size, x.size, y.size)))
-print(ko.mean_value(field, ko.CutoffSpec(r=1.0, theta=0.01), nz=3).values.tobytes().hex())
+print(ko.mean_value([field], ko.CutoffSpec(r=1.0, theta=0.01), nz=3).values.tobytes().hex())
 """
 
 
@@ -431,7 +431,7 @@ def test_mean_value_bits_do_not_follow_the_core_count():
     reports = []
     for cores in (1, 2):
         with mock.patch.object(parallel, "_usable_cores", return_value=cores):
-            reports.append(ko.mean_value(coarse_random_history(), cut, nz=3))
+            reports.append(ko.mean_value([coarse_random_history()], cut, nz=3))
     serial, forked = reports
     assert serial.values.tobytes() == forked.values.tobytes()
     assert serial.i0 == forked.i0
@@ -454,7 +454,7 @@ def test_a_pass_gives_each_field_its_one_field_values(kind):
     together = ko.mean_value(fields, cut, nz=3)
     assert together.values.shape == (3 * 27,)
     for k, field in enumerate(fields):
-        alone = ko.mean_value(field, cut, nz=3)
+        alone = ko.mean_value([field], cut, nz=3)
         assert together.values[27 * k:27 * (k + 1)].tobytes() == alone.values.tobytes()
         assert together.sups[k] == alone.i0 == np.max(alone.values)
     assert len(set(together.sups)) == 3

@@ -1,9 +1,10 @@
-"""The one fork helper: fork_map's results crossing the pipe, fork_each's
-order and its thunk 0 in the calling process, one_core's narrowed
+"""The one fork helper: fork_each's results crossing the pipe, its order,
+its thunk 0 in the calling process and its nesting, one_core's narrowed
 affinity, and SolveStore.solve_many on top of it."""
 
 import os
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -35,43 +36,44 @@ class _DiesWhenPickled:
 def test_a_worker_that_dies_mid_pickle_raises_runtime_error():
     # the 1 MB block streams into the pipe before the worker dies, so the
     # caller reads a cut-short pickle
-    def fn(start, stop):
+    def thunk():
         return [bytes(1 << 20), _DiesWhenPickled()]
 
     with _cores(2), pytest.raises(RuntimeError, match="exited with code 7"):
-        parallel.fork_map(fn, 2)
+        parallel.fork_each([thunk, thunk])
     _no_worker_left()
+
+
+def _refused(i):
+    if i:
+        raise NumericalError(f"thunk {i}")
+    return i
 
 
 def test_a_worker_exception_is_raised_here():
-    def fn(start, stop):
-        if start:
-            raise NumericalError(f"chunk {start}")
-        return start
-
-    with _cores(2), pytest.raises(NumericalError, match="chunk 1"):
-        parallel.fork_map(fn, 2)
+    with _cores(2), pytest.raises(NumericalError, match="thunk 1"):
+        parallel.fork_each([partial(_refused, 0), partial(_refused, 1)])
     _no_worker_left()
 
 
-def test_a_17_mb_array_round_trips_bit_for_bit_and_is_held_once():
-    def fn(start, stop):
-        return np.random.default_rng(start).standard_normal(17_000_000 // 8)
+def _normal(seed):
+    return np.random.default_rng(seed).standard_normal(17_000_000 // 8)
 
+
+def test_a_17_mb_array_round_trips_bit_for_bit_and_is_held_once():
     tracemalloc.start()
     try:
         with _cores(2):
-            here, forked = parallel.fork_map(fn, 2)
+            here, forked = parallel.fork_each([partial(_normal, 0), partial(_normal, 1)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # chunk 0's array and the received one; a payload read whole before
+    # thunk 0's array and the received one; a payload read whole before
     # unpickling would add a third 17 MB
     assert peak < 2.5 * 17e6
-    expected = np.random.default_rng(1).standard_normal(17_000_000 // 8)
     assert forked.nbytes == 17_000_000 and forked.flags.writeable
-    assert forked.tobytes() == expected.tobytes()
-    assert here.tobytes() == np.random.default_rng(0).standard_normal(here.size).tobytes()
+    assert forked.tobytes() == _normal(1).tobytes()
+    assert here.tobytes() == _normal(0).tobytes()
     _no_worker_left()
 
 
@@ -90,6 +92,26 @@ def test_fork_each_of_one_core_forks_nothing():
     with _cores(1), mock.patch.object(parallel.os, "fork") as fork:
         assert parallel.fork_each([lambda: 1, lambda: 2]) == [1, 2]
     fork.assert_not_called()
+
+
+def test_fork_each_of_an_empty_list_forks_nothing():
+    with _cores(2), mock.patch.object(parallel.os, "fork") as fork:
+        assert parallel.fork_each([]) == []
+    fork.assert_not_called()
+
+
+def test_fork_each_nests_inside_a_worker():
+    # criteria 10 and 12 fork their mean values and fields.csv writes from
+    # inside the worker run of a full suite
+    def outer(i):
+        return parallel.fork_each([lambda j=j: (i, j, os.getpid()) for j in range(4)])
+
+    with _cores(2):
+        runs = parallel.fork_each([partial(outer, 0), partial(outer, 1)])
+    assert [[out[:2] for out in run] for run in runs] == [
+        [(i, j) for j in range(4)] for i in range(2)]
+    assert len({out[2] for run in runs for out in run}) == 4
+    _no_worker_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no settable affinity")

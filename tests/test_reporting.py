@@ -117,20 +117,20 @@ def test_write_artifacts_leaves_only_its_files(tmp_path):
 
 
 # each caller of the fork helper: how to run it on 5 levels, which become
-# the chunks 0:1, 1:3 and 3:5 over 3 cores, the per-level function to patch,
+# the runs 0:1, 1:3 and 3:5 over 3 cores, the per-level function to patch,
 # and the files it leaves in its directory
 def _run_writer(directory):
     return _written_bytes(_special_result(), directory)
 
 
 def _fail_writer(failing_start, failure):
-    real = reporting._write_levels
+    real = reporting._write_level
 
-    def write(fh, hist, nodes, start, stop):
-        if start == failing_start:
-            failure(start)
-        real(fh, hist, nodes, start, stop)
-    return mock.patch.object(reporting, "_write_levels", write)
+    def write(fh, hist, nodes, i):
+        if i == failing_start:
+            failure(i)
+        real(fh, hist, nodes, i)
+    return mock.patch.object(reporting, "_write_level", write)
 
 
 MEAN_CUT = ko.CutoffSpec(r=1.0, theta=0.01)
@@ -138,7 +138,7 @@ MEAN_FIELD = AnalyticField(lambda t, x, y: 1.0 + 0.3 * np.sin(3.0 * x) * np.cos(
 
 
 def _run_mean_value(directory):
-    return ko.mean_value(MEAN_FIELD, MEAN_CUT, nz=5).values.tobytes()
+    return ko.mean_value([MEAN_FIELD], MEAN_CUT, nz=5).values.tobytes()
 
 
 def _fail_mean_value(failing_start, failure):
@@ -157,7 +157,7 @@ CALLERS = {"fields_csv": (_run_writer, _fail_writer, ["fields.csv"]),
 
 
 def _refuse(start):
-    raise NumericalError(f"chunk from {start} refused")
+    raise NumericalError(f"level {start} refused")
 
 
 def _die(start):
@@ -168,8 +168,8 @@ def _die(start):
     (caller, start, failure, error, message)
     for caller in CALLERS
     for start, failure, error, message in (
-        (1, _refuse, NumericalError, "chunk from 1 refused"),
-        (0, _refuse, NumericalError, "chunk from 0 refused"),
+        (1, _refuse, NumericalError, "level 1 refused"),
+        (0, _refuse, NumericalError, "level 0 refused"),
         (3, _die, RuntimeError, "forked worker exited with code 7"))
 ], ids=["worker_raises", "caller_raises", "worker_dies", "mean_value-worker_raises",
         "mean_value-caller_raises", "mean_value-worker_dies"])

@@ -30,7 +30,7 @@ grid = GridSpec(4, 8, 8)
 solver.solve(scenarios.exact_profile_problem(grid), grid, 0.01)
 hist = ko.solve_model(ko.model_scenarios("constant"), nx=8, ny=8, nt=4)
 spec = ko.CutoffSpec(r=0.008, theta=0.01)
-ko.mean_value(hist, spec, nz=2)
+ko.mean_value([hist], spec, nz=2)
 ko.mean_value([hist, ko.log_field(hist, 0.01)], spec, nz=2)  # a two-field pass
 hist.sample_dy(-0.5, 0.0, 0.0)
 wall = time.perf_counter() - start
