@@ -28,7 +28,7 @@ from .estimates import (bv_seminorm, comparison_constant, l1_stability,
                         physical_stability, trace_residual, uniformity_spread,
                         weak_residual, weighted_dyy_measure, weighted_grad_norms)
 from .flows import accelerating_flow, decelerating_flow, uniform_flow
-from .grids import AnalyticField, FieldHistory, GridSpec
+from .grids import FieldHistory, GridSpec
 from .kolmogorov import (Box, CutoffSpec, density_ratio,
                          dilation_defect, gamma0, kernel_reproduction,
                          l0_residual, log_field, log_subsolution, mean_value,
@@ -48,7 +48,7 @@ __all__ = [
     "physical_stability", "trace_residual", "uniformity_spread",
     "weak_residual", "weighted_dyy_measure", "weighted_grad_norms",
     "accelerating_flow", "decelerating_flow", "uniform_flow",
-    "AnalyticField", "FieldHistory", "GridSpec",
+    "FieldHistory", "GridSpec",
     "Box", "CutoffSpec", "density_ratio",
     "dilation_defect", "gamma0", "kernel_reproduction", "l0_residual",
     "log_field", "log_subsolution", "mean_value", "model_scenarios",

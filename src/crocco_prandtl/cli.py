@@ -16,6 +16,7 @@ reported with its traceback on stderr).
 import argparse
 import sys
 import traceback
+from pathlib import Path
 
 from ._version import __version__
 from .errors import ConfigError, NumericalError
@@ -45,11 +46,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out) -> None:
+    """Refuse, before any work, an --out path whose nearest existing part is
+    not a directory."""
+    part = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+    if not part.is_dir():
+        raise ConfigError(f"--out {out}: {part} is not a directory")
+
+
 def _cmd_run(args) -> int:
     from .config import load_config
     from .reporting import report_text, write_artifacts
     from .scenarios import run_scenario
 
+    _check_out(args.out)
     cfg = load_config(args.config)
     result = run_scenario(cfg)
     paths = write_artifacts(result, args.out)
@@ -75,6 +85,8 @@ def _cmd_acceptance(args) -> int:
     from .acceptance import parse_suite, run_acceptance
 
     numbers = parse_suite(args.suite)
+    if args.out is not None:
+        _check_out(args.out)
     report = run_acceptance(numbers=numbers, out_dir=args.out)
     print(report.summary())
     return 0 if report.all_pass else 1

@@ -60,8 +60,8 @@ class RunConfig:
             raise ConfigError(f"eps must be positive, got {self.eps:g}")
         if self.L <= 0:
             raise ConfigError(f"L must be positive, got {self.L:g}")
-        if len(self.eps_list) < 2:
-            raise ConfigError("eps_list needs at least two values")
+        if len(self.eps_list) < 3:
+            raise ConfigError("eps_list needs at least three values, so its gaps have a step")
         if any(e <= 0 for e in self.eps_list):
             raise ConfigError("eps_list values must be positive")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):

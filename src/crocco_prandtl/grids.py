@@ -6,21 +6,17 @@ containers on boxes centred at the origin, so coordinate arrays are stored
 explicitly instead of being derived from a GridSpec.  FieldHistory axes
 are uniform, so sampling finds a cell by one division, not a search.
 
-Two field types share the sampling protocol of the measurement layer:
-sample(t, x, y) at broadcastable queries, and the field at fixed times,
-at_times(tau, x_span, y_span) -> a slab.  A FieldHistory's slab
-(TimeSlab) is the history interpolated once in time onto the window of
-cells the spans touch; it owns that window and the axes, never the
-history.  An AnalyticField's slab binds tau to its callable.
-sample_slabs samples the slabs of several fields at the same times as
-at_y(y) -> at_x(x) -> one array per field: the cell lookups are made once
-for all of them, and slabs of different types or axes are refused.  The
-mean-value functional takes one slab per field and time level and never
-branches on the field type.
-Only FieldHistory has the wall-normal derivative sample_dy, which the weak
-Poincare functional integrates; it forms np.gradient along y at only the
-cell corners its interpolation reads, never over the whole history.
-Check, the package's one verdict type, keeps the numbers that decided it.
+A FieldHistory is sampled at broadcastable queries (sample), or at fixed
+times as a slab (at_times(tau, x_span, y_span) -> TimeSlab): the history
+interpolated once in time onto the window of cells the spans touch, which
+owns that window and the axes, never the history.  sample_slabs samples
+the slabs of several fields at the same times as at_y(y) -> at_x(x) ->
+one array per field, with one set of cell lookups, and refuses slabs on
+different axes or times.  The mean-value functional takes one slab per
+field and time level.  sample_dy, the wall-normal derivative the weak
+Poincare functional integrates, forms np.gradient along y at only the cell
+corners its interpolation reads.  Check, the package's one verdict type,
+keeps the numbers that decided it.
 """
 
 import operator
@@ -235,82 +231,40 @@ class TimeSlab:
     cells: tuple  # (x0, x1, y0, y1)
     values: np.ndarray
 
-    def axes(self) -> tuple:
-        return self.tau, self.x, self.y, self.cells
-
-    @staticmethod
-    def sampler(slabs) -> Callable:
-        """at_y(y) -> at_x(x) -> one bilinear sample per slab; the cell
-        lookups and the gather indices are made once for all of them."""
-        first = slabs[0]
-        x0, x1, y0, y1 = first.cells
-        nxw, nyw = x1 - x0 + 2, y1 - y0 + 2
-        level = np.arange(first.tau.size).reshape(first.tau.shape) * (nxw * nyw)
-
-        def at_y(y) -> Callable:
-            iy, wy = _cell(first.y, np.asarray(y, float))
-            if not y0 <= iy.min() <= iy.max() <= y1:
-                raise ConfigError("at_times: y query outside the y_span of the slab")
-            row = level + (iy - y0)
-            # one y-interpolated row per window column, the column axis first
-            base = np.add.outer(np.arange(nxw) * nyw, row)
-            rows = [_lerp_corners(s.values.take, base, (1,), (wy,)).ravel() for s in slabs]
-            at = np.arange(row.size).reshape(row.shape) - x0 * row.size
-
-            def at_x(x) -> list:
-                ix, wx = _cell(first.x, np.asarray(x, float))
-                if not x0 <= ix.min() <= ix.max() <= x1:
-                    raise ConfigError("at_times: x query outside the x_span of the slab")
-                k = ix * row.size + at
-                return [_lerp_corners(r.take, k, (row.size,), (wx,)) for r in rows]
-            return at_x
-        return at_y
-
-
-class AnalyticField:
-    """Callable-backed field with the sampling protocol of FieldHistory,
-    for exact control cases; f(t, x, y) gets broadcast query arrays."""
-
-    def __init__(self, f: Callable):
-        self.f = f
-
-    def sample(self, t, x, y) -> np.ndarray:
-        tq, xq, yq = np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float), np.asarray(y, float))
-        return np.broadcast_to(np.asarray(self.f(tq, xq, yq), float), tq.shape).copy()
-
-    def at_times(self, tau, x_span, y_span) -> "AnalyticSlab":
-        """The field bound to the fixed times tau; the spans are unused."""
-        return AnalyticSlab(np.asarray(tau, float), self)
-
-
-@dataclass(frozen=True, eq=False)
-class AnalyticSlab:
-    """An AnalyticField bound to the fixed times tau."""
-
-    tau: np.ndarray
-    field: AnalyticField
-
-    def axes(self) -> tuple:
-        return (self.tau,)
-
-    @staticmethod
-    def sampler(slabs) -> Callable:
-        """at_y(y) -> at_x(x) -> each slab's callable at the shared queries."""
-        tau = slabs[0].tau
-        return lambda y: lambda x: [s.field.sample(tau, x, y) for s in slabs]
-
 
 def sample_slabs(slabs) -> Callable:
     """The slabs of several fields at the same times, as at_y(y) -> at_x(x)
-    -> one array per slab, in order.  at_y takes queries broadcastable
-    against tau and at_x finishes the sample; a history slab refuses a
-    query in a cell outside its spans.  Slabs of different field types or
-    on different axes are refused with ConfigError."""
+    -> one bilinear sample per slab, in order; the cell lookups and the
+    gather indices are made once for all of them.  at_y takes queries
+    broadcastable against tau and at_x finishes the sample; a query in a
+    cell outside the spans is refused, and so are slabs on different axes
+    or times, with ConfigError."""
     first = slabs[0]
-    if any(type(s) is not type(first)
-           or not all(map(np.array_equal, s.axes(), first.axes())) for s in slabs[1:]):
-        raise ConfigError("sampled slabs need one field type on shared axes and times")
-    return first.sampler(slabs)
+    if any(not all(map(np.array_equal, (s.tau, s.x, s.y, s.cells),
+                       (first.tau, first.x, first.y, first.cells))) for s in slabs[1:]):
+        raise ConfigError("sampled slabs need shared axes and times")
+    x0, x1, y0, y1 = first.cells
+    nxw, nyw = x1 - x0 + 2, y1 - y0 + 2
+    level = np.arange(first.tau.size).reshape(first.tau.shape) * (nxw * nyw)
+
+    def at_y(y) -> Callable:
+        iy, wy = _cell(first.y, np.asarray(y, float))
+        if not y0 <= iy.min() <= iy.max() <= y1:
+            raise ConfigError("at_times: y query outside the y_span of the slab")
+        row = level + (iy - y0)
+        # one y-interpolated row per window column, the column axis first
+        base = np.add.outer(np.arange(nxw) * nyw, row)
+        rows = [_lerp_corners(s.values.take, base, (1,), (wy,)).ravel() for s in slabs]
+        at = np.arange(row.size).reshape(row.shape) - x0 * row.size
+
+        def at_x(x) -> list:
+            ix, wx = _cell(first.x, np.asarray(x, float))
+            if not x0 <= ix.min() <= ix.max() <= x1:
+                raise ConfigError("at_times: x query outside the x_span of the slab")
+            k = ix * row.size + at
+            return [_lerp_corners(r.take, k, (row.size,), (wx,)) for r in rows]
+        return at_x
+    return at_y
 
 
 def trapezoid_weights(coords: np.ndarray) -> np.ndarray:

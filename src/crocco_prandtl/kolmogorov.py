@@ -13,14 +13,14 @@ comes from Box), the two-factor smooth cutoff (CutoffSpec, which also
 evaluates it) with its five certified pointwise properties, logarithmic
 subsolution transforms, a mean-value functional computed by
 kernel-adapted quadrature in one pass over every field that shares its
-lattice (its drift term alone: the wall-normal term is
-exactly 0 on the lattice of every admissible cutoff, see mean_value), and
-measured weak-Poincare / density / oscillation functionals.  A small
-rough-coefficient solver produces the fields those functionals are
-measured on (its bands factored once by LAPACK dgttrf and each step solved
-by dgttrs, scipy's routines through `_lapack`, without importing
-scipy.linalg); model_axes decides the stability of its grid, for
-solve_model and for RunConfig alike.
+lattice (its drift term alone: the wall-normal term is exactly 0 on the
+lattice of every admissible cutoff, see mean_value), and measured
+weak-Poincare / density / oscillation functionals of FieldHistory fields.
+A small rough-coefficient solver produces the model runs they measure
+(its bands factored once by LAPACK dgttrf and each step solved by dgttrs,
+scipy's routines through `_lapack`, without importing scipy.linalg);
+model_axes decides the stability of its grid, for solve_model and for
+RunConfig alike.
 
 Quadrature sizes, slab proportions, box radii and grid sizes (LEMMA_NODES,
 DENSITY_R and MODEL_GRID among them) are module constants, so every caller
@@ -661,8 +661,8 @@ def _box_oscillation(u_field, r: float) -> float:
 def oscillation_table(u_field) -> OscillationReport:
     """Box oscillations at two nested scales per radius.
 
-    Flat big-box oscillation reports ratio 0.  A box outside a field
-    history's axes is refused by its sampler.
+    Flat big-box oscillation reports ratio 0.  A box outside the
+    history's axes is refused with ConfigError.
     """
     rows = []
     pairs = []

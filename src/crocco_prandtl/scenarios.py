@@ -44,7 +44,7 @@ from .estimates import (INTERIOR_MARGIN, l1_stability, physical_stability, trace
                         weak_residual, weighted_dyy_measure, weighted_grad_norms,
                         bv_seminorm, comparison_constant)
 from .flows import accelerating_flow, uniform_flow
-from .grids import AnalyticField, Check, FieldHistory, GridSpec
+from .grids import Check, FieldHistory, GridSpec
 from .parallel import fork_each
 from .solver import (SolveStore, check_cfl, grid_refinement_proxy, solve,
                      viscosity_sweep)
@@ -311,10 +311,20 @@ def pinched_initial(xq, yq):
     return 0.75 * (1.0 - np.cos(np.pi * xq) * np.cos(np.pi * yq / 2.0))
 
 
+# the exact controls, constant in t and x: the unit density and 1 - y on
+# the unit box, which trilinear sampling reproduces (1 - y to one ulp below
+# y = 0, exactly at each box's extremes), and the mean-value constant on
+# |y| <= 5, which holds the pass of every admissible cutoff (|y| <= 4.52,
+# |x| <= 0.71, t >= -0.23 at r = 1/SLAB_BETA and theta -> THETA_MAX)
+UNIT_FIELD = FieldHistory([-1.0, 0.0], [-1.0, 1.0], [-1.0, 0.0, 1.0], np.ones((2, 2, 3)))
+LINEAR_FIELD = FieldHistory([-1.0, 0.0], [-1.0, 1.0], [-1.0, 0.0, 1.0],
+                            np.tile([2.0, 1.0, 0.0], (2, 2, 1)))
+MEAN_VALUE_FIELD = FieldHistory([-1.0, 0.0], [-1.0, 1.0], [-5.0, 0.0, 5.0], np.full((2, 2, 3), 2.5))
+
+
 def unit_density(h: float) -> tuple:
     """Density report of the constant field 1 and the check its ratio is 1."""
-    den = ko.density_ratio(AnalyticField(
-        lambda t, x, y: np.ones_like(np.asarray(t, float))), h)
+    den = ko.density_ratio(UNIT_FIELD, h)
     return den, {"density_unit_control": Check(den.ratio, 1.0, "==")}
 
 
@@ -330,7 +340,7 @@ def density_floor(hist: FieldHistory, h: float) -> tuple:
 def linear_control() -> tuple:
     """Oscillation table of the exact linear field 1 - y, whose every ratio
     equals the scale factor, and the check on its worst row defect."""
-    ctl = ko.oscillation_table(AnalyticField(lambda t, x, y: 1.0 - np.asarray(y, float)))
+    ctl = ko.oscillation_table(LINEAR_FIELD)
     defect = float(np.max([abs(row.ratio - ko.OSC_THETA_BAR) for row in ctl.rows]))
     return ctl, {"oscillation_linear_control_exact": Check(defect, LINEAR_CONTROL_TOL, "<=")}
 
@@ -449,8 +459,7 @@ def run_kolmogorov_checks(cfg, store: SolveStore) -> RunResult:
         result.add(f"cutoff_{name}_margin", chk.value)
         result.verdicts[f"cutoff_{name}"] = chk
 
-    const = AnalyticField(lambda t, x, y: np.full_like(np.asarray(t, float), 2.5))
-    mv_error = abs(ko.mean_value([const], spec, nz=3).i0 - 2.5) / 2.5
+    mv_error = abs(ko.mean_value([MEAN_VALUE_FIELD], spec, nz=3).i0 - 2.5) / 2.5
     result.add("mean_value_const_rel_error", mv_error)
 
     for variant in ko.LOG_VARIANTS:

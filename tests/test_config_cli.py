@@ -79,6 +79,7 @@ def test_parse_config_rejects(text, fragment):
     "L = -1",
     "eps_list = 0.1",
     "eps_list = 0.1, 0.2",
+    "eps_list = 0.1, 0.01",
     "eps_list = 0.1, -0.01",
     "perturb = 0",
     "lam = 1.0",
@@ -158,7 +159,7 @@ VALID_CONFIGS = st.builds(
     nt=st.integers(4, 10**6),
     eps=POSITIVE,
     L=POSITIVE,
-    eps_list=st.lists(POSITIVE, min_size=2, max_size=6, unique=True).map(
+    eps_list=st.lists(POSITIVE, min_size=3, max_size=6, unique=True).map(
         lambda v: tuple(sorted(v, reverse=True))),
     perturb=POSITIVE,
     lam=st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
@@ -171,7 +172,7 @@ VALID_CONFIGS = st.builds(
 
 
 def _valid_eps_list(values) -> bool:
-    return (len(values) >= 2 and all(v > 0 for v in values)
+    return (len(values) >= 3 and all(v > 0 for v in values)
             and all(b < a for a, b in zip(values, values[1:])))
 
 
@@ -350,6 +351,28 @@ def _refused_alike(tmp_path, capsys, text, message):
         assert captured.out == "", argv
         assert captured.err == f"configuration error: {message}\n", argv
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_refuses_a_two_value_sweep(tmp_path, capsys):
+    # one gap step needs three values; with two, the sweep's check read NaN
+    # and the run failed after its marches
+    _refused_alike(tmp_path, capsys, _strip("viscosity_sweep", 16, 16, 24) + "eps_list = 0.1, 0.01\n",
+                   "eps_list needs at least three values, so its gaps have a step")
+
+
+@pytest.mark.parametrize("verb", ["run", "acceptance"])
+def test_cli_refuses_an_out_path_under_a_file(tmp_path, capsys, verb):
+    # refused before the run or the suite, not by the writer after it
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    cfg = write_cfg(tmp_path, "scenario = kolmogorov_checks\n")
+    for out in (afile, afile / "sub"):
+        argv = (["run", "--config", cfg] if verb == "run" else ["acceptance", "--suite", "7"])
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: --out {out}: {afile} is not a directory\n"
+    assert afile.read_text() == "kept\n"
 
 
 def test_cli_validate_fails_unstable_model_grid(tmp_path, capsys):

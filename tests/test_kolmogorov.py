@@ -20,17 +20,20 @@ from scipy.linalg import solve_banded
 from crocco_prandtl import kolmogorov as ko
 from crocco_prandtl import parallel
 from crocco_prandtl.errors import ConfigError
-from crocco_prandtl.grids import AnalyticField, FieldHistory
+from crocco_prandtl.grids import FieldHistory
+
+
+def affine_field(a, b, c):
+    """a + b t + c y on two nodes per axis, t in [-1, 0], x in [-1, 1] and
+    y in [-5, 5], which hold every query of the tests below; trilinear
+    sampling reproduces it to rounding, and a constant exactly."""
+    t, y = np.array([-1.0, 0.0]), np.array([-5.0, 5.0])
+    return FieldHistory(t=t, x=[-1.0, 1.0], y=y,
+                        values=a + b * t[:, None, None] + c * y + np.zeros((2, 2, 2)))
 
 
 def const_field(c):
-    return AnalyticField(lambda t, x, y: np.full_like(np.asarray(t, float), c))
-
-
-def const_history(c):
-    # two nodes per axis: the constant on the unit past window
-    return FieldHistory(t=[-1.0, 0.0], x=[-1.0, 1.0], y=[-1.0, 1.0],
-                        values=np.full((2, 2, 2), c))
+    return affine_field(c, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +283,7 @@ def test_mean_value_reproduces_constants():
 def test_mean_value_reproduces_a_solution():
     # w = 1 + y/2 solves the model equation; the identity returns w(z)
     cut = ko.CutoffSpec(r=1.0, theta=0.01)
-    lin = AnalyticField(lambda t, x, y: 1.0 + 0.5 * np.asarray(y, float))
+    lin = affine_field(1.0, 0.0, 0.5)
     assert point_value(lin, cut, (0.0, 0.0, 0.0)) == pytest.approx(1.0, rel=5e-3)
 
 
@@ -341,10 +344,7 @@ def coarse_random_history(seed=11):
     return FieldHistory(t=t, x=x, y=y, values=rng.uniform(0.5, 1.5, (t.size, x.size, y.size)))
 
 
-@pytest.mark.parametrize("field", [
-    coarse_random_history(),
-    AnalyticField(lambda t, x, y: 1.0 + 0.3 * np.sin(3.0 * x) * np.cos(2.0 * y) + 2.0 * t),
-], ids=["history", "analytic"])
+@pytest.mark.parametrize("field", [coarse_random_history()], ids=["history"])
 def test_mean_value_kernel_matches_per_point_reference(field):
     cut = ko.CutoffSpec(r=1.0, theta=0.01)
     rep = ko.mean_value([field], cut, nz=3)
@@ -382,7 +382,7 @@ def test_mean_value_band_term_vanishes_on_admissible_lattices(r, theta):
     # eta nodes reach farthest from the corners |y| = theta r, t = 0, which
     # every lattice holds; oscillation_lab's own nz = 9 lattice is walked whole
     cut = ko.CutoffSpec(r=r, theta=theta)
-    field = AnalyticField(lambda t, x, y: 1.0 + np.asarray(y, float) + np.asarray(t, float))
+    field = affine_field(1.0, 1.0, 1.0)
     nz = 9 if (r, theta) == (0.8 * 0.01, 0.01) else 3
     rep = ko.mean_value([field], cut, nz=nz)
     xs, ys, ts = ko.Box(cut.theta * cut.r).lattice(nz)
@@ -437,20 +437,13 @@ def test_mean_value_bits_do_not_follow_the_core_count():
     assert serial.i0 == forked.i0
 
 
-def _pass_fields(kind):
-    if kind == "history":
-        return [coarse_random_history(seed) for seed in (11, 12, 13)]
-    return [AnalyticField(lambda t, x, y, c=c: 1.0 + c * np.sin(3.0 * x) * np.cos(2.0 * y) + 2.0 * t)
-            for c in (0.3, -0.5, 2.0)]
-
-
-@pytest.mark.parametrize("kind", ["history", "analytic"])
-def test_a_pass_gives_each_field_its_one_field_values(kind):
+@pytest.mark.parametrize("fields", [[coarse_random_history(seed) for seed in (11, 12, 13)]],
+                         ids=["history"])
+def test_a_pass_gives_each_field_its_one_field_values(fields):
     # the pass shares each point's cutoff transport and cell lookups; each
     # field keeps its own operands and its own np.sum, so it reads the bits
     # of a one-field call
     cut = ko.CutoffSpec(r=1.0, theta=0.01)
-    fields = _pass_fields(kind)
     together = ko.mean_value(fields, cut, nz=3)
     assert together.values.shape == (3 * 27,)
     for k, field in enumerate(fields):
@@ -509,11 +502,11 @@ def test_a_pass_keeps_no_field_alive(functional):
 
 def test_weak_poincare_requires_small_r():
     with pytest.raises(ConfigError):
-        ko.weak_poincare_ratio([const_history(0.0)], ko.CutoffSpec(r=0.02, theta=0.01))
+        ko.weak_poincare_ratio([const_field(0.0)], ko.CutoffSpec(r=0.02, theta=0.01))
 
 
 def test_weak_poincare_vacuous_on_zero_field():
-    [rep] = ko.weak_poincare_ratio([const_history(0.0)], ko.CutoffSpec(r=0.008, theta=0.01))
+    [rep] = ko.weak_poincare_ratio([const_field(0.0)], ko.CutoffSpec(r=0.008, theta=0.01))
     # a vacuous pass: both sides vanish, so the ratio is 0, not a violation's inf
     assert rep.lhs <= ko.POINCARE_TINY and rep.rhs <= ko.POINCARE_TINY and rep.ratio == 0.0
 
@@ -576,9 +569,8 @@ def test_density_on_model_run():
 
 
 def test_oscillation_linear_control():
-    # 1 - y is linear in y only: both oscillations are exact lattice spans
-    lin = AnalyticField(lambda t, x, y: 1.0 - np.asarray(y, float))
-    rep = ko.oscillation_table(lin)
+    # 1 - y is linear in y only: both oscillations are the lattice y spans
+    rep = ko.oscillation_table(affine_field(1.0, 0.0, -1.0))
     for row in rep.rows:
         assert row.ratio == pytest.approx(0.3, rel=1e-12)
         assert row.osc_big == pytest.approx(2.0 * row.r, rel=1e-12)

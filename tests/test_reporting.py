@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from crocco_prandtl import kolmogorov as ko
 from crocco_prandtl import parallel, reporting
 from crocco_prandtl.errors import NumericalError
-from crocco_prandtl.grids import AnalyticField, Check
+from crocco_prandtl.grids import Check, FieldHistory
 from crocco_prandtl.reporting import (artifact_header, report_text, write_artifacts,
                                       write_fields_csv, write_report_csv)
 from crocco_prandtl.scenarios import RunResult, Table
@@ -134,7 +134,10 @@ def _fail_writer(failing_start, failure):
 
 
 MEAN_CUT = ko.CutoffSpec(r=1.0, theta=0.01)
-MEAN_FIELD = AnalyticField(lambda t, x, y: 1.0 + 0.3 * np.sin(3.0 * x) * np.cos(2.0 * y) + 2.0 * t)
+# random nodal values on axes that hold every quadrature node of MEAN_CUT
+MEAN_FIELD = FieldHistory(t=np.linspace(-0.3, 0.0, 9), x=np.linspace(-16.0, 16.0, 33),
+                          y=np.linspace(-90.0, 90.0, 73),
+                          values=np.random.default_rng(11).uniform(0.5, 1.5, (9, 33, 73)))
 
 
 def _run_mean_value(directory):

@@ -30,7 +30,7 @@ from crocco_prandtl.scenarios import (
     run_scenario,
     validate_scenario,
 )
-from crocco_prandtl.grids import AnalyticField, Check, FieldHistory, GridSpec
+from crocco_prandtl.grids import Check, FieldHistory, GridSpec
 from crocco_prandtl.solver import ConvergenceTable, SolveStore, SweepRow, check_cfl
 
 
@@ -80,6 +80,69 @@ def test_kolmogorov_checks_runs_analytically():
     assert result.ok
     assert result.grid_label == "analytic"
     assert result.history is None
+
+
+def test_kolmogorov_checks_runs_at_the_admissible_extreme():
+    # the largest r and theta just below THETA_MAX: the mean-value pass's
+    # quadrature stays on the axes of MEAN_VALUE_FIELD, so no ConfigError
+    cfg = RunConfig(scenario="kolmogorov_checks", r=1 / ko.SLAB_BETA, theta=0.999 * ko.THETA_MAX)
+    result = run_scenario(cfg)
+    assert result.ok
+    vals = {key: value for key, value, *_ in result.entries}
+    assert vals["mean_value_const_rel_error"] <= scenarios.MEAN_VALUE_CONST_TOL
+
+
+def _samples_of(field, measure):
+    """((t, x, y), values) of every field.sample call that measure() makes."""
+    seen, real = [], FieldHistory.sample
+
+    def sample(self, t, x, y):
+        values = real(self, t, x, y)
+        if self is field:
+            seen.append((np.broadcast_arrays(t, x, y), values))
+        return values
+    with mock.patch.object(FieldHistory, "sample", sample):
+        measure()
+    return seen
+
+
+def test_unit_density_control_samples_its_closed_form():
+    # the density box and the density slab, every sample exactly 1
+    seen = _samples_of(scenarios.UNIT_FIELD, lambda: scenarios.unit_density(0.01))
+    assert len(seen) == 2
+    assert all(np.all(values == 1.0) for _, values in seen)
+
+
+def test_linear_control_samples_its_closed_form():
+    # each OSC_RADII box and its small box: the extremes at y = -r and y = r,
+    # which are all the oscillation table reads, are 1 - y bit for bit.
+    # Below y = 0 the cell weight y + 1 rounds, so an interior sample may sit
+    # one ulp off 1 - y
+    seen = _samples_of(scenarios.LINEAR_FIELD, scenarios.linear_control)
+    assert len(seen) == 2 * len(ko.OSC_RADII)
+    for (_, _, y), values in seen:
+        assert np.max(values) == np.max(1.0 - y) and np.min(values) == np.min(1.0 - y)
+        assert np.max(np.abs(values - (1.0 - y))) <= np.spacing(1.0)
+
+
+@pytest.mark.parametrize("r, theta", [(1.0, 0.01), (1 / ko.SLAB_BETA, 0.999 * ko.THETA_MAX)])
+def test_mean_value_control_samples_its_closed_form(r, theta):
+    # every slab sample of kolmogorov_checks' mean-value pass is exactly 2.5
+    seen, real = [], ko.sample_slabs
+
+    def recording(slabs):
+        at_y = real(slabs)
+
+        def recording_at_y(y):
+            at_x = at_y(y)
+            return lambda x: seen.extend(at_x(x)) or seen[-len(slabs):]
+        return recording_at_y
+    with mock.patch.object(ko, "sample_slabs", recording), \
+            mock.patch.object(parallel, "_usable_cores", return_value=1):
+        rep = ko.mean_value([scenarios.MEAN_VALUE_FIELD], ko.CutoffSpec(r=r, theta=theta), nz=3)
+    assert len(seen) == 27
+    assert all(np.all(w == 2.5) for w in seen)
+    assert abs(rep.i0 - 2.5) / 2.5 <= scenarios.MEAN_VALUE_CONST_TOL
 
 
 def test_oscillation_lab_reduced_grid():
@@ -232,12 +295,12 @@ def _control_row(rep, v):
 
 def _model_oscillation(m, **fields):
     _wrap(m, ko, "oscillation_table", lambda rep, field:
-          rep if isinstance(field, AnalyticField) else replace(rep, **fields))
+          rep if field is scenarios.LINEAR_FIELD else replace(rep, **fields))
 
 
 def _constant_model_density(m, v):
     original = ko.density_ratio
-    field = AnalyticField(lambda t, x, y: np.full_like(np.asarray(t, float), v))
+    field = FieldHistory(t=[-1.0, 0.0], x=[-1.0, 1.0], y=[-1.0, 1.0], values=np.full((2, 2, 2), v))
     m.setattr(ko, "density_ratio", lambda u, h, normalize=False:
               original(field if normalize else u, h, normalize))
 
@@ -305,7 +368,7 @@ SHARED_BOUNDS = {
     "linear_control_row": SharedBound(
         11, LAB, "oscillation_linear_control_exact",
         lambda m, v: _wrap(m, ko, "oscillation_table", lambda rep, field:
-                           _control_row(rep, v) if isinstance(field, AnalyticField) else rep),
+                           _control_row(rep, v) if field is scenarios.LINEAR_FIELD else rep),
         scenarios.LINEAR_CONTROL_TOL * (1 - 1e-3), scenarios.LINEAR_CONTROL_TOL * (1 + 1e-3)),
     # a bound of beta_bar < 1 alone passes a flat field, beta_bar = 0
     "flat_oscillation": SharedBound(
