@@ -155,7 +155,7 @@ class AcceptanceEngine:
         from . import mms  # sympy loads only when this criterion runs
 
         return CriterionResult(2, "manufactured-solution convergence",
-                               {f"order_{s}": Check(mms.refinement_study(s).order, floor, ">=")
+                               {f"order_{s}": Check(mms.refinement_study(s), floor, ">=")
                                 for s, floor in MMS_FLOORS.items()})
 
     def criterion_3(self) -> CriterionResult:

@@ -21,6 +21,7 @@ from .errors import ConfigError
 from .estimates import INTERIOR_MARGIN, check_margin
 from .kolmogorov import MODEL_T0, SLAB_BETA, THETA_MAX, model_axes
 from .scenarios import RUNNERS
+from .solver import check_eps_list
 
 SCENARIOS = tuple(RUNNERS)
 
@@ -60,12 +61,7 @@ class RunConfig:
             raise ConfigError(f"eps must be positive, got {self.eps:g}")
         if self.L <= 0:
             raise ConfigError(f"L must be positive, got {self.L:g}")
-        if len(self.eps_list) < 3:
-            raise ConfigError("eps_list needs at least three values, so its gaps have a step")
-        if any(e <= 0 for e in self.eps_list):
-            raise ConfigError("eps_list values must be positive")
-        if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
-            raise ConfigError("eps_list must be strictly decreasing")
+        check_eps_list(self.eps_list)
         if self.perturb <= 0:
             raise ConfigError(f"perturb must be positive, got {self.perturb:g}")
         if self.lam <= 1:

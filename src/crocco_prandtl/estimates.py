@@ -196,8 +196,8 @@ def _contract(x_rows, y_rows, *fields):
     return np.einsum("txr,qx->tqr", by_y, x_rows)
 
 
-def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
-                     margin: int) -> Callable[[TestFunction], dict]:
+def _weak_quadrature(history: FieldHistory,
+                     problem: CroccoProblem) -> Callable[[TestFunction], dict]:
     """Midcell quadrature of the weak identity with weight (1-y)^WEAK_ALPHA
     for one history, against the members of test_function_family on the
     problem's grid.
@@ -216,14 +216,10 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
     and gives the seven terms and their sum.
     """
     g = problem.grid
-    check_margin(margin, g.nx, g.ny)
     u = history.values
     t, x, y = history.t, history.x, history.y
     dt, dx, dy = np.diff(t).mean(), np.diff(x).mean(), np.diff(y).mean()
-    xs, ys = slice(margin, g.nx - margin), slice(margin, g.ny - margin)
-    tc = 0.5 * (t[1:] + t[:-1])
-    xc = 0.5 * (x[1:] + x[:-1])[xs]
-    yc = 0.5 * (y[1:] + y[:-1])[ys]
+    tc, xc, yc = (0.5 * (c[1:] + c[:-1]) for c in (t, x, y))
 
     family = test_function_family(g.L, g.T)
     x_factors = {phi.k: phi.sx(xc) for phi in family}
@@ -241,18 +237,17 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
 
     tables = {key: np.empty((g.nt, len(ks), len(ms)))
               for key in ("time_volume", "diffusion", "streamwise", "drift", "reaction")}
-    vol_sl = (slice(None), xs, ys)
     for s in range(0, g.nt, WEAK_SLAB):
         e = min(s + WEAK_SLAB, g.nt)
         slab = u[s:e + 1]
         u_c = _center8(slab)
         if np.min(u_c) <= 0.0:
             raise NumericalError("field is not positive at quadrature midpoints")
-        inv_u = 1.0 / u_c[vol_sl]
-        uy_c = (_stagger_y(slab) / dy)[vol_sl]
+        inv_u = 1.0 / u_c
+        uy_c = _stagger_y(slab) / dy
         a, b, c = problem.coefficients(slice(s, e + 1))
-        a_c, b_c, c_c = (_center8(v)[vol_sl] for v in (a, b, c))
-        ax_c, by_c = (_stagger_x(a) / dx)[vol_sl], (_stagger_y(b) / dy)[vol_sl]
+        a_c, b_c, c_c = (_center8(v) for v in (a, b, c))
+        ax_c, by_c = _stagger_x(a) / dx, _stagger_y(b) / dy
         tables["time_volume"][s:e] = _contract(S, A, inv_u)
         tables["diffusion"][s:e] = _contract(S, B, uy_c)
         tables["streamwise"][s:e] = (_contract(S, A, ax_c, inv_u)
@@ -262,9 +257,9 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
 
     cell = dt * dx * dy
     # final-time surface: nodes in t, midpoints in (x, y)
-    uT = _center4(u[-1])[xs, ys]
+    uT = _center4(u[-1])
     # wall trace: nodes in y = 0 row, where every y factor is 1, midpoints in (t, x)
-    v0_c = _center4(problem.v0)[:, xs]
+    v0_c = _center4(problem.v0)
 
     def terms(phi) -> dict:
         i, j = index[phi]
@@ -289,13 +284,13 @@ def _weak_quadrature(history: FieldHistory, problem: CroccoProblem,
     return terms
 
 
-def weak_residual(history: FieldHistory, problem: CroccoProblem, margin: int = 0) -> float:
+def weak_residual(history: FieldHistory, problem: CroccoProblem) -> float:
     """Largest absolute weak-identity residual over test_function_family.
 
     One slab-by-slab pass of _weak_quadrature serves every member of the
     family, so the residual holds no full-volume array besides the history.
     """
-    terms = _weak_quadrature(history, problem, margin)
+    terms = _weak_quadrature(history, problem)
     return float(np.max([abs(terms(p)["residual"])
                          for p in test_function_family(problem.grid.L, problem.grid.T)]))
 

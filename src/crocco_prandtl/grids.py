@@ -146,6 +146,7 @@ class FieldHistory:
     x: np.ndarray
     y: np.ndarray
     values: np.ndarray
+    # read by the benchmark tracer (bench/spans.py); no march fills it
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -271,8 +272,6 @@ def trapezoid_weights(coords: np.ndarray) -> np.ndarray:
     """Composite trapezoid weights for possibly non-uniform node coordinates."""
     coords = np.asarray(coords, dtype=float)
     w = np.zeros_like(coords)
-    if coords.size == 1:
-        return w
     d = np.diff(coords)
     w[:-1] += 0.5 * d
     w[1:] += 0.5 * d

@@ -883,4 +883,4 @@ def kernel_reproduction(nx: int, nt: int) -> dict:
     ref = exact(XX, YY, 0.0)
     err = float(np.max(np.abs(hist.values[-1] - ref)))
     peak = float(np.max(ref))
-    return {"sup_error": err, "peak": peak, "rel_error": err / peak, "history": hist}
+    return {"sup_error": err, "peak": peak, "rel_error": err / peak}

@@ -17,7 +17,7 @@ the flux condition and the wall row is nonlinear; it is refined in x.
 """
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import sympy as sp
@@ -141,19 +141,6 @@ def case(study: str, eps: float) -> ManufacturedCase:
     return build_case(f"mms-{study}", row.field, row.flow, eps)
 
 
-@dataclass
-class StudyLevel:
-    grid: GridSpec
-    h: float
-    error: float
-
-
-@dataclass
-class StudyResult:
-    levels: List[StudyLevel]
-    order: float
-
-
 def _final_error(mms_case: ManufacturedCase, grid: GridSpec) -> float:
     prob = mms_case.problem(grid)
     hist = solve(prob, grid, mms_case.eps, forcing=mms_case.forcing, label=mms_case.name)
@@ -170,7 +157,7 @@ def _fit_order(hs: Sequence[float], errs: Sequence[float]) -> float:
     return float(slope)
 
 
-def refinement_study(study: str) -> StudyResult:
+def refinement_study(study: str) -> float:
     """Measured convergence order of one row of STUDIES at EPS, over LEVELS
     grids of its family with studied resolution BASE, 2 BASE, 4 BASE, ...
 
@@ -180,10 +167,8 @@ def refinement_study(study: str) -> StudyResult:
     mms_case = case(study, EPS)
     row = STUDIES[study]
     grids = [row.grid(BASE * 2**k) for k in range(LEVELS)]
-    levels = [StudyLevel(grid=g, h=getattr(g, row.step), error=_final_error(mms_case, g))
-              for g in grids]
-    order = _fit_order([lv.h for lv in levels], [lv.error for lv in levels])
-    return StudyResult(levels=levels, order=order)
+    return _fit_order([getattr(g, row.step) for g in grids],
+                      [_final_error(mms_case, g) for g in grids])
 
 
 def one_step_error(case: ManufacturedCase, dt: float, nx: int = 16, ny: int = 16) -> float:

@@ -2,12 +2,12 @@
 fork_each runs a list of thunks, for the acceptance criteria, the time
 levels of the mean-value lattice and of the fields.csv writer, and a run's
 independent marches and measurements (SolveStore.solve_many, the sweep
-beside its refinement proxy, the two halves of the estimate battery).
-Thunk 0 runs in the calling process, so what it stores stays in the
-caller's memory; with one usable core, as inside one_core, nothing forks.
-A worker may call BLAS and LAPACK: OpenBLAS shuts its thread pool down
-before each fork (a pthread_atfork handler) and each process restarts it
-lazily on its next threaded call.  A worker may fork again; its own
+beside its refinement proxy, the weak identity beside the two estimate
+batteries).  Thunk 0 runs in the calling process, so what it stores stays
+in the caller's memory; with one usable core, as inside one_core, nothing
+forks.  A worker may call BLAS and LAPACK: OpenBLAS shuts its thread pool
+down before each fork (a pthread_atfork handler) and each process restarts
+it lazily on its next threaded call.  A worker may fork again; its own
 workers are reaped before it returns."""
 
 import os

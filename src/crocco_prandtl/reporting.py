@@ -6,9 +6,10 @@ Every artifact is plain text, starts with the provenance comment line
 
 and renders every float with the %.17g round-trip format so reruns can be
 compared byte for byte.  report_text renders the entry and verdict lines
-that report.txt holds and `run` prints; a failed verdict leaves a FAILED
-marker in report.txt.  report.csv holds one row per entry, with the run's
-grid label in its grid column.
+that report.txt holds and `run` prints, each entry off the full domain
+tagged with its domain; a failed verdict leaves a FAILED marker in
+report.txt.  report.csv holds one row per entry, with the run's grid label
+in its grid column.
 
 fields.csv is streamed one time level at a time, with no copy of the whole
 history; its bytes equal numpy.savetxt(fh, rows, fmt="%.17g", delimiter=",")
@@ -45,8 +46,10 @@ def fmt(value) -> str:
 
 
 def report_text(result: RunResult) -> str:
-    """One `key = value` line per entry, then one line per verdict."""
-    lines = [f"{key} = {fmt(value)}" for key, value, _, _ in result.entries]
+    """One line per entry, `key = value` on the full domain and `key [domain]
+    = value` off it, then one line per verdict."""
+    lines = [f"{key} = {fmt(value)}" if domain == "full" else f"{key} [{domain}] = {fmt(value)}"
+             for key, value, _, domain in result.entries]
     lines += [f"verdict = {'pass' if chk.passed else 'fail'} [{name}]"
               for name, chk in result.verdicts.items()]
     return "\n".join(lines) + "\n"

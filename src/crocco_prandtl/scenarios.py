@@ -23,13 +23,13 @@ identical-data check is the stored march against one fresh march.
 
 Three measurements split independent work across the usable cores through
 parallel.fork_each, the first part in the calling process:
-standard_estimates hands it its four measurements, the two weak residuals
-(one with the traces) before the two batteries, cauchy_sweep runs the
-sweep's marches beside the refinement proxy's refined march, and
-family_stability marches the base and the families through
-SolveStore.solve_many.  identical_data's fresh march never forks: it is
-made in the calling process, after the stored one, so it meets whatever
-state the first march left behind.
+standard_estimates hands it its three measurements, the weak residual
+with the traces before the two batteries, cauchy_sweep runs the sweep's
+marches beside the refinement proxy's refined march, and family_stability
+marches the base and the families through SolveStore.solve_many.
+identical_data's fresh march never forks: it is made in the calling
+process, after the stored one, so it meets whatever state the first march
+left behind.
 """
 
 from dataclasses import dataclass, field
@@ -215,13 +215,15 @@ def weak_identity(hist: FieldHistory, problem) -> tuple:
 
 
 def standard_estimates(result: RunResult, hist: FieldHistory, problem) -> tuple:
-    """Record the estimate battery, its interior variants, traces, and the
-    weak residual in result; returns the full-domain battery and the checks
-    of weak_identity.  The four measurements are split across the usable
-    cores by parallel.fork_each, the weak residuals and traces first, so on
-    two cores they run in this process and the batteries in a worker."""
-    interior_residual, (tr, checks), out, interior = fork_each([
-        partial(weak_residual, hist, problem, INTERIOR_MARGIN),
+    """Record the estimate battery on the full and the interior domain, the
+    traces, and the full-domain weak residual in result; returns the
+    full-domain battery and the checks of weak_identity.  The three
+    measurements are split across the usable cores by parallel.fork_each,
+    the weak residual and traces first, so on two cores they run in this
+    process and the batteries in a worker.  The weak residual has no
+    interior variant: its test functions do not vanish on the faces a
+    margin cuts, so on the interior box it would measure the cut strip."""
+    (tr, checks), out, interior = fork_each([
         partial(weak_identity, hist, problem),
         partial(estimate_battery, hist),
         partial(estimate_battery, hist, margin=INTERIOR_MARGIN)])
@@ -231,7 +233,6 @@ def standard_estimates(result: RunResult, hist: FieldHistory, problem) -> tuple:
     # to each norm; published, never asserted small
     for key, value in interior.items():
         result.add(key, value, "interior")
-    result.add("weak_residual_sup", interior_residual, "interior")
     result.add("trace_initial_sup", tr.initial_sup, "t=0")
     result.add("trace_top_sup", tr.outflow_top_sup, "y=1")
     result.add("trace_inflow_sup", tr.inflow_sup, "x=0")

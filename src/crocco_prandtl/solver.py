@@ -61,7 +61,7 @@ def cfl_margins(problem: CroccoProblem, eps: float) -> dict:
     }
 
 
-def check_cfl(problem: CroccoProblem, eps: float) -> dict:
+def check_cfl(problem: CroccoProblem, eps: float) -> None:
     margins = cfl_margins(problem, eps)
     worst = max(margins.values())
     if worst > CFL_SAFETY + 1e-12:
@@ -70,7 +70,6 @@ def check_cfl(problem: CroccoProblem, eps: float) -> dict:
             f"cfl_x={margins['cfl_x']:.3f}, cfl_y={margins['cfl_y']:.3f} "
             f"(limit {CFL_SAFETY})"
         )
-    return margins
 
 
 def _solve_columns(sub, dia, sup, rhs) -> np.ndarray:
@@ -169,7 +168,7 @@ def solve(problem: CroccoProblem, grid: GridSpec, eps: float,
         raise ConfigError(f"solve grid {grid} is not the problem's grid {problem.grid}")
     if eps <= 0:
         raise ConfigError(f"regularization eps must be positive, got {eps}")
-    margins = check_cfl(problem, eps)
+    check_cfl(problem, eps)
     nt = grid.nt
     values = np.empty((nt + 1, grid.nx + 1, grid.ny + 1))
     u = np.array(problem.w0, dtype=float)
@@ -184,7 +183,7 @@ def solve(problem: CroccoProblem, grid: GridSpec, eps: float,
         u = _advance(u, n, problem, eps, source, a_n, b_n, c_n1)
         a_n, b_n = a_n1, b_n1
         values[n + 1] = u
-    return FieldHistory(t=grid.t, x=grid.x, y=grid.y, values=values, diagnostics=margins)
+    return FieldHistory(t=grid.t, x=grid.x, y=grid.y, values=values)
 
 
 class SolveStore:
@@ -249,11 +248,22 @@ class ConvergenceTable:
     @property
     def largest_step(self) -> float:
         """Largest successive difference of the gaps, negative when they
-        strictly decrease; NaN for fewer than two gaps or one not finite."""
+        strictly decrease; NaN when one is not finite."""
         d = np.array([r.l1_diff for r in self.rows])
-        if not np.all(np.isfinite(d)) or d.size < 2:
+        if not np.all(np.isfinite(d)):
             return float("nan")
         return float(np.max(np.diff(d)))
+
+
+def check_eps_list(eps_list) -> None:
+    """Refuse a sweep's eps values unless there are at least three (two
+    gaps make one step), all positive and strictly decreasing."""
+    if len(eps_list) < 3:
+        raise ConfigError("eps_list needs at least three values, so its gaps have a step")
+    if any(e <= 0 for e in eps_list):
+        raise ConfigError("eps_list values must be positive")
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ConfigError("eps_list must be strictly decreasing")
 
 
 def viscosity_sweep(problem: CroccoProblem, eps_list, store: SolveStore) -> ConvergenceTable:
@@ -264,10 +274,7 @@ def viscosity_sweep(problem: CroccoProblem, eps_list, store: SolveStore) -> Conv
     made.  A failed solve gives its rows a NaN gap and the sweep continues.
     """
     eps_list = [float(e) for e in eps_list]
-    if len(eps_list) < 2:
-        raise ConfigError("viscosity sweep needs at least two eps values")
-    if np.any(np.diff(eps_list) >= 0):
-        raise ConfigError("eps_list must be strictly decreasing")
+    check_eps_list(eps_list)
     grid = problem.grid
     histories = []
     for e in eps_list:

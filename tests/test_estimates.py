@@ -198,7 +198,7 @@ def test_weak_residual_terms_sum_matches_reported_residual():
     prob = linear_problem(grid)
     h = grid_history(lambda t, x, y: 1.0 - y, nt=16, nx=16, ny=16)
     phi = estimates.TestFunction(k=1, m=1, L=1.0, T=1.0)
-    terms = estimates._weak_quadrature(h, prob, 0)(phi)
+    terms = estimates._weak_quadrature(h, prob)(phi)
     parts = [v for k, v in terms.items() if k != "residual"]
     assert terms["residual"] == pytest.approx(sum(parts), abs=1e-15)
     # the identity is a genuine cancellation, not term-by-term smallness
@@ -216,35 +216,36 @@ def test_weak_residual_linear_in_test_function():
     a, b = 0.7, -1.3
     # the quadrature serves family members only; the combination itself is
     # integrated by the meshgrid transcription, which takes any function
-    terms = estimates._weak_quadrature(h, prob, 0)
+    terms = estimates._weak_quadrature(h, prob)
     t1, t2 = terms(phi1), terms(phi2)
     ref = _meshgrid_terms(h, prob, uniform_flow(), _combo(a, phi1, b, phi2),
-                          estimates.WEAK_ALPHA, 0)
+                          estimates.WEAK_ALPHA)
     assert list(ref) == list(t1)
     for key in ref:
         assert a * t1[key] + b * t2[key] == pytest.approx(ref[key], abs=1e-12), key
     assert abs(ref["residual"]) > 1e-3
 
 
-@pytest.mark.parametrize("margin", [0, 2])
+# the quadrature covers the whole grid: no cells are cut from its sides
+@pytest.mark.parametrize("margin", [0])
 def test_weak_residual_is_the_family_max_of_the_terms(margin):
+    assert margin == 0
     grid = GridSpec(nx=16, ny=16, nt=16)
     prob = linear_problem(grid)
     h = grid_history(lambda t, x, y: (1.0 - y) * (1.0 + 0.3 * np.sin(np.pi * x) * t),
                      nt=16, nx=16, ny=16)
-    terms = estimates._weak_quadrature(h, prob, margin)
+    terms = estimates._weak_quadrature(h, prob)
     expected = max(abs(terms(phi)["residual"])
                    for phi in estimates.test_function_family(grid.L, grid.T))
     assert expected > 1e-3
-    assert weak_residual(h, prob, margin=margin) == pytest.approx(expected, rel=1e-12)
+    assert weak_residual(h, prob) == pytest.approx(expected, rel=1e-12)
 
 
-def _meshgrid_terms(history, problem, flow, evaluate, alpha, margin):
+def _meshgrid_terms(history, problem, flow, evaluate, alpha):
     # the seven integrals transcribed term by term on full (t, x, y) midcell
-    # meshgrids, with the margin cut from each integrand; the test function
-    # and its derivatives come from evaluate (x, y, t) -> (phi, phi_t,
-    # phi_x, phi_y), and the coefficients from the flow the problem was
-    # built from, sampled afresh
+    # meshgrids; the test function and its derivatives come from evaluate
+    # (x, y, t) -> (phi, phi_t, phi_x, phi_y), and the coefficients from the
+    # flow the problem was built from, sampled afresh
     u, t, x, y = history.values, history.t, history.x, history.y
     dt, dx, dy = np.diff(t).mean(), np.diff(x).mean(), np.diff(y).mean()
     tc, xc, yc = (0.5 * (c[1:] + c[:-1]) for c in (t, x, y))
@@ -264,30 +265,29 @@ def _meshgrid_terms(history, problem, flow, evaluate, alpha, margin):
     W = (1.0 - Y3) ** alpha
     Wp = -alpha * (1.0 - Y3) ** (alpha - 1.0)
     ph, ph_t, ph_x, ph_y = evaluate(X3, Y3, T3)
-    m = slice(margin, -margin) if margin else slice(None)
     cell = dt * dx * dy
     XF, YF = np.meshgrid(xc, yc, indexing="ij")
     TT, XT = np.meshgrid(tc, xc, indexing="ij")
     terms = {
-        "final_time": -np.sum((((1.0 - YF) ** alpha) * evaluate(XF, YF, t[-1])[0]
-                               / estimates._center4(u[-1]))[m, m]) * dx * dy,
-        "time_volume": np.sum((W * ph_t * inv_u)[:, m, m]) * cell,
-        "diffusion": np.sum(((W * ph_y + Wp * ph) * uy_c)[:, m, m]) * cell,
-        "streamwise": np.sum(((ax_c * ph + a_c * ph_x) * W * inv_u)[:, m, m]) * cell,
-        "drift": np.sum(((W * b_c * ph_y + (W * by_c + Wp * b_c) * ph) * inv_u)[:, m, m]) * cell,
-        "reaction": np.sum((W * ph * c_c * inv_u)[:, m, m]) * cell,
-        "wall_trace": np.sum((estimates._center4(problem.v0)
-                              * evaluate(XT, 0.0 * XT, TT)[0])[:, m])
+        "final_time": -np.sum(((1.0 - YF) ** alpha) * evaluate(XF, YF, t[-1])[0]
+                              / estimates._center4(u[-1])) * dx * dy,
+        "time_volume": np.sum(W * ph_t * inv_u) * cell,
+        "diffusion": np.sum((W * ph_y + Wp * ph) * uy_c) * cell,
+        "streamwise": np.sum((ax_c * ph + a_c * ph_x) * W * inv_u) * cell,
+        "drift": np.sum((W * b_c * ph_y + (W * by_c + Wp * b_c) * ph) * inv_u) * cell,
+        "reaction": np.sum(W * ph * c_c * inv_u) * cell,
+        "wall_trace": np.sum(estimates._center4(problem.v0) * evaluate(XT, 0.0 * XT, TT)[0])
         * dt * dx,
     }
     terms["residual"] = sum(terms.values())
     return terms
 
 
-# the quadrature's weight exponent is fixed at estimates.WEAK_ALPHA = 2
-@pytest.mark.parametrize("alpha, margin", [(2.0, 0), (2.0, 1), (2.0, 2)])
+# the quadrature's weight exponent is fixed at estimates.WEAK_ALPHA = 2,
+# and it covers the whole grid: no cells are cut from its sides
+@pytest.mark.parametrize("alpha, margin", [(2.0, 0)])
 def test_weak_residual_terms_match_meshgrid_reference(alpha, margin):
-    assert alpha == estimates.WEAK_ALPHA
+    assert alpha == estimates.WEAK_ALPHA and margin == 0
     # the decelerating flow makes every coefficient kernel (a, dx a, b, dy b, c) nonzero
     flow = decelerating_flow()
     # the quadrature walks time in slabs: one short slab, exactly one slab,
@@ -298,10 +298,10 @@ def test_weak_residual_terms_match_meshgrid_reference(alpha, margin):
         prob = linear_problem(grid, flow)
         h = grid_history(lambda t, x, y: (1.0 - y) * (1.0 + 0.3 * np.sin(np.pi * x) * t) + 0.01,
                          nt=nt, nx=12, ny=12, T=0.5)
-        terms = estimates._weak_quadrature(h, prob, margin)
+        terms = estimates._weak_quadrature(h, prob)
         for phi in estimates.test_function_family(grid.L, grid.T):
             got = terms(phi)
-            ref = _meshgrid_terms(h, prob, flow, _product(phi), alpha, margin)
+            ref = _meshgrid_terms(h, prob, flow, _product(phi), alpha)
             assert list(got) == list(ref)
             scale = max(abs(v) for v in ref.values())
             for key in ref:
@@ -327,7 +327,7 @@ for nt, ny in ((12000, 4), (4, 12000)):
     tt, xx, yy = np.meshgrid(t, x, y, indexing="ij")
     h = FieldHistory(t=t, x=x, y=y,
                      values=(1.0 - yy) * (1.0 + 0.3 * np.sin(np.pi * xx) * tt) + 0.01)
-    terms = estimates._weak_quadrature(h, make_problem(decelerating_flow(), grid, data), 0)
+    terms = estimates._weak_quadrature(h, make_problem(decelerating_flow(), grid, data))
     print(np.array([list(terms(phi).values())
                     for phi in estimates.test_function_family(1.0, 0.5)]).tobytes().hex())
 """
@@ -394,8 +394,6 @@ def test_weak_residual_guards():
     prob = linear_problem(grid)
     with pytest.raises(NumericalError, match="positive"):
         weak_residual(grid_history(lambda t, x, y: 0.5 - y, nt=4, nx=8, ny=8), prob)
-    with pytest.raises(ConfigError, match="margin"):
-        weak_residual(grid_history(lambda t, x, y: 1.0 - y, nt=4, nx=8, ny=8), prob, margin=4)
 
 
 def test_interior_margin_monotone_for_nonnegative_norms():
@@ -432,28 +430,22 @@ def test_interior_margin_too_large_rejected():
 
 
 def test_interior_margin_is_checked_alike_by_every_functional():
-    # a negative margin once returned numbers (the weak residual 4x its
-    # margin-0 value, zero gradient norms) or raised numpy errors, and a
-    # margin leaving one y cell overran the dyy measure's three-point stencil
-    def grid(nx, ny):
-        return (grid_history(lambda t, x, y: 1.0 - y, nt=4, nx=nx, ny=ny),
-                linear_problem(GridSpec(nx=nx, ny=ny, nt=4)))
-
-    functionals = (lambda hh, pp, margin: bv_seminorm(hh, margin),
-                   lambda hh, pp, margin: weighted_grad_norms(hh, margin)[1][0],
-                   lambda hh, pp, margin: weighted_dyy_measure(hh, margin),
-                   lambda hh, pp, margin: weak_residual(hh, pp, margin))
-    h, prob = grid(8, 12)
-    h_low, prob_low = grid(16, 9)
+    # a negative margin once returned numbers (zero gradient norms) or
+    # raised numpy errors, and a margin leaving one y cell overran the dyy
+    # measure's three-point stencil
+    functionals = (bv_seminorm, lambda hh, margin: weighted_grad_norms(hh, margin)[1][0],
+                   weighted_dyy_measure)
+    h = grid_history(lambda t, x, y: 1.0 - y, nt=4, nx=8, ny=12)
+    h_low = grid_history(lambda t, x, y: 1.0 - y, nt=4, nx=16, ny=9)
     for fn in functionals:
         for margin, message in ((-1, "nonnegative"), (4, "leaves under"), (6, "leaves under")):
             with pytest.raises(ConfigError, match=message):
-                fn(h, prob, margin)
+                fn(h, margin)
         # 4 cells off each side of the 16 x 9 grid leave 8 x 1
         with pytest.raises(ConfigError, match="leaves under 1 x 2 cells"):
-            fn(h_low, prob_low, 4)
+            fn(h_low, 4)
         # 3 cells off each side of the 8 x 12 grid leave 2 x 6
-        assert np.isfinite(fn(h, prob, 3))
+        assert np.isfinite(fn(h, 3))
 
 
 # ---------------------------------------------------------------------------

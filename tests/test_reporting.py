@@ -15,11 +15,12 @@ from hypothesis.extra import numpy as hnp
 
 from crocco_prandtl import kolmogorov as ko
 from crocco_prandtl import parallel, reporting
+from crocco_prandtl.config import RunConfig
 from crocco_prandtl.errors import NumericalError
 from crocco_prandtl.grids import Check, FieldHistory
 from crocco_prandtl.reporting import (artifact_header, report_text, write_artifacts,
                                       write_fields_csv, write_report_csv)
-from crocco_prandtl.scenarios import RunResult, Table
+from crocco_prandtl.scenarios import RunResult, Table, run_scenario
 
 SRC = str(Path(reporting.__file__).resolve().parents[1])
 
@@ -227,13 +228,26 @@ def test_fields_csv_workers_do_not_flush_inherited_stdout(tmp_path):
 def test_run_report_text_and_csv(tmp_path):
     result = RunResult(scenario="exact_profile", grid_label="64x64x64", eps_label="0.001")
     result.add("c_comparison", 1.25)
+    result.add("c_comparison", 1.5, "interior")
     result.verdicts["comparison"] = Check(1.25, np.inf, "<")
     result.verdicts["bv"] = Check(np.nan, 1.0, "<")
     text = report_text(result)
-    assert "c_comparison = 1.25" in text
+    assert text.splitlines()[:2] == ["c_comparison = 1.25", "c_comparison [interior] = 1.5"]
     assert "verdict = pass [comparison]" in text
     assert "verdict = fail [bv]" in text
     assert not result.ok
     rows = write_report_csv(tmp_path / "report.csv", result).read_text().splitlines()[1:]
     assert rows[0] == "key,value,grid,eps,domain"
     assert rows[1].startswith("c_comparison,1.25,64x64x64,0.001")
+
+
+@pytest.mark.parametrize("scenario", ["exact_profile", "favorable_accel"])
+def test_report_text_labels_each_entry_once(scenario):
+    # these runs record the battery on the full and the interior domain, and
+    # the traces on their faces, under shared keys; each line names its domain
+    result = run_scenario(RunConfig(scenario=scenario, nx=16, ny=16, nt=24, eps=1e-2))
+    labels = [line.split(" = ")[0] for line in report_text(result).splitlines()
+              if not line.startswith("verdict = ")]
+    assert len(labels) == len(result.entries)
+    assert len(set(labels)) == len(labels)
+    assert "bv_seminorm" in labels and "bv_seminorm [interior]" in labels

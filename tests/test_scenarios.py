@@ -331,8 +331,7 @@ SHARED_BOUNDS = {
         scenarios.WALL_TRACE_TOL * (1 - 1e-3), scenarios.WALL_TRACE_TOL * (1 + 1e-3)),
     "weak_residual": SharedBound(
         5, EXACT, "weak_residual_small",
-        lambda m, v: _wrap(m, scenarios, "weak_residual",
-                           lambda res, hist, problem, margin=0: res if margin else v),
+        lambda m, v: _wrap(m, scenarios, "weak_residual", lambda res, hist, problem: v),
         scenarios.WEAK_RESIDUAL_TOL * (1 - 1e-3), scenarios.WEAK_RESIDUAL_TOL * (1 + 1e-3)),
     "sweep_gap": SharedBound(4, SWEEP, "final_gap_below_grid_error", _sweep_ratio,
                              scenarios.SWEEP_PROXY_FACTOR * (1 - 1e-3),

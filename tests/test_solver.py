@@ -161,13 +161,21 @@ def test_viscosity_sweep_decreasing_on_modulated_data():
     assert table.largest_step < 0
 
 
+class NoMarchStore(SolveStore):
+    def solve(self, problem, eps):
+        raise AssertionError(f"marched eps={eps} before the eps list was refused")
+
+
 def test_viscosity_sweep_guards():
-    grid = GridSpec(8, 8, 16)
-    problem = linear_problem(grid)
-    with pytest.raises(ConfigError, match="two eps"):
-        viscosity_sweep(problem, (0.1,), SolveStore())
-    with pytest.raises(ConfigError, match="decreasing"):
-        viscosity_sweep(problem, (0.01, 0.1), SolveStore())
+    # each list is refused before any march; two values give one gap and no
+    # step, which the sweep's check would read as NaN
+    problem = linear_problem(GridSpec(8, 8, 16))
+    for eps_list, message in (((0.1,), "at least three values"),
+                              ((0.1, 0.01), "at least three values"),
+                              ((0.1, 0.01, -0.001), "must be positive"),
+                              ((0.01, 0.1, 1.0), "decreasing")):
+        with pytest.raises(ConfigError, match=message):
+            viscosity_sweep(problem, eps_list, NoMarchStore())
 
 
 def test_convergence_table_flags():
