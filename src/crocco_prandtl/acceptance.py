@@ -3,8 +3,10 @@
 Twelve numbered criteria, each measuring a pinned quantitative surrogate
 at desk scale.  A store keeps only what a second reader in its run takes:
 the engine's SolveStore holds what criteria share, the 64^3 problems and
-strip marches of criteria 1 and 3-6 and the model runs of criteria 9 and
-11, and every 128^3 march is freed when the criterion that reads it
+strip marches of criteria 1 and 3-6 and the model measurements of
+criteria 9 and 11 (each run's density-floor and oscillation checks, made
+together; the run is dropped once they are taken), and every 128^3 march
+and every perturbation family is freed when the criterion that reads it
 returns.
 
 run() hands parallel.fork_each one thunk per requested criterion, and it
@@ -37,7 +39,7 @@ from typing import List
 import numpy as np
 
 from . import kolmogorov as ko
-from . import parallel
+from . import mms, parallel
 from ._version import __version__
 from .config import SCENARIOS, RunConfig
 from .errors import ConfigError, CroccoError
@@ -128,13 +130,16 @@ def _cube(n: int, T: float) -> GridSpec:
     return GridSpec(n, n, n, L=1.0, T=T)
 
 
-def _model_history(kind: str, lam: float, seed: int):
-    return ko.solve_model(ko.model_scenarios(kind, lam=lam, seed=seed), *ko.MODEL_GRID)
+def _model_measures(kind: str, lam: float, seed: int) -> tuple:
+    """The density-floor checks and the oscillation checks of one model run
+    on MODEL_GRID, which criteria 9 and 11 read; the run is dropped here."""
+    hist = ko.solve_model(ko.model_scenarios(kind, lam=lam, seed=seed), *ko.MODEL_GRID)
+    return density_floor(hist, 0.01)[1], model_oscillation(hist)[1]
 
 
 class AcceptanceEngine:
     """Runs the numbered criteria against one solve store, which keeps the
-    strip marches and model runs that criteria share."""
+    strip marches and model measurements that criteria share."""
 
     def __init__(self):
         self.store = SolveStore()
@@ -152,8 +157,6 @@ class AcceptanceEngine:
         return CriterionResult(1, "exact stationary reproduction", checks)
 
     def criterion_2(self) -> CriterionResult:
-        from . import mms  # sympy loads only when this criterion runs
-
         return CriterionResult(2, "manufactured-solution convergence",
                                {f"order_{s}": Check(mms.refinement_study(s), floor, ">=")
                                 for s, floor in MMS_FLOORS.items()})
@@ -209,8 +212,8 @@ class AcceptanceEngine:
     def criterion_9(self) -> CriterionResult:
         checks = unit_density(0.01)[1]
         for kind, lam, seed in ROUGH_COEFS:
-            hist = self.store.build(_model_history, kind, lam, seed)
-            checks.update(_keyed(density_floor(hist, 0.01)[1], f"{kind}-{lam:g}-{seed}"))
+            density, _ = self.store.build(_model_measures, kind, lam, seed)
+            checks.update(_keyed(density, f"{kind}-{lam:g}-{seed}"))
         return CriterionResult(9, "density estimate", checks)
 
     def criterion_10(self) -> CriterionResult:
@@ -241,7 +244,7 @@ class AcceptanceEngine:
         checks = {}
         for kind in ("checkerboard", "seeded-random"):
             for lam in (2.0, 4.0):
-                osc = model_oscillation(self.store.build(_model_history, kind, lam, 0))[1]
+                _, osc = self.store.build(_model_measures, kind, lam, 0)
                 checks.update(_keyed(osc, f"{kind}-{lam:g}"))
         checks.update(linear_control()[1])
         return CriterionResult(11, "oscillation decay", checks)

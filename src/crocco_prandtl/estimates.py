@@ -357,7 +357,8 @@ def l1_stability(hist_a: FieldHistory, hist_b: FieldHistory,
         raise ConfigError("stability comparison requires matching grids")
     t, x, y = hist_a.t, hist_a.x, hist_a.y
     wt, wx, wy = trapezoid_weights(t), trapezoid_weights(x), trapezoid_weights(y)
-    lhs = np.einsum("i,j,nij->n", wx, wy, np.abs(hist_a.values - hist_b.values))
+    diff = hist_a.values - hist_b.values
+    lhs = np.einsum("i,j,nij->n", wx, wy, np.abs(diff, out=diff))  # |a - b| in place
 
     d_init = float(np.einsum("i,j,ij->", wx, wy, np.abs(prob_a.w0 - prob_b.w0)))
     d_in = np.einsum("j,nj->n", wy, np.abs(prob_a.w1 - prob_b.w1))

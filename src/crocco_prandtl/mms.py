@@ -1,10 +1,13 @@
 """Manufactured-solution oracles for the regularized solver.
 
-A chosen closed-form field is substituted symbolically into the regularized
-equation; the mismatch becomes the forcing term and the field's own traces
-become the data, so the discrete solution can be compared against a known
+A chosen closed-form field, given with its derivatives u_t, u_x, u_y and
+u_yy as numpy expressions, is substituted into the regularized equation;
+the mismatch becomes the forcing term and the field's own traces become
+the data, so the discrete solution can be compared against a known
 answer.  The suction trace is recovered from the wall flux relation, which
-couples it to the regularization level.
+couples it to the regularization level.  The closed-form derivatives are
+checked against sympy's derivatives of the same fields in tests/test_mms.py,
+so nothing symbolic is imported at run time.
 
 The refinement studies are the rows of `STUDIES`.  Three run under the
 uniform stream, where b = c = 0, and isolate one grid direction each: a
@@ -20,30 +23,16 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy as sp
 
 from .crocco import CroccoData, CroccoProblem, make_problem
 from .errors import ConfigError
-from .flows import ExternalFlow
+from .flows import ExternalFlow, accelerating_flow, uniform_flow
 from .grids import GridSpec
 from .solver import solve
-
-_X, _Y, _T = sp.symbols("x y t", real=True)
 
 EPS = 1e-2  # regularization level of every study
 LEVELS = 3  # refinement levels per study
 BASE = 16  # studied resolution of the coarsest level
-
-
-def _lam(expr, args) -> Callable:
-    fn = sp.lambdify(args, expr, modules="numpy")
-
-    def wrapped(*vals):
-        shape = np.broadcast(*[np.asarray(v) for v in vals]).shape
-        out = np.asarray(fn(*vals), dtype=float)
-        return np.broadcast_to(out, shape).copy() if out.shape != shape else out
-
-    return wrapped
 
 
 @dataclass(frozen=True)
@@ -65,41 +54,42 @@ class ManufacturedCase:
         return self.u_exact(tt, xx, yy)
 
 
-def build_case(name: str, u_expr: sp.Expr, U: sp.Expr, eps: float) -> ManufacturedCase:
-    """Derive forcing and traces for a candidate field under the outer flow
-    U(x, t), given symbolically.
+def build_case(name: str, field: Callable, flow: ExternalFlow, eps: float) -> ManufacturedCase:
+    """Derive forcing and traces for a candidate field under the outer flow.
 
-    The outer flow and its derivatives are lambdified from the same
-    expression the forcing is derived from; the forcing and the suction
-    trace are lambdified as derived, unsimplified.  The field must vanish
-    identically on y = 1 and stay positive below it; the first is checked
-    symbolically, the second is the caller's business.
+    field(t, x, y) gives the field and its derivatives, (u, u_t, u_x, u_y,
+    u_yy), in closed form.  The forcing is the equation's residual of the
+    field, with a, b, c and dxP formed from the flow as crocco forms them;
+    the suction trace is the wall flux relation solved for v0.  The field
+    must vanish on y = 1, checked on a 9 x 9 lattice of (t, x) in the unit
+    square, and stay positive below it, which is the caller's business.
     """
-    top = sp.simplify(u_expr.subs(_Y, 1))
-    if top != 0:
-        raise ConfigError(f"manufactured field must vanish at y = 1, got {top}")
+    tt, xx = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9), indexing="ij")
+    top = float(np.max(np.abs(field(tt, xx, 1.0)[0])))
+    if top != 0.0:
+        raise ConfigError(f"manufactured field must vanish at y = 1, got |u| up to {top:.6g}")
     if eps <= 0:
         raise ConfigError("regularization level must be positive")
-    Ux = sp.diff(U, _X)
-    Ut = sp.diff(U, _T)
-    Px = -(Ut + U * Ux)
-    a = _Y * U
-    b = (1 - _Y**2) * Ux + (1 - _Y) * Ut / U
-    c = (1 - _Y) * Ux - Px / U
-    f = (sp.diff(u_expr, _T) - (u_expr + eps) ** 2 * sp.diff(u_expr, _Y, 2)
-         + (a + eps) * sp.diff(u_expr, _X) + b * sp.diff(u_expr, _Y) + c * u_expr)
-    wall = u_expr.subs(_Y, 0)
-    v0_expr = sp.diff(u_expr, _Y).subs(_Y, 0) - (Px / U) / (wall + eps)
-    return ManufacturedCase(
-        name=name,
-        flow=ExternalFlow(*(_lam(e, (_X, _T)) for e in (U, Ux, Ut))),
-        eps=eps,
-        u_exact=_lam(u_expr, (_T, _X, _Y)),
-        forcing=_lam(f, (_X, _Y, _T)),
-        data=CroccoData(w0=_lam(u_expr.subs(_T, 0), (_X, _Y)),
-                        w1=_lam(u_expr.subs(_X, 0), (_Y, _T)),
-                        v0=_lam(v0_expr, (_X, _T))),
-    )
+
+    def px_over_u(x, t):
+        U = flow.U(x, t)
+        return -(flow.dtU(x, t) + U * flow.dxU(x, t)) / U
+
+    def forcing(x, y, t):
+        U, Ux, Ut = flow.U(x, t), flow.dxU(x, t), flow.dtU(x, t)
+        a = y * U
+        b = (1 - y**2) * Ux + (1 - y) * Ut / U
+        c = (1 - y) * Ux - px_over_u(x, t)
+        u, u_t, u_x, u_y, u_yy = field(t, x, y)
+        return u_t - (u + eps) ** 2 * u_yy + (a + eps) * u_x + b * u_y + c * u
+
+    def v0(x, t):
+        u, _, _, u_y, _ = field(t, x, 0.0)
+        return u_y - px_over_u(x, t) / (u + eps)
+
+    return ManufacturedCase(name, flow, eps, lambda t, x, y: field(t, x, y)[0], forcing,
+                            CroccoData(w0=lambda x, y: field(0.0, x, y)[0],
+                                       w1=lambda y, t: field(t, 0.0, y)[0], v0=v0))
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +98,12 @@ def build_case(name: str, u_expr: sp.Expr, U: sp.Expr, eps: float) -> Manufactur
 
 @dataclass(frozen=True)
 class Study:
-    """A closed-form field, the symbolic outer flow it runs under, the grid
-    family at studied resolution n, and the grid step that family refines."""
+    """A closed-form field as build_case takes it, the built-in outer flow it
+    runs under, the grid family at studied resolution n, and the grid step
+    that family refines."""
 
-    field: sp.Expr
-    flow: sp.Expr
+    field: Callable
+    flow: ExternalFlow
     grid: Callable[[int], GridSpec]
     step: str  # "dx", "dy" or "dt"
 
@@ -121,15 +112,34 @@ def _x_grid(n: int) -> GridSpec:
     return GridSpec(nx=n, ny=16, nt=2 * n, L=1.0, T=0.5)
 
 
+def _x_field(t, x, y):
+    s = 1 + np.sin(np.pi * x / 2) / 4
+    return (1 - y) * s, 0.0, (1 - y) * (np.pi / 8 * np.cos(np.pi * x / 2)), -s, 0.0
+
+
+def _y_field(t, x, y):
+    e = np.exp(y / 2)
+    return (1 - y) * e, 0.0, 0.0, -(1 + y) * e / 2, -(3 + y) * e / 4
+
+
+def _t_field(t, x, y):
+    q = 1 + t**2 / 4
+    return (1 - y) * q, (1 - y) * t / 2, 0.0, -q, 0.0
+
+
+def _coupled_field(t, x, y):
+    q, s = 1 + t**2 / 4, 1 + np.sin(np.pi * x / 2) / 8
+    return ((1 - y) * q * s, (1 - y) * t / 2 * s,
+            (1 - y) * q * (np.pi / 16 * np.cos(np.pi * x / 2)), -q * s, 0.0)
+
+
 STUDIES = {
-    "x": Study((1 - _Y) * (1 + sp.sin(sp.pi * _X / 2) / 4), sp.Integer(1),
-               _x_grid, "dx"),
-    "y": Study((1 - _Y) * sp.exp(_Y / 2), sp.Integer(1),
+    "x": Study(_x_field, uniform_flow(), _x_grid, "dx"),
+    "y": Study(_y_field, uniform_flow(),
                lambda n: GridSpec(nx=8, ny=n, nt=16, L=1.0, T=0.5), "dy"),
-    "t": Study((1 - _Y) * (1 + _T**2 / 4), sp.Integer(1),
+    "t": Study(_t_field, uniform_flow(),
                lambda n: GridSpec(nx=8, ny=8, nt=n, L=1.0, T=0.5), "dt"),
-    "coupled": Study((1 - _Y) * (1 + _T**2 / 4) * (1 + sp.sin(sp.pi * _X / 2) / 8),
-                     1 + _T, _x_grid, "dx"),
+    "coupled": Study(_coupled_field, accelerating_flow(), _x_grid, "dx"),
 }
 
 
@@ -151,8 +161,8 @@ def _final_error(mms_case: ManufacturedCase, grid: GridSpec) -> float:
 def _fit_order(hs: Sequence[float], errs: Sequence[float]) -> float:
     hs = np.asarray(hs, dtype=float)
     errs = np.asarray(errs, dtype=float)
-    if np.any(errs <= 0):
-        return float("inf")
+    if np.any(errs <= 0):  # a vanishing error has no order; NaN fails the floor
+        return float("nan")
     slope, _ = np.polyfit(np.log(hs), np.log(errs), 1)
     return float(slope)
 

@@ -1,7 +1,8 @@
 """One fork helper for every caller that splits work across cores:
 fork_each runs a list of thunks, for the acceptance criteria, the time
 levels of the mean-value lattice and of the fields.csv writer, and a run's
-independent marches and measurements (SolveStore.solve_many, the sweep
+independent marches and measurements (the perturbation families of
+family_stability, each marched and measured in its thunk, the sweep
 beside its refinement proxy, the weak identity beside the two estimate
 batteries).  Thunk 0 runs in the calling process, so what it stores stays
 in the caller's memory; with one usable core, as inside one_core, nothing

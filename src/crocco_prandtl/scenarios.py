@@ -26,7 +26,8 @@ parallel.fork_each, the first part in the calling process:
 standard_estimates hands it its three measurements, the weak residual
 with the traces before the two batteries, cauchy_sweep runs the sweep's
 marches beside the refinement proxy's refined march, and family_stability
-marches the base and the families through SolveStore.solve_many.
+hands it one thunk per perturbation family, which marches that family
+outside the store and measures it against the stored base march.
 identical_data's fresh march never forks: it is made in the calling
 process, after the stored one, so it meets whatever state the first march
 left behind.
@@ -274,14 +275,19 @@ def family_stability(store: SolveStore, grid: GridSpec, eps: float,
                      delta: float) -> tuple:
     """L1 stability report of each perturbation family of size delta
     against the accelerating base run, keyed by family, and the checks
-    that each constant is finite.  The base and family marches are made
-    together through store.solve_many, the base first."""
+    that each constant is finite.  The base march goes through store; then
+    parallel.fork_each gets one thunk per family, which marches it outside
+    the store and measures it against the inherited base, so a process
+    holds the base and one family."""
     base_problem = store.build(favorable_accel_problem, grid)
-    families = store.build(perturbed_problems, grid, delta)
-    store.solve_many([(prob, eps) for prob in (base_problem, *families.values())])
     base = store.solve(base_problem, eps)
-    stabs = {name: l1_stability(base, store.solve(prob, eps), base_problem, prob)
-             for name, prob in families.items()}
+    families = store.build(perturbed_problems, grid, delta)
+
+    def measure(prob):
+        return l1_stability(base, solve(prob, grid, eps), base_problem, prob)
+
+    stabs = dict(zip(families, fork_each([partial(measure, prob)
+                                          for prob in families.values()])))
     return stabs, {f"c6_finite_{name}": Check(stab.c6_hat, np.inf, "<")
                    for name, stab in stabs.items()}
 
@@ -422,8 +428,8 @@ def run_viscosity_sweep(cfg, store: SolveStore) -> RunResult:
 def run_stability_perturb(cfg, store: SolveStore) -> RunResult:
     base_problem = strip_problem(cfg, store)
     grid = base_problem.grid
-    # the families first, so their marches and the base's split across the
-    # cores, and the stored base march precedes identical_data's fresh one
+    # the families first, so the stored base march they are measured against
+    # precedes identical_data's fresh one
     stabs, family_checks = family_stability(store, grid, cfg.eps, cfg.perturb)
     base = store.solve(base_problem, cfg.eps)
     result = RunResult("stability_perturb", cfg.grid_label, f"{cfg.eps:g}", history=base)

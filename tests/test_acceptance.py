@@ -4,8 +4,8 @@ Tolerances are pinned inside crocco_prandtl.acceptance; these tests only
 run each criterion and assert its verdict, so a failure here reproduces
 the exact line the `acceptance` CLI verb would print.  The engine, and
 with it its solve store, is the session-scoped `engine` fixture of
-conftest.py, so problems, solves and model runs are shared across criteria
-as in one `acceptance` invocation.  Each test runs one criterion, so the
+conftest.py, so problems, solves and model measurements are shared across
+criteria as in one `acceptance` invocation.  Each test runs one criterion, so the
 engine forks nothing; the tests at the end cover the forked run with
 stand-in criteria and the fork helper's core count patched.
 """
@@ -110,18 +110,27 @@ def test_criterion_12_determinism(engine, results):
     check(engine, results, 12)
 
 
-def test_criterion_11_fails_a_nan_in_one_run(engine):
+def test_criterion_11_fails_a_nan_in_one_run(engine, monkeypatch):
     # one NaN node in the checkerboard-2 run, read by its r = 0.2 row only;
     # beta_bar once skipped it and the criterion passed on 0.2653, and the
-    # Hölder fit once dropped it and stayed positive
-    key = ("checkerboard", 2.0, 0)
-    hist = engine.store.build(acceptance._model_history, *key)
-    values = hist.values.copy()
-    values[298, 24, 113] = np.nan
+    # Hölder fit once dropped it and stayed positive.  The store keeps a
+    # run's measurements, not the run, so a fresh engine remakes that run
+    # with the NaN and takes the session engine's other measurements
+    key = (acceptance._model_measures, "checkerboard", 2.0, 0)
+    engine.criterion_11()
+    original = ko.solve_model
+
+    def with_nan(coef, *args, **kwargs):
+        hist = original(coef, *args, **kwargs)
+        if coef.name != "checkerboard-2":
+            return hist
+        values = hist.values.copy()
+        values[298, 24, 113] = np.nan
+        return FieldHistory(t=hist.t, x=hist.x, y=hist.y, values=values)
+
+    monkeypatch.setattr(ko, "solve_model", with_nan)
     broken = AcceptanceEngine()
-    broken.store._built = dict(engine.store._built)
-    broken.store._built[(acceptance._model_history, *key)] = FieldHistory(
-        t=hist.t, x=hist.x, y=hist.y, values=values)
+    broken.store._built = {k: v for k, v in engine.store._built.items() if k != key}
     res = broken.criterion_11()
     assert _failing(res) == ["oscillation_decays_checkerboard-2",
                              "holder_positive_checkerboard-2"], res.detail

@@ -233,7 +233,7 @@ def _fresh_python(code: str, check: bool = True) -> subprocess.CompletedProcess:
 
 
 def test_import_leaves_sympy_and_scipy_integrate_unloaded():
-    # sympy is loaded by criterion 2 alone; nothing imported at start-up
+    # the package never imports sympy; nothing imported at start-up
     # needs scipy.integrate or scipy.interpolate, and the LAPACK routines
     # come from their extension without scipy.linalg's package import and
     # the array-API shim it loads (numpy.f2py, numpy.testing, numpy.ma)

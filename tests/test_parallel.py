@@ -1,6 +1,6 @@
 """The one fork helper: fork_each's results crossing the pipe, its order,
 its thunk 0 in the calling process and its nesting, one_core's narrowed
-affinity, and SolveStore.solve_many on top of it."""
+affinity, and scenarios.family_stability on top of it."""
 
 import os
 import tracemalloc
@@ -10,10 +10,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from crocco_prandtl import parallel, solver
+from crocco_prandtl import parallel, scenarios, solver
 from crocco_prandtl.errors import NumericalError
-from crocco_prandtl.grids import GridSpec
-from crocco_prandtl.scenarios import favorable_accel_problem, perturbed_problems
+from crocco_prandtl.estimates import l1_stability
+from crocco_prandtl.grids import FieldHistory, GridSpec
+from crocco_prandtl.scenarios import (family_stability, favorable_accel_problem,
+                                      perturbed_problems)
 from crocco_prandtl.solver import SolveStore
 
 
@@ -127,37 +129,38 @@ def test_one_core_forks_nothing_and_restores_the_affinity():
     assert os.sched_getaffinity(0) == mask
 
 
-def test_solve_many_stores_what_solve_would_and_skips_stored_pairs():
+@pytest.mark.parametrize("cores", [1, 2])
+def test_family_stability_measures_as_if_all_four_were_marched_first(cores):
     grid = GridSpec(8, 8, 16, L=1.0, T=0.5)
-    serial, forked = SolveStore(), SolveStore()
-    problems = [forked.build(favorable_accel_problem, grid),
-                *forked.build(perturbed_problems, grid, 1e-3).values()]
-    first = forked.solve(problems[0], 1e-2)
-    with _cores(2):
-        forked.solve_many([(p, 1e-2) for p in problems])
-    # the pair already stored is kept
-    assert forked.solve(problems[0], 1e-2) is first
-    for problem in problems:
-        expected = serial.solve(problem, 1e-2)
-        assert forked.solve(problem, 1e-2).values.tobytes() == expected.values.tobytes()
+    base_problem = favorable_accel_problem(grid)
+    base = solver.solve(base_problem, grid, 1e-2)
+    expected = {name: l1_stability(base, solver.solve(prob, grid, 1e-2), base_problem, prob)
+                for name, prob in perturbed_problems(grid, 1e-3).items()}
+    store = SolveStore()
+    with _cores(cores):
+        stabs, _ = family_stability(store, grid, 1e-2, 1e-3)
+    assert list(stabs) == list(expected) == ["initial", "inflow", "suction"]
+    for name, stab in stabs.items():
+        assert np.array_equal(stab.lhs, expected[name].lhs), name
+        assert np.array_equal(stab.rhs, expected[name].rhs), name
+        assert stab.c6_hat == expected[name].c6_hat, name
+    # the store keeps the base march and no family
+    stored = [v for v in store._built.values() if isinstance(v, FieldHistory)]
+    assert len(stored) == 1 and np.array_equal(stored[0].values, base.values)
     _no_worker_left()
 
 
-def test_solve_many_leaves_a_failed_pair_for_solve_to_raise(monkeypatch):
-    grid = GridSpec(8, 8, 16, L=1.0, T=0.5)
-    store = SolveStore()
-    problem = store.build(favorable_accel_problem, grid)
-    original = solver.solve
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_family_march_that_fails_raises_from_family_stability(monkeypatch, cores):
+    # the suction family is the last thunk, so on two cores it fails in a worker
+    original = scenarios.solve
 
     def failing(problem, grid, eps, forcing=None, label=""):
-        if eps == 0.5:
+        if problem.label == "perturb-suction":
             raise NumericalError("no real wall value")
         return original(problem, grid, eps, forcing, label)
 
-    monkeypatch.setattr(solver, "solve", failing)
-    with _cores(2):
-        store.solve_many([(problem, 0.5), (problem, 1e-2)])
-    assert len(store._built) == 2  # the problem and the march at eps 1e-2
-    with pytest.raises(NumericalError, match="no real wall value"):
-        store.solve(problem, 0.5)
+    monkeypatch.setattr(scenarios, "solve", failing)
+    with _cores(cores), pytest.raises(NumericalError, match="no real wall value"):
+        family_stability(SolveStore(), GridSpec(8, 8, 16, L=1.0, T=0.5), 1e-2, 1e-3)
     _no_worker_left()

@@ -4,8 +4,9 @@ engine, and the deliberate reruns that must bypass it.
 Solves are counted by replacing `solve` wherever the package binds it:
 the store reaches it through the solver module, and the deliberate rerun
 of identical data (scenarios.identical_data) calls it directly from the
-scenario module, for the runner and the acceptance criterion alike.  A run
-forks some of its marches (SolveStore.solve_many, the refinement proxy),
+scenario module, for the runner and the acceptance criterion alike, as
+do the perturbation families of scenarios.family_stability.  A run forks
+some of its marches (the perturbation families, the refinement proxy),
 so each solve is appended to a file the forked workers inherit, and the
 count covers every process at the real core count.
 """
@@ -16,10 +17,11 @@ import weakref
 
 import pytest
 
+from crocco_prandtl import kolmogorov as ko
 from crocco_prandtl import parallel, scenarios, solver
 from crocco_prandtl.acceptance import AcceptanceEngine
 from crocco_prandtl.config import RunConfig
-from crocco_prandtl.grids import FieldHistory, GridSpec
+from crocco_prandtl.grids import Check, FieldHistory, GridSpec
 from crocco_prandtl.scenarios import favorable_accel_problem, run_scenario
 from crocco_prandtl.solver import SolveStore
 
@@ -104,12 +106,15 @@ def test_viscosity_sweep_run_solves_each_eps_once(solves):
         [("favorable_accel", 16, e) for e in eps_list] + [("favorable_accel", 32, 0.01)])
 
 
-def test_stability_perturb_run_solves_five_times(solves, identical_pairs):
+def test_stability_perturb_run_solves_six_times(solves, identical_pairs):
     cfg = RunConfig(scenario="stability_perturb", nx=16, ny=16, nt=24, eps=1e-2)
     assert run_scenario(cfg).ok
-    # base, its deliberate rerun, and one run per perturbation family
-    assert len(solves()) == 5
+    # base, its deliberate rerun, one run per perturbation family, and the
+    # initial family again for physical_stability: family_stability keeps
+    # no family march
+    assert len(solves()) == 6
     assert solves().count(("favorable_accel", 16, 1e-2)) == 2
+    assert solves().count(("perturb-initial", 16, 1e-2)) == 2
     # negative control: the rerun is a fresh march, not the stored base
     assert len(identical_pairs) == 1
     hist_a, hist_b = identical_pairs[0]
@@ -164,7 +169,8 @@ def test_engine_keeps_no_criterion_local_march(solves):
     # the 128^3 march was made outside the engine's store
     assert _stored_sizes(engine.store) == [64]
     res6 = engine.run([6]).results[0]
-    assert _stored_sizes(engine.store) == [64] * 9
+    # and the base marches of its two 64^3 passes, but no perturbation family
+    assert _stored_sizes(engine.store) == [64] * 3
     # the details the criteria gave while the engine's store held their
     # 128^3 marches
     assert res5.passed and res5.detail == (
@@ -196,4 +202,24 @@ def test_engine_keeps_no_criterion_local_march(solves):
     assert engine.run([4]).all_pass
     assert sorted(solves()) == [("favorable_accel", 64, 0.003), ("favorable_accel", 64, 0.03),
                               ("favorable_accel", 128, 0.001)]
-    assert _stored_sizes(engine.store) == [64] * 16
+    assert _stored_sizes(engine.store) == [64] * 10
+
+
+def test_criteria_9_and_11_share_five_model_runs_and_keep_none(monkeypatch):
+    runs = []
+    original = ko.solve_model
+
+    def counting(coef, *args, **kwargs):
+        runs.append(coef.name)
+        return original(coef, *args, **kwargs)
+
+    monkeypatch.setattr(ko, "solve_model", counting)
+    engine = AcceptanceEngine()
+    assert engine.criterion_9().passed and engine.criterion_11().passed
+    # criterion 11 reads the two lam = 2 runs' measurements criterion 9 made
+    assert sorted(runs) == ["checkerboard-2", "checkerboard-4", "seeded-random-2-0",
+                            "seeded-random-4-0", "seeded-random-4-1"]
+    # the store keeps each run's checks, and no run
+    assert not any(isinstance(v, FieldHistory) for v in engine.store._built.values())
+    assert all(isinstance(chk, Check) for density, osc in engine.store._built.values()
+               for chk in (density | osc).values())
